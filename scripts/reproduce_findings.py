@@ -24,7 +24,7 @@ from robertson_kit.radii import (
     radius_concavity,
     radius_convexity,
     sharpness_probe,
-    t_operator,
+    t_values,
 )
 from robertson_kit.robertson import (
     SchwarzSpec,
@@ -72,7 +72,7 @@ def finding_3_concavity_radius():
     rc = radius_concavity(p, st, "corrected").value
     rot = generate_member(p, SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0), order=128)
     r_mid = 0.5 * (rc + rp)
-    t_mid = t_operator(rot, st, -r_mid).real
+    t_mid = t_values(rot, st, -r_mid).real
     probe = sharpness_probe(p, st, SearchOpts(seed=11, budget=6000))
     print(f"[3] radius of concavity at (0, 0), A_co = 2")
     print(f"      printed radius   = {rp:.12f}  (= 4 - sqrt(15))")

@@ -3,7 +3,6 @@
 from .series import (
     CoefficientOverflow,
     DivisionByZeroConstantTerm,
-    NonzeroInnerConstantTerm,
     RadiusExceeded,
     TruncatedSeries,
 )

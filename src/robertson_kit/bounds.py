@@ -217,11 +217,10 @@ def envelope_check(
     z_d = 0j
     z_g = 0j
     for r in radii:
+        zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
         if member.closed_form is not None:
-            zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
             fp = np.abs(member.closed_form.fprime(zs))
         else:
-            zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
             fp = np.abs(member.f_prime.eval_on_circle(r, n_angles))
         fv = np.abs(member.f.eval_on_circle(r, n_angles))
         denv = distortion_envelope(p, float(r))

@@ -8,8 +8,9 @@ pointwise Schwarzian bound, the printed concavity radius) are asserted at
 alpha = 0 and demoted to findings elsewhere, so violations there flag the
 formula rather than the toolkit.
 
-Every violated record carries a witness that `replay_witness` re-evaluates
-to the recorded margin.
+Every check is one row of `CHECKS`, whose residual both the scan and
+`replay_witness` evaluate, so every violated record carries a witness that
+replays to the recorded margin.
 """
 
 from __future__ import annotations
@@ -17,19 +18,18 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import bounds, radii, robertson, sampling, schwarzian
 from .robertson import (
-    GridSpec,
+    ClassParams,
     MemberSeries,
     SchwarzSpec,
     extremal_member,
@@ -41,21 +41,6 @@ from .series import DEFAULT_ORDER, chebyshev_radii
 
 ASSERT_TOL = 1e-9
 NORM_TOL = 1e-6
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ROBERTSON_KIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +59,6 @@ class RunConfig:
     mode: str = "both"  # paper | corrected | both
     theorem: str = "all"
     r_max: Optional[float] = None
-    radial: int = 128
-    angular: int = 256
-    refine_tol: float = 1e-10
     out: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -148,41 +130,29 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _members(cfg: RunConfig, sp0: bool, include_canonical: bool = True):
+def _members(cfg: RunConfig, batch: str):
     """Seeded members plus the canonical witness generators.
 
-    The canonical extras (a plain rotation, the symmetric double zero, and
-    for the general batch the plane-extremal data) make the standard
-    counterexamples deterministic parts of every run.
+    The canonical extras (a plain rotation and its negative, squared for
+    SP0) make the standard counterexamples deterministic parts of every
+    run.  "convex" is the general batch at alpha = beta = 0; "general+plane"
+    adds the plane extremal at alpha = 0, the printed 2.1iii's witness.
     """
+    if batch == "convex":
+        cfg = replace(cfg, alpha=0.0, beta=0.0)
+    sp0 = batch == "sp0"
     params = make_params(cfg.alpha, cfg.beta)
-    specs: list[SchwarzSpec] = []
-    if include_canonical:
-        if sp0:
-            specs.append(SchwarzSpec(kind="unit_constant_times_z", power=2))
-            specs.append(SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=2))
-        else:
-            specs.append(SchwarzSpec(kind="unit_constant_times_z"))
-            specs.append(SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0))
-    specs.extend(sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0))
-    members = _map(
-        lambda s: generate_member(params, s, order=cfg.order, validate=False), specs
-    )
-    return params, specs, members
-
-
-def _witness(cfg: RunConfig, check_id: str, spec, z: complex, margin: float, **extra):
-    w = {
-        "check": check_id,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "order": cfg.order,
-        "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
-        "z": [z.real, z.imag],
-        "margin": margin,
-    }
-    w.update(extra)
-    return w
+    power = 2 if sp0 else 1
+    specs: list = [
+        SchwarzSpec(kind="unit_constant_times_z", power=power),
+        SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=power),
+        *sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0),
+    ]
+    members = [generate_member(params, s, order=cfg.order, validate=False) for s in specs]
+    if batch == "general+plane" and cfg.alpha == 0:
+        specs.append("extremal_plane")
+        members.append(extremal_member(params, "plane", 1.0, order=cfg.order))
+    return cfg, params, specs, members
 
 
 def _witness_member(w: dict) -> MemberSeries:
@@ -197,328 +167,259 @@ def _witness_member(w: dict) -> MemberSeries:
 
 
 def replay_witness(w: dict) -> float:
-    """Recompute the margin a stored witness claims; must match to 1e-12."""
-    member = _witness_member(w)
-    z = complex(w["z"][0], w["z"][1])
-    check = w["check"]
-    if check == "2.1ii":
-        return robertson.check_ii(member, z)
-    if check == "2.1iii":
-        return robertson.check_iii(member, z, w["mode"])
-    if check in ("22.3", "22.4"):
-        which = "eq22_3" if check == "22.3" else "eq22_4"
-        return robertson.classical_convexity_check(member, z, which)
-    if check == "2.2":
-        r = abs(z)
-        if w["kind"] == "distortion":
-            env = bounds.distortion_envelope(member.params, r)
-            v = abs(member.eval_fprime(z, 0.95))
-        else:
-            env = bounds.growth_envelope(member.params, r)
-            v = abs(member.eval_f(z, 0.95))
-        return min(env.upper - v, v - env.lower)
-    if check in ("2.3", "2.4", "AB"):
-        weight = 1 if check == "2.3" else 2
-        est = norm_estimate(member, weight, ScanOpts(r_max=w["r_max"]))
-        return w["bound"] - est.value
-    if check == "2.5":
-        xi = bounds.xi_of_member(member)
-        sv = abs(schwarzian.eval_s(member, z, 0.95))
-        b = bounds.schwarzian_pointwise_bound(member.params, xi, abs(z))
-        return b - (1 - abs(z) ** 2) ** 2 * sv
-    if check == "concavity":
-        setting = radii.ConcavitySetting(w["a_co"])
-        return radii.t_operator(member, setting, z).real
-    raise ValueError(f"unknown check id {check!r}")
+    """Recompute a stored witness's margin through its check's residual."""
+    if w["check"] not in CHECKS:
+        raise ValueError(f"unknown check id {w['check']!r}")
+    return float(CHECKS[w["check"]].residual(_witness_member(w), complex(*w["z"]), w))
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# the check table
 # ---------------------------------------------------------------------------
 
 
-def _grid_points(r_max: float = 0.9, n_radii: int = 24, n_angles: int = 48):
-    rs = chebyshev_radii(n_radii, r_max)
-    th = 2 * np.pi * np.arange(n_angles) / n_angles
-    return (rs[:, None] * np.exp(1j * th)[None, :]).ravel()
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    residual(member, z, w) is the margin of the checked inequality at z,
+    nonnegative where it holds; z is an array when the grid scans it.  w
+    is the witness: the check id, the mode of a per-mode check, and
+    extras(cfg, params, mode), the run's inputs that the residual reads.
+    scan(member, w) returns one member's (margin, z, samples, witness
+    extras); None takes the residual's minimum over the polar grid.
+    record_id None gives one record under the table key; a template over
+    {mode} gives one record per mode.  A record holds when its worst
+    margin is at least -slack.
+    """
+
+    anchor: Callable[[dict], str]
+    batch: str  # general | general+plane | sp0 | convex; see _members
+    residual: Callable[[MemberSeries, Any, dict], Any]
+    asserted: Callable[[RunConfig, Optional[str]], bool]
+    scan: Optional[Callable[[MemberSeries, dict], tuple]] = None
+    slack: float = ASSERT_TOL
+    record_id: Optional[str] = None
+    extras: Callable[[RunConfig, ClassParams, Optional[str]], dict] = lambda c, p, m: {}
 
 
-def _pointwise_min(
-    cfg, check_id, specs, members, fn, asserted, anchor, **extra
-) -> CheckRecord:
-    """Minimize a vectorized pointwise residual over members and a polar grid."""
-    zs = _grid_points()
+def _grid_min(residual, member: MemberSeries, w: dict):
+    """The default scan: the residual's minimum over the polar grid."""
+    rs = chebyshev_radii(24, 0.9)
+    th = 2 * np.pi * np.arange(48) / 48
+    zs = (rs[:, None] * np.exp(1j * th)[None, :]).ravel()
+    vals = np.asarray(residual(member, zs, w), dtype=float)
+    i = int(np.argmin(vals))
+    return float(vals[i]), complex(zs[i]), zs.size, {}
 
-    def one(args):
-        spec, m = args
-        vals = np.asarray(fn(m, zs), dtype=float)
-        i = int(np.argmin(vals))
-        return spec, complex(zs[i]), float(vals[i])
 
-    best = math.inf
-    worst = None
-    for spec, z, val in _map(one, list(zip(specs, members))):
-        if val < best:
-            best = val
-            worst = _witness(cfg, check_id, spec, z, best, **extra)
-    status = "holds" if best >= -ASSERT_TOL else "violated"
-    return CheckRecord(
-        check_id=check_id,
-        anchor=anchor,
+def _pointwise_s_residual(m: MemberSeries, zs, w: dict):
+    xi = bounds.xi_of_member(m)
+    if xi >= 1 - 1e-12:
+        # the bound degenerates to +inf at xi = 1; trivially satisfied
+        return np.full(np.shape(zs), np.inf)
+    k = m.params.k
+    sv = np.abs(schwarzian.eval_s(m, zs, 0.95))
+    b = 2 * k * (2 + k * (xi + np.abs(zs)) ** 2 / (1 - xi**2))
+    return b - (1 - np.abs(zs) ** 2) ** 2 * sv
+
+
+def _envelope_residual(m: MemberSeries, z: complex, w: dict) -> float:
+    """How far |f'(z)| or |f(z)| (w["kind"]) lies inside its envelope."""
+    r = abs(z)
+    if w["kind"] == "distortion":
+        env = bounds.distortion_envelope(m.params, r)
+        v = abs(m.eval_fprime(z, 0.95))
+    else:
+        env = bounds.growth_envelope(m.params, r)
+        v = abs(m.eval_f(z, 0.95))
+    return min(env.upper - v, v - env.lower)
+
+
+def _envelope_scan(m: MemberSeries, w: dict):
+    rep = bounds.envelope_check(m)
+    if rep.growth_min_margin < rep.distortion_min_margin:
+        return rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}
+    return rep.distortion_min_margin, rep.worst_z_distortion, 1, {"kind": "distortion"}
+
+
+def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
+    """A sup-norm check over the SP0 batch: margin = bound - ||f||_weight.
+
+    The margin belongs to the member, not to a point, so the residual is
+    the scan itself; z records where the scan put the supremum.
+    """
+
+    def scan(m: MemberSeries, w: dict):
+        est = norm_estimate(m, weight, ScanOpts(r_max=w["r_max"]))
+        return w["bound"] - est.value, est.argmax, 1, {}
+
+    def extras(cfg: RunConfig, params: ClassParams, mode: Optional[str]) -> dict:
+        r_max = cfg.r_max if cfg.r_max is not None else 0.95
+        return {"bound": bound(params), "r_max": r_max}
+
+    return Check(
+        anchor=lambda w: anchor,
+        batch="sp0",
+        residual=lambda m, z, w: scan(m, w)[0],
         asserted=asserted,
-        samples=len(members) * zs.size,
-        min_margin=best,
-        status=status,
-        worst=worst,
+        scan=scan,
+        slack=0.0,
+        extras=extras,
     )
 
 
-def check_21ii(cfg: RunConfig) -> CheckRecord:
-    params, specs, members = _members(cfg, sp0=False)
-    return _pointwise_min(
-        cfg,
-        "2.1ii",
-        specs,
-        members,
-        lambda m, z: robertson.check_ii(m, z),
-        asserted=True,
-        anchor="Re(1 + conj(G1) z P_f) >= 1 - k^2 + (1-|z|^2)/4 |z P_f|^2",
-    )
+def _concavity_scan(m: MemberSeries, w: dict):
+    setting = radii.ConcavitySetting(w["a_co"])
+    rep = radii.concavity_soundness_scan([m], setting, w["radius"])
+    return rep.min_re_t, rep.witness_z, rep.samples, {}
 
 
-def check_21iii(cfg: RunConfig, mode: str) -> CheckRecord:
-    params, specs, members = _members(cfg, sp0=False)
-    # the plane extremal is the canonical witness for the printed form
-    if cfg.alpha == 0:
-        specs = list(specs) + ["extremal_plane"]
-        members = list(members) + [
-            extremal_member(params, "plane", 1.0, order=cfg.order)
-        ]
-    return _pointwise_min(
-        cfg,
-        "2.1iii",
-        specs,
-        members,
-        lambda m, z: robertson.check_iii(m, z, mode),
-        asserted=(mode == "corrected"),
-        anchor=(
-            "|(1-|z|^2) P_f - 2 k conj(z)| <= k (printed)"
-            if mode == "paper"
-            else "|(1-|z|^2) P_f - 2 G1 conj(z)| <= 2k (corrected)"
+def _concavity_extras(cfg: RunConfig, params: ClassParams, mode: str) -> dict:
+    setting = radii.ConcavitySetting(cfg.a_co)
+    radius = radii.radius_concavity(params, setting, mode).value
+    return {"a_co": cfg.a_co, "radius": radius}
+
+
+CHECKS: dict[str, Check] = {
+    "2.1ii": Check(
+        anchor=lambda w: "Re(1 + conj(G1) z P_f) >= 1 - k^2 + (1-|z|^2)/4 |z P_f|^2",
+        batch="general",
+        residual=lambda m, z, w: robertson.check_ii(m, z),
+        asserted=lambda cfg, mode: True,
+    ),
+    "2.1iii": Check(
+        anchor=lambda w: {
+            "paper": "|(1-|z|^2) P_f - 2 k conj(z)| <= k (printed)",
+            "corrected": "|(1-|z|^2) P_f - 2 G1 conj(z)| <= 2k (corrected)",
+        }[w["mode"]],
+        batch="general+plane",
+        residual=lambda m, z, w: robertson.check_iii(m, z, w["mode"]),
+        asserted=lambda cfg, mode: mode == "corrected",
+        record_id="2.1iii",
+    ),
+    "2.2": Check(
+        anchor=lambda w: (
+            "(1+r^2)^{-k} <= |f'| <= (1-r^2)^{-k} and the integrated growth bounds (SP0)"
         ),
-        mode=mode,
-    )
+        batch="sp0",
+        residual=_envelope_residual,
+        asserted=lambda cfg, mode: cfg.alpha == 0,
+        scan=_envelope_scan,
+    ),
+    "2.3": _norm_check(
+        1,
+        lambda params: bounds.pre_norm_bound(params) + NORM_TOL,
+        "sup (1-|z|^2) |P_f| <= 2k (SP0)",
+        lambda cfg, mode: True,
+    ),
+    "2.4": _norm_check(
+        2,
+        lambda params: bounds.schwarzian_norm_bound(params) + NORM_TOL,
+        "sup (1-|z|^2)^2 |S_f| <= 2k(2-k) (SP0)",
+        lambda cfg, mode: cfg.alpha == 0,
+    ),
+    "2.5": Check(
+        anchor=lambda w: (
+            "(1-|z|^2)^2 |S_f| <= 2k(2 + k (xi+|z|)^2/(1-xi^2)), xi = |f''(0)|/(2k)"
+        ),
+        batch="general",
+        residual=_pointwise_s_residual,
+        asserted=lambda cfg, mode: cfg.alpha == 0,
+    ),
+    "22.3": Check(
+        anchor=lambda w: "Re(1 + z P_f) >= (1/4)(1-|z|^2)|P_f|^2 (convex members)",
+        batch="convex",
+        residual=lambda m, z, w: robertson.classical_convexity_check(m, z, "eq22_3"),
+        asserted=lambda cfg, mode: True,
+    ),
+    "22.4": Check(
+        anchor=lambda w: "|(1-|z|^2) P_f - 2 conj(z)| <= 2 (convex members)",
+        batch="convex",
+        residual=lambda m, z, w: robertson.classical_convexity_check(m, z, "eq22_4"),
+        asserted=lambda cfg, mode: True,
+    ),
+    "AB": _norm_check(
+        2,
+        lambda params: 6.0,
+        "|S_f| <= 6/(1-|z|^2)^2 necessary for univalence; <= 2/(1-|z|^2)^2 sufficient",
+        lambda cfg, mode: False,
+    ),
+    "concavity": Check(
+        anchor=lambda w: (
+            f"Re T_f > 0 for |z| < R_{w['mode']} = {w['radius']:.12f} (A_co = {w['a_co']})"
+        ),
+        batch="general",
+        residual=lambda m, z, w: radii.t_values(m, radii.ConcavitySetting(w["a_co"]), z).real,
+        asserted=lambda cfg, mode: mode == "corrected",
+        scan=_concavity_scan,
+        record_id="concavity:{mode}",
+        extras=_concavity_extras,
+    ),
+}
 
 
-def check_classical(cfg: RunConfig, which: str) -> CheckRecord:
-    base = RunConfig(**{**cfg.__dict__, "alpha": 0.0, "beta": 0.0})
-    params, specs, members = _members(base, sp0=False)
-    cid = "22.3" if which == "eq22_3" else "22.4"
-    anchor = (
-        "Re(1 + z P_f) >= (1/4)(1-|z|^2)|P_f|^2 (convex members)"
-        if which == "eq22_3"
-        else "|(1-|z|^2) P_f - 2 conj(z)| <= 2 (convex members)"
-    )
-    return _pointwise_min(
-        base,
-        cid,
-        specs,
-        members,
-        lambda m, z: robertson.classical_convexity_check(m, z, which),
-        asserted=True,
-        anchor=anchor,
-    )
-
-
-def check_envelopes(cfg: RunConfig) -> CheckRecord:
-    params, specs, members = _members(cfg, sp0=True)
-    best = math.inf
-    worst = None
-    for spec, m in zip(specs, members):
-        rep = bounds.envelope_check(m)
-        for kind, margin, z in (
-            ("distortion", rep.distortion_min_margin, rep.worst_z_distortion),
-            ("growth", rep.growth_min_margin, rep.worst_z_growth),
-        ):
+def _run_check(cid: str, cfg: RunConfig) -> list[CheckRecord]:
+    """Scan a table check's members, keeping the worst margin as witness."""
+    check = CHECKS[cid]
+    if check.record_id is None:
+        modes: list = [None]
+    else:
+        modes = ["paper", "corrected"] if cfg.mode == "both" else [cfg.mode]
+    scan = check.scan or functools.partial(_grid_min, check.residual)
+    records = []
+    for mode in modes:
+        run, params, specs, members = _members(cfg, check.batch)
+        w = {"check": cid} if mode is None else {"check": cid, "mode": mode}
+        w.update(check.extras(run, params, mode))
+        best, worst, samples = math.inf, None, 0
+        for spec, m in zip(specs, members):
+            margin, z, n, extra = scan(m, w)
+            samples += n
             if margin < best:
                 best = margin
-                worst = _witness(cfg, "2.2", spec, z, margin, kind=kind)
-    status = "holds" if best >= -ASSERT_TOL else "violated"
-    return CheckRecord(
-        check_id="2.2",
-        anchor="(1+r^2)^{-k} <= |f'| <= (1-r^2)^{-k} and the integrated growth bounds (SP0)",
-        asserted=(cfg.alpha == 0),
-        samples=len(members),
-        min_margin=best,
-        status=status,
-        worst=worst,
-    )
-
-
-def _norm_check(cfg: RunConfig, check_id: str, weight: int) -> CheckRecord:
-    params, specs, members = _members(cfg, sp0=True)
-    r_max = cfg.r_max if cfg.r_max is not None else 0.95
-    bound = (
-        bounds.pre_norm_bound(params)
-        if weight == 1
-        else bounds.schwarzian_norm_bound(params)
-    )
-
-    def one(args):
-        spec, m = args
-        est = norm_estimate(m, weight, ScanOpts(r_max=r_max))
-        return spec, est
-
-    best = math.inf
-    worst = None
-    for spec, est in _map(one, list(zip(specs, members))):
-        margin = bound + NORM_TOL - est.value
-        if margin < best:
-            best = margin
-            worst = _witness(
-                cfg, check_id, spec, est.argmax, margin, bound=bound + NORM_TOL, r_max=r_max
+                worst = {
+                    "alpha": run.alpha,
+                    "beta": run.beta,
+                    "order": run.order,
+                    "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
+                    "z": [z.real, z.imag],
+                    "margin": margin,
+                    **w,
+                    **extra,
+                }
+        records.append(
+            CheckRecord(
+                check_id=cid if mode is None else check.record_id.format(mode=mode),
+                anchor=check.anchor(w),
+                asserted=check.asserted(cfg, mode),
+                samples=samples,
+                min_margin=best,
+                status="holds" if best >= -check.slack else "violated",
+                worst=worst,
             )
-    status = "holds" if best >= 0 else "violated"
-    anchor = (
-        "sup (1-|z|^2) |P_f| <= 2k (SP0)"
-        if weight == 1
-        else "sup (1-|z|^2)^2 |S_f| <= 2k(2-k) (SP0)"
-    )
-    return CheckRecord(
-        check_id=check_id,
-        anchor=anchor,
-        asserted=True if weight == 1 else (cfg.alpha == 0),
-        samples=len(members),
-        min_margin=best,
-        status=status,
-        worst=worst,
-    )
-
-
-def check_pre_norm(cfg: RunConfig) -> CheckRecord:
-    return _norm_check(cfg, "2.3", 1)
-
-
-def check_schwarzian_norm(cfg: RunConfig) -> CheckRecord:
-    return _norm_check(cfg, "2.4", 2)
-
-
-def check_pointwise(cfg: RunConfig) -> CheckRecord:
-    params, specs, members = _members(cfg, sp0=False)
-
-    def residual(m: MemberSeries, zs: np.ndarray) -> np.ndarray:
-        xi = bounds.xi_of_member(m)
-        if xi >= 1 - 1e-12:
-            # the bound degenerates to +inf at xi = 1; trivially satisfied
-            return np.full(zs.shape, np.inf)
-        k = m.params.k
-        sv = np.abs(schwarzian.eval_s(m, zs, 0.95))
-        b = 2 * k * (2 + k * (xi + np.abs(zs)) ** 2 / (1 - xi**2))
-        return b - (1 - np.abs(zs) ** 2) ** 2 * sv
-
-    return _pointwise_min(
-        cfg,
-        "2.5",
-        specs,
-        members,
-        residual,
-        asserted=(cfg.alpha == 0),
-        anchor="(1-|z|^2)^2 |S_f| <= 2k(2 + k (xi+|z|)^2/(1-xi^2)), xi = |f''(0)|/(2k)",
-    )
-
-
-def check_nehari(cfg: RunConfig) -> CheckRecord:
-    """Margins against the classical thresholds 6 (necessary) and 2 (sufficient)."""
-    params, specs, members = _members(cfg, sp0=True)
-    r_max = cfg.r_max if cfg.r_max is not None else 0.95
-    best = math.inf
-    worst = None
-    for spec, m in zip(specs, members):
-        cert = schwarzian.nehari_certificates(m, ScanOpts(r_max=r_max))
-        if cert.necessary_margin < best:
-            best = cert.necessary_margin
-            worst = _witness(
-                cfg,
-                "AB",
-                spec,
-                cert.schwarzian_norm.argmax,
-                best,
-                bound=6.0,
-                r_max=r_max,
-            )
-    status = "holds" if best >= 0 else "violated"
-    return CheckRecord(
-        check_id="AB",
-        anchor="|S_f| <= 6/(1-|z|^2)^2 necessary for univalence; <= 2/(1-|z|^2)^2 sufficient",
-        asserted=False,
-        samples=len(members),
-        min_margin=best,
-        status=status,
-        worst=worst,
-    )
-
-
-def check_concavity(cfg: RunConfig, mode: str) -> CheckRecord:
-    params, specs, members = _members(cfg, sp0=False)
-    setting = radii.ConcavitySetting(cfg.a_co)
-    rr = radii.radius_concavity(params, setting, mode)
-    rep = radii.concavity_soundness_scan(members, setting, rr.value)
-    status = "holds" if rep.min_re_t >= -ASSERT_TOL else "violated"
-    worst = None
-    if rep.witness_index >= 0:
-        worst = _witness(
-            cfg,
-            "concavity",
-            specs[rep.witness_index],
-            rep.witness_z,
-            rep.min_re_t,
-            mode=mode,
-            a_co=cfg.a_co,
-            radius=rr.value,
         )
-    return CheckRecord(
-        check_id=f"concavity:{mode}",
-        anchor=f"Re T_f > 0 for |z| < R_{mode} = {rr.value:.12f} (A_co = {cfg.a_co})",
-        asserted=(mode == "corrected"),
-        samples=rep.samples,
-        min_margin=rep.min_re_t,
-        status=status,
-        worst=worst,
-    )
+    return records
 
 
-def check_convexity(cfg: RunConfig) -> CheckRecord:
-    params = make_params(cfg.alpha, cfg.beta)
-    res = radii.radius_convexity(params, "paper_literal")
-    return CheckRecord(
-        check_id="convexity:paper_literal",
-        anchor="printed convexity radius 1/(k-1); non-positive for every admissible k <= 1",
-        asserted=False,
-        samples=0,
-        min_margin=math.nan,
-        status="degenerate" if res.degenerate else "holds",
-        worst=None,
-    )
+def check_convexity(cfg: RunConfig) -> list[CheckRecord]:
+    res = radii.radius_convexity(make_params(cfg.alpha, cfg.beta), "paper_literal")
+    return [
+        CheckRecord(
+            check_id="convexity:paper_literal",
+            anchor="printed convexity radius 1/(k-1); non-positive for every admissible k <= 1",
+            asserted=False,
+            samples=0,
+            min_margin=math.nan,
+            status="degenerate" if res.degenerate else "holds",
+            worst=None,
+        )
+    ]
 
 
 CHECK_BUILDERS: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
-    "2.1ii": lambda cfg: [check_21ii(cfg)],
-    "2.1iii": lambda cfg: [
-        check_21iii(cfg, m)
-        for m in (["paper", "corrected"] if cfg.mode == "both" else [cfg.mode])
-    ],
-    "2.2": lambda cfg: [check_envelopes(cfg)],
-    "2.3": lambda cfg: [check_pre_norm(cfg)],
-    "2.4": lambda cfg: [check_schwarzian_norm(cfg)],
-    "2.5": lambda cfg: [check_pointwise(cfg)],
-    "22.3": lambda cfg: [check_classical(cfg, "eq22_3")],
-    "22.4": lambda cfg: [check_classical(cfg, "eq22_4")],
-    "AB": lambda cfg: [check_nehari(cfg)],
-    "concavity": lambda cfg: [
-        check_concavity(cfg, m)
-        for m in (["paper", "corrected"] if cfg.mode == "both" else [cfg.mode])
-    ],
-    "convexity": lambda cfg: [check_convexity(cfg)],
+    **{cid: functools.partial(_run_check, cid) for cid in CHECKS},
+    "convexity": check_convexity,
 }
 
 
@@ -622,6 +523,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
         ]
         return _write_csv(args.out, ["r"] + [f"phi_{m}" for m in modes], rows)
     if args.what == "member":
+        if args.spec is None:
+            print("emit member needs --spec PATH", file=sys.stderr)
+            return 2
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 spec = SchwarzSpec.from_json(json.load(fh))
@@ -789,7 +693,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_emit(args)
         if args.command == "radii":
             return cmd_radii(args)
-    except (robertson.ParamOutOfRange, robertson.NotASchwarzFunction) as exc:
+    except (
+        robertson.ParamOutOfRange,
+        robertson.NotASchwarzFunction,
+        schwarzian.TailToleranceUnmet,
+    ) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     return 2  # pragma: no cover

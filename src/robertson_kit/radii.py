@@ -87,25 +87,21 @@ class RadiusResult:
 # ---------------------------------------------------------------------------
 
 
-def t_values(member: MemberSeries, setting: ConcavitySetting, z, r_trunc=0.95):
-    """T_f at a point or array of points."""
+def _t(setting: ConcavitySetting, zs, p):
+    """T_f from z and P_f(z)."""
     a = setting.a_co
-    zs = np.asarray(z, dtype=np.complex128)
-    p = member.eval_p(zs, r_trunc)
     return (2 / (a - 1)) * ((a + 1) / 2 * (1 + zs) / (1 - zs) - 1 - zs * p)
 
 
-def t_operator(
-    member: MemberSeries, setting: ConcavitySetting, z: complex, r_trunc=0.95
-) -> complex:
-    return complex(t_values(member, setting, z, r_trunc))
+def t_values(member: MemberSeries, setting: ConcavitySetting, z, r_trunc=0.95):
+    """T_f at a point or array of points."""
+    zs = np.asarray(z, dtype=np.complex128)
+    return _t(setting, zs, member.eval_p(zs, r_trunc))
 
 
 def _t_on_circle(member: MemberSeries, setting: ConcavitySetting, r, n_angles):
-    a = setting.a_co
     zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    pv = member.p_on_circle(r, n_angles)
-    return (2 / (a - 1)) * ((a + 1) / 2 * (1 + zs) / (1 - zs) - 1 - zs * pv), zs
+    return _t(setting, zs, member.p_on_circle(r, n_angles)), zs
 
 
 # ---------------------------------------------------------------------------

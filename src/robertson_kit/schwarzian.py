@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .series import TruncatedSeries, chebyshev_radii
-from .robertson import ClassParams, MemberSeries, SchwarzSpec, phi_series
+from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec, phi_series
 
 
 class TailToleranceUnmet(ValueError):
@@ -65,11 +65,6 @@ class NormEstimate:
             "refinement_steps": self.refinement_steps,
             "scan_gap": self.scan_gap,
         }
-
-
-def pre_schwarzian(member: MemberSeries) -> TruncatedSeries:
-    """Series of P_f = f''/f'; closed-form members also evaluate exactly."""
-    return member.p_series()
 
 
 def schwarzian(member: MemberSeries) -> TruncatedSeries:
@@ -159,7 +154,7 @@ def norm_estimate(
     if r_max is None:
         r_max = 0.9995 if member.closed_form is not None else 0.95
     if not 0 < r_max < 1:
-        raise ValueError("r_max must lie in (0, 1)")
+        raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
 
     tail_error = 0.0
     if member.closed_form is None:

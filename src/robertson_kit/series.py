@@ -27,10 +27,6 @@ class DivisionByZeroConstantTerm(SeriesError):
     """Division, log or pow needs a constant term bounded away from 0."""
 
 
-class NonzeroInnerConstantTerm(SeriesError):
-    """Composition a(b(z)) about 0 requires b(0) = 0."""
-
-
 class RadiusExceeded(SeriesError):
     """Evaluation point lies outside the certified truncation radius."""
 
@@ -52,7 +48,7 @@ class TruncatedSeries:
     """Power series c0 + c1 z + ... + cN z^N of fixed order N >= 0.
 
     Supports ring arithmetic (+, -, *, /), calculus (deriv/integ),
-    exp/log/pow, composition, point evaluation with a tail estimate, and
+    exp/log/pow, point evaluation with a tail estimate, and
     JSON round-tripping.  Complex scalars mix freely with series.
     """
 
@@ -243,26 +239,6 @@ class TruncatedSeries:
     def pow(self, exponent: complex) -> "TruncatedSeries":
         """Principal-branch power a(z)**exponent = exp(exponent * log a)."""
         return (self.log() * exponent).exp()
-
-    # -- composition -----------------------------------------------------------
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Horner-style a(inner(z)); requires inner(0) = 0."""
-        self._guard()
-        inner._guard()
-        if abs(inner._c[0]) > TOL_DIV:
-            raise NonzeroInnerConstantTerm(
-                "inner constant term %r exceeds tolerance" % inner._c[0]
-            )
-        n = min(self.order, inner.order)
-        a = self._c
-        b = inner._c[: n + 1]
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        acc[0] = a[-1]
-        for m in range(a.size - 2, -1, -1):
-            acc = np.convolve(acc, b)[: n + 1]
-            acc[0] += a[m]
-        return TruncatedSeries(acc)
 
     # -- evaluation --------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from robertson_kit.radii import (
     radius_concavity,
     radius_convexity,
     sharpness_probe,
-    t_operator,
     t_values,
 )
 from robertson_kit.robertson import (
@@ -48,10 +47,10 @@ def test_t_at_origin_is_one():
     st = ConcavitySetting(2.0)
     p = make_params(0, 0)
     ident = generate_member(p, SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16)
-    assert abs(t_operator(ident, st, 0.0) - 1.0) < 1e-14
+    assert abs(t_values(ident, st, 0.0) - 1.0) < 1e-14
     for a_co in (1.2, 1.7, 2.0):
         for m in sample_members(make_params(0.4, 0.3), 5, seed=3, order=64):
-            assert abs(t_operator(m, ConcavitySetting(a_co), 0.0) - 1.0) < 1e-12
+            assert abs(t_values(m, ConcavitySetting(a_co), 0.0) - 1.0) < 1e-12
 
 
 def test_t_identity_member_closed_form():
@@ -62,7 +61,7 @@ def test_t_identity_member_closed_form():
     )
     for r in (0.1, 0.15, 0.3):
         want = 2 * (1.5 * (1 - r) / (1 + r) - 1)
-        assert abs(t_operator(ident, st, -r) - want) < 1e-13
+        assert abs(t_values(ident, st, -r) - want) < 1e-13
 
 
 def test_plane_extremal_personal_radius_is_one_third():
@@ -71,8 +70,8 @@ def test_plane_extremal_personal_radius_is_one_third():
     pe = extremal_member(make_params(0, 0), "plane", 1.0, order=64)
     for r in (0.1, 0.25, 0.333, 0.34):
         want = 2 * (0.5 - 1.5 * r) / (1 + r)
-        assert abs(t_operator(pe, st, -r).real - want) < 1e-12
-    assert t_operator(pe, st, -(1 / 3)).real == pytest.approx(0.0, abs=1e-12)
+        assert abs(t_values(pe, st, -r).real - want) < 1e-12
+    assert t_values(pe, st, -(1 / 3)).real == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

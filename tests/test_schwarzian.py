@@ -25,7 +25,6 @@ from robertson_kit.schwarzian import (
     golden_max,
     nehari_certificates,
     norm_estimate,
-    pre_schwarzian,
     schwarzian,
     schwarzian_via_phi,
 )
@@ -58,19 +57,19 @@ def half_plane_member(order=256):
 
 def test_pre_schwarzian_of_identity_is_zero():
     m = identity_member(make_params(0.3, 0.5))
-    assert np.max(np.abs(pre_schwarzian(m).coeffs)) < 1e-14
+    assert np.max(np.abs(m.p_series().coeffs)) < 1e-14
 
 
 def test_pre_schwarzian_disk_extremal_value():
     m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=64)
     # P(z) = 2kz/(1-z^2); at z = 1/2 and k = 1 this is 4/3
     assert abs(m.closed_form.p(0.5) - 4 / 3) < 1e-15
-    assert abs(pre_schwarzian(m).eval_at(0.5, 0.6) - 4 / 3) < 1e-12
+    assert abs(m.p_series().eval_at(0.5, 0.6) - 4 / 3) < 1e-12
 
 
 def test_pre_schwarzian_half_plane_series():
     m = half_plane_member(order=32)
-    assert np.max(np.abs(pre_schwarzian(m).coeffs - 2.0)) < 1e-11
+    assert np.max(np.abs(m.p_series().coeffs - 2.0)) < 1e-11
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,7 +143,7 @@ def test_finite_difference_derivative_of_p():
     params = make_params(0.3, 0.2)
     spec = sample_schwarz_specs(23, 1)[0]
     m = generate_member(params, spec, order=256, validate=False)
-    p = pre_schwarzian(m)
+    p = m.p_series()
     dp = p.deriv()
     h = 1e-5
     for _ in range(20):

@@ -9,7 +9,6 @@ from robertson_kit.series import (
     DEFAULT_ORDER,
     CoefficientOverflow,
     DivisionByZeroConstantTerm,
-    NonzeroInnerConstantTerm,
     RadiusExceeded,
     TruncatedSeries,
     chebyshev_radii,
@@ -172,44 +171,6 @@ def test_pow_additivity(c1, c2):
     lhs = a.pow(c1 + c2)
     rhs = a.pow(c1) * a.pow(c2)
     assert lhs.max_abs_diff(rhs) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-
-def test_compose_with_zero_gives_constant():
-    a = TruncatedSeries([3.0, 2.0, 1.0]).pad(6)
-    res = a.compose(TruncatedSeries.zero(6))
-    assert np.allclose(res.coeffs, [3, 0, 0, 0, 0, 0, 0], atol=0)
-
-
-def test_compose_geometric_with_z_squared():
-    geo = geometric(12)
-    zsq = TruncatedSeries([0, 0, 1]).pad(12)
-    res = geo.compose(zsq)
-    want = np.array([1 if n % 2 == 0 else 0 for n in range(13)], dtype=complex)
-    assert np.allclose(res.coeffs, want, atol=1e-14)
-
-
-def test_compose_nonzero_inner_constant_rejected():
-    with pytest.raises(NonzeroInnerConstantTerm):
-        geometric(4).compose(TruncatedSeries([0.5, 1]).pad(4))
-
-
-def test_compose_against_rational_expansion_oracle():
-    # (1/(1-w)) at w = z/(2-z) equals (2-z)/(2-2z); direct expansion gives
-    # coefficients [1, 1/2, 1/2, 1/2, ...]
-    order = 40
-    geo = geometric(order)
-    inner = TruncatedSeries(
-        np.concatenate(([0.0], 0.5 ** np.arange(1, order + 1)))
-    )
-    res = geo.compose(inner)
-    want = np.full(order + 1, 0.5, dtype=complex)
-    want[0] = 1.0
-    assert np.max(np.abs(res.coeffs - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
