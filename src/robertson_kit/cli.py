@@ -10,7 +10,8 @@ formula rather than the toolkit.
 
 Every check is one row of `CHECKS`, whose residual both the scan and
 `replay_witness` evaluate, so every violated record carries a witness that
-replays to the recorded margin.
+replays to the recorded margin.  One `cmd_verify` run builds each member
+batch and each norm estimate once, in a `RunCache` that ends with the run.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .robertson import (
     generate_member,
     make_params,
 )
-from .schwarzian import ScanOpts, norm_estimate
+from .schwarzian import NormEstimate, ScanOpts, norm_estimate
 from .series import DEFAULT_ORDER, chebyshev_radii
 
 ASSERT_TOL = 1e-9
@@ -130,29 +131,60 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _members(cfg: RunConfig, batch: str):
-    """Seeded members plus the canonical witness generators.
+class RunCache:
+    """Member batches and norm estimates computed once within one verify run.
 
-    The canonical extras (a plain rotation and its negative, squared for
-    SP0) make the standard counterexamples deterministic parts of every
-    run.  "convex" is the general batch at alpha = beta = 0; "general+plane"
-    adds the plane extremal at alpha = 0, the printed 2.1iii's witness.
+    Batches are keyed by what generates them, not by batch name, so
+    "convex" at alpha = beta = 0 reuses "general".  Norm estimates are
+    keyed by (member, weight, r_max), so AB reuses the scans of 2.4; the
+    member part of the key is its identity, which is stable because the
+    cache holds every member it hands out.  A cache lives for one
+    `cmd_verify` call, and none is kept between calls.
     """
-    if batch == "convex":
-        cfg = replace(cfg, alpha=0.0, beta=0.0)
-    sp0 = batch == "sp0"
-    params = make_params(cfg.alpha, cfg.beta)
-    power = 2 if sp0 else 1
-    specs: list = [
-        SchwarzSpec(kind="unit_constant_times_z", power=power),
-        SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=power),
-        *sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0),
-    ]
-    members = [generate_member(params, s, order=cfg.order, validate=False) for s in specs]
-    if batch == "general+plane" and cfg.alpha == 0:
-        specs.append("extremal_plane")
-        members.append(extremal_member(params, "plane", 1.0, order=cfg.order))
-    return cfg, params, specs, members
+
+    def __init__(self):
+        self._members: dict = {}
+        self._norms: dict = {}
+
+    def members(self, cfg: RunConfig, batch: str):
+        """Seeded members plus the canonical witness generators.
+
+        The canonical extras (a plain rotation and its negative, squared
+        for SP0) make the standard counterexamples deterministic parts of
+        every run.  "convex" is the general batch at alpha = beta = 0;
+        "general+plane" adds the plane extremal at alpha = 0, the printed
+        2.1iii's witness, in new lists; the cached ones are never mutated.
+        """
+        if batch == "convex":
+            cfg = replace(cfg, alpha=0.0, beta=0.0)
+        sp0 = batch == "sp0"
+        params = make_params(cfg.alpha, cfg.beta)
+        key = (cfg.alpha, cfg.beta, sp0, cfg.seed, cfg.samples, cfg.order)
+        if key not in self._members:
+            power = 2 if sp0 else 1
+            specs: list = [
+                SchwarzSpec(kind="unit_constant_times_z", power=power),
+                SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=power),
+                *sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0),
+            ]
+            self._members[key] = (
+                specs,
+                [generate_member(params, s, order=cfg.order, validate=False) for s in specs],
+            )
+        specs, members = self._members[key]
+        if batch == "general+plane" and cfg.alpha == 0:
+            plane_key = (cfg.alpha, cfg.beta, "extremal_plane", cfg.order)
+            if plane_key not in self._members:
+                self._members[plane_key] = extremal_member(params, "plane", 1.0, order=cfg.order)
+            specs = [*specs, "extremal_plane"]
+            members = [*members, self._members[plane_key]]
+        return cfg, params, specs, members
+
+    def norm(self, member: MemberSeries, weight: int, r_max: float) -> NormEstimate:
+        key = (id(member), weight, r_max)
+        if key not in self._norms:
+            self._norms[key] = norm_estimate(member, weight, ScanOpts(r_max=r_max))
+        return self._norms[key]
 
 
 def _witness_member(w: dict) -> MemberSeries:
@@ -186,24 +218,25 @@ class Check:
     nonnegative where it holds; z is an array when the grid scans it.  w
     is the witness: the check id, the mode of a per-mode check, and
     extras(cfg, params, mode), the run's inputs that the residual reads.
-    scan(member, w) returns one member's (margin, z, samples, witness
-    extras); None takes the residual's minimum over the polar grid.
+    scan(member, w, cache) returns one member's (margin, z, samples,
+    witness extras), where cache is the run's RunCache; None takes the
+    residual's minimum over the polar grid.
     record_id None gives one record under the table key; a template over
     {mode} gives one record per mode.  A record holds when its worst
     margin is at least -slack.
     """
 
     anchor: Callable[[dict], str]
-    batch: str  # general | general+plane | sp0 | convex; see _members
+    batch: str  # general | general+plane | sp0 | convex; see RunCache.members
     residual: Callable[[MemberSeries, Any, dict], Any]
     asserted: Callable[[RunConfig, Optional[str]], bool]
-    scan: Optional[Callable[[MemberSeries, dict], tuple]] = None
+    scan: Optional[Callable[[MemberSeries, dict, RunCache], tuple]] = None
     slack: float = ASSERT_TOL
     record_id: Optional[str] = None
     extras: Callable[[RunConfig, ClassParams, Optional[str]], dict] = lambda c, p, m: {}
 
 
-def _grid_min(residual, member: MemberSeries, w: dict):
+def _grid_min(residual, member: MemberSeries, w: dict, cache: RunCache):
     """The default scan: the residual's minimum over the polar grid."""
     rs = chebyshev_radii(24, 0.9)
     th = 2 * np.pi * np.arange(48) / 48
@@ -236,7 +269,7 @@ def _envelope_residual(m: MemberSeries, z: complex, w: dict) -> float:
     return min(env.upper - v, v - env.lower)
 
 
-def _envelope_scan(m: MemberSeries, w: dict):
+def _envelope_scan(m: MemberSeries, w: dict, cache: RunCache):
     rep = bounds.envelope_check(m)
     if rep.growth_min_margin < rep.distortion_min_margin:
         return rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}
@@ -246,12 +279,16 @@ def _envelope_scan(m: MemberSeries, w: dict):
 def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
     """A sup-norm check over the SP0 batch: margin = bound - ||f||_weight.
 
-    The margin belongs to the member, not to a point, so the residual is
-    the scan itself; z records where the scan put the supremum.
+    The residual is bound minus the weighted modulus at z.  The norm
+    estimate is that modulus at its argmax, so the scan's margin is the
+    residual at the z it records, exactly.
     """
 
-    def scan(m: MemberSeries, w: dict):
-        est = norm_estimate(m, weight, ScanOpts(r_max=w["r_max"]))
+    def residual(m: MemberSeries, z, w: dict):
+        return w["bound"] - schwarzian.weighted_value(m, z, weight, w["r_max"])
+
+    def scan(m: MemberSeries, w: dict, cache: RunCache):
+        est = cache.norm(m, weight, w["r_max"])
         return w["bound"] - est.value, est.argmax, 1, {}
 
     def extras(cfg: RunConfig, params: ClassParams, mode: Optional[str]) -> dict:
@@ -261,7 +298,7 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
     return Check(
         anchor=lambda w: anchor,
         batch="sp0",
-        residual=lambda m, z, w: scan(m, w)[0],
+        residual=residual,
         asserted=asserted,
         scan=scan,
         slack=0.0,
@@ -269,7 +306,7 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
     )
 
 
-def _concavity_scan(m: MemberSeries, w: dict):
+def _concavity_scan(m: MemberSeries, w: dict, cache: RunCache):
     setting = radii.ConcavitySetting(w["a_co"])
     rep = radii.concavity_soundness_scan([m], setting, w["radius"])
     return rep.min_re_t, rep.witness_z, rep.samples, {}
@@ -359,7 +396,7 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def _run_check(cid: str, cfg: RunConfig) -> list[CheckRecord]:
+def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
     """Scan a table check's members, keeping the worst margin as witness."""
     check = CHECKS[cid]
     if check.record_id is None:
@@ -367,14 +404,14 @@ def _run_check(cid: str, cfg: RunConfig) -> list[CheckRecord]:
     else:
         modes = ["paper", "corrected"] if cfg.mode == "both" else [cfg.mode]
     scan = check.scan or functools.partial(_grid_min, check.residual)
+    run, params, specs, members = cache.members(cfg, check.batch)
     records = []
     for mode in modes:
-        run, params, specs, members = _members(cfg, check.batch)
         w = {"check": cid} if mode is None else {"check": cid, "mode": mode}
         w.update(check.extras(run, params, mode))
         best, worst, samples = math.inf, None, 0
         for spec, m in zip(specs, members):
-            margin, z, n, extra = scan(m, w)
+            margin, z, n, extra = scan(m, w, cache)
             samples += n
             if margin < best:
                 best = margin
@@ -402,7 +439,7 @@ def _run_check(cid: str, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-def check_convexity(cfg: RunConfig) -> list[CheckRecord]:
+def check_convexity(cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
     res = radii.radius_convexity(make_params(cfg.alpha, cfg.beta), "paper_literal")
     return [
         CheckRecord(
@@ -417,7 +454,7 @@ def check_convexity(cfg: RunConfig) -> list[CheckRecord]:
     ]
 
 
-CHECK_BUILDERS: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
+CHECK_BUILDERS: dict[str, Callable[[RunConfig, RunCache], list[CheckRecord]]] = {
     **{cid: functools.partial(_run_check, cid) for cid in CHECKS},
     "convexity": check_convexity,
 }
@@ -425,12 +462,13 @@ CHECK_BUILDERS: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = VerificationReport(config=cfg)
+    cache = RunCache()
     ids = list(CHECK_BUILDERS) if cfg.theorem == "all" else [cfg.theorem]
     for cid in ids:
         if cid not in CHECK_BUILDERS:
             print(f"unknown check id {cid!r}; known: {sorted(CHECK_BUILDERS)}", file=sys.stderr)
             return 2
-        report.records.extend(CHECK_BUILDERS[cid](cfg))
+        report.records.extend(CHECK_BUILDERS[cid](cfg, cache))
     payload = json.dumps(report.to_json(), sort_keys=True, indent=2)
     if cfg.out:
         try:

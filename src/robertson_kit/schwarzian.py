@@ -3,8 +3,9 @@
 The weighted quantities are (1-|z|^2)|P_f(z)| and (1-|z|^2)^2 |S_f(z)|,
 the powers of the reciprocal unit-disk Poincare density.  Norms are
 estimated by a dense polar scan clustered toward the scan radius followed
-by golden-section refinement; the result is a certified lower estimate of
-the supremum on the scanned region, with tail and scan-gap metadata.
+by a vectorized polar zoom around the scan's maximum; the result is a
+lower estimate of the supremum on the scanned region, attained at the
+point it reports, with tail and scan-gap metadata.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class ScanOpts:
     """Polar-scan configuration for norm estimation.
 
     r_max defaults to 0.9995 for members with closed-form evaluators and
-    0.95 for series-only members.
+    0.95 for series-only members.  refine_tol is the half-width, in r and
+    in theta, below which the refinement zoom stops; it must be positive.
     """
 
     radial: int = 128
@@ -42,9 +44,11 @@ class ScanOpts:
 class NormEstimate:
     """Result of a weighted sup-norm scan.
 
-    value is a lower estimate of the true supremum; value + scan_gap is an
-    upper estimate on the scanned region.  weight_exponent is 1 for the
-    pre-Schwarzian norm and 2 for the Schwarzian norm.
+    value is a lower estimate of the true supremum, and it is exactly
+    weighted_value(member, argmax, weight_exponent, r_max); value +
+    scan_gap is an upper estimate on the scanned region.  weight_exponent
+    is 1 for the pre-Schwarzian norm and 2 for the Schwarzian norm.
+    refinement_steps is the number of points the refinement evaluated.
     """
 
     value: float
@@ -138,15 +142,47 @@ def golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
     return x, max(fc, fd), evals
 
 
+ZOOM_POINTS = 17  # patch nodes per axis; odd, so the centre is a node
+
+
+def _zoom(member, weight_exponent, r_max, r, theta, dr, dth, tol):
+    """Polar zoom toward a local maximum of the weighted modulus.
+
+    Each level evaluates a ZOOM_POINTS x ZOOM_POINTS patch of (r, theta)
+    nodes spanning r +- dr (clipped to [0, r_max]) and theta +- dth in one
+    array call, moves the centre to the patch maximum when it strictly
+    beats the best value so far, and shrinks both half-widths to two node
+    spacings (4x per level).  It stops once both are <= tol, after at
+    least one level.  Returns the best value, the exact point where it was
+    evaluated, and the point count.
+    """
+    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    best, best_z, evals = -math.inf, None, 0
+    while True:
+        rs = np.clip(r + dr * offsets, 0.0, r_max)
+        ths = theta + dth * offsets
+        zs = rs[:, None] * np.exp(1j * ths)[None, :]
+        vals = weighted_value(member, zs, weight_exponent, r_max)
+        evals += zs.size
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, j] > best:
+            best, best_z, r, theta = float(vals[i, j]), complex(zs[i, j]), rs[i], ths[j]
+        dr, dth = dr * 4 / (ZOOM_POINTS - 1), dth * 4 / (ZOOM_POINTS - 1)
+        if dr <= tol and dth <= tol:
+            return best, best_z, evals
+
+
 def norm_estimate(
     member: MemberSeries, weight_exponent: int, opts: ScanOpts = ScanOpts()
 ) -> NormEstimate:
     """Estimate sup over |z| <= r_max of the weighted derivative modulus.
 
     Coarse scan on radial x angular polar nodes (radii clustered toward
-    r_max), then alternating golden-section refinement in r and theta.
-    Raises TailToleranceUnmet when a series-only member cannot certify the
-    scan radius.
+    r_max), then a polar zoom (`_zoom`) from the coarse argmax over the
+    window r +- r_max/(radial+1), theta +- 2 pi/angular, down to
+    refine_tol.  The returned value is the zoom's value at the returned
+    argmax.  Raises TailToleranceUnmet when a series-only member cannot
+    certify the scan radius.
     """
     if weight_exponent not in (1, 2):
         raise ValueError("weight_exponent must be 1 or 2")
@@ -155,6 +191,8 @@ def norm_estimate(
         r_max = 0.9995 if member.closed_form is not None else 0.95
     if not 0 < r_max < 1:
         raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
+    if not opts.refine_tol > 0:
+        raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
 
     tail_error = 0.0
     if member.closed_form is None:
@@ -192,41 +230,13 @@ def norm_estimate(
     theta = 2 * math.pi * best_i_ang / n_ang
     dr = r_max / (opts.radial + 1)
     dth = 2 * math.pi / n_ang
-    r_cur, th_cur, val_cur = best_r, theta, best
-    steps = 0
-    for _ in range(3):
-        lo, hi = max(0.0, r_cur - dr), min(r_max, r_cur + dr)
-        r_cur, v1, e1 = golden_max(
-            lambda r: float(
-                weighted_value(
-                    member, r * np.exp(1j * th_cur), weight_exponent, r_max
-                )
-            ),
-            lo,
-            hi,
-            opts.refine_tol,
-        )
-        th_cur, v2, e2 = golden_max(
-            lambda t: float(
-                weighted_value(
-                    member, r_cur * np.exp(1j * t), weight_exponent, r_max
-                )
-            ),
-            th_cur - dth,
-            th_cur + dth,
-            opts.refine_tol,
-        )
-        steps += e1 + e2
-        if abs(v2 - val_cur) < opts.refine_tol:
-            val_cur = max(val_cur, v1, v2)
-            break
-        val_cur = max(val_cur, v1, v2)
-        dr /= 4
-        dth /= 4
+    value, argmax, steps = _zoom(
+        member, weight_exponent, r_max, best_r, theta, dr, dth, opts.refine_tol
+    )
 
     return NormEstimate(
-        value=float(val_cur),
-        argmax=complex(r_cur * np.exp(1j * th_cur)),
+        value=value,
+        argmax=argmax,
         weight_exponent=weight_exponent,
         r_max=float(r_max),
         tail_error=float(tail_error),

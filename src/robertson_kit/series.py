@@ -264,9 +264,11 @@ class TruncatedSeries:
         """
         if not 0 <= r < 1:
             raise RadiusExceeded("circle radius must lie in [0, 1)")
-        scaled = self._c * (r ** np.arange(self._c.size))
-        pad = (-scaled.size) % n_angles
-        folded = np.pad(scaled, (0, pad)).reshape(-1, n_angles).sum(axis=0)
+        size = self._c.size
+        rows = -(-size // n_angles)
+        buf = np.zeros(rows * n_angles, dtype=np.complex128)
+        np.multiply(self._c, r ** np.arange(size), out=buf[:size])
+        folded = buf.reshape(rows, n_angles).sum(axis=0)
         return np.fft.ifft(folded) * n_angles
 
     def tail_bound(self, r: float) -> float:

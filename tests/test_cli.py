@@ -3,22 +3,32 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robertson_kit
+from robertson_kit import cli
 from robertson_kit.cli import main, replay_witness
 from robertson_kit.radii import ConcavitySetting, phi_quadratic, phi_value
 from robertson_kit.robertson import make_params
 
+# the child process imports the same package as this one
+PACKAGE_ROOT = str(Path(robertson_kit.__file__).resolve().parent.parent)
+
 
 def run_cli(*argv):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "robertson_kit", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -174,6 +184,34 @@ def test_witness_replay_norm_check(tmp_path):
     w = rep["checks"][0]["worst"]
     assert w["margin"] < 0
     assert abs(replay_witness(w) - w["margin"]) < 1e-12
+
+
+def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
+    generated, norms = [], []
+    real_generate, real_norm = cli.generate_member, cli.norm_estimate
+
+    def generate(*args, **kwargs):
+        generated.append((args, tuple(sorted(kwargs.items()))))
+        return real_generate(*args, **kwargs)
+
+    def norm(*args, **kwargs):
+        norms.append(args)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_member", generate)
+    monkeypatch.setattr(cli, "norm_estimate", norm)
+    argv = ["verify", "--theorem", "all", "--samples", "2", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 3
+    n_generated = len(generated)
+    # general and sp0 batches of 2 canonical + 2 sampled members; convex
+    # at alpha = beta = 0 is the general batch again
+    assert n_generated == len(set(generated)) == 2 * (2 + 2)
+    # weight 1 (2.3) and weight 2 (2.4, reused by AB) over the sp0 batch
+    assert len(norms) == 2 * (2 + 2)
+    # a second run recomputes everything: no cache outlives a run
+    assert main(argv) == 3
+    assert len(generated) == 2 * n_generated
+    assert len(norms) == 2 * 2 * (2 + 2)
 
 
 # ---------------------------------------------------------------------------

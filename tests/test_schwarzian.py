@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from robertson_kit.robertson import (
     ClosedForm,
     MemberSeries,
+    ParamOutOfRange,
     SchwarzSpec,
     extremal_member,
     generate_member,
@@ -27,6 +28,7 @@ from robertson_kit.schwarzian import (
     norm_estimate,
     schwarzian,
     schwarzian_via_phi,
+    weighted_value,
 )
 from robertson_kit.series import TruncatedSeries
 
@@ -249,6 +251,46 @@ def test_norm_estimate_json():
         "refinement_steps",
         "scan_gap",
     }
+
+
+def test_norm_value_is_attained_at_argmax():
+    # value is the weighted modulus at argmax itself, bit for bit, so a
+    # point residual there replays a norm check's margin exactly
+    params = make_params(math.pi / 4, 0.25)
+    spec = sample_schwarz_specs(20250810, 3, sp0=True)[2]
+    series_member = generate_member(params, spec, order=512, validate=False)
+    extremal = extremal_member(params, "disk_symmetric", 1.0, order=64)
+    for m in (series_member, extremal):
+        for w in (1, 2):
+            est = norm_estimate(m, w, ScanOpts(r_max=0.95))
+            assert weighted_value(m, est.argmax, w, est.r_max) == est.value
+            assert abs(est.argmax) <= est.r_max * (1 + 1e-12)
+
+
+def test_norm_zoom_follows_anisotropic_ridge():
+    # a zoom that recentres within one patch cell stops 6.5e-5 short here
+    spec = sample_schwarz_specs(20250810, 100, sp0=True)[4]
+    m = generate_member(make_params(0, 0), spec, order=512, validate=False)
+    est = norm_estimate(m, 2, ScanOpts(r_max=0.95))
+    assert est.value >= 1.7610670013067666 - 1e-12
+    # 14 levels of 17 x 17 points take the default window down to 1e-10
+    assert est.refinement_steps == 14 * 17 * 17
+
+
+def test_norm_coarse_refine_tol_refines_once():
+    # a tolerance wider than the scan cell still evaluates one patch
+    m = extremal_member(make_params(0, 0.5), "disk_symmetric", 1.0, order=64)
+    coarse = norm_estimate(m, 2, ScanOpts(refine_tol=1.0))
+    assert coarse.refinement_steps == 17 * 17
+    assert coarse.value > 0
+    assert coarse.value <= norm_estimate(m, 2).value
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_norm_refine_tol_must_be_positive(tol):
+    m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=32)
+    with pytest.raises(ParamOutOfRange):
+        norm_estimate(m, 2, ScanOpts(refine_tol=tol))
 
 
 # ---------------------------------------------------------------------------

@@ -197,13 +197,16 @@ def test_eval_radius_guard():
 
 
 def test_eval_on_circle_matches_pointwise():
+    # a size that n does not divide, a multiple of n, and n > size
     rng = np.random.default_rng(5)
-    s = TruncatedSeries(rng.normal(size=40) + 1j * rng.normal(size=40))
-    r, n = 0.7, 16
-    zs = r * np.exp(2j * np.pi * np.arange(n) / n)
-    direct = s.eval_at(zs, 0.8)
-    fft = s.eval_on_circle(r, n)
-    assert np.max(np.abs(direct - fft)) < 1e-12
+    for size, n in ((40, 16), (48, 16), (40, 64)):
+        s = TruncatedSeries(rng.normal(size=size) + 1j * rng.normal(size=size))
+        r = 0.7
+        zs = r * np.exp(2j * np.pi * np.arange(n) / n)
+        direct = s.eval_at(zs, 0.8)
+        fft = s.eval_on_circle(r, n)
+        assert fft.shape == (n,)
+        assert np.max(np.abs(direct - fft)) < 1e-12
 
 
 def test_tail_bound_geometric_example():
