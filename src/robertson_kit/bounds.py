@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -200,23 +200,29 @@ def envelope_check(
     radii: Optional[np.ndarray] = None,
     n_angles: int = 64,
     quad: QuadOpts = QuadOpts(),
+    growth: Optional[Sequence[Envelope]] = None,
 ) -> EnvelopeReport:
     """Margins of a member against both envelopes over a polar grid.
 
     Requires an SP0 member (f''(0) = 0).  Margins are
     min(upper - value, value - lower); the least one over the grid is
-    reported per envelope together with where it occurred.
+    reported per envelope together with where it occurred.  growth, when
+    given, holds growth_envelope(member.params, r, quad) for each r in
+    radii; the growth envelope does not depend on the member, so callers
+    checking many members compute it once.
     """
     if not _is_sp0(member):
         raise ParamOutOfRange("envelope check requires an SP0 member (f''(0)=0)")
     if radii is None:
         radii = chebyshev_radii(24, 0.9)
     p = member.params
+    if growth is None:
+        growth = [growth_envelope(p, float(r), quad) for r in radii]
     best_d = math.inf
     best_g = math.inf
     z_d = 0j
     z_g = 0j
-    for r in radii:
+    for r, genv in zip(radii, growth, strict=True):
         zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
         if member.closed_form is not None:
             fp = np.abs(member.closed_form.fprime(zs))
@@ -224,7 +230,6 @@ def envelope_check(
             fp = np.abs(member.f_prime.eval_on_circle(r, n_angles))
         fv = np.abs(member.f.eval_on_circle(r, n_angles))
         denv = distortion_envelope(p, float(r))
-        genv = growth_envelope(p, float(r), quad)
         dmarg = np.minimum(denv.upper - fp, fp - denv.lower)
         gmarg = np.minimum(genv.upper - fv, fv - genv.lower)
         i = int(np.argmin(dmarg))

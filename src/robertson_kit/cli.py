@@ -42,6 +42,7 @@ from .series import DEFAULT_ORDER, chebyshev_radii
 
 ASSERT_TOL = 1e-9
 NORM_TOL = 1e-6
+WITNESS_TIE = 1e-12  # margins this close to the minimum count as tied for the witness
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +133,23 @@ class VerificationReport:
 
 
 class RunCache:
-    """Member batches and norm estimates computed once within one verify run.
+    """Member batches, norm estimates and growth envelopes computed once
+    within one verify run.
 
     Batches are keyed by what generates them, not by batch name, so
     "convex" at alpha = beta = 0 reuses "general".  Norm estimates are
     keyed by (member, weight, r_max), so AB reuses the scans of 2.4; the
     member part of the key is its identity, which is stable because the
-    cache holds every member it hands out.  A cache lives for one
-    `cmd_verify` call, and none is kept between calls.
+    cache holds every member it hands out.  Growth envelopes depend only
+    on (params, radii), so check 2.2 computes them once for all members.
+    A cache lives for one `cmd_verify` call, and none is kept between
+    calls.
     """
 
     def __init__(self):
         self._members: dict = {}
         self._norms: dict = {}
+        self._growth: dict = {}
 
     def members(self, cfg: RunConfig, batch: str):
         """Seeded members plus the canonical witness generators.
@@ -185,6 +190,12 @@ class RunCache:
         if key not in self._norms:
             self._norms[key] = norm_estimate(member, weight, ScanOpts(r_max=r_max))
         return self._norms[key]
+
+    def growth_envelopes(self, params: ClassParams, rs: np.ndarray) -> list:
+        key = (params, tuple(rs))
+        if key not in self._growth:
+            self._growth[key] = [bounds.growth_envelope(params, float(r)) for r in rs]
+        return self._growth[key]
 
 
 def _witness_member(w: dict) -> MemberSeries:
@@ -270,7 +281,8 @@ def _envelope_residual(m: MemberSeries, z: complex, w: dict) -> float:
 
 
 def _envelope_scan(m: MemberSeries, w: dict, cache: RunCache):
-    rep = bounds.envelope_check(m)
+    rs = chebyshev_radii(24, 0.9)
+    rep = bounds.envelope_check(m, rs, growth=cache.growth_envelopes(m.params, rs))
     if rep.growth_min_margin < rep.distortion_min_margin:
         return rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}
     return rep.distortion_min_margin, rep.worst_z_distortion, 1, {"kind": "distortion"}
@@ -397,7 +409,13 @@ CHECKS: dict[str, Check] = {
 
 
 def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
-    """Scan a table check's members, keeping the worst margin as witness."""
+    """Scan a table check's members; the worst margin decides the record.
+
+    min_margin is the exact minimum over the members.  The witness is the
+    first member whose margin is within WITNESS_TIE of it, recorded with
+    its own margin, so members that tie in exact arithmetic (rotations
+    such as omega = +-z^2) do not trade the witness on last-bit rounding.
+    """
     check = CHECKS[cid]
     if check.record_id is None:
         modes: list = [None]
@@ -409,22 +427,27 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
     for mode in modes:
         w = {"check": cid} if mode is None else {"check": cid, "mode": mode}
         w.update(check.extras(run, params, mode))
-        best, worst, samples = math.inf, None, 0
+        best, samples, scanned = math.inf, 0, []
         for spec, m in zip(specs, members):
             margin, z, n, extra = scan(m, w, cache)
             samples += n
-            if margin < best:
-                best = margin
-                worst = {
-                    "alpha": run.alpha,
-                    "beta": run.beta,
-                    "order": run.order,
-                    "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
-                    "z": [z.real, z.imag],
-                    "margin": margin,
-                    **w,
-                    **extra,
-                }
+            best = min(best, margin)
+            scanned.append((spec, margin, z, extra))
+        worst = None
+        if best < math.inf:
+            spec, margin, z, extra = next(
+                row for row in scanned if row[1] <= best + WITNESS_TIE
+            )
+            worst = {
+                "alpha": run.alpha,
+                "beta": run.beta,
+                "order": run.order,
+                "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
+                "z": [z.real, z.imag],
+                "margin": margin,
+                **w,
+                **extra,
+            }
         records.append(
             CheckRecord(
                 check_id=cid if mode is None else check.record_id.format(mode=mode),

@@ -260,3 +260,13 @@ def test_envelope_check_alpha_nonzero_reports_finding():
         rep = envelope_check(m)
         worst = min(worst, rep.distortion_min_margin, rep.growth_min_margin)
     assert worst < 0
+
+
+def test_envelope_check_precomputed_growth_matches_default():
+    p = make_params(math.pi / 4, 0.25)
+    rs = np.linspace(0.1, 0.9, 5)
+    growth = [growth_envelope(p, float(r)) for r in rs]
+    for m in sample_members(p, 3, seed=77, sp0=True, order=128):
+        assert envelope_check(m, rs, growth=growth) == envelope_check(m, rs)
+    with pytest.raises(ValueError):
+        envelope_check(m, rs, growth=growth[:-1])

@@ -214,6 +214,41 @@ def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
     assert len(norms) == 2 * 2 * (2 + 2)
 
 
+def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.bounds.growth_envelope
+
+    def growth(params, r, *args, **kwargs):
+        calls.append((params, r))
+        return real(params, r, *args, **kwargs)
+
+    monkeypatch.setattr(cli.bounds, "growth_envelope", growth)
+    argv = ["verify", "--theorem", "2.2", "--samples", "3", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    # 24 radii, shared by the 2 canonical and 3 sampled SP0 members
+    assert len(calls) == len(set(calls)) == 24
+
+
+def test_witness_is_first_member_within_tie_of_minimum(monkeypatch):
+    margins = [0.5, np.nextafter(0.5, 0.0)]
+    scanned = iter(margins)
+    stub = cli.Check(
+        anchor=lambda w: "stub",
+        batch="sp0",
+        residual=lambda m, z, w: 0.0,
+        asserted=lambda cfg, mode: True,
+        scan=lambda m, w, cache: (next(scanned), 0.5 + 0j, 1, {}),
+    )
+    monkeypatch.setitem(cli.CHECKS, "stub", stub)
+    cfg = cli.RunConfig(samples=0, order=16)
+    (rec,) = cli._run_check("stub", cfg, cli.RunCache())
+    # two canonical members, 1 ulp apart: the exact minimum is reported,
+    # the first member is the witness, with its own margin
+    assert rec.min_margin == margins[1] < margins[0]
+    assert rec.worst["spec"]["rotation"] == [1.0, 0.0]
+    assert rec.worst["margin"] == margins[0]
+
+
 # ---------------------------------------------------------------------------
 # emitters
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Operator and norm-estimation tests for the schwarzian module."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from robertson_kit.schwarzian import (
     weighted_value,
 )
 from robertson_kit.series import TruncatedSeries
+
+NORM_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "norm_soundness.json"
 
 
 def identity_member(params, order=16):
@@ -291,6 +295,22 @@ def test_norm_refine_tol_must_be_positive(tol):
     m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=32)
     with pytest.raises(ParamOutOfRange):
         norm_estimate(m, 2, ScanOpts(refine_tol=tol))
+
+
+def test_norms_not_below_benchmark_reference():
+    # the benchmark's recorded criterion-3 norms, read and never rewritten:
+    # a faster scan or kernel may only find larger (or equal) maxima
+    with open(NORM_REFERENCE, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    assert (ref["spec_seed"], ref["order"], ref["r_max"]) == (20250810, 512, 0.95)
+    specs = sample_schwarz_specs(ref["spec_seed"], 100, sp0=True)[:10]
+    for (alpha, beta), recorded in zip(ref["points"], ref["values"]):
+        params = make_params(alpha, beta)
+        for spec, values in zip(specs, recorded):
+            m = generate_member(params, spec, order=ref["order"], validate=False)
+            for weight, value in zip((1, 2), values):
+                est = norm_estimate(m, weight, ScanOpts(r_max=ref["r_max"]))
+                assert est.value >= value - 1e-12
 
 
 # ---------------------------------------------------------------------------

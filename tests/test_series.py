@@ -1,5 +1,6 @@
 """Series-kernel tests: frozen oracles plus hypothesis property checks."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,49 @@ def test_eval_radius_guard():
         s.eval_at(0.7, 0.5)
     with pytest.raises(RadiusExceeded):
         s.eval_at(0.5, 1.0)
+    # NaN is never inside the radius: no NaN comes back as a value
+    with pytest.raises(RadiusExceeded):
+        s.eval_at(complex(np.nan, 0.0), 0.9)
+    with pytest.raises(RadiusExceeded):
+        s.eval_at(np.array([0.1, np.nan, 0.2j]), 0.9)
+
+
+def _oracle(coeffs, z) -> complex:
+    """Horner in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        acc = mpmath.mpc(0)
+        for c in coeffs[::-1]:
+            acc = acc * zm + mpmath.mpc(c.real, c.imag)
+        return complex(acc)
+
+
+@pytest.mark.parametrize("size", [1, 2, 15, 16, 17, 33, 512, 4096])
+def test_eval_at_matches_extended_precision_oracle(size):
+    # sizes around the Horner block of 16 and the production orders
+    rng = np.random.default_rng(size)
+    c = rng.normal(size=size) + 1j * rng.normal(size=size)
+    s = TruncatedSeries(c)
+    r_trunc = 0.95
+    grid = np.linspace(0.0, r_trunc, 17)[:, None] * np.exp(1j * np.linspace(0, 6, 17))[None, :]
+    inputs = [
+        complex(0.6, -0.7),
+        r_trunc * np.exp(1j * rng.uniform(0, 2 * np.pi, 5)) * rng.uniform(0, 1, 5),
+        grid,
+    ]
+    for z in inputs:
+        got = s.eval_at(z, r_trunc)
+        if np.ndim(z) == 0:
+            assert type(got) is complex
+        else:
+            assert got.shape == z.shape and got.dtype == np.complex128
+        zs, vals = np.ravel(z), np.ravel(got)
+        # the 289-point grid at the two largest sizes: its diagonal, which
+        # runs from 0 to r_trunc, keeps the 40-digit oracle cheap
+        at = range(0, zs.size, 18) if z is grid and size > 33 else range(zs.size)
+        for i in at:
+            scale = np.polynomial.polynomial.polyval(abs(zs[i]), np.abs(c))
+            assert abs(vals[i] - _oracle(c, zs[i])) <= 1e-14 * scale
 
 
 def test_eval_on_circle_matches_pointwise():
