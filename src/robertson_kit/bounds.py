@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
+from .robertson import circle, phi_values
 from .series import chebyshev_radii
 
 
@@ -48,7 +49,10 @@ def schwarzian_norm_bound(params: ClassParams) -> float:
 
 def xi_of_member(member: MemberSeries) -> float:
     """xi = |phi(0)| = |f''(0)| / (2k), the normalized initial coefficient."""
-    xi = abs(complex(member.f_prime.coeffs[1])) / (2 * member.params.k)
+    if member.schwarz is not None:
+        xi = abs(complex(phi_values(member.schwarz, np.zeros(1, dtype=complex))[0][0]))
+    else:
+        xi = abs(complex(member.f_prime.coeffs[1])) / (2 * member.params.k)
     if xi > 1 + 1e-9:
         raise XiOutOfRange(f"xi = {xi} exceeds 1; not a class member")
     return min(xi, 1.0)
@@ -223,11 +227,8 @@ def envelope_check(
     z_d = 0j
     z_g = 0j
     for r, genv in zip(radii, growth, strict=True):
-        zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-        if member.closed_form is not None:
-            fp = np.abs(member.closed_form.fprime(zs))
-        else:
-            fp = np.abs(member.f_prime.eval_on_circle(r, n_angles))
+        zs = circle(r, n_angles)
+        fp = np.abs(member.on_circle("fprime", r, n_angles))
         fv = np.abs(member.f.eval_on_circle(r, n_angles))
         denv = distortion_envelope(p, float(r))
         dmarg = np.minimum(denv.upper - fp, fp - denv.lower)

@@ -231,7 +231,8 @@ class Check:
     extras(cfg, params, mode), the run's inputs that the residual reads.
     scan(member, w, cache) returns one member's (margin, z, samples,
     witness extras), where cache is the run's RunCache; None takes the
-    residual's minimum over the polar grid.
+    residual's minimum over the polar grid.  A "margin" among the extras
+    is the witness's own residual at z, when it differs from the margin.
     record_id None gives one record under the table key; a template over
     {mode} gives one record per mode.  A record holds when its worst
     margin is at least -slack.
@@ -248,13 +249,18 @@ class Check:
 
 
 def _grid_min(residual, member: MemberSeries, w: dict, cache: RunCache):
-    """The default scan: the residual's minimum over the polar grid."""
+    """The default scan: the residual's minimum over the polar grid.
+
+    The witness is the first point within WITNESS_TIE of it, with its own
+    margin, so points that tie at rounding level do not trade the witness.
+    """
     rs = chebyshev_radii(24, 0.9)
     th = 2 * np.pi * np.arange(48) / 48
     zs = (rs[:, None] * np.exp(1j * th)[None, :]).ravel()
     vals = np.asarray(residual(member, zs, w), dtype=float)
-    i = int(np.argmin(vals))
-    return float(vals[i]), complex(zs[i]), zs.size, {}
+    low = float(vals.min())
+    i = int(np.argmax(vals <= low + WITNESS_TIE))
+    return low, complex(zs[i]), zs.size, {"margin": float(vals[i])}
 
 
 def _pointwise_s_residual(m: MemberSeries, zs, w: dict):
@@ -263,7 +269,7 @@ def _pointwise_s_residual(m: MemberSeries, zs, w: dict):
         # the bound degenerates to +inf at xi = 1; trivially satisfied
         return np.full(np.shape(zs), np.inf)
     k = m.params.k
-    sv = np.abs(schwarzian.eval_s(m, zs, 0.95))
+    sv = np.abs(m.values("S", zs))
     b = 2 * k * (2 + k * (xi + np.abs(zs)) ** 2 / (1 - xi**2))
     return b - (1 - np.abs(zs) ** 2) ** 2 * sv
 
@@ -273,10 +279,10 @@ def _envelope_residual(m: MemberSeries, z: complex, w: dict) -> float:
     r = abs(z)
     if w["kind"] == "distortion":
         env = bounds.distortion_envelope(m.params, r)
-        v = abs(m.eval_fprime(z, 0.95))
+        v = abs(m.values("fprime", z))
     else:
         env = bounds.growth_envelope(m.params, r)
-        v = abs(m.eval_f(z, 0.95))
+        v = abs(m.f.eval_at(z, 0.95))
     return min(env.upper - v, v - env.lower)
 
 

@@ -33,7 +33,9 @@ from .robertson import (
     MemberSeries,
     ParamOutOfRange,
     SchwarzSpec,
+    circle,
     generate_member,
+    polar_grid,
 )
 from .sampling import sample_schwarz_specs
 from .series import DEFAULT_ORDER, chebyshev_radii
@@ -87,21 +89,12 @@ class RadiusResult:
 # ---------------------------------------------------------------------------
 
 
-def _t(setting: ConcavitySetting, zs, p):
-    """T_f from z and P_f(z)."""
-    a = setting.a_co
-    return (2 / (a - 1)) * ((a + 1) / 2 * (1 + zs) / (1 - zs) - 1 - zs * p)
-
-
 def t_values(member: MemberSeries, setting: ConcavitySetting, z, r_trunc=0.95):
     """T_f at a point or array of points."""
     zs = np.asarray(z, dtype=np.complex128)
-    return _t(setting, zs, member.eval_p(zs, r_trunc))
-
-
-def _t_on_circle(member: MemberSeries, setting: ConcavitySetting, r, n_angles):
-    zs = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    return _t(setting, zs, member.p_on_circle(r, n_angles)), zs
+    a = setting.a_co
+    p = member.values("P", zs, r_trunc)
+    return (2 / (a - 1)) * ((a + 1) / 2 * (1 + zs) / (1 - zs) - 1 - zs * p)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +230,15 @@ def concavity_soundness_scan(
 ) -> SoundnessReport:
     """Minimum of Re T_f over the members and |z| <= radius - 1e-3."""
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
-    radii = chebyshev_radii(grid.n_radii, r_cap)
-    best = math.inf
-    w_i, w_z = -1, 0j
+    zs = polar_grid(chebyshev_radii(grid.n_radii, r_cap), grid.n_angles).ravel()
+    best, w_i, w_z = math.inf, -1, 0j
     for i, m in enumerate(members):
-        for r in radii:
-            tv, zs = _t_on_circle(m, setting, float(r), grid.n_angles)
-            j = int(np.argmin(tv.real))
-            if tv.real[j] < best:
-                best = float(tv.real[j])
-                w_i, w_z = i, complex(zs[j])
+        re_t = t_values(m, setting, zs, r_cap).real
+        j = int(np.argmin(re_t))
+        if re_t[j] < best:
+            best, w_i, w_z = float(re_t[j]), i, complex(zs[j])
     return SoundnessReport(
-        min_re_t=best,
-        witness_index=w_i,
-        witness_z=w_z,
-        samples=len(members) * radii.size * grid.n_angles,
+        min_re_t=best, witness_index=w_i, witness_z=w_z, samples=len(members) * zs.size
     )
 
 
@@ -324,8 +311,9 @@ def sharpness_probe(
     def min_re_t(r: float) -> float:
         nonlocal evals, witness
         best = math.inf
+        zs = circle(r, search.theta_count)
         for i, m in enumerate(members):
-            tv, zs = _t_on_circle(m, setting, r, search.theta_count)
+            tv = t_values(m, setting, zs, r)
             evals += 1
             j = int(np.argmin(tv.real))
             if tv.real[j] < best:

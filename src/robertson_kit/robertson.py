@@ -17,8 +17,9 @@ G1 = (A + 1)/2 = k e^{-i*alpha}, k = (1 - beta) cos(alpha).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -75,9 +76,6 @@ def make_params(alpha: float, beta: float) -> ClassParams:
 # ---------------------------------------------------------------------------
 # Schwarz-function specifications
 # ---------------------------------------------------------------------------
-
-KINDS = ("polynomial", "blaschke_product", "unit_constant_times_z")
-
 
 @dataclass(frozen=True)
 class SchwarzSpec:
@@ -184,6 +182,53 @@ def phi_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(om.coeffs[1:])
 
 
+def phi_values(spec: SchwarzSpec, z: np.ndarray):
+    """phi = omega/z and phi' at the points of a 1-d array, from the spec.
+
+    A polynomial runs Horner for the value and the derivative together.  A
+    Blaschke product or rotated monomial is rotation * z^(s-1) * prod b_a
+    over its s >= 1 zeros at the origin and its other zeros a, with
+    b_a = (a - z)/(1 - conj(a) z), b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2; the
+    product rule streams over the factors and divides by no z and no b_a.
+    """
+    if spec.kind == "polynomial":
+        c = spec.coeffs[1:]
+        v = np.full(z.shape, complex(c[-1]) if c else 0j)
+        dv = np.zeros_like(z)
+        for cj in reversed(c[:-1]):
+            dv = dv * z + v
+            v = v * z + cj
+        return v, dv
+    s = spec.vanishing_order()
+    zeros = [complex(a) for a in spec.zeros if abs(a) > 1e-14]
+    v = np.full(z.shape, complex(spec.rotation))
+    dv = np.zeros_like(z)
+    for _ in range(s - 1):
+        dv = dv * z + v
+        v = v * z
+    for a in zeros:
+        inv = 1 / (1 - a.conjugate() * z)
+        g = (a - z) * inv
+        dv = dv * g + v * ((abs(a) ** 2 - 1) * inv * inv)
+        v = v * g
+    return v, dv
+
+
+def schwarz_values(params: ClassParams, spec: SchwarzSpec, q: str, z: np.ndarray):
+    """P_f (q "P") or S_f (q "S") at the points of a 1-d array, from the spec.
+
+    With omega = z phi, P = 2 G1 phi/(1 - omega) and
+    P' = 2 G1 (phi'(1 - omega) + phi omega')/(1 - omega)^2
+       = 2 G1 (phi' + phi^2)/(1 - omega)^2,
+    so S = P' - P^2/2 = 2 G1 (phi' + (1 - G1) phi^2)/(1 - omega)^2.
+    """
+    phi, dphi = phi_values(spec, z)
+    inv = 1 / (1 - z * phi)
+    if q == "P":
+        return 2 * params.g1 * phi * inv
+    return 2 * params.g1 * (dphi + (1 - params.g1) * phi * phi) * inv * inv
+
+
 @dataclass(frozen=True)
 class SchwarzValidation:
     grid_max: float
@@ -280,28 +325,55 @@ class ClosedForm:
 Provenance = Union[SchwarzSpec, str]
 
 
-@dataclass
-class MemberSeries:
-    """A generated or extremal member f of SP_alpha(beta).
+QUANTITIES = ("fprime", "P", "S")
 
-    Carries truncated series for f and f', the class parameters, the
-    generating data, and (for extremals) closed-form evaluators.  The
-    pre-Schwarzian and Schwarzian series are cached lazily; treat
-    instances as immutable.
+
+def circle(r: float, n_angles: int) -> np.ndarray:
+    """The points r e^{2 pi i j/n}, j = 0..n-1."""
+    return r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+
+
+def polar_grid(radii, n_angles: int) -> np.ndarray:
+    """circle(r, n_angles) for each r in radii, as the rows of an array."""
+    return np.asarray(radii)[:, None] * circle(1.0, n_angles)[None, :]
+
+
+class MemberSeries:
+    """A generated or extremal member f of SP_alpha(beta); treat as immutable.
+
+    values(q, z) and on_circle(q, r, n) evaluate f' ("fprime"), P_f ("P")
+    and S_f ("S"); exact(q) picks, in one place, the closed form
+    (extremals), the Schwarz data `schwarz` (generated members) or the
+    series (members read from JSON or built by hand).  The series of f and
+    f' are given, or built from the generating spec on first access.
     """
 
-    f: TruncatedSeries
-    f_prime: TruncatedSeries
-    params: ClassParams
-    provenance: Provenance
-    closed_form: Optional[ClosedForm] = None
-    phi: Optional[TruncatedSeries] = None
-    _p_series: Optional[TruncatedSeries] = field(default=None, repr=False)
-    _s_series: Optional[TruncatedSeries] = field(default=None, repr=False)
+    def __init__(self, params: ClassParams, provenance: Provenance, f=None, f_prime=None,
+                 closed_form: Optional[ClosedForm] = None,
+                 schwarz: Optional[SchwarzSpec] = None, order: Optional[int] = None):
+        self.params, self.provenance = params, provenance
+        self.closed_form, self.schwarz = closed_form, schwarz
+        self.order = f.order if order is None else order
+        if f is not None:
+            self.f, self.f_prime = f, f_prime
+        self._p_series: Optional[TruncatedSeries] = None
+        self._s_series: Optional[TruncatedSeries] = None
 
-    @property
-    def order(self) -> int:
-        return self.f.order
+    @functools.cached_property
+    def f_prime(self) -> TruncatedSeries:
+        """exp of the integral of f''/f' = 2 G1 phi/(1 - z phi), from the spec."""
+        phi = phi_series(self.provenance, self.order)
+        omega = TruncatedSeries(np.concatenate(([0.0 + 0.0j], phi.coeffs[: self.order])))
+        # P is integrated here and not cached: p_series() recovers it from
+        # f''/f', independently, which keeps the via-phi cross-checks meaningful
+        return ((phi * (2 * self.params.g1)) / (1 - omega)).integ(max_order=self.order).exp()
+
+    @functools.cached_property
+    def f(self) -> TruncatedSeries:
+        """The integral of f', with c0, c1 pinned to (0, 1) exactly."""
+        cf = self.f_prime.integ(max_order=self.order).coeffs.copy()
+        cf[0], cf[1] = 0.0, 1.0
+        return TruncatedSeries(cf)
 
     def p_series(self) -> TruncatedSeries:
         """Series of the pre-Schwarzian P_f = f''/f'."""
@@ -309,26 +381,49 @@ class MemberSeries:
             self._p_series = self.f_prime.deriv() / self.f_prime
         return self._p_series
 
-    # -- point evaluation (closed form preferred) ---------------------------
+    def s_series(self) -> TruncatedSeries:
+        """Series of the Schwarzian S_f = P' - P^2/2."""
+        if self._s_series is None:
+            p = self.p_series()
+            self._s_series = p.deriv() - p * p * 0.5
+        return self._s_series
 
-    def eval_fprime(self, z, r_trunc: float = 0.95):
+    def exact(self, q: str):
+        """The exact evaluator of q on a 1-d array, or None for a series."""
+        if q not in QUANTITIES:
+            raise ParamOutOfRange(f"unknown quantity {q!r}; known: {QUANTITIES}")
         if self.closed_form is not None:
-            return self.closed_form.fprime(z)
-        return self.f_prime.eval_at(z, r_trunc)
+            return getattr(self.closed_form, {"fprime": "fprime", "P": "p", "S": "s"}[q])
+        if self.schwarz is not None and q != "fprime":
+            return functools.partial(schwarz_values, self.params, self.schwarz, q)
+        return None
 
-    def eval_f(self, z, r_trunc: float = 0.95):
-        return self.f.eval_at(z, r_trunc)
+    def _series(self, q: str) -> TruncatedSeries:
+        if q == "fprime":
+            return self.f_prime
+        return self.p_series() if q == "P" else self.s_series()
 
-    def eval_p(self, z, r_trunc: float = 0.95):
-        if self.closed_form is not None:
-            return self.closed_form.p(z)
-        return self.p_series().eval_at(z, r_trunc)
+    def values(self, q: str, z, r_trunc: float = 0.95):
+        """q in QUANTITIES at a point or array; a series only inside r_trunc.
 
-    def p_on_circle(self, r: float, n_angles: int):
-        if self.closed_form is not None:
-            z = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-            return self.closed_form.p(z)
-        return self.p_series().eval_on_circle(r, n_angles)
+        One flat array call, so a point gives the same bits alone as inside
+        an array (numpy's scalar complex division rounds differently).
+        """
+        zs = np.asarray(z, dtype=np.complex128)
+        flat = zs.reshape(-1)
+        exact = self.exact(q)
+        out = exact(flat) if exact is not None else self._series(q).eval_at(flat, r_trunc)
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+
+    def on_circle(self, q: str, r: float, n_angles: int) -> np.ndarray:
+        """q at circle(r, n_angles): a series by one FFT, else as values()."""
+        exact = self.exact(q)
+        if exact is None:
+            return self._series(q).eval_on_circle(r, n_angles)
+        return exact(circle(r, n_angles))
+
+    def p_on_circle(self, r: float, n_angles: int) -> np.ndarray:
+        return self.on_circle("P", r, n_angles)
 
 
 def generate_member(
@@ -337,35 +432,21 @@ def generate_member(
     order: int = DEFAULT_ORDER,
     validate: bool = True,
 ) -> MemberSeries:
-    """Build the member generated by a Schwarz function.
+    """The member generated by a Schwarz function.
 
-    Integrates f''/f' = 2 G1 phi/(1 - z phi), exponentiates to get f',
-    and integrates once more; c0, c1 of f are pinned to (0, 1) exactly.
-    A vanishing order >= 2 yields f''(0) = 0, i.e. an SP0 member.
+    P_f and S_f are evaluated exactly from the spec (schwarz_values); the
+    order-`order` series of f and f' are built on first access.  A
+    vanishing order >= 2 yields f''(0) = 0, i.e. an SP0 member.
     """
     if order < 8:
         raise ParamOutOfRange("series order must be >= 8")
     if validate:
         validate_schwarz(spec)
-    phi = phi_series(spec, order)
-    omega = TruncatedSeries(np.concatenate(([0.0 + 0.0j], phi.coeffs[:order])))
-    p = (phi * (2 * params.g1)) / (1 - omega)
-    f_prime = p.integ(max_order=order).exp()
-    f = f_prime.integ(max_order=order)
-    cf = f.coeffs.copy()
-    cf[0] = 0.0
-    if order >= 1:
-        cf[1] = 1.0
-    # the pre-Schwarzian cache is left empty on purpose: downstream
-    # operators recover P from f''/f', independently of the generating
-    # series p, which keeps the via-phi cross-checks meaningful
-    return MemberSeries(
-        f=TruncatedSeries(cf),
-        f_prime=f_prime,
-        params=params,
-        provenance=spec,
-        phi=phi,
-    )
+    phi_series(spec, 0)  # NotASchwarzFunction when omega(0) != 0, unvalidated too
+    # phi_values divides by no z, so it needs omega's zero at 0 as a factor;
+    # a product whose omega(0) only rounds to 0 keeps its series
+    exact = spec.kind == "polynomial" or spec.vanishing_order() >= 1
+    return MemberSeries(params, spec, schwarz=spec if exact else None, order=order)
 
 
 def extremal_member(
@@ -435,10 +516,6 @@ class MarginReport:
     samples: int
 
 
-def _grid_radii(grid: GridSpec) -> np.ndarray:
-    return chebyshev_radii(grid.n_radii, grid.r_max)
-
-
 def subordination_membership_check(
     member: MemberSeries, grid: GridSpec = GridSpec(), tail_tol: float = 1e-6
 ) -> MarginReport:
@@ -454,24 +531,19 @@ def subordination_membership_check(
             raise RadiusExceeded(
                 f"pre-Schwarzian tail {tb:.3e} at r={grid.r_max} above {tail_tol}"
             )
-    rot = cmath.exp(1j * pr.alpha)
-    target = pr.beta * math.cos(pr.alpha)
-    best = math.inf
-    best_z = 0j
-    n = grid.n_angles
-    for r in _grid_radii(grid):
-        pv = member.p_on_circle(r, n)
-        zs = r * np.exp(2j * np.pi * np.arange(n) / n)
-        margins = (rot * (1 + zs * pv)).real - target
-        i = int(np.argmin(margins))
-        if margins[i] < best:
-            best = float(margins[i])
-            best_z = complex(zs[i])
-    return MarginReport(min_margin=best, argmin=best_z, samples=grid.n_radii * n)
+    zs = polar_grid(chebyshev_radii(grid.n_radii, grid.r_max), grid.n_angles).ravel()
+    pv = member.values("P", zs, grid.r_max)
+    margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)
+    i = int(np.argmin(margins))
+    return MarginReport(min_margin=float(margins[i]), argmin=complex(zs[i]), samples=zs.size)
 
 
 def _scalarize(z, res):
-    return float(res) if np.ndim(z) == 0 else res
+    """Reshape a residual computed on the flattened points to the shape of z.
+
+    Flat evaluation gives a point the same bits alone as inside an array.
+    """
+    return float(res[0]) if np.ndim(z) == 0 else res.reshape(np.shape(z))
 
 
 def check_ii(member: MemberSeries, z, r_trunc: float = 0.95):
@@ -481,8 +553,8 @@ def check_ii(member: MemberSeries, z, r_trunc: float = 0.95):
     nonnegative for every class member.  z may be a point or an array.
     """
     pr = member.params
-    zs = np.asarray(z, dtype=np.complex128)
-    zp = zs * member.eval_p(zs, r_trunc)
+    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
+    zp = zs * member.values("P", zs, r_trunc)
     rhs = 1 - pr.k**2 + (1 - np.abs(zs) ** 2) / 4 * np.abs(zp) ** 2
     return _scalarize(z, (1 + np.conj(pr.g1) * zp).real - rhs)
 
@@ -496,8 +568,8 @@ def check_iii(member: MemberSeries, z, mode: str = "corrected", r_trunc: float =
     completing the square with X = (1-|z|^2) P and Y = 2 G1 conj(z).
     """
     pr = member.params
-    zs = np.asarray(z, dtype=np.complex128)
-    v = (1 - np.abs(zs) ** 2) * member.eval_p(zs, r_trunc)
+    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
+    v = (1 - np.abs(zs) ** 2) * member.values("P", zs, r_trunc)
     if mode == "paper":
         return _scalarize(z, pr.k - np.abs(v - 2 * pr.k * np.conj(zs)))
     if mode == "corrected":
@@ -514,8 +586,8 @@ def classical_convexity_check(
     "eq22_4": 2 - |(1-|z|^2) P - 2 conj(z)|.
     Both are meaningful for convex members (alpha = beta = 0).
     """
-    zs = np.asarray(z, dtype=np.complex128)
-    p = member.eval_p(zs, r_trunc)
+    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
+    p = member.values("P", zs, r_trunc)
     if which == "eq22_3":
         res = (1 + zs * p).real - 0.25 * (1 - np.abs(zs) ** 2) * np.abs(p) ** 2
     elif which == "eq22_4":

@@ -5,7 +5,8 @@ the powers of the reciprocal unit-disk Poincare density.  Norms are
 estimated by a dense polar scan clustered toward the scan radius followed
 by a vectorized polar zoom around the scan's maximum; the result is a
 lower estimate of the supremum on the scanned region, attained at the
-point it reports, with tail and scan-gap metadata.
+point it reports, with scan-gap metadata.  Values come from
+MemberSeries.values; only members that have nothing but series carry a tail.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .series import TruncatedSeries, chebyshev_radii
-from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec, phi_series
+from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
+from .robertson import phi_series, polar_grid
 
 
 class TailToleranceUnmet(ValueError):
@@ -48,7 +50,9 @@ class NormEstimate:
     weighted_value(member, argmax, weight_exponent, r_max); value +
     scan_gap is an upper estimate on the scanned region.  weight_exponent
     is 1 for the pre-Schwarzian norm and 2 for the Schwarzian norm.
-    refinement_steps is the number of points the refinement evaluated.
+    tail_error is the series tail bound at r_max, 0.0 for members with an
+    exact evaluator.  refinement_steps is the number of points the
+    refinement evaluated.
     """
 
     value: float
@@ -73,10 +77,7 @@ class NormEstimate:
 
 def schwarzian(member: MemberSeries) -> TruncatedSeries:
     """Series of S_f = P' - P^2/2, cached on the member."""
-    if member._s_series is None:
-        p = member.p_series()
-        member._s_series = p.deriv() - p * p * 0.5
-    return member._s_series
+    return member.s_series()
 
 
 def schwarzian_via_phi(
@@ -95,28 +96,18 @@ def schwarzian_via_phi(
 
 
 def eval_s(member: MemberSeries, z, r_trunc: float = 0.95):
-    """Schwarzian values, through the closed form when available."""
-    if member.closed_form is not None:
-        return member.closed_form.s(z)
-    return schwarzian(member).eval_at(z, r_trunc)
+    return member.values("S", z, r_trunc)
 
 
 def s_on_circle(member: MemberSeries, r: float, n_angles: int):
-    if member.closed_form is not None:
-        z = r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-        return member.closed_form.s(z)
-    return schwarzian(member).eval_on_circle(r, n_angles)
+    return member.on_circle("S", r, n_angles)
 
 
 def weighted_value(member: MemberSeries, z, weight_exponent: int, r_trunc: float):
     """(1-|z|^2)^w |P_f| or |S_f| at a point or array."""
     zs = np.asarray(z, dtype=np.complex128)
     w = (1 - np.abs(zs) ** 2) ** weight_exponent
-    if weight_exponent == 1:
-        vals = member.eval_p(zs, r_trunc)
-    else:
-        vals = eval_s(member, zs, r_trunc)
-    return w * np.abs(vals)
+    return w * np.abs(member.values("P" if weight_exponent == 1 else "S", zs, r_trunc))
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -143,6 +134,9 @@ def golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
 
 
 ZOOM_POINTS = 17  # patch nodes per axis; odd, so the centre is a node
+# radii per coarse-scan array call: one call for all 129 radii was slower
+# and used more memory than blocks of 16
+SCAN_BLOCK = 16
 
 
 def _zoom(member, weight_exponent, r_max, r, theta, dr, dth, tol):
@@ -178,11 +172,11 @@ def norm_estimate(
     """Estimate sup over |z| <= r_max of the weighted derivative modulus.
 
     Coarse scan on radial x angular polar nodes (radii clustered toward
-    r_max), then a polar zoom (`_zoom`) from the coarse argmax over the
-    window r +- r_max/(radial+1), theta +- 2 pi/angular, down to
-    refine_tol.  The returned value is the zoom's value at the returned
-    argmax.  Raises TailToleranceUnmet when a series-only member cannot
-    certify the scan radius.
+    r_max), SCAN_BLOCK radii per array call, then a polar zoom (`_zoom`)
+    from the coarse argmax over the window r +- r_max/(radial+1),
+    theta +- 2 pi/angular, down to refine_tol.  The returned value is the
+    zoom's value at the returned argmax.  Raises TailToleranceUnmet when a
+    member that has only series cannot certify the scan radius.
     """
     if weight_exponent not in (1, 2):
         raise ValueError("weight_exponent must be 1 or 2")
@@ -195,8 +189,8 @@ def norm_estimate(
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
 
     tail_error = 0.0
-    if member.closed_form is None:
-        series = member.p_series() if weight_exponent == 1 else schwarzian(member)
+    if member.exact("P") is None:
+        series = member.p_series() if weight_exponent == 1 else member.s_series()
         tail_error = series.tail_bound(r_max)
         if tail_error > opts.tail_tol:
             raise TailToleranceUnmet(
@@ -205,25 +199,16 @@ def norm_estimate(
 
     radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
     n_ang = opts.angular
-    best = -math.inf
-    best_r = radii[0]
-    best_i_ang = 0
-    per_radius_best = np.empty(radii.size)
-    for j, r in enumerate(radii):
-        if weight_exponent == 1:
-            vals = np.abs(member.p_on_circle(r, n_ang))
-        else:
-            vals = np.abs(s_on_circle(member, r, n_ang))
-        vals = vals * (1 - r * r) ** weight_exponent
-        i = int(np.argmax(vals))
-        per_radius_best[j] = vals[i]
-        if vals[i] > best:
-            best = float(vals[i])
-            best_r = float(r)
-            best_i_ang = i
+    vals = np.empty((radii.size, n_ang))
+    for at in range(0, radii.size, SCAN_BLOCK):
+        zs = polar_grid(radii[at : at + SCAN_BLOCK], n_ang)
+        vals[at : at + SCAN_BLOCK] = weighted_value(member, zs, weight_exponent, r_max)
+    # the first maximum in (radius, angle) order
+    j_best, best_i_ang = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best_r = float(radii[j_best])
+    per_radius_best = vals.max(axis=1)
 
     # local variation around the winning cell, as an upper-bound gap hint
-    j_best = int(np.argmax(per_radius_best))
     neighbors = per_radius_best[max(0, j_best - 1) : j_best + 2]
     scan_gap = float(np.max(np.abs(neighbors - per_radius_best[j_best])))
 

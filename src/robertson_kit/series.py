@@ -84,19 +84,6 @@ class TruncatedSeries:
         c[0] = value
         return cls(c)
 
-    @classmethod
-    def identity(cls, order: int) -> "TruncatedSeries":
-        """The series of z itself."""
-        c = np.zeros(order + 1, dtype=np.complex128)
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self.pad(order)
-        return TruncatedSeries(self._c[: order + 1])
-
     def pad(self, order: int) -> "TruncatedSeries":
         if order <= self.order:
             return self
@@ -116,14 +103,6 @@ class TruncatedSeries:
             raise CoefficientOverflow(
                 "coefficient magnitude exceeds %.0e" % COEFF_LIMIT
             )
-
-    @staticmethod
-    def _coerce(value) -> "TruncatedSeries | None":
-        if isinstance(value, TruncatedSeries):
-            return value
-        if isinstance(value, (int, float, complex, np.number)):
-            return None  # scalar; handled inline
-        return NotImplemented  # pragma: no cover
 
     def _common(self, other: "TruncatedSeries"):
         n = min(self.order, other.order)

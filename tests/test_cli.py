@@ -77,8 +77,6 @@ def test_verify_invalid_params_exit_2():
 @pytest.mark.parametrize(
     "argv",
     [
-        # order 512 cannot certify the series tail at r = 0.99
-        ("verify", "--theorem", "2.3", "--samples", "1", "--rmax", "0.99"),
         ("verify", "--theorem", "2.3", "--samples", "1", "--rmax", "1.5"),
         ("emit", "norm", "--rmax-scan", "1.5"),
     ],
@@ -87,6 +85,16 @@ def test_bad_scan_radius_exit_2(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_scan_radius_near_boundary_needs_no_series_tail():
+    # generated members evaluate P_f exactly, so r_max 0.99 has no series
+    # tail to certify; omega = +-z^2 give 2kr = 1.98 there, margin 0.02
+    proc = run_cli("verify", "--theorem", "2.3", "--samples", "1", "--rmax", "0.99")
+    assert proc.returncode == 0, proc.stderr
+    (record,) = json.loads(proc.stdout)["checks"]
+    assert record["status"] == "holds"
+    assert abs(record["min_margin"] - 0.02) < 1e-3
 
 
 def test_classical_checks_hold(tmp_path):
@@ -247,6 +255,58 @@ def test_witness_is_first_member_within_tie_of_minimum(monkeypatch):
     assert rec.min_margin == margins[1] < margins[0]
     assert rec.worst["spec"]["rotation"] == [1.0, 0.0]
     assert rec.worst["margin"] == margins[0]
+
+
+def test_grid_witness_is_first_point_within_tie_of_minimum(monkeypatch):
+    # a later grid point undercuts the first by 1 ulp: the record keeps the
+    # exact minimum, and the witness is the first point, with its own margin
+    low = np.nextafter(0.5, 0.0)
+
+    def residual(m, z, w):
+        vals = np.full(np.shape(z), 0.75)
+        if np.ndim(z):
+            vals[3], vals[40] = 0.5, low
+        return vals
+
+    stub = cli.Check(
+        anchor=lambda w: "stub",
+        batch="sp0",
+        residual=residual,
+        asserted=lambda cfg, mode: True,
+    )
+    monkeypatch.setitem(cli.CHECKS, "stub", stub)
+    cfg = cli.RunConfig(samples=0, order=16)
+    (rec,) = cli._run_check("stub", cfg, cli.RunCache())
+    rs = cli.chebyshev_radii(24, 0.9)
+    assert rec.min_margin == low
+    assert rec.worst["margin"] == 0.5
+    assert complex(*rec.worst["z"]) == rs[0] * np.exp(2j * np.pi * 3 / 48)
+
+
+def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
+    # P_f and S_f come from the Schwarz data; only 2.2 reads f and f'
+    TS = robertson_kit.series.TruncatedSeries
+    recurrences = []
+    real_exp, real_div = TS.exp, TS.__truediv__
+
+    def exp(self):
+        recurrences.append("exp")
+        return real_exp(self)
+
+    def div(self, other):
+        if isinstance(other, TS):
+            recurrences.append("div")
+        return real_div(self, other)
+
+    monkeypatch.setattr(TS, "exp", exp)
+    monkeypatch.setattr(TS, "__truediv__", div)
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--theorem", "2.1ii", "--samples", "2", "--out", out]) == 0
+    assert recurrences == []
+    assert main(["verify", "--theorem", "2.2", "--samples", "2", "--out", out]) == 0
+    # one division and one exp for each of the 2 canonical + 2 sampled
+    # SP0 members' f'
+    assert sorted(recurrences) == ["div"] * 4 + ["exp"] * 4
 
 
 # ---------------------------------------------------------------------------

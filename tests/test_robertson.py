@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from robertson_kit.robertson import (
     validate_schwarz,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
+from robertson_kit.schwarzian import ScanOpts, norm_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,118 @@ def test_classical_checks():
     assert abs(classical_convexity_check(ident, 0.4j, "eq22_3") - 1.0) < 1e-12
     pe = extremal_member(p, "plane", 1.0, order=64)
     assert abs(classical_convexity_check(pe, -0.5, "eq22_4") - 0.5) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation from the Schwarz data
+# ---------------------------------------------------------------------------
+
+EVAL_POINTS = ((0.0, 0.0), (math.pi / 4, 0.25), (1.2, 0.0), (-0.6, 0.5))
+# criterion 3's worst member at (pi/4, 0.25)
+BLASCHKE_WITNESS = SchwarzSpec.from_json(
+    {
+        "kind": "blaschke_product",
+        "zeros": [[0.0, 0.0], [0.0, 0.0], [-0.614740267643904, -0.47328112583812965]],
+        "rotation": [0.48556850565508625, -0.8741986194886643],
+    }
+)
+
+
+def test_generate_unvalidated_rejects_nonzero_omega_at_origin():
+    # the member's series are built lazily; omega(0) != 0 still fails at once
+    p = make_params(0, 0)
+    for spec in (
+        SchwarzSpec(kind="polynomial", coeffs=(0.1, 0.5)),
+        SchwarzSpec(kind="blaschke_product", zeros=(0.5, 0.3j), rotation=1.0),
+    ):
+        with pytest.raises(NotASchwarzFunction):
+            generate_member(p, spec, order=16, validate=False)
+
+
+def test_exact_values_match_order_512_series():
+    rng = np.random.default_rng(5)
+    specs = sample_schwarz_specs(3, 6) + sample_schwarz_specs(4, 4, sp0=True)
+    for alpha, beta in EVAL_POINTS:
+        params = make_params(alpha, beta)
+        for spec in specs:
+            m = generate_member(params, spec, order=512, validate=False)
+            r = 0.9 * np.sqrt(rng.uniform(size=64))
+            zs = r * np.exp(2j * np.pi * rng.uniform(size=64))
+            p_err = np.abs(m.values("P", zs) - m.p_series().eval_at(zs, 0.9))
+            s_err = np.abs(m.values("S", zs) - m.s_series().eval_at(zs, 0.9))
+            assert np.max(p_err) < 5e-13 and np.max(s_err) < 1e-11, spec
+
+
+def _mp_p_and_s(p_of, z):
+    """P(z) and S(z) = P'(z) - P(z)^2/2 for an mpmath function P."""
+    p = p_of(z)
+    return p, mp.diff(p_of, z) - p * p / 2
+
+
+def _mp_g1(params):
+    e = mp.exp(-1j * mp.mpf(params.alpha))
+    return (e * (e - 2 * mp.mpf(params.beta) * mp.cos(mp.mpf(params.alpha))) + 1) / 2
+
+
+def test_exact_values_match_extended_precision_oracle():
+    with mp.workdps(50):
+        # the plane extremal at 2.1iii's witness z = -1/2, from f' alone
+        for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
+            params = make_params(alpha, beta)
+            m = extremal_member(params, "plane", 1.0, order=64)
+            fp = lambda t: (1 - t) ** (-mp.mpf(params.k))
+            want = _mp_p_and_s(lambda t: mp.diff(fp, t) / fp(t), mp.mpf(-0.5))
+            for q, w in zip("PS", want):
+                assert abs(m.values(q, -0.5) - complex(w)) < 1e-14 * max(1.0, abs(w))
+        # omega = z^2 and criterion 3's Blaschke witness at (pi/4, 0.25), each
+        # at its Schwarzian-norm argmax, from omega alone
+        params = make_params(math.pi / 4, 0.25)
+        g1 = _mp_g1(params)
+        for spec in (SchwarzSpec(kind="unit_constant_times_z", power=2), BLASCHKE_WITNESS):
+            m = generate_member(params, spec, order=64, validate=False)
+            z = norm_estimate(m, 2, ScanOpts(r_max=0.95)).argmax
+
+            def omega(t):
+                v = mp.mpc(spec.rotation) * t ** spec.vanishing_order()
+                for a in spec.zeros:
+                    if a != 0:
+                        a = mp.mpc(a)
+                        v *= (a - t) / (1 - mp.conj(a) * t)
+                return v
+
+            p_of = lambda t: 2 * g1 * (omega(t) / t) / (1 - omega(t))
+            want = _mp_p_and_s(p_of, mp.mpc(z))
+            for q, w in zip("PS", want):
+                assert abs(m.values(q, z) - complex(w)) < 1e-13 * max(1.0, abs(w)), (spec, q)
+
+
+def test_exact_values_finite_at_origin_and_blaschke_zeros():
+    specs = [s for s in sample_schwarz_specs(9, 12) if s.kind == "blaschke_product"]
+    specs += [BLASCHKE_WITNESS, SchwarzSpec(kind="polynomial", coeffs=(0, 0.5, 0.25))]
+    for alpha, beta in EVAL_POINTS:
+        params = make_params(alpha, beta)
+        for spec in specs:
+            m = generate_member(params, spec, order=16, validate=False)
+            zs = np.array([0j, *spec.zeros])
+            for q in ("P", "S"):
+                assert np.all(np.isfinite(m.values(q, zs))), (spec, q)
+
+
+def test_exact_values_scalar_matches_array_bit_for_bit():
+    params = make_params(math.pi / 4, 0.25)
+    members = [
+        generate_member(params, BLASCHKE_WITNESS, order=16, validate=False),
+        generate_member(params, sample_schwarz_specs(2, 1, kinds=["polynomial"])[0], order=16),
+        extremal_member(params, "disk_symmetric", 1j, order=16),
+    ]
+    offsets = np.linspace(-1.0, 1.0, 17)
+    patch = (0.7 + 0.05 * offsets)[:, None] * np.exp(1j * (0.4 + 0.1 * offsets))[None, :]
+    for m in members:
+        for q in ("P", "S"):
+            grid = m.values(q, patch)
+            assert grid.shape == (17, 17)
+            points = np.array([[m.values(q, z) for z in row] for row in patch])
+            assert np.array_equal(grid, points), (m.provenance, q)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from robertson_kit.robertson import (
     extremal_member,
     generate_member,
     make_params,
+    member_from_json,
+    member_to_json,
 )
 from robertson_kit.sampling import sample_schwarz_specs
 from robertson_kit.schwarzian import (
@@ -237,10 +239,22 @@ def test_norm_scan_monotone_in_radius():
 
 
 def test_tail_tolerance_unmet_for_low_order():
+    # a member read from JSON has only its series, so its tail is checked
     p = make_params(0, 0)
     m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=64)
     with pytest.raises(TailToleranceUnmet):
-        norm_estimate(m, 1, ScanOpts(r_max=0.95))
+        norm_estimate(member_from_json(member_to_json(m)), 1, ScanOpts(r_max=0.95))
+
+
+def test_norm_estimate_does_not_depend_on_series_order():
+    # generated members are scanned through their Schwarz data, not a series
+    params = make_params(math.pi / 4, 0.25)
+    spec = sample_schwarz_specs(20250810, 3, sp0=True)[2]
+    low, high = (generate_member(params, spec, order=n, validate=False) for n in (64, 512))
+    for w in (1, 2):
+        est = norm_estimate(low, w, ScanOpts(r_max=0.95))
+        assert est == norm_estimate(high, w, ScanOpts(r_max=0.95))
+        assert est.tail_error == 0.0
 
 
 def test_norm_estimate_json():
