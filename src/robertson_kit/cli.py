@@ -64,16 +64,8 @@ class RunConfig:
     out: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "a_co": self.a_co,
-            "order": self.order,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mode": self.mode,
-            "theorem": self.theorem,
-        }
+        """The run's inputs as the report records them, without r_max and out."""
+        return {k: v for k, v in vars(self).items() if k not in ("r_max", "out")}
 
 
 @dataclass
@@ -141,7 +133,7 @@ class RunCache:
     keyed by (member, weight, r_max), so AB reuses the scans of 2.4; the
     member part of the key is its identity, which is stable because the
     cache holds every member it hands out.  Growth envelopes depend only
-    on (params, radii), so check 2.2 computes them once for all members.
+    on (params, r), so check 2.2 computes them once for all members.
     A cache lives for one `cmd_verify` call, and none is kept between
     calls.
     """
@@ -191,10 +183,10 @@ class RunCache:
             self._norms[key] = norm_estimate(member, weight, ScanOpts(r_max=r_max))
         return self._norms[key]
 
-    def growth_envelopes(self, params: ClassParams, rs: np.ndarray) -> list:
-        key = (params, tuple(rs))
+    def growth_envelope(self, params: ClassParams, r: float) -> bounds.Envelope:
+        key = (params, float(r))
         if key not in self._growth:
-            self._growth[key] = [bounds.growth_envelope(params, float(r)) for r in rs]
+            self._growth[key] = bounds.growth_envelope(params, float(r))
         return self._growth[key]
 
 
@@ -274,24 +266,28 @@ def _pointwise_s_residual(m: MemberSeries, zs, w: dict):
     return b - (1 - np.abs(zs) ** 2) ** 2 * sv
 
 
-def _envelope_residual(m: MemberSeries, z: complex, w: dict) -> float:
-    """How far |f'(z)| or |f(z)| (w["kind"]) lies inside its envelope."""
+def _envelope_residual(m: MemberSeries, z: complex, w: dict, growth=None) -> float:
+    """How far |f'(z)| or |f(z)| lies inside its envelope; growth: a run's cache."""
     r = abs(z)
     if w["kind"] == "distortion":
         env = bounds.distortion_envelope(m.params, r)
         v = abs(m.values("fprime", z))
     else:
-        env = bounds.growth_envelope(m.params, r)
+        env = (growth or bounds.growth_envelope)(m.params, r)
         v = abs(m.f.eval_at(z, 0.95))
     return min(env.upper - v, v - env.lower)
 
 
 def _envelope_scan(m: MemberSeries, w: dict, cache: RunCache):
+    """The envelope margins by FFT circles; the witness's margin by its replay."""
     rs = chebyshev_radii(24, 0.9)
-    rep = bounds.envelope_check(m, rs, growth=cache.growth_envelopes(m.params, rs))
+    rep = bounds.envelope_check(m, rs, growth=[cache.growth_envelope(m.params, r) for r in rs])
     if rep.growth_min_margin < rep.distortion_min_margin:
-        return rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}
-    return rep.distortion_min_margin, rep.worst_z_distortion, 1, {"kind": "distortion"}
+        margin, z, kind = rep.growth_min_margin, rep.worst_z_growth, "growth"
+    else:
+        margin, z, kind = rep.distortion_min_margin, rep.worst_z_distortion, "distortion"
+    replay = _envelope_residual(m, z, {"kind": kind}, cache.growth_envelope)
+    return margin, z, 1, {"kind": kind, "margin": replay}
 
 
 def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:

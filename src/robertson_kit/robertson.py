@@ -125,18 +125,12 @@ class SchwarzSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "SchwarzSpec":
-        kind = d["kind"]
+        kind, rot = d["kind"], complex(*d.get("rotation", [1.0, 0.0]))
         if kind == "polynomial":
             return cls(kind, coeffs=tuple(complex(p[0], p[1]) for p in d["coeffs"]))
         if kind == "blaschke_product":
-            rot = complex(*d.get("rotation", [1.0, 0.0]))
-            return cls(
-                kind,
-                zeros=tuple(complex(p[0], p[1]) for p in d["zeros"]),
-                rotation=rot,
-            )
+            return cls(kind, zeros=tuple(complex(p[0], p[1]) for p in d["zeros"]), rotation=rot)
         if kind == "unit_constant_times_z":
-            rot = complex(*d.get("rotation", [1.0, 0.0]))
             return cls(kind, rotation=rot, power=int(d.get("power", 1)))
         raise ParamOutOfRange(f"unknown Schwarz kind {kind!r}")
 
@@ -180,6 +174,28 @@ def phi_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
     if abs(om.coeffs[0]) > 1e-14:
         raise NotASchwarzFunction("omega(0) != 0")
     return TruncatedSeries(om.coeffs[1:])
+
+
+def p_fraction(params: ClassParams, spec: SchwarzSpec):
+    """Coefficients of U and V, one longer, with P_f = U/V and V(0) = 1.
+
+    omega = num/den: rotation * z^s * prod (a - z) over prod (1 - conj(a) z)
+    for a Blaschke product, omega over 1 otherwise.  As in phi_series, phi =
+    (omega - omega(0))/z = N/den, so U = 2 G1 N and V = den - z N.
+    """
+    num, den = np.array([complex(spec.rotation)]), np.array([1 + 0j])
+    if spec.kind != "blaschke_product":  # omega is a polynomial; unknown kinds raise
+        num = omega_series(spec, max(len(spec.coeffs) - 1, spec.power)).coeffs
+    else:
+        for a in map(complex, spec.zeros):
+            if abs(a) <= 1e-14:  # a zero at the origin, as in omega_series
+                num = np.concatenate(([0j], num))
+            else:
+                num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
+    size = max(num.size, den.size, 2)
+    num, den = (np.pad(c, (0, size - c.size)) for c in (num, den))
+    n = (num - num[0] * den)[1:]
+    return 2 * params.g1 * n, den - np.concatenate(([0j], n))
 
 
 def phi_values(spec: SchwarzSpec, z: np.ndarray):
@@ -353,20 +369,20 @@ class MemberSeries:
                  schwarz: Optional[SchwarzSpec] = None, order: Optional[int] = None):
         self.params, self.provenance = params, provenance
         self.closed_form, self.schwarz = closed_form, schwarz
-        self.order = f.order if order is None else order
+        self.order = f_prime.order if order is None else order
+        # a member given no f' is generated: its series come from p_fraction
+        self._generated = f_prime is None
+        if f_prime is not None:
+            self.f_prime = f_prime
         if f is not None:
-            self.f, self.f_prime = f, f_prime
+            self.f = f
         self._p_series: Optional[TruncatedSeries] = None
         self._s_series: Optional[TruncatedSeries] = None
 
     @functools.cached_property
     def f_prime(self) -> TruncatedSeries:
-        """exp of the integral of f''/f' = 2 G1 phi/(1 - z phi), from the spec."""
-        phi = phi_series(self.provenance, self.order)
-        omega = TruncatedSeries(np.concatenate(([0.0 + 0.0j], phi.coeffs[: self.order])))
-        # P is integrated here and not cached: p_series() recovers it from
-        # f''/f', independently, which keeps the via-phi cross-checks meaningful
-        return ((phi * (2 * self.params.g1)) / (1 - omega)).integ(max_order=self.order).exp()
+        """exp of the integral of P_f = p_series(), at order N."""
+        return self.p_series().integ(max_order=self.order).exp()
 
     @functools.cached_property
     def f(self) -> TruncatedSeries:
@@ -376,16 +392,33 @@ class MemberSeries:
         return TruncatedSeries(cf)
 
     def p_series(self) -> TruncatedSeries:
-        """Series of the pre-Schwarzian P_f = f''/f'."""
+        """Series of P_f at order N - 1: U/V (p_fraction) if generated, else f''/f'."""
         if self._p_series is None:
-            self._p_series = self.f_prime.deriv() / self.f_prime
+            if not self._generated:
+                self._p_series = self.f_prime.deriv() / self.f_prime
+            else:
+                u, v = (TruncatedSeries(c[: self.order]).pad(self.order - 1)
+                        for c in p_fraction(self.params, self.provenance))
+                self._p_series = u / v
         return self._p_series
 
     def s_series(self) -> TruncatedSeries:
-        """Series of the Schwarzian S_f = P' - P^2/2."""
+        """Series of S_f = P' - P^2/2 at order N - 2.
+
+        If generated, W/V^2 with W = U'V - UV' - U^2/2, divided twice by V
+        (once by V^2 loses digits); else from the P series.
+        """
         if self._s_series is None:
-            p = self.p_series()
-            self._s_series = p.deriv() - p * p * 0.5
+            if not self._generated:
+                p = self.p_series()
+                self._s_series = p.deriv() - p * p * 0.5
+            else:
+                u, v = p_fraction(self.params, self.provenance)
+                zw = np.convolve(np.arange(u.size) * u, v) - np.convolve(u, np.arange(v.size) * v)
+                zw[1:] -= np.convolve(u, u) / 2  # z W = (z U') V - U (z V') - z U^2/2
+                n = self.order - 2
+                w, v = (TruncatedSeries(c[: n + 1]).pad(n) for c in (zw[1:], v))
+                self._s_series = w / v / v
         return self._s_series
 
     def exact(self, q: str):
@@ -434,9 +467,10 @@ def generate_member(
 ) -> MemberSeries:
     """The member generated by a Schwarz function.
 
-    P_f and S_f are evaluated exactly from the spec (schwarz_values); the
-    order-`order` series of f and f' are built on first access.  A
-    vanishing order >= 2 yields f''(0) = 0, i.e. an SP0 member.
+    P_f and S_f are evaluated exactly from the spec (schwarz_values); their
+    series and the order-`order` series of f and f' are built from
+    p_fraction on first access.  A vanishing order >= 2 yields f''(0) = 0,
+    i.e. an SP0 member.
     """
     if order < 8:
         raise ParamOutOfRange("series order must be >= 8")
@@ -444,7 +478,7 @@ def generate_member(
         validate_schwarz(spec)
     phi_series(spec, 0)  # NotASchwarzFunction when omega(0) != 0, unvalidated too
     # phi_values divides by no z, so it needs omega's zero at 0 as a factor;
-    # a product whose omega(0) only rounds to 0 keeps its series
+    # a product whose omega(0) only rounds to 0 is evaluated by its series
     exact = spec.kind == "polynomial" or spec.vanishing_order() >= 1
     return MemberSeries(params, spec, schwarz=spec if exact else None, order=order)
 
@@ -460,24 +494,13 @@ def extremal_member(
         raise ParamOutOfRange(f"unknown extremal variant {variant!r}")
     if abs(abs(lam) - 1) > 1e-12:
         raise ParamOutOfRange("lambda must be unimodular")
-    k = params.k
     base = np.zeros(order + 1, dtype=np.complex128)
-    base[0] = 1.0
-    if variant == "plane":
-        base[1] = -lam
-    else:
-        base[2] = -lam
-    f_prime = TruncatedSeries(base).pow(-k)
-    f = f_prime.integ(max_order=order)
-    cf = f.coeffs.copy()
-    cf[0] = 0.0
-    cf[1] = 1.0
+    base[0], base[1 if variant == "plane" else 2] = 1.0, -lam
     return MemberSeries(
-        f=TruncatedSeries(cf),
-        f_prime=f_prime,
+        f_prime=TruncatedSeries(base).pow(-params.k),
         params=params,
         provenance=f"extremal_{variant}",
-        closed_form=ClosedForm(variant=variant, lam=complex(lam), k=k),
+        closed_form=ClosedForm(variant=variant, lam=complex(lam), k=params.k),
     )
 
 
@@ -522,10 +545,11 @@ def subordination_membership_check(
     """Minimum of Re(e^{i*alpha}(1 + z P_f(z))) - beta cos(alpha) on the grid.
 
     A nonnegative minimum (up to -1e-9) certifies the defining inequality
-    at the sampled points.
+    at the sampled points.  Only a member evaluated by its P series has
+    that series' tail checked at r_max (RadiusExceeded above tail_tol).
     """
     pr = member.params
-    if member.closed_form is None:
+    if member.exact("P") is None:
         tb = member.p_series().tail_bound(grid.r_max)
         if tb > tail_tol:
             raise RadiusExceeded(

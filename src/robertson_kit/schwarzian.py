@@ -95,10 +95,6 @@ def schwarzian_via_phi(
     return (num * (2 * params.g1)) / den
 
 
-def eval_s(member: MemberSeries, z, r_trunc: float = 0.95):
-    return member.values("S", z, r_trunc)
-
-
 def s_on_circle(member: MemberSeries, r: float, n_angles: int):
     return member.on_circle("S", r, n_angles)
 
@@ -227,41 +223,4 @@ def norm_estimate(
         tail_error=float(tail_error),
         refinement_steps=steps,
         scan_gap=scan_gap,
-    )
-
-
-@dataclass(frozen=True)
-class NehariCertificates:
-    """Margins against the classical univalence thresholds.
-
-    necessary_margin = 6 - ||S_f|| (negative would contradict univalence);
-    sufficient_margin = 2 - ||S_f|| (positive certifies univalence);
-    qc_k = ||S_f||/2 is the quasiconformal-extension constant, reported
-    only when it does not exceed 1.
-    """
-
-    schwarzian_norm: NormEstimate
-    necessary_margin: float
-    sufficient_margin: float
-    qc_k: Optional[float]
-
-    def to_json(self) -> dict:
-        return {
-            "schwarzian_norm": self.schwarzian_norm.to_json(),
-            "necessary_margin": self.necessary_margin,
-            "sufficient_margin": self.sufficient_margin,
-            "qc_k": self.qc_k,
-        }
-
-
-def nehari_certificates(
-    member: MemberSeries, scan: ScanOpts = ScanOpts()
-) -> NehariCertificates:
-    est = norm_estimate(member, 2, scan)
-    qc = est.value / 2
-    return NehariCertificates(
-        schwarzian_norm=est,
-        necessary_margin=6 - est.value,
-        sufficient_margin=2 - est.value,
-        qc_k=qc if qc <= 1 else None,
     )

@@ -18,6 +18,7 @@ MAX_ORDER = 4096
 TOL_DIV = 1e-14
 COEFF_LIMIT = 1e100
 HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
+SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
 
 
 class SeriesError(Exception):
@@ -43,6 +44,34 @@ def _as_coeff_array(coeffs: Iterable[complex]) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise CoefficientOverflow("non-finite coefficient")
     return c
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a/b to the order of a by the O(N^2) recurrence; b is at least as long."""
+    q = np.zeros(a.size, dtype=np.complex128)
+    q[0] = a[0] / b[0]
+    for m in range(1, a.size):
+        q[m] = (a[m] - np.dot(b[1 : m + 1], q[m - 1 :: -1])) / b[0]
+    return q
+
+
+def _short_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a/b in O(N d) for a divisor of degree d = b.size - 1 in [1, SHORT_BLOCK).
+
+    Per block of SHORT_BLOCK coefficients, one np.convolve subtracts what the
+    d coefficients before the block contribute, and one with the leading
+    coefficients of 1/b solves the block; no FFT and no matrix product.
+    """
+    d = b.size - 1
+    unit = np.eye(1, SHORT_BLOCK, dtype=np.complex128)[0]
+    inv = _quotient(unit, np.pad(b, (0, SHORT_BLOCK - b.size)))
+    q = np.empty(a.size, dtype=np.complex128)
+    for k in range(0, a.size, SHORT_BLOCK):
+        r = a[k : k + SHORT_BLOCK].copy()
+        if k:
+            r[:d] -= np.convolve(b[1:], q[k - d : k])[d - 1 : d - 1 + r.size]
+        q[k : k + r.size] = np.convolve(inv[: r.size], r)[: r.size]
+    return q
 
 
 class TruncatedSeries:
@@ -128,15 +157,8 @@ class TruncatedSeries:
         return TruncatedSeries(-self._c)
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._guard()
-            other._guard()
-            a, b, _ = self._common(other)
-            return TruncatedSeries(a - b)
-        if isinstance(other, (int, float, complex, np.number)):
-            c = self._c.copy()
-            c[0] -= other
-            return TruncatedSeries(c)
+        if isinstance(other, (TruncatedSeries, int, float, complex, np.number)):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -166,11 +188,10 @@ class TruncatedSeries:
             raise DivisionByZeroConstantTerm(
                 "divisor constant term %r below tolerance" % b[0]
             )
-        q = np.zeros(n + 1, dtype=np.complex128)
-        q[0] = a[0] / b[0]
-        for m in range(1, n + 1):
-            q[m] = (a[m] - np.dot(b[1 : m + 1], q[m - 1 :: -1])) / b[0]
-        return TruncatedSeries(q)
+        d = int(np.flatnonzero(b)[-1])  # the divisor's degree
+        if d < SHORT_BLOCK < n:
+            return TruncatedSeries(_short_quotient(a, b[: d + 1]) if d else a / b[0])
+        return TruncatedSeries(_quotient(a, b))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float, complex, np.number)):

@@ -181,6 +181,15 @@ def test_witness_replay_every_check(tmp_path, alpha, beta):
             assert abs(replay_witness(w) - w["margin"]) < 1e-12, r["id"]
 
 
+def test_witness_replay_exact_at_defaults(tmp_path):
+    # every witness, 2.2's included, replays to its recorded margin bit for bit
+    out = tmp_path / "r.json"
+    assert main(["verify", "--theorem", "all", "--out", str(out)]) == 3
+    for r in json.loads(out.read_text())["checks"]:
+        if r["worst"] is not None:
+            assert replay_witness(r["worst"]) == r["worst"]["margin"], r["id"]
+
+
 def test_witness_replay_norm_check(tmp_path):
     out = tmp_path / "r.json"
     proc = run_cli(

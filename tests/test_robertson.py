@@ -217,12 +217,16 @@ def test_membership_margin_plane_extremal():
 
 
 def test_membership_requires_certified_radius():
+    # a member read from JSON has only its P series, whose tail is checked;
+    # the generated member it came from is evaluated exactly and needs none
     p = make_params(0, 0)
     m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=32)
     from robertson_kit.series import RadiusExceeded
 
     with pytest.raises(RadiusExceeded):
-        subordination_membership_check(m, GridSpec(r_max=0.9))
+        subordination_membership_check(member_from_json(member_to_json(m)), GridSpec(r_max=0.9))
+    rep = subordination_membership_check(m, GridSpec(r_max=0.9))
+    assert rep.min_margin >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +445,85 @@ def test_exact_values_scalar_matches_array_bit_for_bit():
             assert grid.shape == (17, 17)
             points = np.array([[m.values(q, z) for z in row] for row in patch])
             assert np.array_equal(grid, points), (m.provenance, q)
+
+
+# ---------------------------------------------------------------------------
+# series from the Schwarz data
+# ---------------------------------------------------------------------------
+
+POLY_SP0 = SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0.4, 0.3j, -0.2))
+
+
+def _mp_series(params, spec, order):
+    """P and S coefficients of a spec with omega(0) = 0 at 40 digits.
+
+    omega = num/den, so P = 2 G1 (num/z)/(den - num) = U/V and
+    S = P' - P^2/2 = (U'V - UV' - U^2/2)/V^2, each by the recurrence of a
+    division by a polynomial.
+    """
+
+    def mul(a, b):
+        out = [mp.mpc(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def div(a, b, n):
+        q = []
+        for m in range(n + 1):
+            s = sum((b[j] * q[m - j] for j in range(1, min(m, len(b) - 1) + 1)), mp.mpc(0))
+            q.append(((a[m] if m < len(a) else 0) - s) / b[0])
+        return np.array([complex(c) for c in q])
+
+    def sub(a, b):
+        return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                for i in range(max(len(a), len(b)))]
+
+    with mp.workdps(40):
+        num, den = [mp.mpc(c) for c in spec.coeffs], [mp.mpc(1)]
+        if spec.kind == "blaschke_product":
+            num = [mp.mpc(spec.rotation)]
+            for a in map(mp.mpc, spec.zeros):
+                num = [mp.mpc(0)] + num if a == 0 else mul(num, [a, -1])
+                den = den if a == 0 else mul(den, [1, -mp.conj(a)])
+        u, v = [2 * _mp_g1(params) * c for c in num[1:]], sub(den, num)
+        du, dv = [i * c for i, c in enumerate(u)][1:], [i * c for i, c in enumerate(v)][1:]
+        w = sub(sub(mul(du, v), mul(u, dv)), [c / 2 for c in mul(u, u)])
+        return div(u, v, order - 1), div(w, mul(v, v), order - 2)
+
+
+def test_series_match_extended_precision_recurrence():
+    params = make_params(math.pi / 4, 0.25)
+    for spec in (POLY_SP0, BLASCHKE_WITNESS):
+        m = generate_member(params, spec, order=512, validate=False)
+        want_p, want_s = _mp_series(params, spec, 512)
+        # measured: 1.5e-14 for P and S of the Blaschke witness
+        for got, want in ((m.p_series(), want_p), (m.s_series(), want_s)):
+            assert got.order == want.size - 1
+            err = np.max(np.abs(got.coeffs - want)) / np.max(np.abs(want))
+            assert err < 1e-13, (spec.kind, got.order, err)
+
+
+def test_series_from_spec_match_f_prime_route():
+    # f' = exp(int P) of the series P = U/V; P recovered from f' by f''/f'
+    # must agree, and the orders are N - 1 for P and N - 2 for S
+    specs = [
+        POLY_SP0,
+        BLASCHKE_WITNESS,
+        SchwarzSpec(kind="unit_constant_times_z", rotation=0.6 - 0.3j),
+        # omega(0) = 6e-15 only rounds to 0: no exact evaluator, same series
+        SchwarzSpec(kind="blaschke_product", zeros=(2e-14, 0.3 + 0.4j), rotation=0.6),
+    ]
+    for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
+        params = make_params(alpha, beta)
+        for spec in specs:
+            m = generate_member(params, spec, order=256, validate=False)
+            fp = m.f_prime
+            assert (fp.order, m.p_series().order, m.s_series().order) == (256, 255, 254)
+            assert (fp.deriv() / fp).max_abs_diff(m.p_series()) < 1e-12, spec
+            via = (phi_series(spec, 255) * (2 * params.g1)) / (1 - omega_series(spec, 255))
+            assert via.max_abs_diff(m.p_series()) < 1e-12, spec
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,7 @@ from robertson_kit.schwarzian import (
     NormEstimate,
     ScanOpts,
     TailToleranceUnmet,
-    eval_s,
     golden_max,
-    nehari_certificates,
     norm_estimate,
     schwarzian,
     schwarzian_via_phi,
@@ -101,7 +99,7 @@ def test_schwarzian_disk_extremal_closed_form():
         den = TruncatedSeries([1, 0, -1]).pad(96)
         oracle = num / (den * den)
         assert s.max_abs_diff(oracle) < 1e-10
-        assert abs(eval_s(m, 0.0) - 2 * k) < 1e-14
+        assert abs(m.values("S", 0.0) - 2 * k) < 1e-14
 
 
 def test_schwarzian_of_identity():
@@ -195,20 +193,24 @@ def test_golden_max_quadratic():
 
 
 def test_norm_of_identity_map():
-    m = identity_member(make_params(0.5, 0.5))
-    assert norm_estimate(m, 1).value < 1e-12
-    assert norm_estimate(m, 2).value < 1e-12
+    for alpha, beta in ((0.5, 0.5), (0.0, 0.0)):
+        m = identity_member(make_params(alpha, beta))
+        assert norm_estimate(m, 1).value < 1e-12
+        assert norm_estimate(m, 2).value < 1e-12
 
 
 def test_norm_disk_extremal_weights():
-    p = make_params(0, 0)
-    m = extremal_member(p, "disk_symmetric", 1.0, order=64)
-    e2 = norm_estimate(m, 2)
-    assert abs(e2.value - 2.0) < 5e-3
-    e1 = norm_estimate(m, 1)
-    assert abs(e1.value - 2.0) < 5e-3
-    assert e2.weight_exponent == 2 and e1.weight_exponent == 1
-    assert abs(e1.argmax) <= e1.r_max * (1 + 1e-12)
+    # (1-|z|^2)|P| -> 2k and (1-|z|^2)^2 |S| -> 2k(2-k): 2 and 2 at (0, 0),
+    # 1 and 1.5 at (0, 0.5)
+    for beta in (0.0, 0.5):
+        p = make_params(0, beta)
+        m = extremal_member(p, "disk_symmetric", 1.0, order=64)
+        e2 = norm_estimate(m, 2)
+        assert abs(e2.value - 2 * p.k * (2 - p.k)) < 5e-3
+        e1 = norm_estimate(m, 1)
+        assert abs(e1.value - 2 * p.k) < 5e-3
+        assert e2.weight_exponent == 2 and e1.weight_exponent == 1
+        assert abs(e1.argmax) <= e1.r_max * (1 + 1e-12)
 
 
 def test_norm_half_plane_map():
@@ -325,30 +327,3 @@ def test_norms_not_below_benchmark_reference():
             for weight, value in zip((1, 2), values):
                 est = norm_estimate(m, weight, ScanOpts(r_max=ref["r_max"]))
                 assert est.value >= value - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# univalence certificates
-# ---------------------------------------------------------------------------
-
-
-def test_nehari_identity_map():
-    cert = nehari_certificates(identity_member(make_params(0, 0)))
-    assert abs(cert.necessary_margin - 6) < 1e-9
-    assert abs(cert.sufficient_margin - 2) < 1e-9
-    assert cert.qc_k is not None and cert.qc_k < 1e-9
-
-
-def test_nehari_disk_extremal_boundary_case():
-    m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=64)
-    cert = nehari_certificates(m)
-    assert abs(cert.sufficient_margin) < 5e-3
-    assert cert.qc_k is not None and abs(cert.qc_k - 1.0) < 3e-3
-
-
-def test_nehari_half_order_extremal():
-    m = extremal_member(make_params(0, 0.5), "disk_symmetric", 1.0, order=64)
-    cert = nehari_certificates(m)
-    assert abs(cert.schwarzian_norm.value - 1.5) < 5e-3
-    assert abs(cert.sufficient_margin - 0.5) < 5e-3
-    assert abs(cert.qc_k - 0.75) < 3e-3

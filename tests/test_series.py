@@ -12,6 +12,7 @@ from robertson_kit.series import (
     DivisionByZeroConstantTerm,
     RadiusExceeded,
     TruncatedSeries,
+    _quotient,
     chebyshev_radii,
 )
 
@@ -59,6 +60,24 @@ def test_factorization_division():
 def test_division_by_zero_constant_term():
     with pytest.raises(DivisionByZeroConstantTerm):
         TruncatedSeries([1, 1]) / TruncatedSeries([0, 1])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 9, 63])
+def test_short_divisor_division_matches_recurrence(degree):
+    # a divisor of degree < 64 is divided in blocks of 64 coefficients; the
+    # O(N^2) recurrence that every longer divisor takes is the reference
+    rng = np.random.default_rng(degree)
+    order = 300  # not a multiple of the block
+    a = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    # b's zeros 1/c lie outside |z| = 1/0.7, so the coefficients of 1/b decay
+    cs = 0.7 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    b = np.array([1.2 + 0.1j])
+    for c in cs:
+        b = np.convolve(b, [1, -c])
+    divisor = TruncatedSeries(np.pad(b, (0, order - degree)))
+    want = _quotient(a, divisor.coeffs)
+    got = (TruncatedSeries(a) / divisor).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_division_roundtrip_exactness():
