@@ -327,3 +327,31 @@ def test_norms_not_below_benchmark_reference():
             for weight, value in zip((1, 2), values):
                 est = norm_estimate(m, weight, ScanOpts(r_max=ref["r_max"]))
                 assert est.value >= value - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Nehari thresholds: ||S_f|| <= 6 for univalent f; ||S_f|| <= 2 certifies
+# univalence, and ||S_f||/2 is then the quasiconformal-extension constant
+# ---------------------------------------------------------------------------
+
+
+def test_nehari_identity_map():
+    s_norm = norm_estimate(identity_member(make_params(0, 0)), 2).value
+    assert abs((6 - s_norm) - 6) < 1e-9
+    assert abs((2 - s_norm) - 2) < 1e-9
+    assert s_norm / 2 < 1e-9
+
+
+def test_nehari_disk_extremal_boundary_case():
+    m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=64)
+    s_norm = norm_estimate(m, 2).value
+    assert abs(2 - s_norm) < 5e-3
+    assert s_norm / 2 <= 1 and abs(s_norm / 2 - 1.0) < 3e-3
+
+
+def test_nehari_half_order_extremal():
+    m = extremal_member(make_params(0, 0.5), "disk_symmetric", 1.0, order=64)
+    s_norm = norm_estimate(m, 2).value
+    assert abs(s_norm - 1.5) < 5e-3
+    assert abs((2 - s_norm) - 0.5) < 5e-3
+    assert abs(s_norm / 2 - 0.75) < 3e-3
