@@ -68,25 +68,6 @@ def schwarzian_pointwise_bound(params: ClassParams, xi: float, r: float) -> floa
     return 2 * k * (2 + k * (xi + r) ** 2 / (1 - xi**2))
 
 
-def lemma_a_bound(phi0: float, r: float, variant: str = "literal") -> float:
-    """Upper bound on |phi(z)|^2 / (1 - |phi(z)|^2) for Schwarz-type phi.
-
-    variant "literal" uses the printed denominator (1-phi0)^2 (1-r^2);
-    variant "corrected" uses the standard hyperbolic form with
-    (1-phi0^2)(1-r^2), which is sharper and also certified by the suite.
-    """
-    if not 0 <= phi0 < 1:
-        raise ParamOutOfRange(f"phi0={phi0} outside [0, 1)")
-    if not 0 <= r < 1:
-        raise ParamOutOfRange(f"r={r} outside [0, 1)")
-    num = (phi0 + r) ** 2
-    if variant == "literal":
-        return num / ((1 - phi0) ** 2 * (1 - r**2))
-    if variant == "corrected":
-        return num / ((1 - phi0**2) * (1 - r**2))
-    raise ParamOutOfRange(f"unknown variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -199,11 +180,12 @@ def _is_sp0(member: MemberSeries) -> bool:
     return member.closed_form is not None and member.closed_form.variant == "disk_symmetric"
 
 
+ENVELOPE_ANGLES = 64  # points per circle in envelope_check
+
+
 def envelope_check(
     member: MemberSeries,
     radii: Optional[np.ndarray] = None,
-    n_angles: int = 64,
-    quad: QuadOpts = QuadOpts(),
     growth: Optional[Sequence[Envelope]] = None,
 ) -> EnvelopeReport:
     """Margins of a member against both envelopes over a polar grid.
@@ -211,8 +193,8 @@ def envelope_check(
     Requires an SP0 member (f''(0) = 0).  Margins are
     min(upper - value, value - lower); the least one over the grid is
     reported per envelope together with where it occurred.  growth, when
-    given, holds growth_envelope(member.params, r, quad) for each r in
-    radii; the growth envelope does not depend on the member, so callers
+    given, holds growth_envelope(member.params, r) for each r in radii;
+    the growth envelope does not depend on the member, so callers
     checking many members compute it once.
     """
     if not _is_sp0(member):
@@ -221,15 +203,15 @@ def envelope_check(
         radii = chebyshev_radii(24, 0.9)
     p = member.params
     if growth is None:
-        growth = [growth_envelope(p, float(r), quad) for r in radii]
+        growth = [growth_envelope(p, float(r)) for r in radii]
     best_d = math.inf
     best_g = math.inf
     z_d = 0j
     z_g = 0j
     for r, genv in zip(radii, growth, strict=True):
-        zs = circle(r, n_angles)
-        fp = np.abs(member.on_circle("fprime", r, n_angles))
-        fv = np.abs(member.f.eval_on_circle(r, n_angles))
+        zs = circle(r, ENVELOPE_ANGLES)
+        fp = np.abs(member.on_circle("fprime", r, ENVELOPE_ANGLES))
+        fv = np.abs(member.f.eval_on_circle(r, ENVELOPE_ANGLES))
         denv = distortion_envelope(p, float(r))
         dmarg = np.minimum(denv.upper - fp, fp - denv.lower)
         gmarg = np.minimum(genv.upper - fv, fv - genv.lower)
@@ -244,5 +226,5 @@ def envelope_check(
         growth_min_margin=best_g,
         worst_z_distortion=z_d,
         worst_z_growth=z_g,
-        samples=len(radii) * n_angles,
+        samples=len(radii) * ENVELOPE_ANGLES,
     )

@@ -537,6 +537,8 @@ def _write_csv(path: Optional[str], header: list[str], rows) -> int:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     params = make_params(args.alpha, args.beta)
+    if not args.step > 0:
+        raise robertson.ParamOutOfRange(f"step={args.step} must be positive")
     if args.what == "growth":
         rs = np.arange(0.0, args.rmax + 1e-12, args.step)
         header = ["r", "lower", "upper"]
@@ -592,7 +594,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 spec = SchwarzSpec.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, robertson.ParamOutOfRange) as exc:
             print(f"cannot read spec: {exc}", file=sys.stderr)
             return 2
         member = generate_member(params, spec, order=args.order)

@@ -242,15 +242,18 @@ def concavity_soundness_scan(
     )
 
 
+# sharpness_probe's default members, points per circle and coarse-scan radii
+PROBE_ROTATIONS = 16
+PROBE_SPECS = 24
+PROBE_ANGLES = 96
+PROBE_R_LO = 0.02
+PROBE_R_HI = 0.9
+
+
 @dataclass(frozen=True)
 class SearchOpts:
     seed: int = 0
     budget: int = 2000  # circle evaluations (member at one radius)
-    rotations: int = 16
-    sampled_specs: int = 24
-    theta_count: int = 96
-    r_lo: float = 0.02
-    r_hi: float = 0.9
     r_tol: float = 1e-6
     order: int = DEFAULT_ORDER
 
@@ -291,14 +294,16 @@ def sharpness_probe(
     member-circle evaluations and exhaustion returns the best-so-far with
     a flag.
     """
+    if search.budget < 0:
+        raise ParamOutOfRange(f"budget={search.budget} is negative")
     if specs is None:
         specs = [
             SchwarzSpec(
                 kind="unit_constant_times_z",
-                rotation=complex(np.exp(2j * np.pi * j / search.rotations)),
+                rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)),
             )
-            for j in range(search.rotations)
-        ] + sample_schwarz_specs(search.seed, search.sampled_specs, sp0=False)
+            for j in range(PROBE_ROTATIONS)
+        ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
     else:
         specs = list(specs)
     members = [
@@ -311,7 +316,7 @@ def sharpness_probe(
     def min_re_t(r: float) -> float:
         nonlocal evals, witness
         best = math.inf
-        zs = circle(r, search.theta_count)
+        zs = circle(r, PROBE_ANGLES)
         for i, m in enumerate(members):
             tv = t_values(m, setting, zs, r)
             evals += 1
@@ -324,7 +329,7 @@ def sharpness_probe(
 
     exhausted = False
     lo, hi = None, None
-    for r in np.linspace(search.r_lo, search.r_hi, 48):
+    for r in np.linspace(PROBE_R_LO, PROBE_R_HI, 48):
         if evals + len(members) > search.budget:
             exhausted = True
             break
@@ -335,7 +340,7 @@ def sharpness_probe(
 
     if hi is None:
         return ProbeResult(
-            empirical_radius=search.r_hi if not exhausted else (lo or search.r_lo),
+            empirical_radius=PROBE_R_HI if not exhausted else (lo or PROBE_R_LO),
             witness_spec=None,
             witness_z=0j,
             evaluations=evals,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -26,6 +27,8 @@ import numpy as np
 
 from .series import (
     DEFAULT_ORDER,
+    MAX_ORDER,
+    TAIL_TOL,
     RadiusExceeded,
     TruncatedSeries,
     chebyshev_radii,
@@ -87,7 +90,8 @@ class SchwarzSpec:
     over `zeros`; zeros at the origin contribute plain factors of z, and the
     spec is a Schwarz function by construction when all |a| < 1 and
     |rotation| <= 1.
-    kind "unit_constant_times_z": omega(z) = rotation * z**power.
+    kind "unit_constant_times_z": omega(z) = rotation * z**power, the
+    product with `power` zeros at the origin.
     """
 
     kind: str
@@ -96,6 +100,19 @@ class SchwarzSpec:
     rotation: complex = 1.0 + 0.0j
     power: int = 1
 
+    def product(self) -> tuple[complex, int, tuple]:
+        """(rotation, s, zeros) with omega = rotation * z^s * prod (a - z)/(1 - conj(a) z).
+
+        The product form of every kind but "polynomial"; a zero with
+        |a| <= 1e-14 counts in s, and `zeros` holds the others.
+        """
+        if self.kind == "unit_constant_times_z":
+            return complex(self.rotation), self.power, ()
+        if self.kind == "blaschke_product":
+            far = tuple(complex(a) for a in self.zeros if abs(a) > 1e-14)
+            return complex(self.rotation), len(self.zeros) - len(far), far
+        raise ParamOutOfRange(f"unknown Schwarz kind {self.kind!r}")
+
     def vanishing_order(self) -> int:
         """Order of the zero of omega at 0 (0 when omega(0) != 0)."""
         if self.kind == "polynomial":
@@ -103,11 +120,7 @@ class SchwarzSpec:
                 if abs(c) > 0:
                     return i
             return len(self.coeffs)
-        if self.kind == "blaschke_product":
-            return sum(1 for a in self.zeros if abs(a) <= 1e-14)
-        if self.kind == "unit_constant_times_z":
-            return self.power
-        raise ParamOutOfRange(f"unknown Schwarz kind {self.kind!r}")
+        return self.product()[1]
 
     # -- JSON wire format --------------------------------------------------
 
@@ -124,77 +137,76 @@ class SchwarzSpec:
         return d
 
     @classmethod
-    def from_json(cls, d: dict) -> "SchwarzSpec":
-        kind, rot = d["kind"], complex(*d.get("rotation", [1.0, 0.0]))
+    def from_json(cls, d) -> "SchwarzSpec":
+        """The spec a to_json dict describes; ParamOutOfRange if malformed."""
+
+        def number(p) -> complex:  # an [re, im] pair of JSON numbers that are finite floats
+            if not (isinstance(p, list) and len(p) == 2 and all(
+                    type(x) in (int, float) and abs(x) <= sys.float_info.max for x in p)):
+                raise ParamOutOfRange(f"{p!r} is not an [re, im] pair of finite numbers")
+            return complex(*p)
+
+        def numbers(key: str) -> tuple:
+            pairs = d.get(key)
+            return tuple(map(number, pairs if isinstance(pairs, list) else [pairs]))
+
+        if not isinstance(d, dict):
+            raise ParamOutOfRange(f"a Schwarz spec is a JSON object, not {d!r}")
+        kind, power = d.get("kind"), d.get("power", 1)
         if kind == "polynomial":
-            return cls(kind, coeffs=tuple(complex(p[0], p[1]) for p in d["coeffs"]))
+            return cls(kind, coeffs=numbers("coeffs"))
+        rot = number(d.get("rotation", [1.0, 0.0]))
         if kind == "blaschke_product":
-            return cls(kind, zeros=tuple(complex(p[0], p[1]) for p in d["zeros"]), rotation=rot)
-        if kind == "unit_constant_times_z":
-            return cls(kind, rotation=rot, power=int(d.get("power", 1)))
-        raise ParamOutOfRange(f"unknown Schwarz kind {kind!r}")
+            return cls(kind, zeros=numbers("zeros"), rotation=rot)
+        if kind != "unit_constant_times_z":
+            raise ParamOutOfRange(f"unknown Schwarz kind {kind!r}")
+        if type(power) is not int or power > MAX_ORDER:
+            raise ParamOutOfRange(f"power={power!r} is not an integer <= {MAX_ORDER}")
+        return cls(kind, rotation=rot, power=power)
 
 
 def omega_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
     """Taylor expansion of omega to the given order."""
+    c = np.zeros(order + 1, dtype=np.complex128)
     if spec.kind == "polynomial":
-        c = np.zeros(order + 1, dtype=np.complex128)
         upto = min(len(spec.coeffs), order + 1)
         c[:upto] = np.asarray(spec.coeffs[:upto], dtype=np.complex128)
         return TruncatedSeries(c)
-    if spec.kind == "unit_constant_times_z":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        if spec.power <= order:
-            c[spec.power] = spec.rotation
-        return TruncatedSeries(c)
-    if spec.kind == "blaschke_product":
-        acc = TruncatedSeries.constant(spec.rotation, order)
-        shift = 0
-        for a in spec.zeros:
-            a = complex(a)
-            if abs(a) <= 1e-14:
-                shift += 1
-                continue
-            # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum conj(a)^{n-1} z^n
-            fac = np.empty(order + 1, dtype=np.complex128)
-            fac[0] = a
-            fac[1:] = (abs(a) ** 2 - 1) * np.conj(a) ** np.arange(order)
-            acc = acc * TruncatedSeries(fac)
-        if shift:
-            c = np.zeros(order + 1, dtype=np.complex128)
-            c[shift:] = acc.coeffs[: order + 1 - shift]
-            acc = TruncatedSeries(c)
-        return acc
-    raise ParamOutOfRange(f"unknown Schwarz kind {spec.kind!r}")
+    rotation, s, zeros = spec.product()
+    acc = TruncatedSeries.constant(rotation, order)
+    for a in zeros:
+        # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum conj(a)^{n-1} z^n
+        fac = np.empty(order + 1, dtype=np.complex128)
+        fac[0] = a
+        fac[1:] = (abs(a) ** 2 - 1) * np.conj(a) ** np.arange(order)
+        acc = acc * TruncatedSeries(fac)
+    c[s:] = acc.coeffs[: max(order + 1 - s, 0)]
+    return TruncatedSeries(c)
 
 
 def phi_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
-    """Series of phi = omega / z (omega must vanish at 0)."""
-    om = omega_series(spec, order + 1)
-    if abs(om.coeffs[0]) > 1e-14:
-        raise NotASchwarzFunction("omega(0) != 0")
-    return TruncatedSeries(om.coeffs[1:])
+    """Series of phi = omega / z; omega must vanish at 0 (require_vanishing)."""
+    require_vanishing(spec)
+    return TruncatedSeries(omega_series(spec, order + 1).coeffs[1:])
 
 
 def p_fraction(params: ClassParams, spec: SchwarzSpec):
     """Coefficients of U and V, one longer, with P_f = U/V and V(0) = 1.
 
-    omega = num/den: rotation * z^s * prod (a - z) over prod (1 - conj(a) z)
-    for a Blaschke product, omega over 1 otherwise.  As in phi_series, phi =
-    (omega - omega(0))/z = N/den, so U = 2 G1 N and V = den - z N.
+    omega = num/den: a polynomial over 1, or rotation * z^s * prod (a - z)
+    over prod (1 - conj(a) z).  omega must vanish at 0, so phi = omega/z =
+    N/den with N = num[1:], U = 2 G1 N and V = den - z N.
     """
-    num, den = np.array([complex(spec.rotation)]), np.array([1 + 0j])
-    if spec.kind != "blaschke_product":  # omega is a polynomial; unknown kinds raise
-        num = omega_series(spec, max(len(spec.coeffs) - 1, spec.power)).coeffs
-    else:
-        for a in map(complex, spec.zeros):
-            if abs(a) <= 1e-14:  # a zero at the origin, as in omega_series
-                num = np.concatenate(([0j], num))
-            else:
-                num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
+    num, den = np.array(spec.coeffs, dtype=np.complex128), np.array([1 + 0j])
+    if spec.kind != "polynomial":
+        rotation, s, zeros = spec.product()
+        num = np.array([rotation])
+        for a in zeros:
+            num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
+        num = np.concatenate((np.zeros(s, dtype=np.complex128), num))
     size = max(num.size, den.size, 2)
     num, den = (np.pad(c, (0, size - c.size)) for c in (num, den))
-    n = (num - num[0] * den)[1:]
+    n = num[1:]
     return 2 * params.g1 * n, den - np.concatenate(([0j], n))
 
 
@@ -202,8 +214,8 @@ def phi_values(spec: SchwarzSpec, z: np.ndarray):
     """phi = omega/z and phi' at the points of a 1-d array, from the spec.
 
     A polynomial runs Horner for the value and the derivative together.  A
-    Blaschke product or rotated monomial is rotation * z^(s-1) * prod b_a
-    over its s >= 1 zeros at the origin and its other zeros a, with
+    product (SchwarzSpec.product) is rotation * z^(s-1) * prod b_a over its
+    s >= 1 zeros at the origin and its other zeros a, with
     b_a = (a - z)/(1 - conj(a) z), b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2; the
     product rule streams over the factors and divides by no z and no b_a.
     """
@@ -215,9 +227,8 @@ def phi_values(spec: SchwarzSpec, z: np.ndarray):
             dv = dv * z + v
             v = v * z + cj
         return v, dv
-    s = spec.vanishing_order()
-    zeros = [complex(a) for a in spec.zeros if abs(a) > 1e-14]
-    v = np.full(z.shape, complex(spec.rotation))
+    rotation, s, zeros = spec.product()
+    v = np.full(z.shape, rotation)
     dv = np.zeros_like(z)
     for _ in range(s - 1):
         dv = dv * z + v
@@ -251,52 +262,49 @@ class SchwarzValidation:
     vanishing_order: int
 
 
-def validate_schwarz(
-    spec: SchwarzSpec,
-    n_radial: int = 256,
-    n_angular: int = 256,
-    r: float = 0.999,
-    margin: float = 1e-9,
-) -> SchwarzValidation:
-    """Check that the spec describes a Schwarz function; raise otherwise.
+# the polar grid that validates a polynomial spec, and the least distance
+# from the unit circle its grid maximum must keep
+VALIDATION_RADII = 256
+VALIDATION_ANGLES = 256
+VALIDATION_R = 0.999
+VALIDATION_MARGIN = 1e-9
 
-    Polynomial specs are validated numerically on an n_radial x n_angular
-    polar grid out to radius r; Blaschke products and rotated monomials are
-    exact by construction and only have their parameters range-checked.
-    """
+
+def require_vanishing(spec: SchwarzSpec) -> int:
+    """The vanishing order of omega at 0; NotASchwarzFunction if below 1."""
     vo = spec.vanishing_order()
     if vo < 1:
         raise NotASchwarzFunction("omega must vanish at 0")
+    return vo
+
+
+def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
+    """Check that the spec describes a Schwarz function; raise otherwise.
+
+    Polynomial specs are validated numerically on a VALIDATION_RADII x
+    VALIDATION_ANGLES polar grid out to radius VALIDATION_R; products are
+    exact by construction and only have their zeros and rotation
+    range-checked.
+    """
+    vo = require_vanishing(spec)
     if spec.kind == "polynomial":
         om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
-        radii = chebyshev_radii(n_radial, r)
         grid_max = 0.0
-        for rad in radii:
-            vals = om.eval_on_circle(rad, n_angular)
+        for rad in chebyshev_radii(VALIDATION_RADII, VALIDATION_R):
+            vals = om.eval_on_circle(rad, VALIDATION_ANGLES)
             grid_max = max(grid_max, float(np.max(np.abs(vals))))
-        if grid_max >= 1 - margin:
+        if grid_max >= 1 - VALIDATION_MARGIN:
             raise NotASchwarzFunction(
                 f"grid max |omega| = {grid_max:.12f} reaches the unit circle"
             )
         return SchwarzValidation(grid_max=grid_max, vanishing_order=vo)
-    if spec.kind == "blaschke_product":
-        for a in spec.zeros:
-            if abs(a) >= 1:
-                raise NotASchwarzFunction(f"Blaschke zero {a!r} outside the disk")
-        if abs(spec.rotation) > 1 + 1e-12:
-            raise NotASchwarzFunction("rotation factor exceeds the unit circle")
-        return SchwarzValidation(
-            grid_max=min(abs(spec.rotation), 1.0), vanishing_order=vo
-        )
-    if spec.kind == "unit_constant_times_z":
-        if abs(spec.rotation) > 1 + 1e-12:
-            raise NotASchwarzFunction("constant factor exceeds the unit circle")
-        if spec.power < 1:
-            raise NotASchwarzFunction("power must be >= 1")
-        return SchwarzValidation(
-            grid_max=min(abs(spec.rotation), 1.0), vanishing_order=vo
-        )
-    raise ParamOutOfRange(f"unknown Schwarz kind {spec.kind!r}")
+    rotation, _, zeros = spec.product()
+    for a in zeros:
+        if not abs(a) < 1:
+            raise NotASchwarzFunction(f"Blaschke zero {a!r} outside the disk")
+    if not abs(rotation) <= 1 + 1e-12:
+        raise NotASchwarzFunction("rotation factor exceeds the unit circle")
+    return SchwarzValidation(grid_max=min(abs(rotation), 1.0), vanishing_order=vo)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +369,7 @@ class MemberSeries:
     and S_f ("S"); exact(q) picks, in one place, the closed form
     (extremals), the Schwarz data `schwarz` (generated members) or the
     series (members read from JSON or built by hand).  The series of f and
-    f' are given, or built from the generating spec on first access.
+    f' are given, or built from `schwarz` on first access.
     """
 
     def __init__(self, params: ClassParams, provenance: Provenance, f=None, f_prime=None,
@@ -370,8 +378,6 @@ class MemberSeries:
         self.params, self.provenance = params, provenance
         self.closed_form, self.schwarz = closed_form, schwarz
         self.order = f_prime.order if order is None else order
-        # a member given no f' is generated: its series come from p_fraction
-        self._generated = f_prime is None
         if f_prime is not None:
             self.f_prime = f_prime
         if f is not None:
@@ -394,11 +400,11 @@ class MemberSeries:
     def p_series(self) -> TruncatedSeries:
         """Series of P_f at order N - 1: U/V (p_fraction) if generated, else f''/f'."""
         if self._p_series is None:
-            if not self._generated:
+            if self.schwarz is None:
                 self._p_series = self.f_prime.deriv() / self.f_prime
             else:
                 u, v = (TruncatedSeries(c[: self.order]).pad(self.order - 1)
-                        for c in p_fraction(self.params, self.provenance))
+                        for c in p_fraction(self.params, self.schwarz))
                 self._p_series = u / v
         return self._p_series
 
@@ -409,11 +415,11 @@ class MemberSeries:
         (once by V^2 loses digits); else from the P series.
         """
         if self._s_series is None:
-            if not self._generated:
+            if self.schwarz is None:
                 p = self.p_series()
                 self._s_series = p.deriv() - p * p * 0.5
             else:
-                u, v = p_fraction(self.params, self.provenance)
+                u, v = p_fraction(self.params, self.schwarz)
                 zw = np.convolve(np.arange(u.size) * u, v) - np.convolve(u, np.arange(v.size) * v)
                 zw[1:] -= np.convolve(u, u) / 2  # z W = (z U') V - U (z V') - z U^2/2
                 n = self.order - 2
@@ -469,18 +475,17 @@ def generate_member(
 
     P_f and S_f are evaluated exactly from the spec (schwarz_values); their
     series and the order-`order` series of f and f' are built from
-    p_fraction on first access.  A vanishing order >= 2 yields f''(0) = 0,
-    i.e. an SP0 member.
+    p_fraction on first access.  Unvalidated too, omega must vanish at 0
+    (require_vanishing).  A vanishing order >= 2 yields f''(0) = 0, i.e. an
+    SP0 member.
     """
     if order < 8:
         raise ParamOutOfRange("series order must be >= 8")
     if validate:
         validate_schwarz(spec)
-    phi_series(spec, 0)  # NotASchwarzFunction when omega(0) != 0, unvalidated too
-    # phi_values divides by no z, so it needs omega's zero at 0 as a factor;
-    # a product whose omega(0) only rounds to 0 is evaluated by its series
-    exact = spec.kind == "polynomial" or spec.vanishing_order() >= 1
-    return MemberSeries(params, spec, schwarz=spec if exact else None, order=order)
+    else:
+        require_vanishing(spec)
+    return MemberSeries(params, spec, schwarz=spec, order=order)
 
 
 def extremal_member(
@@ -540,20 +545,20 @@ class MarginReport:
 
 
 def subordination_membership_check(
-    member: MemberSeries, grid: GridSpec = GridSpec(), tail_tol: float = 1e-6
+    member: MemberSeries, grid: GridSpec = GridSpec()
 ) -> MarginReport:
     """Minimum of Re(e^{i*alpha}(1 + z P_f(z))) - beta cos(alpha) on the grid.
 
     A nonnegative minimum (up to -1e-9) certifies the defining inequality
     at the sampled points.  Only a member evaluated by its P series has
-    that series' tail checked at r_max (RadiusExceeded above tail_tol).
+    that series' tail checked at r_max (RadiusExceeded above TAIL_TOL).
     """
     pr = member.params
     if member.exact("P") is None:
         tb = member.p_series().tail_bound(grid.r_max)
-        if tb > tail_tol:
+        if tb > TAIL_TOL:
             raise RadiusExceeded(
-                f"pre-Schwarzian tail {tb:.3e} at r={grid.r_max} above {tail_tol}"
+                f"pre-Schwarzian tail {tb:.3e} at r={grid.r_max} above {TAIL_TOL}"
             )
     zs = polar_grid(chebyshev_radii(grid.n_radii, grid.r_max), grid.n_angles).ravel()
     pv = member.values("P", zs, grid.r_max)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .robertson import ClassParams, MemberSeries, SchwarzSpec, generate_member
+from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec, generate_member
 from .series import DEFAULT_ORDER
 
 BLASCHKE_ZERO_RADIUS = 0.8
@@ -58,6 +58,8 @@ def sample_schwarz_spec(
 def sample_schwarz_specs(
     seed: int, count: int, sp0: bool = False, kinds: Optional[Sequence[str]] = None
 ) -> list[SchwarzSpec]:
+    if count < 0:
+        raise ParamOutOfRange(f"sample count {count} is negative")
     rng = np.random.default_rng(seed)
     specs = []
     for i in range(count):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .series import TruncatedSeries, chebyshev_radii
+from .series import TAIL_TOL, TruncatedSeries, chebyshev_radii
 from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
 from .robertson import phi_series, polar_grid
 
@@ -39,7 +39,6 @@ class ScanOpts:
     angular: int = 256
     r_max: Optional[float] = None
     refine_tol: float = 1e-10
-    tail_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,9 @@ def norm_estimate(
     if member.exact("P") is None:
         series = member.p_series() if weight_exponent == 1 else member.s_series()
         tail_error = series.tail_bound(r_max)
-        if tail_error > opts.tail_tol:
+        if tail_error > TAIL_TOL:
             raise TailToleranceUnmet(
-                f"series tail {tail_error:.3e} at r={r_max} above {opts.tail_tol:.1e}"
+                f"series tail {tail_error:.3e} at r={r_max} above {TAIL_TOL:.1e}"
             )
 
     radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)

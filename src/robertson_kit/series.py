@@ -17,6 +17,7 @@ DEFAULT_ORDER = 256
 MAX_ORDER = 4096
 TOL_DIV = 1e-14
 COEFF_LIMIT = 1e100
+TAIL_TOL = 1e-6  # the largest tail bound a series may carry where it is evaluated
 HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
 SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
 

@@ -15,7 +15,6 @@ from robertson_kit.bounds import (
     envelope_check,
     growth_envelope,
     growth_oracle,
-    lemma_a_bound,
     pre_norm_bound,
     schwarzian_norm_bound,
     schwarzian_pointwise_bound,
@@ -104,40 +103,6 @@ def test_pointwise_bound_values():
     assert abs(schwarzian_pointwise_bound(p1, 0.0, 1 - 1e-12) - 6.0) < 1e-9
     with pytest.raises(XiOutOfRange):
         schwarzian_pointwise_bound(p1, 1.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# the Schwarz-function lemma
-# ---------------------------------------------------------------------------
-
-
-def test_lemma_a_values():
-    for r in (0.0, 0.3, 0.9):
-        assert abs(lemma_a_bound(0.0, r) - r**2 / (1 - r**2)) < 1e-15
-    assert lemma_a_bound(0.0, 0.0) == 0.0
-    assert abs(lemma_a_bound(0.5, 0.5, "literal") - 16 / 3) < 1e-12
-    assert abs(lemma_a_bound(0.5, 0.5, "corrected") - 16 / 9) < 1e-12
-    with pytest.raises(ParamOutOfRange):
-        lemma_a_bound(1.0, 0.5)
-
-
-def test_lemma_a_bounds_seeded_schwarz_functions():
-    # both variants upper-bound |phi|^2/(1-|phi|^2); the corrected one is
-    # sharper, so certifying it certifies the printed one as well
-    rng = np.random.default_rng(6)
-    pts = 0.92 * np.sqrt(rng.uniform(size=1000)) * np.exp(
-        2j * np.pi * rng.uniform(size=1000)
-    )
-    for spec in sample_schwarz_specs(77, 100):
-        om = omega_series(spec, 256)
-        phi = type(om)(om.coeffs[1:])
-        vals = phi.eval_at(pts, 0.93)
-        phi0 = abs(complex(phi.coeffs[0]))
-        lhs = np.abs(vals) ** 2 / (1 - np.abs(vals) ** 2)
-        rhs = np.array(
-            [lemma_a_bound(phi0, float(r), "corrected") for r in np.abs(pts)]
-        )
-        assert np.max(lhs - rhs) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,35 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        ('{"kind": "blaschke_product", "zeros": [[1]]}', None),
+        ('{"kind": "polynomial", "coeffs": [["a", 0]]}', None),
+        ("[1, 2]", None),
+        ('{"kind": "unit_constant_times_z", "power": "x"}', None),
+        ('{"kind": "unit_constant_times_z", "power": 100000}', None),
+        ('{"kind": "polynomial", "coeffs": [[0, 0], [NaN, 0]]}', None),
+        ('{"kind": "unit_constant_times_z", "rotation": [NaN, 0]}', None),
+        ('{"kind": "polynomial", "coeffs": [[0, 0], [1e400, 0]]}', None),
+        ('{"kind": "polynomial", "coeffs": [[0, 0], [1%s, 0]]}' % ("0" * 400), None),
+        (None, ["emit", "growth", "--step", "0"]),
+        (None, ["emit", "phi", "--step", "0"]),
+        (None, ["emit", "phi", "--step", "nan"]),
+        (None, ["verify", "--samples", "-1"]),
+        (None, ["radii", "probe", "--budget", "-1"]),
+    ],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, spec, argv):
+    # in process: an exception that escapes main fails the test
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        argv = ["emit", "member", "--spec", str(path)]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_emit_norm_json():
     proc = run_cli(
         "emit", "norm", "--alpha", "0", "--beta", "0.5",

@@ -356,9 +356,34 @@ def test_generate_unvalidated_rejects_nonzero_omega_at_origin():
     for spec in (
         SchwarzSpec(kind="polynomial", coeffs=(0.1, 0.5)),
         SchwarzSpec(kind="blaschke_product", zeros=(0.5, 0.3j), rotation=1.0),
+        # omega(0) = 6e-15 only rounds to 0: the validator's rule, no origin zero
+        SchwarzSpec(kind="blaschke_product", zeros=(2e-14, 0.3 + 0.4j), rotation=0.6),
     ):
         with pytest.raises(NotASchwarzFunction):
             generate_member(p, spec, order=16, validate=False)
+
+
+def test_rotated_monomial_is_the_product_with_origin_zeros():
+    # rotation * z^p and the Blaschke product with p zeros at 0 give the same bits
+    zs = 0.9 * np.exp(2j * np.pi * np.arange(32) / 32) * np.linspace(0.1, 1, 32)
+    for alpha, beta in EVAL_POINTS:
+        params = make_params(alpha, beta)
+        for power, rotation in ((1, 1.0), (2, -1.0), (3, 0.6 - 0.8j)):
+            mono = SchwarzSpec(kind="unit_constant_times_z", rotation=rotation, power=power)
+            prod = SchwarzSpec(kind="blaschke_product", zeros=(0j,) * power, rotation=rotation)
+            assert mono.product() == prod.product()
+            m1, m2 = (generate_member(params, s, order=64) for s in (mono, prod))
+            for q in "PS":
+                assert np.array_equal(m1.values(q, zs), m2.values(q, zs))
+            assert np.array_equal(m1.p_series().coeffs, m2.p_series().coeffs)
+            assert np.array_equal(m1.s_series().coeffs, m2.s_series().coeffs)
+
+
+def test_omega_series_with_more_origin_zeros_than_its_order():
+    spec = SchwarzSpec(kind="blaschke_product", zeros=(0j,) * 5 + (0.5,), rotation=1j)
+    for order in (3, 4):
+        assert np.array_equal(omega_series(spec, order).coeffs, np.zeros(order + 1))
+    assert np.array_equal(omega_series(spec, 5).coeffs, [0, 0, 0, 0, 0, 0.5j])
 
 
 def test_exact_values_match_order_512_series():
@@ -512,8 +537,6 @@ def test_series_from_spec_match_f_prime_route():
         POLY_SP0,
         BLASCHKE_WITNESS,
         SchwarzSpec(kind="unit_constant_times_z", rotation=0.6 - 0.3j),
-        # omega(0) = 6e-15 only rounds to 0: no exact evaluator, same series
-        SchwarzSpec(kind="blaschke_product", zeros=(2e-14, 0.3 + 0.4j), rotation=0.6),
     ]
     for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
         params = make_params(alpha, beta)

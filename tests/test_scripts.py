@@ -1,11 +1,18 @@
-"""The scripts import: every package name they use still exists."""
+"""The scripts import, and the benchmark's tracer finds every name it wraps."""
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from robertson_kit import cli, robertson, schwarzian
+from robertson_kit.robertson import SchwarzSpec, generate_member, make_params
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("name", ["norm_tables", "reproduce_findings"])
@@ -13,3 +20,27 @@ def test_script_imports(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # each script's entry point is guarded
+
+
+def test_benchmark_tracer_wraps_existing_names(monkeypatch):
+    # perfbench/tracing.py wraps program functions and methods by name for
+    # traced benchmark runs; a renamed one fails here, not only in those runs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    added = [name for name in ("tracing", "workloads", "gates") if name not in sys.modules]
+    try:
+        tracing = importlib.import_module("tracing")
+        originals = (cli.generate_member, cli.norm_estimate, robertson.MemberSeries.p_series)
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            m = cli.generate_member(make_params(0, 0), SchwarzSpec("polynomial", (0, 0, 0.5)), 16)
+            m.p_series()
+            schwarzian.schwarzian(m)
+        assert (cli.generate_member, cli.norm_estimate, robertson.MemberSeries.p_series) == originals
+        assert cli.generate_member is generate_member
+        names = {span[0] for span in tracer.spans}
+        assert {"robertson.generate_member", "robertson.p_series",
+                "schwarzian.schwarzian"} <= names
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
