@@ -537,10 +537,13 @@ def _write_csv(path: Optional[str], header: list[str], rows) -> int:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     params = make_params(args.alpha, args.beta)
-    if not args.step > 0:
-        raise robertson.ParamOutOfRange(f"step={args.step} must be positive")
-    if args.what == "growth":
+    if not 0 < args.step < math.inf:
+        raise robertson.ParamOutOfRange(f"step={args.step} must be positive and finite")
+    if args.what in ("growth", "distortion"):
+        if not 0 <= args.rmax < 1:
+            raise robertson.ParamOutOfRange(f"rmax={args.rmax} outside [0, 1)")
         rs = np.arange(0.0, args.rmax + 1e-12, args.step)
+    if args.what == "growth":
         header = ["r", "lower", "upper"]
         oracle = bounds.growth_oracle(params, 0.0) is not None
         if oracle:
@@ -555,7 +558,6 @@ def cmd_emit(args: argparse.Namespace) -> int:
             rows.append(row)
         return _write_csv(args.out, header, rows)
     if args.what == "distortion":
-        rs = np.arange(0.0, args.rmax + 1e-12, args.step)
         members = (
             sampling.sample_members(
                 params, args.samples, args.seed, sp0=True, order=args.order

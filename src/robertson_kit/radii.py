@@ -36,6 +36,8 @@ from .robertson import (
     circle,
     generate_member,
     polar_grid,
+    schwarz_values,
+    stack_specs,
 )
 from .sampling import sample_schwarz_specs
 from .series import DEFAULT_ORDER, chebyshev_radii
@@ -92,8 +94,12 @@ class RadiusResult:
 def t_values(member: MemberSeries, setting: ConcavitySetting, z, r_trunc=0.95):
     """T_f at a point or array of points."""
     zs = np.asarray(z, dtype=np.complex128)
+    return t_from_p(setting, zs, member.values("P", zs, r_trunc))
+
+
+def t_from_p(setting: ConcavitySetting, zs: np.ndarray, p):
+    """T_f at zs from P_f there; p may stack rows over zs."""
     a = setting.a_co
-    p = member.values("P", zs, r_trunc)
     return (2 / (a - 1)) * ((a + 1) / 2 * (1 + zs) / (1 - zs) - 1 - zs * p)
 
 
@@ -292,40 +298,35 @@ def sharpness_probe(
     fixed family.  A coarse ascending scan brackets the first failure
     radius and bisection narrows it to r_tol; the budget counts
     member-circle evaluations and exhaustion returns the best-so-far with
-    a flag.
+    a flag.  A circle evaluates the members one array call per SpecStack.
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
-    if specs is None:
-        specs = [
-            SchwarzSpec(
-                kind="unit_constant_times_z",
-                rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)),
-            )
-            for j in range(PROBE_ROTATIONS)
-        ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
-    else:
-        specs = list(specs)
-    members = [
-        generate_member(params, s, order=search.order, validate=False) for s in specs
-    ]
-
-    evals = 0
-    witness: tuple[int, complex] | None = None
+    specs = list(specs) if specs is not None else [
+        SchwarzSpec(kind="unit_constant_times_z",
+                    rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
+        for j in range(PROBE_ROTATIONS)
+    ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
+    members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
+    stacks = stack_specs([m.schwarz for m in members])
+    evals, witness = 0, None  # witness: (spec, z) of the last circle with Re T_f <= 0
 
     def min_re_t(r: float) -> float:
         nonlocal evals, witness
-        best = math.inf
         zs = circle(r, PROBE_ANGLES)
-        for i, m in enumerate(members):
-            tv = t_values(m, setting, zs, r)
-            evals += 1
-            j = int(np.argmin(tv.real))
-            if tv.real[j] < best:
-                best = float(tv.real[j])
-                if best <= 0:
-                    witness = (i, complex(zs[j]))
-        return best
+        re_t = np.empty((len(members), zs.size))
+        for stack in stacks:
+            p = schwarz_values(params, stack, "P", zs)
+            re_t[stack.index, :] = t_from_p(setting, zs, p).real
+        evals += len(members)
+        # the first member with the strictly least row minimum, at its first
+        # minimizing angle; fmin makes a row whose argmin is NaN never win
+        js = np.argmin(re_t, axis=1)
+        mins = np.append(np.fmin(re_t[np.arange(len(members)), js], math.inf), math.inf)
+        i = int(np.argmin(mins))
+        if mins[i] <= 0:
+            witness = (specs[i], complex(zs[js[i]]))
+        return float(mins[i])
 
     exhausted = False
     lo, hi = None, None
@@ -341,16 +342,9 @@ def sharpness_probe(
     if hi is None:
         return ProbeResult(
             empirical_radius=PROBE_R_HI if not exhausted else (lo or PROBE_R_LO),
-            witness_spec=None,
-            witness_z=0j,
-            evaluations=evals,
-            budget_exhausted=exhausted,
-            violation_found=False,
-        )
-    if lo is None:
-        lo = 0.0
-
-    w_spec, w_z = specs[witness[0]], witness[1]
+            witness_spec=None, witness_z=0j, evaluations=evals,
+            budget_exhausted=exhausted, violation_found=False)
+    lo = 0.0 if lo is None else lo
     while hi - lo > search.r_tol:
         if evals + len(members) > search.budget:
             exhausted = True
@@ -358,15 +352,10 @@ def sharpness_probe(
         mid = 0.5 * (lo + hi)
         if min_re_t(mid) <= 0:
             hi = mid
-            w_spec, w_z = specs[witness[0]], witness[1]
         else:
             lo = mid
 
     return ProbeResult(
-        empirical_radius=0.5 * (lo + hi),
-        witness_spec=w_spec.to_json(),
-        witness_z=w_z,
-        evaluations=evals,
-        budget_exhausted=exhausted,
-        violation_found=True,
-    )
+        empirical_radius=0.5 * (lo + hi), witness_spec=witness[0].to_json(),
+        witness_z=witness[1], evaluations=evals, budget_exhausted=exhausted,
+        violation_found=True)

@@ -104,13 +104,15 @@ class SchwarzSpec:
         """(rotation, s, zeros) with omega = rotation * z^s * prod (a - z)/(1 - conj(a) z).
 
         The product form of every kind but "polynomial"; a zero with
-        |a| <= 1e-14 counts in s, and `zeros` holds the others.
+        |a| <= 1e-14 counts in s, and `zeros` holds the others, each a as
+        the pair (a, |a|^2 - 1).
         """
         if self.kind == "unit_constant_times_z":
             return complex(self.rotation), self.power, ()
         if self.kind == "blaschke_product":
-            far = tuple(complex(a) for a in self.zeros if abs(a) > 1e-14)
-            return complex(self.rotation), len(self.zeros) - len(far), far
+            far = [complex(a) for a in self.zeros if abs(a) > 1e-14]
+            pairs = tuple((a, abs(a) ** 2 - 1) for a in far)
+            return complex(self.rotation), len(self.zeros) - len(far), pairs
         raise ParamOutOfRange(f"unknown Schwarz kind {self.kind!r}")
 
     def vanishing_order(self) -> int:
@@ -174,11 +176,11 @@ def omega_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
         return TruncatedSeries(c)
     rotation, s, zeros = spec.product()
     acc = TruncatedSeries.constant(rotation, order)
-    for a in zeros:
+    for a, scale in zeros:
         # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum conj(a)^{n-1} z^n
         fac = np.empty(order + 1, dtype=np.complex128)
         fac[0] = a
-        fac[1:] = (abs(a) ** 2 - 1) * np.conj(a) ** np.arange(order)
+        fac[1:] = scale * np.conj(a) ** np.arange(order)
         acc = acc * TruncatedSeries(fac)
     c[s:] = acc.coeffs[: max(order + 1 - s, 0)]
     return TruncatedSeries(c)
@@ -201,7 +203,7 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
     if spec.kind != "polynomial":
         rotation, s, zeros = spec.product()
         num = np.array([rotation])
-        for a in zeros:
+        for a, _ in zeros:
             num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
         num = np.concatenate((np.zeros(s, dtype=np.complex128), num))
     size = max(num.size, den.size, 2)
@@ -210,7 +212,7 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
     return 2 * params.g1 * n, den - np.concatenate(([0j], n))
 
 
-def phi_values(spec: SchwarzSpec, z: np.ndarray):
+def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray):
     """phi = omega/z and phi' at the points of a 1-d array, from the spec.
 
     A polynomial runs Horner for the value and the derivative together.  A
@@ -218,30 +220,69 @@ def phi_values(spec: SchwarzSpec, z: np.ndarray):
     s >= 1 zeros at the origin and its other zeros a, with
     b_a = (a - z)/(1 - conj(a) z), b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2; the
     product rule streams over the factors and divides by no z and no b_a.
+    A SpecStack's (G, 1) columns broadcast against z into (G, n) rows.
     """
     if spec.kind == "polynomial":
         c = spec.coeffs[1:]
-        v = np.full(z.shape, complex(c[-1]) if c else 0j)
-        dv = np.zeros_like(z)
+        v = np.full(np.broadcast(z, c[-1]).shape, c[-1], dtype=complex) if c else np.zeros_like(z)
+        dv = np.zeros_like(v)
         for cj in reversed(c[:-1]):
             dv = dv * z + v
             v = v * z + cj
         return v, dv
-    rotation, s, zeros = spec.product()
-    v = np.full(z.shape, rotation)
-    dv = np.zeros_like(z)
+    rotation, s, factors = spec.product()
+    v = np.full(np.broadcast(z, rotation).shape, rotation, dtype=complex)
+    dv = np.zeros_like(v)
     for _ in range(s - 1):
         dv = dv * z + v
         v = v * z
-    for a in zeros:
+    for a, scale in factors:
         inv = 1 / (1 - a.conjugate() * z)
         g = (a - z) * inv
-        dv = dv * g + v * ((abs(a) ** 2 - 1) * inv * inv)
+        dv = dv * g + v * (scale * inv * inv)
         v = v * g
     return v, dv
 
 
-def schwarz_values(params: ClassParams, spec: SchwarzSpec, q: str, z: np.ndarray):
+@dataclass(frozen=True)
+class SpecStack:
+    """Specs of one structure as (G, 1) columns, at `index` in a list (stack_specs)."""
+
+    kind: str
+    index: tuple
+    coeffs: tuple = ()
+    factors: tuple = ()
+
+    def product(self) -> tuple:
+        return self.factors
+
+
+def stack_specs(specs) -> list[SpecStack]:
+    """The specs grouped into SpecStacks, which phi_values takes for a spec.
+
+    Polynomials form one stack, padded with trailing zeros to a common length
+    >= 2 (Horner over leading zeros is exact); products stack by (s, zeros off 0).
+    """
+    groups: dict = {}  # polynomials under s = -1
+    for i, spec in enumerate(specs):
+        s, zeros = (-1, ()) if spec.kind == "polynomial" else spec.product()[1:]
+        groups.setdefault((s, len(zeros)), []).append(i)
+    stacks = []
+    for (s, _), index in groups.items():
+        if s < 0:
+            n = max(2, *(len(specs[i].coeffs) for i in index))
+            rows = [tuple(specs[i].coeffs) + (0j,) * (n - len(specs[i].coeffs)) for i in index]
+            coeffs = tuple(np.array(rows, dtype=complex).T[..., None])
+            stacks.append(SpecStack("polynomial", tuple(index), coeffs=coeffs))
+            continue
+        rotations, _, zeros = zip(*(specs[i].product() for i in index))
+        pairs = np.array(zeros, dtype=complex).reshape(len(index), -1, 2).T[..., None]
+        factors = (np.array(rotations)[:, None], s, tuple(zip(*pairs)))
+        stacks.append(SpecStack("blaschke_product", tuple(index), factors=factors))
+    return stacks
+
+
+def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: str, z: np.ndarray):
     """P_f (q "P") or S_f (q "S") at the points of a 1-d array, from the spec.
 
     With omega = z phi, P = 2 G1 phi/(1 - omega) and
@@ -299,7 +340,7 @@ def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
             )
         return SchwarzValidation(grid_max=grid_max, vanishing_order=vo)
     rotation, _, zeros = spec.product()
-    for a in zeros:
+    for a, _ in zeros:
         if not abs(a) < 1:
             raise NotASchwarzFunction(f"Blaschke zero {a!r} outside the disk")
     if not abs(rotation) <= 1 + 1e-12:

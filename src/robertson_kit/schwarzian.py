@@ -33,6 +33,7 @@ class ScanOpts:
     r_max defaults to 0.9995 for members with closed-form evaluators and
     0.95 for series-only members.  refine_tol is the half-width, in r and
     in theta, below which the refinement zoom stops; it must be positive.
+    radial and angular, the scan's radii and angles, must be at least 1.
     """
 
     radial: int = 128
@@ -182,6 +183,8 @@ def norm_estimate(
         raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
     if not opts.refine_tol > 0:
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
+    if opts.radial < 1 or opts.angular < 1:
+        raise ParamOutOfRange(f"radial={opts.radial}, angular={opts.angular}: each must be >= 1")
 
     tail_error = 0.0
     if member.exact("P") is None:

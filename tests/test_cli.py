@@ -409,6 +409,14 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         (None, ["emit", "growth", "--step", "0"]),
         (None, ["emit", "phi", "--step", "0"]),
         (None, ["emit", "phi", "--step", "nan"]),
+        (None, ["emit", "phi", "--step", "inf"]),
+        (None, ["emit", "norm", "--angular", "0"]),
+        (None, ["emit", "norm", "--radial", "0"]),
+        (None, ["emit", "growth", "--rmax", "nan"]),
+        (None, ["emit", "distortion", "--rmax", "nan"]),
+        (None, ["emit", "growth", "--rmax", "1"]),
+        (None, ["emit", "distortion", "--rmax", "-0.5"]),
+        (None, ["emit", "growth", "--step", "inf"]),
         (None, ["verify", "--samples", "-1"]),
         (None, ["radii", "probe", "--budget", "-1"]),
     ],

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from robertson_kit.radii import (
+    PROBE_ANGLES,
+    PROBE_R_HI,
+    PROBE_R_LO,
+    PROBE_ROTATIONS,
+    PROBE_SPECS,
     ConcavitySetting,
+    ProbeResult,
     SearchOpts,
     concavity_soundness_scan,
     phi_quadratic,
@@ -19,11 +25,13 @@ from robertson_kit.radii import (
 from robertson_kit.robertson import (
     ParamOutOfRange,
     SchwarzSpec,
+    circle,
     extremal_member,
     generate_member,
     make_params,
+    plane_extremal_schwarz_spec,
 )
-from robertson_kit.sampling import sample_members
+from robertson_kit.sampling import sample_members, sample_schwarz_specs
 
 R_PAPER_00_2 = 4 - math.sqrt(15)  # 0.1270166537925831
 R_CORR_00_2 = 5 - math.sqrt(24)  # 0.1010205144336438
@@ -250,8 +258,6 @@ def test_probe_restricted_to_identity_map():
 def test_probe_restricted_to_plane_extremal_data():
     # the plane member alone first loses Re T > 0 at its personal radius
     # 1/3, well past the class radius: it does not witness sharpness
-    from robertson_kit.robertson import plane_extremal_schwarz_spec
-
     p = make_params(0, 0)
     st = ConcavitySetting(2.0)
     res = sharpness_probe(
@@ -290,3 +296,80 @@ def test_probe_budget_exhaustion_flag():
     st = ConcavitySetting(2.0)
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=30))
     assert res.budget_exhausted
+
+
+def _reference_probe(params, setting, search, specs=None):
+    """sharpness_probe with one t_values call per member and circle."""
+    if specs is None:
+        specs = [
+            SchwarzSpec(kind="unit_constant_times_z",
+                        rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
+            for j in range(PROBE_ROTATIONS)
+        ] + sample_schwarz_specs(search.seed, PROBE_SPECS)
+    members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
+    evals, witnesses = 0, []
+
+    def fails(r):
+        # Re T <= 0 somewhere on circle(r); the witness is the first member
+        # with the strictly least minimum, at its first minimizing angle
+        nonlocal evals
+        best, witness, zs = math.inf, None, circle(r, PROBE_ANGLES)
+        for spec, m in zip(specs, members):
+            re_t = t_values(m, setting, zs, r).real
+            evals += 1
+            j = int(np.argmin(re_t))
+            if re_t[j] < best:
+                best, witness = float(re_t[j]), (spec.to_json(), complex(zs[j]))
+        if best <= 0:
+            witnesses.append(witness)
+        return best <= 0
+
+    lo, hi, exhausted = None, None, False
+    for r in np.linspace(PROBE_R_LO, PROBE_R_HI, 48):
+        if evals + len(members) > search.budget:
+            exhausted = True
+            break
+        if fails(float(r)):
+            hi = float(r)
+            break
+        lo = float(r)
+    if hi is None:
+        radius = PROBE_R_HI if not exhausted else (lo or PROBE_R_LO)
+        return ProbeResult(radius, None, 0j, evals, exhausted, False).to_json()
+    lo = 0.0 if lo is None else lo
+    while hi - lo > search.r_tol:
+        if evals + len(members) > search.budget:
+            exhausted = True
+            break
+        mid = 0.5 * (lo + hi)
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    spec, z = witnesses[-1]
+    return ProbeResult(0.5 * (lo + hi), spec, z, evals, exhausted, True).to_json()
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, a_co, search, specs",
+    [
+        (alpha, beta, a_co, SearchOpts(seed=seed, budget=6000), None)
+        for alpha, beta, a_co in ((0, 0, 2.0), (math.pi / 8, 0.25, 1.5), (math.pi / 4, 0.5, 2.0))
+        for seed in (1, 7)
+    ]
+    + [
+        (0, 0, 2.0, SearchOpts(seed=1, budget=30), None),
+        (0, 0, 2.0, SearchOpts(seed=1, budget=5000, r_tol=1e-9),
+         [SchwarzSpec(kind="polynomial", coeffs=(0, 0))]),
+        (0, 0, 2.0, SearchOpts(seed=1, budget=5000, r_tol=1e-8),
+         [plane_extremal_schwarz_spec(order=256)]),
+        # two forms of omega = -z tie on every circle: the first one witnesses
+        (0, 0, 2.0, SearchOpts(seed=1, budget=5000),
+         [SchwarzSpec(kind="blaschke_product", zeros=(0j,), rotation=-1 + 0j),
+          SchwarzSpec(kind="unit_constant_times_z", rotation=-1 + 0j)]),
+    ],
+)
+def test_probe_matches_per_member_reference(alpha, beta, a_co, search, specs):
+    p, st = make_params(alpha, beta), ConcavitySetting(a_co)
+    want = _reference_probe(p, st, search, specs)
+    assert sharpness_probe(p, st, search, specs).to_json() == want

@@ -27,6 +27,8 @@ from robertson_kit.robertson import (
     omega_series,
     phi_series,
     plane_extremal_schwarz_spec,
+    schwarz_values,
+    stack_specs,
     subordination_membership_check,
     validate_schwarz,
 )
@@ -470,6 +472,39 @@ def test_exact_values_scalar_matches_array_bit_for_bit():
             assert grid.shape == (17, 17)
             points = np.array([[m.values(q, z) for z in row] for row in patch])
             assert np.array_equal(grid, points), (m.provenance, q)
+
+    # a SpecStack row is its spec's values, bit for bit: 16 rotations,
+    # products with 1-4 free zeros and 1 or 2 at the origin (a rotated
+    # monomial, and a zero at 1e-15, stack with these), polynomials of
+    # lengths 1-257 padded to one
+    rng = np.random.default_rng(5)
+    specs = [
+        SchwarzSpec(kind="unit_constant_times_z", rotation=cmath.exp(2j * math.pi * j / 16))
+        for j in range(16)
+    ]
+    for origin in (1, 2):
+        for free in (1, 2, 3, 4):
+            zeros = (0j,) * origin + tuple(0.8 * rng.uniform(size=free) * np.exp(2j * rng.uniform(size=free)))
+            specs.append(SchwarzSpec(kind="blaschke_product", zeros=zeros, rotation=cmath.exp(1j * free)))
+    specs += [
+        SchwarzSpec(kind="unit_constant_times_z", rotation=-1j, power=2),
+        SchwarzSpec(kind="blaschke_product", zeros=(0j, 1e-15, 0.5j), rotation=0.9),
+        SchwarzSpec(kind="polynomial", coeffs=(0,)),
+        SchwarzSpec(kind="polynomial", coeffs=(0, 1)),
+        *sample_schwarz_specs(3, 6, kinds=["polynomial"]),
+        plane_extremal_schwarz_spec(256),
+        BLASCHKE_WITNESS,
+    ]
+    stacks = stack_specs(specs)
+    assert sorted(i for stack in stacks for i in stack.index) == list(range(len(specs)))
+    # polynomials; (s, free zeros) = (1, 0), (2, 0) and (1|2, 1-4)
+    assert len(stacks) == 1 + 2 + 8
+    zs = np.append(patch.ravel(), [0j, -0.95, 0.9j])
+    for stack in stacks:
+        for q in ("P", "S"):
+            rows = schwarz_values(params, stack, q, zs)
+            for i, row in zip(stack.index, rows):
+                assert np.array_equal(row, schwarz_values(params, specs[i], q, zs)), (i, q)
 
 
 # ---------------------------------------------------------------------------
