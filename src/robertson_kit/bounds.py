@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import circle, phi_values
+from .robertson import phi_values, polar_grid
 from .series import chebyshev_radii
 
 
@@ -183,6 +183,16 @@ def _is_sp0(member: MemberSeries) -> bool:
 ENVELOPE_ANGLES = 64  # points per circle in envelope_check
 
 
+def _least_margin(vals: np.ndarray, envs: Sequence[Envelope], zs: np.ndarray):
+    """The least min(upper - v, v - lower) over rows of values, one envelope
+    per row, and its point: the first in row-major order; a NaN never wins."""
+    lower = np.array([e.lower for e in envs])[:, None]
+    upper = np.array([e.upper for e in envs])[:, None]
+    marg = np.minimum(upper - vals, vals - lower).ravel()
+    i = int(np.argmin(np.where(np.isnan(marg), math.inf, marg)))
+    return float(marg[i]), complex(zs.flat[i])
+
+
 def envelope_check(
     member: MemberSeries,
     radii: Optional[np.ndarray] = None,
@@ -204,23 +214,13 @@ def envelope_check(
     p = member.params
     if growth is None:
         growth = [growth_envelope(p, float(r)) for r in radii]
-    best_d = math.inf
-    best_g = math.inf
-    z_d = 0j
-    z_g = 0j
-    for r, genv in zip(radii, growth, strict=True):
-        zs = circle(r, ENVELOPE_ANGLES)
-        fp = np.abs(member.on_circle("fprime", r, ENVELOPE_ANGLES))
-        fv = np.abs(member.f.eval_on_circle(r, ENVELOPE_ANGLES))
-        denv = distortion_envelope(p, float(r))
-        dmarg = np.minimum(denv.upper - fp, fp - denv.lower)
-        gmarg = np.minimum(genv.upper - fv, fv - genv.lower)
-        i = int(np.argmin(dmarg))
-        j = int(np.argmin(gmarg))
-        if dmarg[i] < best_d:
-            best_d, z_d = float(dmarg[i]), complex(zs[i])
-        if gmarg[j] < best_g:
-            best_g, z_g = float(gmarg[j]), complex(zs[j])
+    if len(growth) != len(radii):
+        raise ValueError("one growth envelope per radius")
+    zs = polar_grid(radii, ENVELOPE_ANGLES)
+    fp = np.abs(member.on_circles(("fprime",), radii, ENVELOPE_ANGLES)[0])
+    fv = np.abs(member.f.eval_on_circles(radii, ENVELOPE_ANGLES))
+    best_d, z_d = _least_margin(fp, [distortion_envelope(p, float(r)) for r in radii], zs)
+    best_g, z_g = _least_margin(fv, growth, zs)
     return EnvelopeReport(
         distortion_min_margin=best_d,
         growth_min_margin=best_g,

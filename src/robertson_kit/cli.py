@@ -20,6 +20,7 @@ import argparse
 import csv
 import datetime
 import functools
+import itertools
 import json
 import math
 import sys
@@ -37,12 +38,14 @@ from .robertson import (
     generate_member,
     make_params,
 )
-from .schwarzian import NormEstimate, ScanOpts, norm_estimate
+from .schwarzian import NormEstimate, ScanOpts, norm_estimate, norm_estimates
 from .series import DEFAULT_ORDER, chebyshev_radii
 
 ASSERT_TOL = 1e-9
 NORM_TOL = 1e-6
 WITNESS_TIE = 1e-12  # margins this close to the minimum count as tied for the witness
+MAX_EMIT_ROWS = 100_000  # the most rows an emit table may have; the default step gives 19
+EMIT_BLOCK = 256  # radii per eval_on_circles call in emit distortion, bounding its memory
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +135,16 @@ class RunCache:
     "convex" at alpha = beta = 0 reuses "general".  Norm estimates are
     keyed by (member, weight, r_max), so AB reuses the scans of 2.4; the
     member part of the key is its identity, which is stable because the
-    cache holds every member it hands out.  Growth envelopes depend only
-    on (params, r), so check 2.2 computes them once for all members.
-    A cache lives for one `cmd_verify` call, and none is kept between
-    calls.
+    cache holds every member it hands out; the first request at an r_max
+    estimates the member's batch at the run's norm `weights` plus the one asked.
+    Growth envelopes depend only on (params, r), so check 2.2 computes them
+    once for all members.  A cache lives for one `cmd_verify` call.
     """
 
-    def __init__(self):
+    def __init__(self, weights=()):
+        self._weights = frozenset(weights)
         self._members: dict = {}
+        self._batch_of: dict = {}  # id(member) -> the generated batch that holds it
         self._norms: dict = {}
         self._growth: dict = {}
 
@@ -164,10 +169,9 @@ class RunCache:
                 SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=power),
                 *sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0),
             ]
-            self._members[key] = (
-                specs,
-                [generate_member(params, s, order=cfg.order, validate=False) for s in specs],
-            )
+            built = [generate_member(params, s, order=cfg.order, validate=False) for s in specs]
+            self._members[key] = (specs, built)
+            self._batch_of.update((id(m), built) for m in built)
         specs, members = self._members[key]
         if batch == "general+plane" and cfg.alpha == 0:
             plane_key = (cfg.alpha, cfg.beta, "extremal_plane", cfg.order)
@@ -180,7 +184,11 @@ class RunCache:
     def norm(self, member: MemberSeries, weight: int, r_max: float) -> NormEstimate:
         key = (id(member), weight, r_max)
         if key not in self._norms:
-            self._norms[key] = norm_estimate(member, weight, ScanOpts(r_max=r_max))
+            batch = self._batch_of.get(id(member), [member])
+            weights = sorted(self._weights | {weight})
+            rows = norm_estimates(batch, weights, ScanOpts(r_max=r_max))
+            self._norms.update(((id(m), w, r_max), est) for m, row in zip(batch, rows)
+                               for w, est in zip(weights, row))
         return self._norms[key]
 
     def growth_envelope(self, params: ClassParams, r: float) -> bounds.Envelope:
@@ -227,7 +235,7 @@ class Check:
     is the witness's own residual at z, when it differs from the margin.
     record_id None gives one record under the table key; a template over
     {mode} gives one record per mode.  A record holds when its worst
-    margin is at least -slack.
+    margin is at least -slack.  weight is a sup-norm check's norm weight.
     """
 
     anchor: Callable[[dict], str]
@@ -238,6 +246,7 @@ class Check:
     slack: float = ASSERT_TOL
     record_id: Optional[str] = None
     extras: Callable[[RunConfig, ClassParams, Optional[str]], dict] = lambda c, p, m: {}
+    weight: Optional[int] = None
 
 
 def _grid_min(residual, member: MemberSeries, w: dict, cache: RunCache):
@@ -317,6 +326,7 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
         scan=scan,
         slack=0.0,
         extras=extras,
+        weight=weight,
     )
 
 
@@ -487,8 +497,8 @@ CHECK_BUILDERS: dict[str, Callable[[RunConfig, RunCache], list[CheckRecord]]] = 
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = VerificationReport(config=cfg)
-    cache = RunCache()
     ids = list(CHECK_BUILDERS) if cfg.theorem == "all" else [cfg.theorem]
+    cache = RunCache(CHECKS[cid].weight for cid in ids if cid in CHECKS and CHECKS[cid].weight)
     for cid in ids:
         if cid not in CHECK_BUILDERS:
             print(f"unknown check id {cid!r}; known: {sorted(CHECK_BUILDERS)}", file=sys.stderr)
@@ -542,6 +552,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
     if args.what in ("growth", "distortion"):
         if not 0 <= args.rmax < 1:
             raise robertson.ParamOutOfRange(f"rmax={args.rmax} outside [0, 1)")
+        if not (args.rmax + 1e-12) / args.step <= MAX_EMIT_ROWS:
+            raise robertson.ParamOutOfRange(f"step={args.step} gives over {MAX_EMIT_ROWS} rows")
         rs = np.arange(0.0, args.rmax + 1e-12, args.step)
     if args.what == "growth":
         header = ["r", "lower", "upper"]
@@ -566,22 +578,23 @@ def cmd_emit(args: argparse.Namespace) -> int:
             else []
         )
         header = ["r", "lower", "upper", "sampled_min", "sampled_max"]
+        lo, hi = np.full(rs.size, math.inf), np.full(rs.size, -math.inf)  # |f'| over members
+        for m, at in itertools.product(members, range(0, rs.size, EMIT_BLOCK)):
+            v = np.abs(m.f_prime.eval_on_circles(rs[at : at + EMIT_BLOCK], 64))
+            lo[at : at + EMIT_BLOCK] = np.minimum(lo[at : at + EMIT_BLOCK], v.min(axis=1))
+            hi[at : at + EMIT_BLOCK] = np.maximum(hi[at : at + EMIT_BLOCK], v.max(axis=1))
         rows = []
-        for r in rs:
+        for r, smin, smax in zip(rs, lo, hi):
             env = bounds.distortion_envelope(params, float(r))
-            smin, smax = "", ""
-            if members and r > 0:
-                vals = [
-                    np.abs(m.f_prime.eval_on_circle(float(r), 64)) for m in members
-                ]
-                smin = f"{min(float(v.min()) for v in vals):.12g}"
-                smax = f"{max(float(v.max()) for v in vals):.12g}"
-            rows.append([f"{r:.10g}", f"{env.lower:.12g}", f"{env.upper:.12g}", smin, smax])
+            sampled = [f"{smin:.12g}", f"{smax:.12g}"] if members and r > 0 else ["", ""]
+            rows.append([f"{r:.10g}", f"{env.lower:.12g}", f"{env.upper:.12g}", *sampled])
         return _write_csv(args.out, header, rows)
     if args.what == "phi":
         setting = radii.ConcavitySetting(args.Aco)
         modes = ["paper", "corrected"] if args.mode == "both" else [args.mode]
         quads = {m: radii.phi_quadratic(params, setting, m) for m in modes}
+        if not 1.0 / args.step + 1 <= MAX_EMIT_ROWS:
+            raise robertson.ParamOutOfRange(f"step={args.step} gives over {MAX_EMIT_ROWS} rows")
         rs = np.linspace(0.0, 1.0, int(round(1.0 / args.step)) + 1)
         rows = [
             [f"{r:.10g}"]

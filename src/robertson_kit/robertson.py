@@ -282,15 +282,17 @@ def stack_specs(specs) -> list[SpecStack]:
     return stacks
 
 
-def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: str, z: np.ndarray):
-    """P_f (q "P") or S_f (q "S") at the points of a 1-d array, from the spec.
+def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: str,
+                   z: np.ndarray, phi=None):
+    """P_f (q "P") or S_f (q "S") at the points of an array, from the spec;
+    phi, if given, is phi_values(spec, z), so that one call serves P and S.
 
     With omega = z phi, P = 2 G1 phi/(1 - omega) and
     P' = 2 G1 (phi'(1 - omega) + phi omega')/(1 - omega)^2
        = 2 G1 (phi' + phi^2)/(1 - omega)^2,
     so S = P' - P^2/2 = 2 G1 (phi' + (1 - G1) phi^2)/(1 - omega)^2.
     """
-    phi, dphi = phi_values(spec, z)
+    phi, dphi = phi_values(spec, z) if phi is None else phi
     inv = 1 / (1 - z * phi)
     if q == "P":
         return 2 * params.g1 * phi * inv
@@ -393,22 +395,29 @@ Provenance = Union[SchwarzSpec, str]
 QUANTITIES = ("fprime", "P", "S")
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_circle(n_angles: int) -> np.ndarray:
+    unit = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    unit.flags.writeable = False
+    return unit
+
+
 def circle(r: float, n_angles: int) -> np.ndarray:
-    """The points r e^{2 pi i j/n}, j = 0..n-1."""
-    return r * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    """The points r e^{2 pi i j/n}, j = 0..n-1; the unit circle is built once per n."""
+    return r * _unit_circle(n_angles)
 
 
 def polar_grid(radii, n_angles: int) -> np.ndarray:
     """circle(r, n_angles) for each r in radii, as the rows of an array."""
-    return np.asarray(radii)[:, None] * circle(1.0, n_angles)[None, :]
+    return np.asarray(radii)[:, None] * _unit_circle(n_angles)
 
 
 class MemberSeries:
     """A generated or extremal member f of SP_alpha(beta); treat as immutable.
 
-    values(q, z) and on_circle(q, r, n) evaluate f' ("fprime"), P_f ("P")
-    and S_f ("S"); exact(q) picks, in one place, the closed form
-    (extremals), the Schwarz data `schwarz` (generated members) or the
+    values(q, z) and on_circles(qs, radii, n) evaluate f' ("fprime"), P_f
+    ("P") and S_f ("S"); exact(q) picks, in one place, the closed form
+    (extremals), the Schwarz data (generated members; exact_schwarz) or the
     series (members read from JSON or built by hand).  The series of f and
     f' are given, or built from `schwarz` on first access.
     """
@@ -468,13 +477,18 @@ class MemberSeries:
                 self._s_series = w / v / v
         return self._s_series
 
+    @property
+    def exact_schwarz(self) -> Optional[SchwarzSpec]:
+        """The Schwarz data exact() evaluates P and S from: None if a closed form serves."""
+        return self.schwarz if self.closed_form is None else None
+
     def exact(self, q: str):
-        """The exact evaluator of q on a 1-d array, or None for a series."""
+        """The exact evaluator of q on an array, or None for a series."""
         if q not in QUANTITIES:
             raise ParamOutOfRange(f"unknown quantity {q!r}; known: {QUANTITIES}")
         if self.closed_form is not None:
             return getattr(self.closed_form, {"fprime": "fprime", "P": "p", "S": "s"}[q])
-        if self.schwarz is not None and q != "fprime":
+        if self.exact_schwarz is not None and q != "fprime":
             return functools.partial(schwarz_values, self.params, self.schwarz, q)
         return None
 
@@ -496,11 +510,26 @@ class MemberSeries:
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
     def on_circle(self, q: str, r: float, n_angles: int) -> np.ndarray:
-        """q at circle(r, n_angles): a series by one FFT, else as values()."""
-        exact = self.exact(q)
-        if exact is None:
-            return self._series(q).eval_on_circle(r, n_angles)
-        return exact(circle(r, n_angles))
+        """q at circle(r, n_angles): on_circles' one row."""
+        return self.on_circles((q,), [r], n_angles)[0][0]
+
+    def on_circles(self, qs, radii, n_angles: int) -> list:
+        """Each q of qs at polar_grid(radii, n_angles), one row per radius: a
+        series by one FFT, else exact(q), with one phi_values call serving
+        every q evaluated from the Schwarz data."""
+        out, zs, phi = [], None, None
+        for q in qs:
+            exact = self.exact(q)
+            if exact is None:
+                out.append(self._series(q).eval_on_circles(radii, n_angles))
+                continue
+            zs = polar_grid(radii, n_angles) if zs is None else zs
+            if self.exact_schwarz is None:
+                out.append(exact(zs))
+            else:
+                phi = phi_values(self.exact_schwarz, zs) if phi is None else phi
+                out.append(exact(zs, phi=phi))
+        return out
 
     def p_on_circle(self, r: float, n_angles: int) -> np.ndarray:
         return self.on_circle("P", r, n_angles)

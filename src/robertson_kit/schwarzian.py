@@ -11,15 +11,17 @@ MemberSeries.values; only members that have nothing but series carry a tail.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .series import TAIL_TOL, TruncatedSeries, chebyshev_radii
 from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import phi_series, polar_grid
+from .robertson import phi_series, polar_grid, schwarz_values, stack_specs
 
 
 class TailToleranceUnmet(ValueError):
@@ -99,11 +101,17 @@ def s_on_circle(member: MemberSeries, r: float, n_angles: int):
     return member.on_circle("S", r, n_angles)
 
 
+_Q = {1: "P", 2: "S"}  # the quantity each weight exponent weighs
+
+
+def _weighted(zs: np.ndarray, weight_exponent: int, vals) -> np.ndarray:
+    return (1 - np.abs(zs) ** 2) ** weight_exponent * np.abs(vals)
+
+
 def weighted_value(member: MemberSeries, z, weight_exponent: int, r_trunc: float):
     """(1-|z|^2)^w |P_f| or |S_f| at a point or array."""
     zs = np.asarray(z, dtype=np.complex128)
-    w = (1 - np.abs(zs) ** 2) ** weight_exponent
-    return w * np.abs(member.values("P" if weight_exponent == 1 else "S", zs, r_trunc))
+    return _weighted(zs, weight_exponent, member.values(_Q[weight_exponent], zs, r_trunc))
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -135,28 +143,60 @@ ZOOM_POINTS = 17  # patch nodes per axis; odd, so the centre is a node
 SCAN_BLOCK = 16
 
 
-def _zoom(member, weight_exponent, r_max, r, theta, dr, dth, tol):
-    """Polar zoom toward a local maximum of the weighted modulus.
+class _Start(NamedTuple):
+    """A coarse scan's best node for one weight, where the zoom starts."""
 
-    Each level evaluates a ZOOM_POINTS x ZOOM_POINTS patch of (r, theta)
-    nodes spanning r +- dr (clipped to [0, r_max]) and theta +- dth in one
-    array call, moves the centre to the patch maximum when it strictly
-    beats the best value so far, and shrinks both half-widths to two node
-    spacings (4x per level).  It stops once both are <= tol, after at
-    least one level.  Returns the best value, the exact point where it was
-    evaluated, and the point count.
+    r: float
+    theta: float
+    gap: float  # local variation around the node, as an upper-bound gap hint
+
+
+def _coarse_scan(member: MemberSeries, weights, radii: np.ndarray, n_ang: int) -> list[_Start]:
+    """Per weight, the first maximum in (radius, angle) order of the weighted
+    modulus on polar_grid(radii, n_ang); one member.on_circles call per
+    SCAN_BLOCK radii serves every weight."""
+    best = np.empty((len(weights), 2, radii.size))  # each circle's maximum and its angle index
+    for at in range(0, radii.size, SCAN_BLOCK):
+        rs = radii[at : at + SCAN_BLOCK]
+        zs = polar_grid(rs, n_ang)
+        values = member.on_circles([_Q[w] for w in weights], rs, n_ang)
+        for k, w in enumerate(weights):
+            vals = _weighted(zs, w, values[k])
+            best[k, 0, at : at + SCAN_BLOCK] = vals.max(axis=1)
+            best[k, 1, at : at + SCAN_BLOCK] = vals.argmax(axis=1)
+    starts = []
+    for per_radius, angle in best:
+        j = int(np.argmax(per_radius))
+        gap = float(np.max(np.abs(per_radius[max(0, j - 1) : j + 2] - per_radius[j])))
+        starts.append(_Start(float(radii[j]), 2 * math.pi * int(angle[j]) / n_ang, gap))
+    return starts
+
+
+def _zoom(evaluate, weight_exponent, r_max, r, theta, dr, dth, tol):
+    """Polar zoom toward local maxima of the weighted modulus from G starts.
+
+    Each level evaluates every row's ZOOM_POINTS x ZOOM_POINTS patch of
+    nodes r +- dr (clipped to [0, r_max]) by theta +- dth in one evaluate
+    call on a (G, ZOOM_POINTS**2) array, moves a row's centre to its first
+    patch maximum when that strictly beats the row's best (a NaN never
+    wins), and shrinks both half-widths 4x until both are <= tol.  Returns
+    each row's best value, its exact point, and the point count per row.
     """
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-    best, best_z, evals = -math.inf, None, 0
+    g, centre = np.arange(r.size), ZOOM_POINTS**2 // 2
+    best, evals = np.full(r.size, -math.inf), 0
     while True:
-        rs = np.clip(r + dr * offsets, 0.0, r_max)
-        ths = theta + dth * offsets
-        zs = rs[:, None] * np.exp(1j * ths)[None, :]
-        vals = weighted_value(member, zs, weight_exponent, r_max)
-        evals += zs.size
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[i, j] > best:
-            best, best_z, r, theta = float(vals[i, j]), complex(zs[i, j]), rs[i], ths[j]
+        rs = np.minimum(np.maximum(r[:, None] + dr * offsets, 0.0), r_max)
+        ths = theta[:, None] + dth * offsets
+        zs = (rs[:, :, None] * np.exp(1j * ths)[:, None, :]).reshape(r.size, -1)
+        vals = _weighted(zs, weight_exponent, evaluate(zs))
+        evals += ZOOM_POINTS**2
+        k = vals.argmax(axis=1)
+        v = vals[g, k]
+        up = v > best
+        # a row that does not improve keeps its centre, the patch's centre node
+        best, k = np.where(up, v, best), np.where(up, k, centre)
+        r, theta, best_z = rs[g, k // ZOOM_POINTS], ths[g, k % ZOOM_POINTS], zs[g, k]
         dr, dth = dr * 4 / (ZOOM_POINTS - 1), dth * 4 / (ZOOM_POINTS - 1)
         if dr <= tol and dth <= tol:
             return best, best_z, evals
@@ -165,64 +205,62 @@ def _zoom(member, weight_exponent, r_max, r, theta, dr, dth, tol):
 def norm_estimate(
     member: MemberSeries, weight_exponent: int, opts: ScanOpts = ScanOpts()
 ) -> NormEstimate:
-    """Estimate sup over |z| <= r_max of the weighted derivative modulus.
+    """sup over |z| <= r_max of the weighted modulus: norm_estimates' one case."""
+    return norm_estimates([member], (weight_exponent,), opts)[0][0]
 
-    Coarse scan on radial x angular polar nodes (radii clustered toward
-    r_max), SCAN_BLOCK radii per array call, then a polar zoom (`_zoom`)
-    from the coarse argmax over the window r +- r_max/(radial+1),
-    theta +- 2 pi/angular, down to refine_tol.  The returned value is the
-    zoom's value at the returned argmax.  Raises TailToleranceUnmet when a
-    member that has only series cannot certify the scan radius.
+
+def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[NormEstimate]]:
+    """The NormEstimate of members[i] at weights[k] in row i, column k.
+
+    One coarse scan of radial x angular polar nodes (radii clustered toward
+    r_max) per member serves every weight; from each coarse argmax a zoom
+    refines over r +- r_max/(radial+1), theta +- 2 pi/angular.  Members
+    evaluated from Schwarz data (MemberSeries.exact_schwarz) that share
+    params and r_max zoom in lockstep, one array call per level per
+    stack_specs group; others zoom alone through MemberSeries.values.  No
+    value depends on the batch.  TailToleranceUnmet: a series-only
+    member's tail at r_max.
     """
-    if weight_exponent not in (1, 2):
+    if any(w not in _Q for w in weights):
         raise ValueError("weight_exponent must be 1 or 2")
-    r_max = opts.r_max
-    if r_max is None:
-        r_max = 0.9995 if member.closed_form is not None else 0.95
-    if not 0 < r_max < 1:
-        raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
     if not opts.refine_tol > 0:
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
     if opts.radial < 1 or opts.angular < 1:
         raise ParamOutOfRange(f"radial={opts.radial}, angular={opts.angular}: each must be >= 1")
-
-    tail_error = 0.0
-    if member.exact("P") is None:
-        series = member.p_series() if weight_exponent == 1 else member.s_series()
-        tail_error = series.tail_bound(r_max)
-        if tail_error > TAIL_TOL:
-            raise TailToleranceUnmet(
-                f"series tail {tail_error:.3e} at r={r_max} above {TAIL_TOL:.1e}"
-            )
-
-    radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
-    n_ang = opts.angular
-    vals = np.empty((radii.size, n_ang))
-    for at in range(0, radii.size, SCAN_BLOCK):
-        zs = polar_grid(radii[at : at + SCAN_BLOCK], n_ang)
-        vals[at : at + SCAN_BLOCK] = weighted_value(member, zs, weight_exponent, r_max)
-    # the first maximum in (radius, angle) order
-    j_best, best_i_ang = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best_r = float(radii[j_best])
-    per_radius_best = vals.max(axis=1)
-
-    # local variation around the winning cell, as an upper-bound gap hint
-    neighbors = per_radius_best[max(0, j_best - 1) : j_best + 2]
-    scan_gap = float(np.max(np.abs(neighbors - per_radius_best[j_best])))
-
-    theta = 2 * math.pi * best_i_ang / n_ang
-    dr = r_max / (opts.radial + 1)
-    dth = 2 * math.pi / n_ang
-    value, argmax, steps = _zoom(
-        member, weight_exponent, r_max, best_r, theta, dr, dth, opts.refine_tol
-    )
-
-    return NormEstimate(
-        value=value,
-        argmax=argmax,
-        weight_exponent=weight_exponent,
-        r_max=float(r_max),
-        tail_error=float(tail_error),
-        refinement_steps=steps,
-        scan_gap=scan_gap,
-    )
+    r_maxes, tails, starts, groups = [], [], [], {}
+    for i, m in enumerate(members):
+        r_max = opts.r_max if opts.r_max is not None else 0.9995 if m.closed_form else 0.95
+        if not 0 < r_max < 1:
+            raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
+        tail = [(m.p_series() if w == 1 else m.s_series()).tail_bound(r_max)
+                if m.exact("P") is None else 0.0 for w in weights]
+        if max(tail, default=0.0) > TAIL_TOL:
+            raise TailToleranceUnmet(f"series tail {max(tail):.3e} at r={r_max} > {TAIL_TOL:.1e}")
+        radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
+        starts.append(_coarse_scan(m, weights, radii, opts.angular))
+        r_maxes.append(r_max)
+        tails.append(tail)
+        groups.setdefault((m.params, r_max) if m.exact_schwarz is not None else i, []).append(i)
+    out = [[None] * len(weights) for _ in members]
+    for index in groups.values():
+        params, r_max = members[index[0]].params, r_maxes[index[0]]
+        parts = [(index, None)]  # (rows, their SpecStack, or None for one member's values)
+        if len(index) > 1:
+            stacks = stack_specs([members[i].exact_schwarz for i in index])
+            parts = [([index[j] for j in st.index], st if len(st.index) > 1 else None)
+                     for st in stacks]
+        for (rows, stack), (k, w) in itertools.product(parts, enumerate(weights)):
+            if stack is None:
+                evaluate = functools.partial(members[rows[0]].values, _Q[w], r_trunc=r_max)
+            else:
+                evaluate = functools.partial(schwarz_values, params, stack, _Q[w])
+            r = np.array([starts[i][k].r for i in rows])
+            theta = np.array([starts[i][k].theta for i in rows])
+            best, best_z, steps = _zoom(evaluate, w, r_max, r, theta, r_max / (opts.radial + 1),
+                                        2 * math.pi / opts.angular, opts.refine_tol)
+            for g, i in enumerate(rows):
+                out[i][k] = NormEstimate(value=float(best[g]), argmax=complex(best_z[g]),
+                                         weight_exponent=w, r_max=float(r_max),
+                                         tail_error=float(tails[i][k]),
+                                         refinement_steps=steps, scan_gap=starts[i][k].gap)
+    return out

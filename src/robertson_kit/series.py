@@ -286,19 +286,21 @@ class TruncatedSeries:
         return out.reshape(zs.shape)
 
     def eval_on_circle(self, r: float, n_angles: int) -> np.ndarray:
-        """Values at z = r e^{2*pi*i*j/n} for j = 0..n-1, via one FFT.
+        """Values at z = r e^{2*pi*i*j/n} for j = 0..n-1: eval_on_circles' one row."""
+        return self.eval_on_circles([r], n_angles)[0]
 
-        Folding the coefficients modulo n makes this O(N + n log n) per
-        radius, which is what keeps dense polar norm scans cheap.
-        """
-        if not 0 <= r < 1:
+    def eval_on_circles(self, radii, n_angles: int) -> np.ndarray:
+        """Values at z = r e^{2*pi*i*j/n}, one row of j = 0..n-1 per radius r, by
+        one scaled fold of the coefficients modulo n and one FFT call."""
+        rs = np.asarray(radii, dtype=np.float64)
+        if not np.all((0 <= rs) & (rs < 1)):
             raise RadiusExceeded("circle radius must lie in [0, 1)")
         size = self._c.size
         rows = -(-size // n_angles)
-        buf = np.zeros(rows * n_angles, dtype=np.complex128)
-        np.multiply(self._c, r ** np.arange(size), out=buf[:size])
-        folded = buf.reshape(rows, n_angles).sum(axis=0)
-        return np.fft.ifft(folded) * n_angles
+        buf = np.zeros((rs.size, rows * n_angles), dtype=np.complex128)
+        np.multiply(self._c, rs[:, None] ** np.arange(size), out=buf[:, :size])
+        folded = buf.reshape(rs.size, rows, n_angles).sum(axis=1)
+        return np.fft.ifft(folded, axis=-1) * n_angles
 
     def tail_bound(self, r: float) -> float:
         """Geometric-ratio estimate of the dropped tail at radius r.

@@ -60,6 +60,8 @@ def test_verify_printed_bound_yields_finding(tmp_path):
     rec = rep["checks"][0]
     assert rec["status"] == "violated" and not rec["asserted"]
     assert rec["worst"]["margin"] < 0
+    # run alone, 2.1iii still scans the plane extremal beside 2 + 1 members
+    assert rec["samples"] == (2 + 1 + 1) * 24 * 48
 
 
 def test_verify_usage_error_exit_2():
@@ -205,30 +207,38 @@ def test_witness_replay_norm_check(tmp_path):
 
 def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
     generated, norms = [], []
-    real_generate, real_norm = cli.generate_member, cli.norm_estimate
+    real_generate, real_norms = cli.generate_member, cli.norm_estimates
 
     def generate(*args, **kwargs):
         generated.append((args, tuple(sorted(kwargs.items()))))
         return real_generate(*args, **kwargs)
 
-    def norm(*args, **kwargs):
-        norms.append(args)
-        return real_norm(*args, **kwargs)
+    def estimates(members, weights, *args, **kwargs):
+        # the (member, weight) pairs of one batch call
+        norms.extend((id(m), w) for m in members for w in weights)
+        return real_norms(members, weights, *args, **kwargs)
 
     monkeypatch.setattr(cli, "generate_member", generate)
-    monkeypatch.setattr(cli, "norm_estimate", norm)
+    monkeypatch.setattr(cli, "norm_estimates", estimates)
     argv = ["verify", "--theorem", "all", "--samples", "2", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 3
     n_generated = len(generated)
     # general and sp0 batches of 2 canonical + 2 sampled members; convex
     # at alpha = beta = 0 is the general batch again
     assert n_generated == len(set(generated)) == 2 * (2 + 2)
-    # weight 1 (2.3) and weight 2 (2.4, reused by AB) over the sp0 batch
-    assert len(norms) == 2 * (2 + 2)
+    # weight 1 (2.3) and weight 2 (2.4, reused by AB) over the sp0 batch,
+    # each pair estimated once
+    assert len(norms) == len(set(norms)) == 2 * (2 + 2)
     # a second run recomputes everything: no cache outlives a run
     assert main(argv) == 3
     assert len(generated) == 2 * n_generated
     assert len(norms) == 2 * 2 * (2 + 2)
+    # 2.3 alone needs no Schwarzian norm
+    del norms[:]
+    assert main(["verify", "--theorem", "2.3", "--samples", "2",
+                 "--out", str(tmp_path / "r23.json")]) == 0
+    assert len(norms) == len(set(norms)) == 2 + 2
+    assert {w for _, w in norms} == {1}
 
 
 def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
@@ -417,6 +427,8 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         (None, ["emit", "growth", "--rmax", "1"]),
         (None, ["emit", "distortion", "--rmax", "-0.5"]),
         (None, ["emit", "growth", "--step", "inf"]),
+        *((None, ["emit", what, "--step", step])
+          for what in ("growth", "distortion", "phi") for step in ("1e-9", "1e-300")),
         (None, ["verify", "--samples", "-1"]),
         (None, ["radii", "probe", "--budget", "-1"]),
     ],

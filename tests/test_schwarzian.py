@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robertson_kit import cli
 from robertson_kit.robertson import (
     ClosedForm,
     MemberSeries,
     ParamOutOfRange,
     SchwarzSpec,
+    circle,
     extremal_member,
     generate_member,
     make_params,
     member_from_json,
     member_to_json,
+    polar_grid,
 )
 from robertson_kit.sampling import sample_schwarz_specs
 from robertson_kit.schwarzian import (
@@ -28,11 +31,12 @@ from robertson_kit.schwarzian import (
     TailToleranceUnmet,
     golden_max,
     norm_estimate,
+    norm_estimates,
     schwarzian,
     schwarzian_via_phi,
     weighted_value,
 )
-from robertson_kit.series import TruncatedSeries
+from robertson_kit.series import TruncatedSeries, chebyshev_radii
 
 NORM_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "norm_soundness.json"
 
@@ -304,6 +308,115 @@ def test_norm_coarse_refine_tol_refines_once():
     assert coarse.refinement_steps == 17 * 17
     assert coarse.value > 0
     assert coarse.value <= norm_estimate(m, 2).value
+
+
+def _one_member_estimate(member, w, opts):
+    """norm_estimate one member and one weight at a time: the coarse loop
+    and the scalar zoom as they were before the batch.  A member that has
+    only series takes its coarse grid from one FFT per radius."""
+    r_max = opts.r_max
+    series = None
+    if member.exact("P") is None:
+        series = member.p_series() if w == 1 else member.s_series()
+    radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
+    vals = np.empty((radii.size, opts.angular))
+    for at in range(0, radii.size, 16):
+        zs = polar_grid(radii[at : at + 16], opts.angular)
+        if series is None:
+            vals[at : at + 16] = weighted_value(member, zs, w, r_max)
+        else:
+            v = np.array([series.eval_on_circle(r, opts.angular) for r in radii[at : at + 16]])
+            vals[at : at + 16] = (1 - np.abs(zs) ** 2) ** w * np.abs(v)
+    j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    per_radius = vals.max(axis=1)
+    gap = float(np.max(np.abs(per_radius[max(0, j - 1) : j + 2] - per_radius[j])))
+    r, theta = float(radii[j]), 2 * math.pi * i / opts.angular
+    dr, dth = r_max / (opts.radial + 1), 2 * math.pi / opts.angular
+    offsets = np.linspace(-1.0, 1.0, 17)
+    best, best_z, evals = -math.inf, None, 0
+    while True:
+        rs = np.clip(r + dr * offsets, 0.0, r_max)
+        ths = theta + dth * offsets
+        zs = rs[:, None] * np.exp(1j * ths)[None, :]
+        v = weighted_value(member, zs, w, r_max)
+        evals += zs.size
+        a, b = np.unravel_index(int(np.argmax(v)), v.shape)
+        if v[a, b] > best:
+            best, best_z, r, theta = float(v[a, b]), complex(zs[a, b]), rs[a], ths[b]
+        dr, dth = dr / 4, dth / 4
+        if dr <= opts.refine_tol and dth <= opts.refine_tol:
+            break
+    tail = 0.0 if series is None else float(series.tail_bound(r_max))
+    return NormEstimate(value=best, argmax=best_z, weight_exponent=w, r_max=float(r_max),
+                        tail_error=tail, refinement_steps=evals, scan_gap=gap)
+
+
+def _mixed_family():
+    """verify's SP0 batch (--samples 6) at two points, and one member of each other kind."""
+    members = []
+    for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
+        cfg = cli.RunConfig(alpha=alpha, beta=beta, order=512, samples=6)
+        members += cli.RunCache().members(cfg, "sp0")[3]
+    p = make_params(math.pi / 4, 0.25)
+    rng = np.random.default_rng(3)
+    members.append(generate_member(p, SchwarzSpec("polynomial", (0, 0.3, 0.2j, -0.1)), order=256))
+    for n in range(1, 5):
+        zeros = tuple(complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(n))
+        spec = SchwarzSpec("blaschke_product", zeros=(0j,) + zeros, rotation=0.6 + 0.8j)
+        members.append(generate_member(p, spec, order=256))
+    members.append(extremal_member(make_params(0.3, 0.1), "disk_symmetric", 1j, order=256))
+    poly = generate_member(p, SchwarzSpec("polynomial", (0, 0, 0.5, 0.1j)), order=512)
+    members.append(member_from_json(member_to_json(poly)))
+    return members
+
+
+@pytest.mark.parametrize("r_max", [0.95, 0.9995])
+def test_norm_estimates_match_one_member_reference(r_max):
+    members = _mixed_family()
+    opts = ScanOpts(r_max=r_max)
+    ref = {(id(m), w): _one_member_estimate(m, w, opts) for m in members for w in (1, 2)}
+    for weights in ((1,), (2,), (1, 2)):
+        rows = norm_estimates(members, weights, opts)
+        assert len(rows) == len(members)
+        for m, row in zip(members, rows):
+            assert row == [ref[id(m), w] for w in weights]
+    assert norm_estimate(members[-1], 2, opts) == ref[id(members[-1]), 2]
+
+
+def test_closed_form_serves_before_schwarz_data():
+    # a member with a closed form and Schwarz data is scanned by its closed
+    # form, as exact() evaluates it, even batched with generated members
+    params = make_params(math.pi / 4, 0.25)
+    ext = extremal_member(params, "disk_symmetric", 1.0, order=64)
+    both = MemberSeries(params, ext.provenance, f_prime=ext.f_prime, closed_form=ext.closed_form,
+                        schwarz=SchwarzSpec("polynomial", (0, 0, 0.5)))
+    assert both.exact_schwarz is None
+    specs = sample_schwarz_specs(20250810, 3, sp0=True)
+    batch = [both] + [generate_member(params, s, order=64, validate=False) for s in specs]
+    opts = ScanOpts(r_max=0.95)
+    rows = norm_estimates(batch, (1, 2), opts)
+    assert rows[0] == [_one_member_estimate(ext, w, opts) for w in (1, 2)]
+    for m in (both, ext):
+        assert np.array_equal(m.on_circle("S", 0.5, 8), ext.closed_form.s(circle(0.5, 8)))
+
+
+def test_series_member_coarse_scan_is_fft_only(monkeypatch):
+    # a member read from JSON scans its coarse grid by FFT circles; only
+    # its zoom evaluates points: 14 levels of 17 x 17
+    spec = sample_schwarz_specs(20250810, 3, sp0=True)[2]
+    m = member_from_json(member_to_json(
+        generate_member(make_params(math.pi / 4, 0.25), spec, order=512, validate=False)))
+    real = TruncatedSeries.eval_at
+    for w in (1, 2):
+        calls = []
+
+        def counting(self, z, r_trunc):
+            calls.append(np.size(z))
+            return real(self, z, r_trunc)
+
+        monkeypatch.setattr(TruncatedSeries, "eval_at", counting)
+        norm_estimate(m, w, ScanOpts(r_max=0.95))
+        assert (len(calls), sum(calls)) == (14, 4046)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])

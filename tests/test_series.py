@@ -272,6 +272,29 @@ def test_eval_on_circle_matches_pointwise():
         assert np.max(np.abs(direct - fft)) < 1e-12
 
 
+def _one_circle_fold(c, r, n):
+    """One radius folded modulo n and transformed, as eval_on_circle did alone."""
+    rows = -(-c.size // n)
+    buf = np.zeros(rows * n, dtype=np.complex128)
+    np.multiply(c, r ** np.arange(c.size), out=buf[: c.size])
+    return np.fft.ifft(buf.reshape(rows, n).sum(axis=0)) * n
+
+
+def test_eval_on_circles_rows_match_one_circle_fold():
+    rng = np.random.default_rng(11)
+    radii = np.concatenate(([0.0], np.sort(rng.uniform(0, 0.999, 12)), [0.95]))
+    for size, n in ((513, 64), (4097, 1024), (40, 64), (48, 16)):
+        s = TruncatedSeries(rng.normal(size=size) + 1j * rng.normal(size=size))
+        rows = s.eval_on_circles(radii, n)
+        assert rows.shape == (radii.size, n)
+        for r, row in zip(radii, rows):
+            ref = _one_circle_fold(s.coeffs, float(r), n)
+            assert np.array_equal(row.view(np.float64), ref.view(np.float64)), (size, n, r)
+        assert np.array_equal(s.eval_on_circle(0.95, n), rows[-1])
+    with pytest.raises(RadiusExceeded):
+        s.eval_on_circles([0.5, 1.0], 16)
+
+
 def test_tail_bound_geometric_example():
     s = geometric(60)
     tb = s.tail_bound(0.5)
