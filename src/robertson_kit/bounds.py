@@ -58,11 +58,11 @@ def xi_of_member(member: MemberSeries) -> float:
     return min(xi, 1.0)
 
 
-def schwarzian_pointwise_bound(params: ClassParams, xi: float, r: float) -> float:
-    """Bound 2k(2 + k (xi+r)^2/(1-xi^2)) on (1-|z|^2)^2 |S_f(z)|."""
+def schwarzian_pointwise_bound(params: ClassParams, xi: float, r):
+    """Bound 2k(2 + k (xi+r)^2/(1-xi^2)) on (1-|z|^2)^2 |S_f(z)|; r = |z| may be an array."""
     if not 0 <= xi < 1:
         raise XiOutOfRange(f"xi={xi} outside [0, 1)")
-    if not 0 <= r < 1:
+    if not np.all((0 <= r) & (r < 1)):
         raise ParamOutOfRange(f"r={r} outside [0, 1)")
     k = params.k
     return 2 * k * (2 + k * (xi + r) ** 2 / (1 - xi**2))

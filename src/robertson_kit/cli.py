@@ -20,6 +20,7 @@ import argparse
 import csv
 import datetime
 import functools
+import io
 import itertools
 import json
 import math
@@ -269,9 +270,8 @@ def _pointwise_s_residual(m: MemberSeries, zs, w: dict):
     if xi >= 1 - 1e-12:
         # the bound degenerates to +inf at xi = 1; trivially satisfied
         return np.full(np.shape(zs), np.inf)
-    k = m.params.k
     sv = np.abs(m.values("S", zs))
-    b = 2 * k * (2 + k * (xi + np.abs(zs)) ** 2 / (1 - xi**2))
+    b = bounds.schwarzian_pointwise_bound(m.params, xi, np.abs(zs))
     return b - (1 - np.abs(zs) ** 2) ** 2 * sv
 
 
@@ -504,16 +504,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             print(f"unknown check id {cid!r}; known: {sorted(CHECK_BUILDERS)}", file=sys.stderr)
             return 2
         report.records.extend(CHECK_BUILDERS[cid](cfg, cache))
-    payload = json.dumps(report.to_json(), sort_keys=True, indent=2)
-    if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(payload)
+    if _write_json(report.to_json(), cfg.out, "report"):
+        return 2
     for rec in report.records:
         tag = "PASS" if rec.status == "holds" else rec.status.upper()
         print(
@@ -529,20 +521,29 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Optional[str], header: list[str], rows) -> int:
+def _write(path: Optional[str], text: str, what: str) -> int:
+    """text to the file at path, or to stdout without one; 2, with a message
+    naming `what`, when the file cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
     try:
-        fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
-        print(f"cannot open output: {exc}", file=sys.stderr)
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
         return 2
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
     return 0
+
+
+def _write_json(obj, path: Optional[str] = None, what: str = "output") -> int:
+    return _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n", what)
+
+
+def _write_csv(header: list[str], rows, path: Optional[str]) -> int:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return _write(path, text.getvalue(), "table")
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
@@ -568,7 +569,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
                 o = bounds.growth_oracle(params, float(r))
                 row += [f"{o.lower:.12g}", f"{o.upper:.12g}"]
             rows.append(row)
-        return _write_csv(args.out, header, rows)
+        return _write_csv(header, rows, args.out)
     if args.what == "distortion":
         members = (
             sampling.sample_members(
@@ -588,7 +589,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
             env = bounds.distortion_envelope(params, float(r))
             sampled = [f"{smin:.12g}", f"{smax:.12g}"] if members and r > 0 else ["", ""]
             rows.append([f"{r:.10g}", f"{env.lower:.12g}", f"{env.upper:.12g}", *sampled])
-        return _write_csv(args.out, header, rows)
+        return _write_csv(header, rows, args.out)
     if args.what == "phi":
         setting = radii.ConcavitySetting(args.Aco)
         modes = ["paper", "corrected"] if args.mode == "both" else [args.mode]
@@ -601,7 +602,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
             + [f"{float(radii.phi_value(quads[m], r)):.12g}" for m in modes]
             for r in rs
         ]
-        return _write_csv(args.out, ["r"] + [f"phi_{m}" for m in modes], rows)
+        return _write_csv(["r"] + [f"phi_{m}" for m in modes], rows, args.out)
     if args.what == "member":
         if args.spec is None:
             print("emit member needs --spec PATH", file=sys.stderr)
@@ -613,17 +614,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
             print(f"cannot read spec: {exc}", file=sys.stderr)
             return 2
         member = generate_member(params, spec, order=args.order)
-        payload = json.dumps(robertson.member_to_json(member), sort_keys=True, indent=2)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(payload + "\n")
-            except OSError as exc:
-                print(f"cannot write member: {exc}", file=sys.stderr)
-                return 2
-        else:
-            print(payload)
-        return 0
+        return _write_json(robertson.member_to_json(member), args.out, "member")
     if args.what == "norm":
         member = extremal_member(params, args.variant, 1.0, order=args.order)
         est = norm_estimate(
@@ -636,8 +627,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
                 refine_tol=args.refine_tol,
             ),
         )
-        print(json.dumps(est.to_json(), sort_keys=True, indent=2))
-        return 0
+        return _write_json(est.to_json(), args.out, "estimate")
     print(f"unknown emit target {args.what!r}", file=sys.stderr)
     return 2
 
@@ -653,8 +643,7 @@ def cmd_radii(args: argparse.Namespace) -> int:
         setting = radii.ConcavitySetting(args.Aco)
         modes = ["paper", "corrected"] if args.mode == "both" else [args.mode]
         out = {m: radii.radius_concavity(params, setting, m).to_json() for m in modes}
-        print(json.dumps(out, sort_keys=True, indent=2))
-        return 0
+        return _write_json(out)
     if args.radii_cmd == "convexity":
         res = radii.radius_convexity(params, args.mode, args.characterization)
         if res.degenerate:
@@ -663,8 +652,7 @@ def cmd_radii(args: argparse.Namespace) -> int:
                 f"for k = {params.k:.6f} <= 1",
                 file=sys.stderr,
             )
-        print(json.dumps(res.to_json(), sort_keys=True, indent=2))
-        return 0
+        return _write_json(res.to_json())
     if args.radii_cmd == "probe":
         setting = radii.ConcavitySetting(args.Aco)
         res = radii.sharpness_probe(
@@ -679,8 +667,7 @@ def cmd_radii(args: argparse.Namespace) -> int:
         payload["radius_corrected"] = corrected
         payload["gap_to_paper"] = res.empirical_radius - paper
         payload["gap_to_corrected"] = res.empirical_radius - corrected
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
+        return _write_json(payload)
     print(f"unknown radii command {args.radii_cmd!r}", file=sys.stderr)
     return 2
 

@@ -29,15 +29,13 @@ import numpy as np
 
 from .robertson import (
     ClassParams,
-    GridSpec,
+    MemberBatch,
     MemberSeries,
     ParamOutOfRange,
     SchwarzSpec,
     circle,
     generate_member,
     polar_grid,
-    schwarz_values,
-    stack_specs,
 )
 from .sampling import sample_schwarz_specs
 from .series import DEFAULT_ORDER, chebyshev_radii
@@ -228,21 +226,32 @@ class SoundnessReport:
     samples: int
 
 
+def _first_least(rows: np.ndarray, zs: np.ndarray) -> tuple[float, int, complex]:
+    """(least, i, z): the first row i with the strictly least row minimum, at
+    its first minimizing column of the shared points zs.  A row whose argmin
+    is NaN never wins; no winning row gives (inf, -1, 0j)."""
+    js = np.argmin(rows, axis=1)
+    mins = np.append(np.fmin(rows[np.arange(len(rows)), js], math.inf), math.inf)
+    i = int(np.argmin(mins))
+    if mins[i] == math.inf:
+        return math.inf, -1, 0j
+    return float(mins[i]), i, complex(zs[js[i]])
+
+
+# the soundness scan's polar grid: Chebyshev radii by uniform angles
+SOUNDNESS_RADII = 24
+SOUNDNESS_ANGLES = 96
+
+
 def concavity_soundness_scan(
-    members: Sequence[MemberSeries],
-    setting: ConcavitySetting,
-    radius: float,
-    grid: GridSpec = GridSpec(n_radii=24, n_angles=96),
+    members: Sequence[MemberSeries], setting: ConcavitySetting, radius: float
 ) -> SoundnessReport:
-    """Minimum of Re T_f over the members and |z| <= radius - 1e-3."""
+    """Minimum of Re T_f over the members and |z| <= radius - 1e-3, all
+    members in one MemberBatch call."""
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
-    zs = polar_grid(chebyshev_radii(grid.n_radii, r_cap), grid.n_angles).ravel()
-    best, w_i, w_z = math.inf, -1, 0j
-    for i, m in enumerate(members):
-        re_t = t_values(m, setting, zs, r_cap).real
-        j = int(np.argmin(re_t))
-        if re_t[j] < best:
-            best, w_i, w_z = float(re_t[j]), i, complex(zs[j])
+    zs = polar_grid(chebyshev_radii(SOUNDNESS_RADII, r_cap), SOUNDNESS_ANGLES).ravel()
+    re_t = t_from_p(setting, zs, MemberBatch(members, r_cap).values("P", zs)).real
+    best, w_i, w_z = _first_least(re_t, zs)
     return SoundnessReport(
         min_re_t=best, witness_index=w_i, witness_z=w_z, samples=len(members) * zs.size
     )
@@ -298,7 +307,7 @@ def sharpness_probe(
     fixed family.  A coarse ascending scan brackets the first failure
     radius and bisection narrows it to r_tol; the budget counts
     member-circle evaluations and exhaustion returns the best-so-far with
-    a flag.  A circle evaluates the members one array call per SpecStack.
+    a flag.  A circle evaluates the members in one MemberBatch call.
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
@@ -308,25 +317,17 @@ def sharpness_probe(
         for j in range(PROBE_ROTATIONS)
     ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
     members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
-    stacks = stack_specs([m.schwarz for m in members])
+    batch = MemberBatch(members)
     evals, witness = 0, None  # witness: (spec, z) of the last circle with Re T_f <= 0
 
     def min_re_t(r: float) -> float:
         nonlocal evals, witness
         zs = circle(r, PROBE_ANGLES)
-        re_t = np.empty((len(members), zs.size))
-        for stack in stacks:
-            p = schwarz_values(params, stack, "P", zs)
-            re_t[stack.index, :] = t_from_p(setting, zs, p).real
+        least, i, z = _first_least(t_from_p(setting, zs, batch.values("P", zs)).real, zs)
         evals += len(members)
-        # the first member with the strictly least row minimum, at its first
-        # minimizing angle; fmin makes a row whose argmin is NaN never win
-        js = np.argmin(re_t, axis=1)
-        mins = np.append(np.fmin(re_t[np.arange(len(members)), js], math.inf), math.inf)
-        i = int(np.argmin(mins))
-        if mins[i] <= 0:
-            witness = (specs[i], complex(zs[js[i]]))
-        return float(mins[i])
+        if least <= 0:
+            witness = (specs[i], z)
+        return least
 
     exhausted = False
     lo, hi = None, None

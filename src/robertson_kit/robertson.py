@@ -148,9 +148,12 @@ class SchwarzSpec:
                 raise ParamOutOfRange(f"{p!r} is not an [re, im] pair of finite numbers")
             return complex(*p)
 
-        def numbers(key: str) -> tuple:
+        def numbers(key: str) -> tuple:  # at most MAX_ORDER + 1 of them
             pairs = d.get(key)
-            return tuple(map(number, pairs if isinstance(pairs, list) else [pairs]))
+            pairs = pairs if isinstance(pairs, list) else [pairs]
+            if len(pairs) > MAX_ORDER + 1:
+                raise ParamOutOfRange(f"{len(pairs)} {key} exceed {MAX_ORDER + 1}")
+            return tuple(map(number, pairs))
 
         if not isinstance(d, dict):
             raise ParamOutOfRange(f"a Schwarz spec is a JSON object, not {d!r}")
@@ -246,10 +249,9 @@ def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray):
 
 @dataclass(frozen=True)
 class SpecStack:
-    """Specs of one structure as (G, 1) columns, at `index` in a list (stack_specs)."""
+    """Specs of one structure as (G, 1) columns, which phi_values takes for a spec."""
 
     kind: str
-    index: tuple
     coeffs: tuple = ()
     factors: tuple = ()
 
@@ -257,29 +259,20 @@ class SpecStack:
         return self.factors
 
 
-def stack_specs(specs) -> list[SpecStack]:
-    """The specs grouped into SpecStacks, which phi_values takes for a spec.
-
-    Polynomials form one stack, padded with trailing zeros to a common length
-    >= 2 (Horner over leading zeros is exact); products stack by (s, zeros off 0).
-    """
-    groups: dict = {}  # polynomials under s = -1
-    for i, spec in enumerate(specs):
-        s, zeros = (-1, ()) if spec.kind == "polynomial" else spec.product()[1:]
-        groups.setdefault((s, len(zeros)), []).append(i)
-    stacks = []
-    for (s, _), index in groups.items():
-        if s < 0:
-            n = max(2, *(len(specs[i].coeffs) for i in index))
-            rows = [tuple(specs[i].coeffs) + (0j,) * (n - len(specs[i].coeffs)) for i in index]
-            coeffs = tuple(np.array(rows, dtype=complex).T[..., None])
-            stacks.append(SpecStack("polynomial", tuple(index), coeffs=coeffs))
-            continue
-        rotations, _, zeros = zip(*(specs[i].product() for i in index))
-        pairs = np.array(zeros, dtype=complex).reshape(len(index), -1, 2).T[..., None]
-        factors = (np.array(rotations)[:, None], s, tuple(zip(*pairs)))
-        stacks.append(SpecStack("blaschke_product", tuple(index), factors=factors))
-    return stacks
+def _stack(specs) -> Optional[SpecStack]:
+    """Specs of one structure as a SpecStack, None for one spec alone;
+    polynomials are padded with trailing zeros to a common length >= 2
+    (Horner over leading zeros is exact)."""
+    if len(specs) == 1:
+        return None
+    if specs[0].kind == "polynomial":
+        n = max(2, *(len(spec.coeffs) for spec in specs))
+        rows = [tuple(spec.coeffs) + (0j,) * (n - len(spec.coeffs)) for spec in specs]
+        return SpecStack("polynomial", coeffs=tuple(np.array(rows, dtype=complex).T[..., None]))
+    rotations, powers, zeros = zip(*(spec.product() for spec in specs))
+    pairs = np.array(zeros, dtype=complex).reshape(len(specs), -1, 2).T[..., None]
+    factors = (np.array(rotations)[:, None], powers[0], tuple(zip(*pairs)))
+    return SpecStack("blaschke_product", factors=factors)
 
 
 def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: str,
@@ -332,11 +325,9 @@ def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
     vo = require_vanishing(spec)
     if spec.kind == "polynomial":
         om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
-        grid_max = 0.0
-        for rad in chebyshev_radii(VALIDATION_RADII, VALIDATION_R):
-            vals = om.eval_on_circle(rad, VALIDATION_ANGLES)
-            grid_max = max(grid_max, float(np.max(np.abs(vals))))
-        if grid_max >= 1 - VALIDATION_MARGIN:
+        radii = chebyshev_radii(VALIDATION_RADII, VALIDATION_R)
+        grid_max = float(np.max(np.abs(om.eval_on_circles(radii, VALIDATION_ANGLES))))
+        if not grid_max < 1 - VALIDATION_MARGIN:
             raise NotASchwarzFunction(
                 f"grid max |omega| = {grid_max:.12f} reaches the unit circle"
             )
@@ -535,6 +526,52 @@ class MemberSeries:
         return self.on_circle("P", r, n_angles)
 
 
+class MemberBatch:
+    """Members evaluated together: values(q, z) has one row per member.
+
+    The one place that groups members.  Members with Schwarz data
+    (MemberSeries.exact_schwarz), equal params and one structure make one
+    schwarz_values call on a SpecStack; a member alone in its group, or
+    without Schwarz data, goes through MemberSeries.values(q, z, r_trunc).
+    Each row is that member's values, bit for bit.
+    """
+
+    def __init__(self, members, r_trunc: float = 0.95):
+        self.members, self.r_trunc = list(members), r_trunc
+        groups: dict = {}  # every polynomial stacks, and products by (s, zeros off 0)
+        for i, m in enumerate(self.members):
+            spec = m.exact_schwarz
+            if spec is None:
+                key = i  # a group of its own
+            elif spec.kind == "polynomial":
+                key = (m.params, "polynomial")
+            else:
+                _, s, zeros = spec.product()
+                key = (m.params, s, len(zeros))
+            groups.setdefault(key, []).append(i)
+        # (rows, their SpecStack, or None for one member's values)
+        self._parts = [(rows, _stack([self.members[i].exact_schwarz for i in rows]))
+                       for rows in groups.values()]
+
+    def values(self, q: str, z) -> np.ndarray:
+        """P_f (q "P") or S_f (q "S") of every member, one row each, at z:
+        one row of points shared by every member, or one row per member."""
+        if q not in ("P", "S"):
+            raise ParamOutOfRange(f"a batch evaluates 'P' or 'S', not {q!r}")
+        zs = np.asarray(z, dtype=np.complex128)
+        out = np.empty((len(self.members), zs.shape[-1]), dtype=np.complex128)
+        for rows, stack in self._parts:
+            whole = len(rows) == len(self.members)
+            points = zs if zs.ndim == 1 or whole else zs[rows]
+            m = self.members[rows[0]]
+            vals = (m.values(q, points, self.r_trunc) if stack is None
+                    else schwarz_values(m.params, stack, q, points))
+            if whole:  # one part spans the batch: its rows need no copy
+                return vals.reshape(len(rows), -1)
+            out[rows] = vals
+        return out
+
+
 def generate_member(
     params: ClassParams,
     spec: SchwarzSpec,
@@ -549,8 +586,8 @@ def generate_member(
     (require_vanishing).  A vanishing order >= 2 yields f''(0) = 0, i.e. an
     SP0 member.
     """
-    if order < 8:
-        raise ParamOutOfRange("series order must be >= 8")
+    if not 8 <= order <= MAX_ORDER:
+        raise ParamOutOfRange(f"series order {order} outside [8, {MAX_ORDER}]")
     if validate:
         validate_schwarz(spec)
     else:
@@ -569,6 +606,8 @@ def extremal_member(
         raise ParamOutOfRange(f"unknown extremal variant {variant!r}")
     if abs(abs(lam) - 1) > 1e-12:
         raise ParamOutOfRange("lambda must be unimodular")
+    if not 8 <= order <= MAX_ORDER:
+        raise ParamOutOfRange(f"series order {order} outside [8, {MAX_ORDER}]")
     base = np.zeros(order + 1, dtype=np.complex128)
     base[0], base[1 if variant == "plane" else 2] = 1.0, -lam
     return MemberSeries(
@@ -645,7 +684,7 @@ def _scalarize(z, res):
     return float(res[0]) if np.ndim(z) == 0 else res.reshape(np.shape(z))
 
 
-def check_ii(member: MemberSeries, z, r_trunc: float = 0.95):
+def check_ii(member: MemberSeries, z):
     """Residual of the half-plane characterization in its real-part form.
 
     residual = Re(1 + conj(G1) z P) - [1 - k^2 + (1-|z|^2)/4 |z P|^2];
@@ -653,12 +692,12 @@ def check_ii(member: MemberSeries, z, r_trunc: float = 0.95):
     """
     pr = member.params
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
-    zp = zs * member.values("P", zs, r_trunc)
+    zp = zs * member.values("P", zs)
     rhs = 1 - pr.k**2 + (1 - np.abs(zs) ** 2) / 4 * np.abs(zp) ** 2
     return _scalarize(z, (1 + np.conj(pr.g1) * zp).real - rhs)
 
 
-def check_iii(member: MemberSeries, z, mode: str = "corrected", r_trunc: float = 0.95):
+def check_iii(member: MemberSeries, z, mode: str = "corrected"):
     """Residual of the two-sided pointwise bound on (1-|z|^2) P_f.
 
     mode "paper" evaluates the printed form k - |(1-|z|^2) P - 2 k conj(z)|,
@@ -668,7 +707,7 @@ def check_iii(member: MemberSeries, z, mode: str = "corrected", r_trunc: float =
     """
     pr = member.params
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
-    v = (1 - np.abs(zs) ** 2) * member.values("P", zs, r_trunc)
+    v = (1 - np.abs(zs) ** 2) * member.values("P", zs)
     if mode == "paper":
         return _scalarize(z, pr.k - np.abs(v - 2 * pr.k * np.conj(zs)))
     if mode == "corrected":
@@ -676,9 +715,7 @@ def check_iii(member: MemberSeries, z, mode: str = "corrected", r_trunc: float =
     raise ParamOutOfRange(f"unknown mode {mode!r}")
 
 
-def classical_convexity_check(
-    member: MemberSeries, z, which: str, r_trunc: float = 0.95
-):
+def classical_convexity_check(member: MemberSeries, z, which: str):
     """Residuals of the two classical convexity characterizations.
 
     "eq22_3": Re(1 + z P) - (1/4)(1-|z|^2)|P|^2;
@@ -686,7 +723,7 @@ def classical_convexity_check(
     Both are meaningful for convex members (alpha = beta = 0).
     """
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
-    p = member.values("P", zs, r_trunc)
+    p = member.values("P", zs)
     if which == "eq22_3":
         res = (1 + zs * p).real - 0.25 * (1 - np.abs(zs) ** 2) * np.abs(p) ** 2
     elif which == "eq22_4":

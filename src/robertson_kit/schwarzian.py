@@ -5,23 +5,21 @@ the powers of the reciprocal unit-disk Poincare density.  Norms are
 estimated by a dense polar scan clustered toward the scan radius followed
 by a vectorized polar zoom around the scan's maximum; the result is a
 lower estimate of the supremum on the scanned region, attained at the
-point it reports, with scan-gap metadata.  Values come from
-MemberSeries.values; only members that have nothing but series carry a tail.
+point it reports.  Values come from MemberSeries and MemberBatch; only
+members that have nothing but series carry a tail.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .series import TAIL_TOL, TruncatedSeries, chebyshev_radii
-from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import phi_series, polar_grid, schwarz_values, stack_specs
+from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
+from .robertson import phi_series, polar_grid
 
 
 class TailToleranceUnmet(ValueError):
@@ -49,8 +47,7 @@ class NormEstimate:
     """Result of a weighted sup-norm scan.
 
     value is a lower estimate of the true supremum, and it is exactly
-    weighted_value(member, argmax, weight_exponent, r_max); value +
-    scan_gap is an upper estimate on the scanned region.  weight_exponent
+    weighted_value(member, argmax, weight_exponent, r_max).  weight_exponent
     is 1 for the pre-Schwarzian norm and 2 for the Schwarzian norm.
     tail_error is the series tail bound at r_max, 0.0 for members with an
     exact evaluator.  refinement_steps is the number of points the
@@ -63,7 +60,6 @@ class NormEstimate:
     r_max: float
     tail_error: float
     refinement_steps: int
-    scan_gap: float
 
     def to_json(self) -> dict:
         return {
@@ -73,7 +69,6 @@ class NormEstimate:
             "r_max": self.r_max,
             "tail_error": self.tail_error,
             "refinement_steps": self.refinement_steps,
-            "scan_gap": self.scan_gap,
         }
 
 
@@ -143,18 +138,10 @@ ZOOM_POINTS = 17  # patch nodes per axis; odd, so the centre is a node
 SCAN_BLOCK = 16
 
 
-class _Start(NamedTuple):
-    """A coarse scan's best node for one weight, where the zoom starts."""
-
-    r: float
-    theta: float
-    gap: float  # local variation around the node, as an upper-bound gap hint
-
-
-def _coarse_scan(member: MemberSeries, weights, radii: np.ndarray, n_ang: int) -> list[_Start]:
-    """Per weight, the first maximum in (radius, angle) order of the weighted
-    modulus on polar_grid(radii, n_ang); one member.on_circles call per
-    SCAN_BLOCK radii serves every weight."""
+def _coarse_scan(member: MemberSeries, weights, radii: np.ndarray, n_ang: int) -> list[tuple]:
+    """Per weight, the (r, theta) where the zoom starts: the first maximum in
+    (radius, angle) order of the weighted modulus on polar_grid(radii, n_ang).
+    One member.on_circles call per SCAN_BLOCK radii serves every weight."""
     best = np.empty((len(weights), 2, radii.size))  # each circle's maximum and its angle index
     for at in range(0, radii.size, SCAN_BLOCK):
         rs = radii[at : at + SCAN_BLOCK]
@@ -167,29 +154,28 @@ def _coarse_scan(member: MemberSeries, weights, radii: np.ndarray, n_ang: int) -
     starts = []
     for per_radius, angle in best:
         j = int(np.argmax(per_radius))
-        gap = float(np.max(np.abs(per_radius[max(0, j - 1) : j + 2] - per_radius[j])))
-        starts.append(_Start(float(radii[j]), 2 * math.pi * int(angle[j]) / n_ang, gap))
+        starts.append((float(radii[j]), 2 * math.pi * int(angle[j]) / n_ang))
     return starts
 
 
-def _zoom(evaluate, weight_exponent, r_max, r, theta, dr, dth, tol):
-    """Polar zoom toward local maxima of the weighted modulus from G starts.
+def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
+    """Polar zoom toward local maxima of the weighted modulus, one start per member.
 
     Each level evaluates every row's ZOOM_POINTS x ZOOM_POINTS patch of
-    nodes r +- dr (clipped to [0, r_max]) by theta +- dth in one evaluate
-    call on a (G, ZOOM_POINTS**2) array, moves a row's centre to its first
-    patch maximum when that strictly beats the row's best (a NaN never
-    wins), and shrinks both half-widths 4x until both are <= tol.  Returns
-    each row's best value, its exact point, and the point count per row.
+    nodes r +- dr (clipped to [0, batch.r_trunc]) by theta +- dth in one
+    batch.values call on a (G, ZOOM_POINTS**2) array, moves a row's centre
+    to its first patch maximum when that strictly beats the row's best (a
+    NaN never wins), and shrinks both half-widths 4x until both are <= tol.
+    Returns each row's best value, its exact point, and the point count per row.
     """
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     g, centre = np.arange(r.size), ZOOM_POINTS**2 // 2
     best, evals = np.full(r.size, -math.inf), 0
     while True:
-        rs = np.minimum(np.maximum(r[:, None] + dr * offsets, 0.0), r_max)
+        rs = np.minimum(np.maximum(r[:, None] + dr * offsets, 0.0), batch.r_trunc)
         ths = theta[:, None] + dth * offsets
         zs = (rs[:, :, None] * np.exp(1j * ths)[:, None, :]).reshape(r.size, -1)
-        vals = _weighted(zs, weight_exponent, evaluate(zs))
+        vals = _weighted(zs, weight_exponent, batch.values(_Q[weight_exponent], zs))
         evals += ZOOM_POINTS**2
         k = vals.argmax(axis=1)
         v = vals[g, k]
@@ -214,12 +200,10 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
 
     One coarse scan of radial x angular polar nodes (radii clustered toward
     r_max) per member serves every weight; from each coarse argmax a zoom
-    refines over r +- r_max/(radial+1), theta +- 2 pi/angular.  Members
-    evaluated from Schwarz data (MemberSeries.exact_schwarz) that share
-    params and r_max zoom in lockstep, one array call per level per
-    stack_specs group; others zoom alone through MemberSeries.values.  No
-    value depends on the batch.  TailToleranceUnmet: a series-only
-    member's tail at r_max.
+    refines over r +- r_max/(radial+1), theta +- 2 pi/angular.  The members
+    that share an r_max zoom in lockstep as one MemberBatch, one zoom per
+    weight.  No value depends on the batch.  TailToleranceUnmet: a
+    series-only member's tail at r_max.
     """
     if any(w not in _Q for w in weights):
         raise ValueError("weight_exponent must be 1 or 2")
@@ -227,8 +211,8 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
     if opts.radial < 1 or opts.angular < 1:
         raise ParamOutOfRange(f"radial={opts.radial}, angular={opts.angular}: each must be >= 1")
-    r_maxes, tails, starts, groups = [], [], [], {}
-    for i, m in enumerate(members):
+    r_maxes, tails, starts = [], [], []
+    for m in members:
         r_max = opts.r_max if opts.r_max is not None else 0.9995 if m.closed_form else 0.95
         if not 0 < r_max < 1:
             raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
@@ -240,27 +224,16 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
         starts.append(_coarse_scan(m, weights, radii, opts.angular))
         r_maxes.append(r_max)
         tails.append(tail)
-        groups.setdefault((m.params, r_max) if m.exact_schwarz is not None else i, []).append(i)
     out = [[None] * len(weights) for _ in members]
-    for index in groups.values():
-        params, r_max = members[index[0]].params, r_maxes[index[0]]
-        parts = [(index, None)]  # (rows, their SpecStack, or None for one member's values)
-        if len(index) > 1:
-            stacks = stack_specs([members[i].exact_schwarz for i in index])
-            parts = [([index[j] for j in st.index], st if len(st.index) > 1 else None)
-                     for st in stacks]
-        for (rows, stack), (k, w) in itertools.product(parts, enumerate(weights)):
-            if stack is None:
-                evaluate = functools.partial(members[rows[0]].values, _Q[w], r_trunc=r_max)
-            else:
-                evaluate = functools.partial(schwarz_values, params, stack, _Q[w])
-            r = np.array([starts[i][k].r for i in rows])
-            theta = np.array([starts[i][k].theta for i in rows])
-            best, best_z, steps = _zoom(evaluate, w, r_max, r, theta, r_max / (opts.radial + 1),
+    for r_max in dict.fromkeys(r_maxes):
+        rows = [i for i, r in enumerate(r_maxes) if r == r_max]
+        batch = MemberBatch([members[i] for i in rows], r_max)
+        for k, w in enumerate(weights):
+            r, theta = np.array([starts[i][k] for i in rows]).T
+            best, best_z, steps = _zoom(batch, w, r, theta, r_max / (opts.radial + 1),
                                         2 * math.pi / opts.angular, opts.refine_tol)
             for g, i in enumerate(rows):
                 out[i][k] = NormEstimate(value=float(best[g]), argmax=complex(best_z[g]),
                                          weight_exponent=w, r_max=float(r_max),
-                                         tail_error=float(tails[i][k]),
-                                         refinement_steps=steps, scan_gap=starts[i][k].gap)
+                                         tail_error=float(tails[i][k]), refinement_steps=steps)
     return out

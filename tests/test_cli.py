@@ -431,6 +431,13 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
           for what in ("growth", "distortion", "phi") for step in ("1e-9", "1e-300")),
         (None, ["verify", "--samples", "-1"]),
         (None, ["radii", "probe", "--budget", "-1"]),
+        # orders above series.MAX_ORDER, and more coefficients than it allows
+        (None, ["verify", "--order", "4097"]),
+        (None, ["emit", "norm", "--order", "4097"]),
+        (None, ["emit", "norm", "--order", "1"]),
+        (None, ["radii", "probe", "--order", "4097"]),
+        pytest.param('{"kind": "polynomial", "coeffs": [%s]}' % ", ".join(["[0, 0]"] * 4098),
+                     None, id="4098-coeffs"),
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, spec, argv):
@@ -443,14 +450,18 @@ def test_malformed_input_exit_2(tmp_path, capsys, spec, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_emit_norm_json():
-    proc = run_cli(
-        "emit", "norm", "--alpha", "0", "--beta", "0.5",
-        "--variant", "disk_symmetric", "--weight", "2",
-    )
+def test_emit_norm_json(tmp_path):
+    argv = ["emit", "norm", "--alpha", "0", "--beta", "0.5",
+            "--variant", "disk_symmetric", "--weight", "2"]
+    proc = run_cli(*argv)
     assert proc.returncode == 0, proc.stderr
     d = json.loads(proc.stdout)
     assert abs(d["value"] - 1.5) < 5e-3
+    # --out writes the same estimate to the file and nothing to stdout
+    out = tmp_path / "norm.json"
+    proc = run_cli(*argv, "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    assert json.loads(out.read_text()) == d
 
 
 # ---------------------------------------------------------------------------

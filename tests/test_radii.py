@@ -29,9 +29,13 @@ from robertson_kit.robertson import (
     extremal_member,
     generate_member,
     make_params,
+    member_from_json,
+    member_to_json,
     plane_extremal_schwarz_spec,
+    polar_grid,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
+from robertson_kit.series import chebyshev_radii
 
 R_PAPER_00_2 = 4 - math.sqrt(15)  # 0.1270166537925831
 R_CORR_00_2 = 5 - math.sqrt(24)  # 0.1010205144336438
@@ -238,6 +242,38 @@ def test_paper_radius_unsound_finding():
     assert rep.min_re_t < -0.1
     r = abs(rep.witness_z)
     assert abs(rep.min_re_t - (r * r - 10 * r + 1) / (1 - r * r)) < 1e-9
+
+
+def _reference_soundness(members, setting, radius):
+    """concavity_soundness_scan one t_values call per member, as before the batch."""
+    r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
+    zs = polar_grid(chebyshev_radii(24, r_cap), 96).ravel()
+    best, w_i, w_z = math.inf, -1, 0j
+    for i, m in enumerate(members):
+        re_t = t_values(m, setting, zs, r_cap).real
+        j = int(np.argmin(re_t))
+        if re_t[j] < best:
+            best, w_i, w_z = float(re_t[j]), i, complex(zs[j])
+    return best, w_i, w_z, len(members) * zs.size
+
+
+def test_soundness_scan_matches_per_member_reference():
+    # sampled members at two points, rotations (omega = +-z tie), a closed
+    # form, a member read from JSON and a repeated member
+    p, q = make_params(0, 0), make_params(math.pi / 8, 0.25)
+    members = sample_members(p, 8, seed=3, order=64) + sample_members(q, 6, seed=4, order=64)
+    members += [
+        generate_member(p, SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0), order=64),
+        generate_member(p, SchwarzSpec(kind="blaschke_product", zeros=(0j,), rotation=-1.0), order=64),
+        extremal_member(p, "plane", 1.0, order=64),
+        member_from_json(member_to_json(members[2])),
+        members[5],
+    ]
+    st = ConcavitySetting(2.0)
+    for family, radius in ((members, R_PAPER_00_2), (members[:14], 0.5), ([], 0.3), (members, 1e-3)):
+        rep = concavity_soundness_scan(family, st, radius)
+        got = (rep.min_re_t, rep.witness_index, rep.witness_z, rep.samples)
+        assert got == _reference_soundness(family, st, radius)
 
 
 def test_probe_restricted_to_identity_map():

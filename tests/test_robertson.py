@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robertson_kit import robertson
 from robertson_kit.robertson import (
+    VALIDATION_ANGLES,
+    VALIDATION_R,
+    VALIDATION_RADII,
     ClosedForm,
     GridSpec,
+    MemberBatch,
     MemberSeries,
     NotASchwarzFunction,
     ParamOutOfRange,
     SchwarzSpec,
+    SpecStack,
     check_ii,
     check_iii,
     classical_convexity_check,
@@ -28,12 +34,12 @@ from robertson_kit.robertson import (
     phi_series,
     plane_extremal_schwarz_spec,
     schwarz_values,
-    stack_specs,
     subordination_membership_check,
     validate_schwarz,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
+from robertson_kit.series import chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +101,18 @@ def test_validate_identity_map():
     rep = validate_schwarz(SchwarzSpec(kind="polynomial", coeffs=(0, 1)))
     assert rep.vanishing_order == 1
     assert rep.grid_max < 1
+    # the grid maximum is the per-circle loop's, bit for bit
+    for spec in (
+        SchwarzSpec(kind="polynomial", coeffs=(0, 1)),
+        SchwarzSpec(kind="polynomial", coeffs=(0, 0.3, -0.2j, 0.1, 0.05 + 0.1j)),
+        plane_extremal_schwarz_spec(256),
+    ):
+        om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
+        grid_max = 0.0
+        for rad in chebyshev_radii(VALIDATION_RADII, VALIDATION_R):
+            vals = om.eval_on_circle(rad, VALIDATION_ANGLES)
+            grid_max = max(grid_max, float(np.max(np.abs(vals))))
+        assert validate_schwarz(spec).grid_max == grid_max
 
 
 def test_validate_square_map_is_sp0_generator():
@@ -457,7 +475,7 @@ def test_exact_values_finite_at_origin_and_blaschke_zeros():
                 assert np.all(np.isfinite(m.values(q, zs))), (spec, q)
 
 
-def test_exact_values_scalar_matches_array_bit_for_bit():
+def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
     params = make_params(math.pi / 4, 0.25)
     members = [
         generate_member(params, BLASCHKE_WITNESS, order=16, validate=False),
@@ -473,10 +491,11 @@ def test_exact_values_scalar_matches_array_bit_for_bit():
             points = np.array([[m.values(q, z) for z in row] for row in patch])
             assert np.array_equal(grid, points), (m.provenance, q)
 
-    # a SpecStack row is its spec's values, bit for bit: 16 rotations,
+    # a MemberBatch row is its member's values, bit for bit: 16 rotations,
     # products with 1-4 free zeros and 1 or 2 at the origin (a rotated
     # monomial, and a zero at 1e-15, stack with these), polynomials of
-    # lengths 1-257 padded to one
+    # lengths 1-257 padded to one; then a closed form, a member read from
+    # JSON, a repeated member and members at a second (alpha, beta)
     rng = np.random.default_rng(5)
     specs = [
         SchwarzSpec(kind="unit_constant_times_z", rotation=cmath.exp(2j * math.pi * j / 16))
@@ -495,16 +514,39 @@ def test_exact_values_scalar_matches_array_bit_for_bit():
         plane_extremal_schwarz_spec(256),
         BLASCHKE_WITNESS,
     ]
-    stacks = stack_specs(specs)
-    assert sorted(i for stack in stacks for i in stack.index) == list(range(len(specs)))
-    # polynomials; (s, free zeros) = (1, 0), (2, 0) and (1|2, 1-4)
-    assert len(stacks) == 1 + 2 + 8
+    batch = [generate_member(params, spec, order=16, validate=False) for spec in specs]
+    other = make_params(0.3, 0.5)
+    batch += [
+        extremal_member(params, "plane", -1.0, order=16),
+        member_from_json(member_to_json(batch[-1])),
+        batch[3],
+        # four polynomials, and the two products with s = 2 and a zero at 1e-15
+        *(generate_member(other, spec, order=16, validate=False)
+          for spec in (*specs[-6:-2], BLASCHKE_WITNESS, specs[-11])),
+    ]
+    stack_calls = []
+
+    def counting(params, spec, q, z, phi=None):
+        if isinstance(spec, SpecStack):
+            stack_calls.append(spec)
+        return schwarz_values(params, spec, q, z, phi)
+
+    monkeypatch.setattr(robertson, "schwarz_values", counting)
     zs = np.append(patch.ravel(), [0j, -0.95, 0.9j])
-    for stack in stacks:
-        for q in ("P", "S"):
-            rows = schwarz_values(params, stack, q, zs)
-            for i, row in zip(stack.index, rows):
-                assert np.array_equal(row, schwarz_values(params, specs[i], q, zs)), (i, q)
+    per_row = zs * np.exp(0.1j * np.arange(len(batch)))[:, None]
+    values = MemberBatch(batch).values
+    for q in ("P", "S"):
+        for rows, points in ((values(q, zs), [zs] * len(batch)), (values(q, per_row), per_row)):
+            assert rows.shape == (len(batch), zs.size)
+            for i, (m, row) in enumerate(zip(batch, rows)):
+                assert np.array_equal(row, m.values(q, points[i])), (i, q)
+    # per call, one stack per structure group of two or more members: at
+    # the first point the 17 rotations, the 9 polynomials and the 3 products
+    # with s = 2 and one free zero; at the second the 4 polynomials and the
+    # 2 products with s = 2 and one free zero
+    assert len(stack_calls) == 4 * 5
+    with pytest.raises(ParamOutOfRange):
+        MemberBatch(batch).values("fprime", zs)
 
 
 # ---------------------------------------------------------------------------

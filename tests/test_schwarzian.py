@@ -273,7 +273,6 @@ def test_norm_estimate_json():
         "r_max",
         "tail_error",
         "refinement_steps",
-        "scan_gap",
     }
 
 
@@ -328,8 +327,6 @@ def _one_member_estimate(member, w, opts):
             v = np.array([series.eval_on_circle(r, opts.angular) for r in radii[at : at + 16]])
             vals[at : at + 16] = (1 - np.abs(zs) ** 2) ** w * np.abs(v)
     j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    per_radius = vals.max(axis=1)
-    gap = float(np.max(np.abs(per_radius[max(0, j - 1) : j + 2] - per_radius[j])))
     r, theta = float(radii[j]), 2 * math.pi * i / opts.angular
     dr, dth = r_max / (opts.radial + 1), 2 * math.pi / opts.angular
     offsets = np.linspace(-1.0, 1.0, 17)
@@ -348,7 +345,7 @@ def _one_member_estimate(member, w, opts):
             break
     tail = 0.0 if series is None else float(series.tail_bound(r_max))
     return NormEstimate(value=best, argmax=best_z, weight_exponent=w, r_max=float(r_max),
-                        tail_error=tail, refinement_steps=evals, scan_gap=gap)
+                        tail_error=tail, refinement_steps=evals)
 
 
 def _mixed_family():

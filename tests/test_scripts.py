@@ -1,7 +1,9 @@
-"""The scripts import, and the benchmark's tracer finds every name it wraps."""
+"""The scripts import, the benchmark's tracer finds every name it wraps, and
+the benchmark's self-test passes."""
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +46,12 @@ def test_benchmark_tracer_wraps_existing_names(monkeypatch):
     finally:
         for name in added:
             sys.modules.pop(name, None)
+
+
+def test_benchmark_selftest_passes():
+    # the self-test runs every workload briefly, so it fails when a name the
+    # workloads call (not only those the tracer wraps) is renamed or removed
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("0 failed"), proc.stdout
