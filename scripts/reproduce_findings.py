@@ -43,9 +43,10 @@ def finding_1_pointwise_bound():
     p = make_params(0, 0)
     pe = extremal_member(p, "plane", 1.0, order=64)
     z = -0.5
+    pv = pe.values("P", z)
     print(f"    plane extremal f' = (1-z)^-1 at z = {z}:")
-    print(f"      printed-form margin   = {check_iii(pe, z, 'paper'):+.12f}  (< 0: violated)")
-    print(f"      corrected-form margin = {check_iii(pe, z, 'corrected'):+.12f}  (>= 0: holds)")
+    print(f"      printed-form margin   = {check_iii(p, z, pv, 'paper'):+.12f}  (< 0: violated)")
+    print(f"      corrected-form margin = {check_iii(p, z, pv, 'corrected'):+.12f}  (>= 0: holds)")
 
 
 def finding_2_schwarzian_norm():

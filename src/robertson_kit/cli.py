@@ -1,12 +1,12 @@
 """Command-line front end: verification suites, emitters, radius queries.
 
 Exit-code contract: 0 when every asserted check holds, 1 when an asserted
-check fails, 2 on usage or I/O errors, 3 when only reported-not-asserted
-findings occur.  Checks that test formulas whose derivations are only
-valid at alpha = 0 (the Schwarzian norm bound, the envelopes, the
-pointwise Schwarzian bound, the printed concavity radius) are asserted at
-alpha = 0 and demoted to findings elsewhere, so violations there flag the
-formula rather than the toolkit.
+check fails, 2 on usage or I/O errors and on the package's typed errors, 3
+when only reported-not-asserted findings occur.  Checks that test formulas
+whose derivations are only valid at alpha = 0 (the Schwarzian norm bound,
+the envelopes, the pointwise Schwarzian bound, the printed concavity
+radius) are asserted at alpha = 0 and demoted to findings elsewhere, so
+violations there flag the formula rather than the toolkit.
 
 Every check is one row of `CHECKS`, whose residual both the scan and
 `replay_witness` evaluate, so every violated record carries a witness that
@@ -33,6 +33,7 @@ import numpy as np
 from . import bounds, radii, robertson, sampling, schwarzian
 from .robertson import (
     ClassParams,
+    MemberBatch,
     MemberSeries,
     SchwarzSpec,
     extremal_member,
@@ -40,7 +41,7 @@ from .robertson import (
     make_params,
 )
 from .schwarzian import NormEstimate, ScanOpts, norm_estimate, norm_estimates
-from .series import DEFAULT_ORDER, chebyshev_radii
+from .series import DEFAULT_ORDER, SeriesError, chebyshev_radii
 
 ASSERT_TOL = 1e-9
 NORM_TOL = 1e-6
@@ -134,10 +135,10 @@ class RunCache:
 
     Batches are keyed by what generates them, not by batch name, so
     "convex" at alpha = beta = 0 reuses "general".  Norm estimates are
-    keyed by (member, weight, r_max), so AB reuses the scans of 2.4; the
-    member part of the key is its identity, which is stable because the
-    cache holds every member it hands out; the first request at an r_max
-    estimates the member's batch at the run's norm `weights` plus the one asked.
+    keyed by (members, weight, r_max), so AB reuses the scans of 2.4; the
+    members by identity, stable as the cache holds every member it hands
+    out, so a new list of them hits too.  The first request at an r_max
+    estimates the members at the run's norm `weights` plus the one asked.
     Growth envelopes depend only on (params, r), so check 2.2 computes them
     once for all members.  A cache lives for one `cmd_verify` call.
     """
@@ -145,7 +146,6 @@ class RunCache:
     def __init__(self, weights=()):
         self._weights = frozenset(weights)
         self._members: dict = {}
-        self._batch_of: dict = {}  # id(member) -> the generated batch that holds it
         self._norms: dict = {}
         self._growth: dict = {}
 
@@ -172,7 +172,6 @@ class RunCache:
             ]
             built = [generate_member(params, s, order=cfg.order, validate=False) for s in specs]
             self._members[key] = (specs, built)
-            self._batch_of.update((id(m), built) for m in built)
         specs, members = self._members[key]
         if batch == "general+plane" and cfg.alpha == 0:
             plane_key = (cfg.alpha, cfg.beta, "extremal_plane", cfg.order)
@@ -182,15 +181,14 @@ class RunCache:
             members = [*members, self._members[plane_key]]
         return cfg, params, specs, members
 
-    def norm(self, member: MemberSeries, weight: int, r_max: float) -> NormEstimate:
-        key = (id(member), weight, r_max)
-        if key not in self._norms:
-            batch = self._batch_of.get(id(member), [member])
+    def norms(self, members, weight: int, r_max: float) -> list[NormEstimate]:
+        ids = tuple(map(id, members))
+        if (ids, weight, r_max) not in self._norms:
             weights = sorted(self._weights | {weight})
-            rows = norm_estimates(batch, weights, ScanOpts(r_max=r_max))
-            self._norms.update(((id(m), w, r_max), est) for m, row in zip(batch, rows)
-                               for w, est in zip(weights, row))
-        return self._norms[key]
+            rows = norm_estimates(members, weights, ScanOpts(r_max=r_max))
+            self._norms.update(((ids, w, r_max), [row[k] for row in rows])
+                               for k, w in enumerate(weights))
+        return self._norms[ids, weight, r_max]
 
     def growth_envelope(self, params: ClassParams, r: float) -> bounds.Envelope:
         key = (params, float(r))
@@ -214,7 +212,9 @@ def replay_witness(w: dict) -> float:
     """Recompute a stored witness's margin through its check's residual."""
     if w["check"] not in CHECKS:
         raise ValueError(f"unknown check id {w['check']!r}")
-    return float(CHECKS[w["check"]].residual(_witness_member(w), complex(*w["z"]), w))
+    check, m, zs = CHECKS[w["check"]], _witness_member(w), np.array([complex(*w["z"])])
+    values = None if check.q is None else m.values(check.q, zs)
+    return float(check.residual(m, zs, values, w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -226,77 +226,90 @@ def replay_witness(w: dict) -> float:
 class Check:
     """One row of the check table.
 
-    residual(member, z, w) is the margin of the checked inequality at z,
-    nonnegative where it holds; z is an array when the grid scans it.  w
-    is the witness: the check id, the mode of a per-mode check, and
-    extras(cfg, params, mode), the run's inputs that the residual reads.
-    scan(member, w, cache) returns one member's (margin, z, samples,
-    witness extras), where cache is the run's RunCache; None takes the
-    residual's minimum over the polar grid.  A "margin" among the extras
-    is the witness's own residual at z, when it differs from the margin.
-    record_id None gives one record under the table key; a template over
-    {mode} gives one record per mode.  A record holds when its worst
-    margin is at least -slack.  weight is a sup-norm check's norm weight.
+    residual(member, z, values, w) is the checked inequality's margin at
+    the points of the 1-d array z, nonnegative where it holds, and values
+    is the member's q ("P" or "S") there, None for q None.  w is the
+    witness: the check id, the mode of a per-mode check, and extras(cfg,
+    params, mode), the run's inputs that the residual reads.  scan(members,
+    w, cache), _grid_min if None, gives each member's (margin, z, samples,
+    witness extras); a "margin" among the extras is the witness's own
+    residual at z.  record_id None gives one record under the table key; a
+    template over {mode} gives one record per mode.  A record holds when
+    its worst margin is at least -slack.  weight is a sup-norm check's norm
+    weight.
     """
 
     anchor: Callable[[dict], str]
     batch: str  # general | general+plane | sp0 | convex; see RunCache.members
-    residual: Callable[[MemberSeries, Any, dict], Any]
+    residual: Callable[[MemberSeries, np.ndarray, Any, dict], np.ndarray]
     asserted: Callable[[RunConfig, Optional[str]], bool]
-    scan: Optional[Callable[[MemberSeries, dict, RunCache], tuple]] = None
+    q: Optional[str] = None
+    scan: Optional[Callable[[list, dict, RunCache], list]] = None
     slack: float = ASSERT_TOL
     record_id: Optional[str] = None
     extras: Callable[[RunConfig, ClassParams, Optional[str]], dict] = lambda c, p, m: {}
     weight: Optional[int] = None
 
 
-def _grid_min(residual, member: MemberSeries, w: dict, cache: RunCache):
-    """The default scan: the residual's minimum over the polar grid.
+RADII = chebyshev_radii(24, 0.9)  # the default scan's radii, and 2.2's circles
+GRID = (RADII[:, None] * np.exp(1j * (2 * np.pi * np.arange(48) / 48))).ravel()
+SCAN_BLOCK = 288  # grid points per MemberBatch.values call, bounding the scan's memory
 
-    The witness is the first point within WITNESS_TIE of it, with its own
-    margin, so points that tie at rounding level do not trade the witness.
+
+def _grid_min(members, w: dict, cache: RunCache, zs: np.ndarray = GRID) -> list[tuple]:
+    """The default scan: each member's residual minimum over the points zs.
+
+    One MemberBatch.values call per SCAN_BLOCK points serves every member;
+    the residual runs row by row on 1-d arrays, as replay_witness runs it.
+    The witness is the first point within WITNESS_TIE of the minimum, with
+    its own margin, so points that tie at rounding level do not trade it.
     """
-    rs = chebyshev_radii(24, 0.9)
-    th = 2 * np.pi * np.arange(48) / 48
-    zs = (rs[:, None] * np.exp(1j * th)[None, :]).ravel()
-    vals = np.asarray(residual(member, zs, w), dtype=float)
-    low = float(vals.min())
-    i = int(np.argmax(vals <= low + WITNESS_TIE))
-    return low, complex(zs[i]), zs.size, {"margin": float(vals[i])}
+    check, batch = CHECKS[w["check"]], MemberBatch(members)
+    margins = np.empty((len(members), zs.size))
+    for at in range(0, zs.size, SCAN_BLOCK):
+        block = zs[at : at + SCAN_BLOCK]
+        for i, (m, values) in enumerate(zip(members, batch.values(check.q, block))):
+            margins[i, at : at + SCAN_BLOCK] = check.residual(m, block, values, w)
+    lows = margins.min(axis=1)
+    js = np.argmax(margins <= lows[:, None] + WITNESS_TIE, axis=1)
+    return [(float(low), complex(zs[j]), zs.size, {"margin": float(row[j])})
+            for low, j, row in zip(lows, js, margins)]
 
 
-def _pointwise_s_residual(m: MemberSeries, zs, w: dict):
+def _pointwise_s_residual(m: MemberSeries, zs, s, w: dict):
     xi = bounds.xi_of_member(m)
     if xi >= 1 - 1e-12:
         # the bound degenerates to +inf at xi = 1; trivially satisfied
-        return np.full(np.shape(zs), np.inf)
-    sv = np.abs(m.values("S", zs))
+        return np.full(zs.shape, np.inf)
     b = bounds.schwarzian_pointwise_bound(m.params, xi, np.abs(zs))
-    return b - (1 - np.abs(zs) ** 2) ** 2 * sv
+    return b - (1 - np.abs(zs) ** 2) ** 2 * np.abs(s)
 
 
-def _envelope_residual(m: MemberSeries, z: complex, w: dict, growth=None) -> float:
-    """How far |f'(z)| or |f(z)| lies inside its envelope; growth: a run's cache."""
-    r = abs(z)
+def _envelope_residual(m: MemberSeries, zs, values, w: dict, growth=None):
+    """How far |f'| or |f| lies inside its envelope at the points zs, in Python
+    floats (numpy's complex abs rounds differently); growth: a run's cache."""
     if w["kind"] == "distortion":
-        env = bounds.distortion_envelope(m.params, r)
-        v = abs(m.values("fprime", z))
+        envelope, vals = bounds.distortion_envelope, m.values("fprime", zs)
     else:
-        env = (growth or bounds.growth_envelope)(m.params, r)
-        v = abs(m.f.eval_at(z, 0.95))
-    return min(env.upper - v, v - env.lower)
+        envelope, vals = growth or bounds.growth_envelope, m.f.eval_at(zs, 0.95)
+    envs = [envelope(m.params, abs(z)) for z in zs.tolist()]
+    vs = [abs(v) for v in vals.tolist()]
+    return np.array([min(e.upper - v, v - e.lower) for e, v in zip(envs, vs)])
 
 
-def _envelope_scan(m: MemberSeries, w: dict, cache: RunCache):
-    """The envelope margins by FFT circles; the witness's margin by its replay."""
-    rs = chebyshev_radii(24, 0.9)
-    rep = bounds.envelope_check(m, rs, growth=[cache.growth_envelope(m.params, r) for r in rs])
-    if rep.growth_min_margin < rep.distortion_min_margin:
-        margin, z, kind = rep.growth_min_margin, rep.worst_z_growth, "growth"
-    else:
-        margin, z, kind = rep.distortion_min_margin, rep.worst_z_distortion, "distortion"
-    replay = _envelope_residual(m, z, {"kind": kind}, cache.growth_envelope)
-    return margin, z, 1, {"kind": kind, "margin": replay}
+def _envelope_scan(members, w: dict, cache: RunCache):
+    """The envelope margins by FFT circles; each witness's margin by its replay."""
+    out = []
+    for m in members:
+        growth = [cache.growth_envelope(m.params, r) for r in RADII]
+        rep = bounds.envelope_check(m, RADII, growth=growth)
+        if rep.growth_min_margin < rep.distortion_min_margin:
+            margin, z, kind = rep.growth_min_margin, rep.worst_z_growth, "growth"
+        else:
+            margin, z, kind = rep.distortion_min_margin, rep.worst_z_distortion, "distortion"
+        replay = _envelope_residual(m, np.array([z]), None, {"kind": kind}, cache.growth_envelope)
+        out.append((margin, z, 1, {"kind": kind, "margin": float(replay[0])}))
+    return out
 
 
 def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
@@ -307,12 +320,9 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
     residual at the z it records, exactly.
     """
 
-    def residual(m: MemberSeries, z, w: dict):
-        return w["bound"] - schwarzian.weighted_value(m, z, weight, w["r_max"])
-
-    def scan(m: MemberSeries, w: dict, cache: RunCache):
-        est = cache.norm(m, weight, w["r_max"])
-        return w["bound"] - est.value, est.argmax, 1, {}
+    def scan(members, w: dict, cache: RunCache):
+        return [(w["bound"] - est.value, est.argmax, 1, {})
+                for est in cache.norms(members, weight, w["r_max"])]
 
     def extras(cfg: RunConfig, params: ClassParams, mode: Optional[str]) -> dict:
         r_max = cfg.r_max if cfg.r_max is not None else 0.95
@@ -321,19 +331,14 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
     return Check(
         anchor=lambda w: anchor,
         batch="sp0",
-        residual=residual,
+        residual=lambda m, z, values, w: w["bound"] - schwarzian.weighted(z, weight, values),
         asserted=asserted,
+        q=schwarzian.QUANTITY[weight],
         scan=scan,
         slack=0.0,
         extras=extras,
         weight=weight,
     )
-
-
-def _concavity_scan(m: MemberSeries, w: dict, cache: RunCache):
-    setting = radii.ConcavitySetting(w["a_co"])
-    rep = radii.concavity_soundness_scan([m], setting, w["radius"])
-    return rep.min_re_t, rep.witness_z, rep.samples, {}
 
 
 def _concavity_extras(cfg: RunConfig, params: ClassParams, mode: str) -> dict:
@@ -346,8 +351,9 @@ CHECKS: dict[str, Check] = {
     "2.1ii": Check(
         anchor=lambda w: "Re(1 + conj(G1) z P_f) >= 1 - k^2 + (1-|z|^2)/4 |z P_f|^2",
         batch="general",
-        residual=lambda m, z, w: robertson.check_ii(m, z),
+        residual=lambda m, z, p, w: robertson.check_ii(m.params, z, p),
         asserted=lambda cfg, mode: True,
+        q="P",
     ),
     "2.1iii": Check(
         anchor=lambda w: {
@@ -355,8 +361,9 @@ CHECKS: dict[str, Check] = {
             "corrected": "|(1-|z|^2) P_f - 2 G1 conj(z)| <= 2k (corrected)",
         }[w["mode"]],
         batch="general+plane",
-        residual=lambda m, z, w: robertson.check_iii(m, z, w["mode"]),
+        residual=lambda m, z, p, w: robertson.check_iii(m.params, z, p, w["mode"]),
         asserted=lambda cfg, mode: mode == "corrected",
+        q="P",
         record_id="2.1iii",
     ),
     "2.2": Check(
@@ -387,18 +394,21 @@ CHECKS: dict[str, Check] = {
         batch="general",
         residual=_pointwise_s_residual,
         asserted=lambda cfg, mode: cfg.alpha == 0,
+        q="S",
     ),
     "22.3": Check(
         anchor=lambda w: "Re(1 + z P_f) >= (1/4)(1-|z|^2)|P_f|^2 (convex members)",
         batch="convex",
-        residual=lambda m, z, w: robertson.classical_convexity_check(m, z, "eq22_3"),
+        residual=lambda m, z, p, w: robertson.classical_convexity_check(z, p, "eq22_3"),
         asserted=lambda cfg, mode: True,
+        q="P",
     ),
     "22.4": Check(
         anchor=lambda w: "|(1-|z|^2) P_f - 2 conj(z)| <= 2 (convex members)",
         batch="convex",
-        residual=lambda m, z, w: robertson.classical_convexity_check(m, z, "eq22_4"),
+        residual=lambda m, z, p, w: robertson.classical_convexity_check(z, p, "eq22_4"),
         asserted=lambda cfg, mode: True,
+        q="P",
     ),
     "AB": _norm_check(
         2,
@@ -411,9 +421,10 @@ CHECKS: dict[str, Check] = {
             f"Re T_f > 0 for |z| < R_{w['mode']} = {w['radius']:.12f} (A_co = {w['a_co']})"
         ),
         batch="general",
-        residual=lambda m, z, w: radii.t_values(m, radii.ConcavitySetting(w["a_co"]), z).real,
+        residual=lambda m, z, p, w: radii.t_from_p(radii.ConcavitySetting(w["a_co"]), z, p).real,
         asserted=lambda cfg, mode: mode == "corrected",
-        scan=_concavity_scan,
+        q="P",
+        scan=lambda ms, w, cache: _grid_min(ms, w, cache, radii.soundness_grid(w["radius"])[1]),
         record_id="concavity:{mode}",
         extras=_concavity_extras,
     ),
@@ -421,7 +432,7 @@ CHECKS: dict[str, Check] = {
 
 
 def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
-    """Scan a table check's members; the worst margin decides the record.
+    """Scan a table check's member batch; the worst margin decides the record.
 
     min_margin is the exact minimum over the members.  The witness is the
     first member whose margin is within WITNESS_TIE of it, recorded with
@@ -433,28 +444,22 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
         modes: list = [None]
     else:
         modes = ["paper", "corrected"] if cfg.mode == "both" else [cfg.mode]
-    scan = check.scan or functools.partial(_grid_min, check.residual)
     run, params, specs, members = cache.members(cfg, check.batch)
     records = []
     for mode in modes:
         w = {"check": cid} if mode is None else {"check": cid, "mode": mode}
         w.update(check.extras(run, params, mode))
-        best, samples, scanned = math.inf, 0, []
-        for spec, m in zip(specs, members):
-            margin, z, n, extra = scan(m, w, cache)
-            samples += n
-            best = min(best, margin)
-            scanned.append((spec, margin, z, extra))
+        scanned = (check.scan or _grid_min)(members, w, cache)
+        best = min([math.inf, *(margin for margin, *_ in scanned)])
         worst = None
         if best < math.inf:
-            spec, margin, z, extra = next(
-                row for row in scanned if row[1] <= best + WITNESS_TIE
-            )
+            i = next(i for i, row in enumerate(scanned) if row[0] <= best + WITNESS_TIE)
+            margin, z, _, extra = scanned[i]
             worst = {
                 "alpha": run.alpha,
                 "beta": run.beta,
                 "order": run.order,
-                "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
+                "spec": specs[i].to_json() if isinstance(specs[i], SchwarzSpec) else specs[i],
                 "z": [z.real, z.imag],
                 "margin": margin,
                 **w,
@@ -465,7 +470,7 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
                 check_id=cid if mode is None else check.record_id.format(mode=mode),
                 anchor=check.anchor(w),
                 asserted=check.asserted(cfg, mode),
-                samples=samples,
+                samples=sum(n for _, _, n, _ in scanned),
                 min_margin=best,
                 status="holds" if best >= -check.slack else "violated",
                 worst=worst,
@@ -764,8 +769,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         robertson.ParamOutOfRange,
         robertson.NotASchwarzFunction,
         schwarzian.TailToleranceUnmet,
-    ) as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
+        bounds.QuadratureNotConverged,
+        bounds.XiOutOfRange,
+        radii.RootNotBracketed,
+        SeriesError,
+    ) as exc:  # the package's typed errors
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 2  # pragma: no cover
 

@@ -128,13 +128,14 @@ def radius_concavity(
 ) -> RadiusResult:
     """Smaller root of the radius quadratic, cross-checked by bisection.
 
-    Phi(0) = A-1 > 0 and Phi(1) < 0 in both modes, so the root is unique
-    in (0, 1); the closed form uses the cancellation-free q-formula and
-    positivity of Phi on [0, root) is spot-checked at 1000 samples.
+    Phi(0) = A-1 > 0 and Phi(1) = -2-4k (paper) or -8k (corrected), so for
+    k > 0 the root is unique in (0, 1); the closed form uses the
+    cancellation-free q-formula and positivity of Phi on [0, root) is
+    spot-checked at 1000 samples.
     """
     a, b, c = phi_quadratic(params, setting, mode)
     disc = b * b - 4 * a * c
-    if disc < 0 or phi_value((a, b, c), 1.0) >= 0:
+    if disc < 0 or not params.k > 0:  # not the rounded Phi(1), 0 for k below 1e-16
         raise RootNotBracketed(f"no sign change for mode={mode}, {params}, {setting}")
     root = 2 * c / (-b + math.sqrt(disc))
 
@@ -243,13 +244,19 @@ SOUNDNESS_RADII = 24
 SOUNDNESS_ANGLES = 96
 
 
+def soundness_grid(radius: float) -> tuple[float, np.ndarray]:
+    """(r_cap, zs): the soundness scan's cap, just inside radius, and its
+    flattened polar grid out to r_cap."""
+    r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
+    return r_cap, polar_grid(chebyshev_radii(SOUNDNESS_RADII, r_cap), SOUNDNESS_ANGLES).ravel()
+
+
 def concavity_soundness_scan(
     members: Sequence[MemberSeries], setting: ConcavitySetting, radius: float
 ) -> SoundnessReport:
-    """Minimum of Re T_f over the members and |z| <= radius - 1e-3, all
+    """Minimum of Re T_f over the members and soundness_grid(radius), all
     members in one MemberBatch call."""
-    r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
-    zs = polar_grid(chebyshev_radii(SOUNDNESS_RADII, r_cap), SOUNDNESS_ANGLES).ravel()
+    r_cap, zs = soundness_grid(radius)
     re_t = t_from_p(setting, zs, MemberBatch(members, r_cap).values("P", zs)).real
     best, w_i, w_z = _first_least(re_t, zs)
     return SoundnessReport(

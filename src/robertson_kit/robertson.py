@@ -676,61 +676,45 @@ def subordination_membership_check(
     return MarginReport(min_margin=float(margins[i]), argmin=complex(zs[i]), samples=zs.size)
 
 
-def _scalarize(z, res):
-    """Reshape a residual computed on the flattened points to the shape of z.
-
-    Flat evaluation gives a point the same bits alone as inside an array.
-    """
-    return float(res[0]) if np.ndim(z) == 0 else res.reshape(np.shape(z))
-
-
-def check_ii(member: MemberSeries, z):
+def check_ii(params: ClassParams, z, p):
     """Residual of the half-plane characterization in its real-part form.
 
-    residual = Re(1 + conj(G1) z P) - [1 - k^2 + (1-|z|^2)/4 |z P|^2];
-    nonnegative for every class member.  z may be a point or an array.
+    residual = Re(1 + conj(G1) z P) - [1 - k^2 + (1-|z|^2)/4 |z P|^2] at the
+    points z, where p holds P_f; nonnegative for every class member.
     """
-    pr = member.params
-    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
-    zp = zs * member.values("P", zs)
-    rhs = 1 - pr.k**2 + (1 - np.abs(zs) ** 2) / 4 * np.abs(zp) ** 2
-    return _scalarize(z, (1 + np.conj(pr.g1) * zp).real - rhs)
+    zp = z * p
+    rhs = 1 - params.k**2 + (1 - np.abs(z) ** 2) / 4 * np.abs(zp) ** 2
+    return (1 + np.conj(params.g1) * zp).real - rhs
 
 
-def check_iii(member: MemberSeries, z, mode: str = "corrected"):
-    """Residual of the two-sided pointwise bound on (1-|z|^2) P_f.
+def check_iii(params: ClassParams, z, p, mode: str = "corrected"):
+    """Residual of the two-sided pointwise bound on (1-|z|^2) P_f; p holds P_f at z.
 
     mode "paper" evaluates the printed form k - |(1-|z|^2) P - 2 k conj(z)|,
     which the extremal functions themselves violate; mode "corrected" uses
     the re-derived form 2k - |(1-|z|^2) P - 2 G1 conj(z)|, obtained by
     completing the square with X = (1-|z|^2) P and Y = 2 G1 conj(z).
     """
-    pr = member.params
-    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
-    v = (1 - np.abs(zs) ** 2) * member.values("P", zs)
+    v = (1 - np.abs(z) ** 2) * p
     if mode == "paper":
-        return _scalarize(z, pr.k - np.abs(v - 2 * pr.k * np.conj(zs)))
+        return params.k - np.abs(v - 2 * params.k * np.conj(z))
     if mode == "corrected":
-        return _scalarize(z, 2 * pr.k - np.abs(v - 2 * pr.g1 * np.conj(zs)))
+        return 2 * params.k - np.abs(v - 2 * params.g1 * np.conj(z))
     raise ParamOutOfRange(f"unknown mode {mode!r}")
 
 
-def classical_convexity_check(member: MemberSeries, z, which: str):
-    """Residuals of the two classical convexity characterizations.
+def classical_convexity_check(z, p, which: str):
+    """Residuals of the two classical convexity characterizations; p holds P_f at z.
 
     "eq22_3": Re(1 + z P) - (1/4)(1-|z|^2)|P|^2;
     "eq22_4": 2 - |(1-|z|^2) P - 2 conj(z)|.
     Both are meaningful for convex members (alpha = beta = 0).
     """
-    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
-    p = member.values("P", zs)
     if which == "eq22_3":
-        res = (1 + zs * p).real - 0.25 * (1 - np.abs(zs) ** 2) * np.abs(p) ** 2
-    elif which == "eq22_4":
-        res = 2 - np.abs((1 - np.abs(zs) ** 2) * p - 2 * np.conj(zs))
-    else:
-        raise ParamOutOfRange(f"unknown check {which!r}")
-    return _scalarize(z, res)
+        return (1 + z * p).real - 0.25 * (1 - np.abs(z) ** 2) * np.abs(p) ** 2
+    if which == "eq22_4":
+        return 2 - np.abs((1 - np.abs(z) ** 2) * p - 2 * np.conj(z))
+    raise ParamOutOfRange(f"unknown check {which!r}")
 
 
 def member_to_json(member: MemberSeries) -> dict:

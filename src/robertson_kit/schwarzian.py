@@ -96,17 +96,17 @@ def s_on_circle(member: MemberSeries, r: float, n_angles: int):
     return member.on_circle("S", r, n_angles)
 
 
-_Q = {1: "P", 2: "S"}  # the quantity each weight exponent weighs
+QUANTITY = {1: "P", 2: "S"}  # the quantity each weight exponent weighs
 
 
-def _weighted(zs: np.ndarray, weight_exponent: int, vals) -> np.ndarray:
+def weighted(zs: np.ndarray, weight_exponent: int, vals) -> np.ndarray:
     return (1 - np.abs(zs) ** 2) ** weight_exponent * np.abs(vals)
 
 
 def weighted_value(member: MemberSeries, z, weight_exponent: int, r_trunc: float):
     """(1-|z|^2)^w |P_f| or |S_f| at a point or array."""
     zs = np.asarray(z, dtype=np.complex128)
-    return _weighted(zs, weight_exponent, member.values(_Q[weight_exponent], zs, r_trunc))
+    return weighted(zs, weight_exponent, member.values(QUANTITY[weight_exponent], zs, r_trunc))
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -146,9 +146,9 @@ def _coarse_scan(member: MemberSeries, weights, radii: np.ndarray, n_ang: int) -
     for at in range(0, radii.size, SCAN_BLOCK):
         rs = radii[at : at + SCAN_BLOCK]
         zs = polar_grid(rs, n_ang)
-        values = member.on_circles([_Q[w] for w in weights], rs, n_ang)
+        values = member.on_circles([QUANTITY[w] for w in weights], rs, n_ang)
         for k, w in enumerate(weights):
-            vals = _weighted(zs, w, values[k])
+            vals = weighted(zs, w, values[k])
             best[k, 0, at : at + SCAN_BLOCK] = vals.max(axis=1)
             best[k, 1, at : at + SCAN_BLOCK] = vals.argmax(axis=1)
     starts = []
@@ -175,7 +175,7 @@ def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
         rs = np.minimum(np.maximum(r[:, None] + dr * offsets, 0.0), batch.r_trunc)
         ths = theta[:, None] + dth * offsets
         zs = (rs[:, :, None] * np.exp(1j * ths)[:, None, :]).reshape(r.size, -1)
-        vals = _weighted(zs, weight_exponent, batch.values(_Q[weight_exponent], zs))
+        vals = weighted(zs, weight_exponent, batch.values(QUANTITY[weight_exponent], zs))
         evals += ZOOM_POINTS**2
         k = vals.argmax(axis=1)
         v = vals[g, k]
@@ -205,7 +205,7 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
     weight.  No value depends on the batch.  TailToleranceUnmet: a
     series-only member's tail at r_max.
     """
-    if any(w not in _Q for w in weights):
+    if any(w not in QUANTITY for w in weights):
         raise ValueError("weight_exponent must be 1 or 2")
     if not opts.refine_tol > 0:
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")

@@ -242,8 +242,9 @@ def test_criterion_7_errata_reproduction():
     t0 = time.perf_counter()
     p = make_params(0, 0)
     pe = extremal_member(p, "plane", 1.0, order=64)
-    paper_margin = check_iii(pe, -0.5, "paper")
-    corr_margin = check_iii(pe, -0.5, "corrected")
+    pv = pe.values("P", -0.5)
+    paper_margin = check_iii(p, -0.5, pv, "paper")
+    corr_margin = check_iii(p, -0.5, pv, "corrected")
     hp = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=256)
 
     worst_classical = 0.0
@@ -252,7 +253,7 @@ def test_criterion_7_errata_reproduction():
     @given(st.floats(min_value=-0.9, max_value=0.9))
     def classical_margin_property(r):
         nonlocal worst_classical
-        m = classical_convexity_check(hp, r, "eq22_4")
+        m = classical_convexity_check(r, hp.values("P", r), "eq22_4")
         worst_classical = max(worst_classical, abs(m))
         assert abs(m) <= 1e-9
 

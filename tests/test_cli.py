@@ -183,10 +183,12 @@ def test_witness_replay_every_check(tmp_path, alpha, beta):
             assert abs(replay_witness(w) - w["margin"]) < 1e-12, r["id"]
 
 
-def test_witness_replay_exact_at_defaults(tmp_path):
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.7853981633974483, 0.25)])
+def test_witness_replay_exact_at_defaults(tmp_path, alpha, beta):
     # every witness, 2.2's included, replays to its recorded margin bit for bit
     out = tmp_path / "r.json"
-    assert main(["verify", "--theorem", "all", "--out", str(out)]) == 3
+    argv = ["verify", "--theorem", "all", "--alpha", str(alpha), "--beta", str(beta)]
+    assert main([*argv, "--out", str(out)]) == 3
     for r in json.loads(out.read_text())["checks"]:
         if r["worst"] is not None:
             assert replay_witness(r["worst"]) == r["worst"]["margin"], r["id"]
@@ -241,6 +243,24 @@ def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
     assert {w for _, w in norms} == {1}
 
 
+def test_verify_builds_one_member_batch_per_record(tmp_path, monkeypatch):
+    # a grid-scanned record evaluates its whole member batch through one MemberBatch
+    built = []
+    real = cli.MemberBatch
+
+    def batch(members, *args, **kwargs):
+        built.append(len(members))
+        return real(members, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "MemberBatch", batch)
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--theorem", "2.1ii", "--samples", "8", "--out", out]) == 0
+    assert built == [2 + 8]
+    del built[:]
+    assert main(["verify", "--theorem", "concavity", "--samples", "8", "--out", out]) == 3
+    assert built == [2 + 8, 2 + 8]  # concavity:paper and concavity:corrected
+
+
 def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
     calls = []
     real = cli.bounds.growth_envelope
@@ -258,13 +278,12 @@ def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
 
 def test_witness_is_first_member_within_tie_of_minimum(monkeypatch):
     margins = [0.5, np.nextafter(0.5, 0.0)]
-    scanned = iter(margins)
     stub = cli.Check(
         anchor=lambda w: "stub",
         batch="sp0",
-        residual=lambda m, z, w: 0.0,
+        residual=lambda m, z, values, w: np.zeros(z.shape),
         asserted=lambda cfg, mode: True,
-        scan=lambda m, w, cache: (next(scanned), 0.5 + 0j, 1, {}),
+        scan=lambda members, w, cache: [(margin, 0.5 + 0j, 1, {}) for margin in margins],
     )
     monkeypatch.setitem(cli.CHECKS, "stub", stub)
     cfg = cli.RunConfig(samples=0, order=16)
@@ -281,17 +300,16 @@ def test_grid_witness_is_first_point_within_tie_of_minimum(monkeypatch):
     # exact minimum, and the witness is the first point, with its own margin
     low = np.nextafter(0.5, 0.0)
 
-    def residual(m, z, w):
-        vals = np.full(np.shape(z), 0.75)
-        if np.ndim(z):
-            vals[3], vals[40] = 0.5, low
-        return vals
+    def residual(m, z, values, w):
+        # marks grid points 3 and 40 by value, so the scan's point blocks do not matter
+        return np.where(z == cli.GRID[3], 0.5, np.where(z == cli.GRID[40], low, 0.75))
 
     stub = cli.Check(
         anchor=lambda w: "stub",
         batch="sp0",
         residual=residual,
         asserted=lambda cfg, mode: True,
+        q="P",
     )
     monkeypatch.setitem(cli.CHECKS, "stub", stub)
     cfg = cli.RunConfig(samples=0, order=16)
@@ -429,6 +447,8 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         (None, ["emit", "growth", "--step", "inf"]),
         *((None, ["emit", what, "--step", step])
           for what in ("growth", "distortion", "phi") for step in ("1e-9", "1e-300")),
+        # typed numerical errors: the growth quadrature fails near r = 1 at k = 1
+        (None, ["emit", "growth", "--rmax", "0.9999", "--step", "0.9999"]),
         (None, ["verify", "--samples", "-1"]),
         (None, ["radii", "probe", "--budget", "-1"]),
         # orders above series.MAX_ORDER, and more coefficients than it allows
@@ -448,6 +468,11 @@ def test_malformed_input_exit_2(tmp_path, capsys, spec, argv):
         argv = ["emit", "member", "--spec", str(path)]
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_numerical_error_exit_2_names_the_error(capsys):
+    assert main(["emit", "growth", "--rmax", "0.9999", "--step", "0.9999"]) == 2
+    assert "QuadratureNotConverged" in capsys.readouterr().err
 
 
 def test_emit_norm_json(tmp_path):
@@ -478,6 +503,17 @@ def test_radii_concavity_cli():
     d = json.loads(proc.stdout)
     assert abs(d["paper"]["value"] - 0.1270166538) < 1e-9
     assert abs(d["corrected"]["value"] - 0.1010205144) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["radii", "concavity"],
+    ["verify", "--theorem", "concavity", "--samples", "2"],
+])
+def test_k_near_zero_exits_with_a_verdict(argv):
+    # beta = 1 - 2**-53, so k = 2**-53: the radius guard must not trip on rounding
+    proc = run_cli(*argv, "--beta", "0.9999999999999999")
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_radii_convexity_cli_degenerate_warning():

@@ -140,6 +140,22 @@ def test_radius_concavity_small_aco_limit():
         assert radius_concavity(p, ConcavitySetting(1.0001), mode).value < 5e-5
 
 
+def test_radius_concavity_as_k_tends_to_zero():
+    # corrected Phi(1) = -8k exactly, but the rounded a + b + c reaches 0 once
+    # k is below about 1e-16; the corrected radius tends to (A-1)/(A+3)
+    for a_co in (1.5, 2.0):
+        st = ConcavitySetting(a_co)
+        for p in (make_params(0.0, 1 - 2**-53), make_params(math.nextafter(math.pi / 2, 0), 0.0)):
+            assert abs(radius_concavity(p, st, "corrected").value - (a_co - 1) / (a_co + 3)) < 1e-12
+            assert 0 < radius_concavity(p, st, "paper").value < 1
+    # the guard moves no radius away from k = 0
+    st = ConcavitySetting(2.0)
+    for (alpha, beta), want in (((0.0, 0.0), (0.12701665379258312, 0.10102051443364381)),
+                                ((0.2, 0.6), (0.15528046715501212, 0.14117068194764376))):
+        p = make_params(alpha, beta)
+        assert tuple(radius_concavity(p, st, m).value for m in ("paper", "corrected")) == want
+
+
 def test_radius_concavity_random_cross_check():
     # the closed form is cross-checked against bisection internally; this
     # drives 50 random parameter pairs through both modes

@@ -303,14 +303,15 @@ def test_check_ii_identity_member():
     for alpha, beta in ((0.0, 0.0), (0.7, 0.4)):
         p = make_params(alpha, beta)
         m = generate_member(p, SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16)
-        assert abs(check_ii(m, 0.3 + 0.4j) - p.k**2) < 1e-12
+        z = 0.3 + 0.4j
+        assert abs(check_ii(p, z, m.values("P", z)) - p.k**2) < 1e-12
 
 
 def test_check_ii_plane_extremal_values():
     p = make_params(0, 0)
     m = extremal_member(p, "plane", 1.0, order=64)
-    assert abs(check_ii(m, 0.5) - 1.8125) < 1e-12
-    assert check_ii(m, -0.9) > 0
+    assert abs(check_ii(p, 0.5, m.values("P", 0.5)) - 1.8125) < 1e-12
+    assert check_ii(p, -0.9, m.values("P", -0.9)) > 0
 
 
 def test_check_ii_nonnegative_for_generated_members():
@@ -318,21 +319,23 @@ def test_check_ii_nonnegative_for_generated_members():
     for alpha, beta in ((0.0, 0.0), (math.pi / 3, 0.5)):
         p = make_params(alpha, beta)
         for m in sample_members(p, 10, seed=13, order=256):
-            assert np.min(check_ii(m, zs)) > -1e-9
+            assert np.min(check_ii(p, zs, m.values("P", zs))) > -1e-9
 
 
 def test_check_iii_falsification_witness():
     p = make_params(0, 0)
     m = extremal_member(p, "plane", 1.0, order=64)
-    assert abs(check_iii(m, -0.5, "paper") - (-0.5)) < 1e-12
-    assert abs(check_iii(m, -0.5, "corrected") - 0.5) < 1e-12
+    pv = m.values("P", -0.5)
+    assert abs(check_iii(p, -0.5, pv, "paper") - (-0.5)) < 1e-12
+    assert abs(check_iii(p, -0.5, pv, "corrected") - 0.5) < 1e-12
 
 
 def test_check_iii_identity_member():
     p = make_params(0.3, 0.2)
     m = generate_member(p, SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16)
     for z in (0.2, 0.5j, -0.8):
-        assert abs(check_iii(m, z, "corrected") - (2 * p.k - 2 * p.k * abs(z))) < 1e-12
+        pv = m.values("P", z)
+        assert abs(check_iii(p, z, pv, "corrected") - (2 * p.k - 2 * p.k * abs(z))) < 1e-12
 
 
 def test_check_iii_corrected_nonnegative_for_generated_members():
@@ -340,7 +343,7 @@ def test_check_iii_corrected_nonnegative_for_generated_members():
     for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25), (-1.0, 0.6)):
         p = make_params(alpha, beta)
         for m in sample_members(p, 10, seed=31, order=256):
-            assert np.min(check_iii(m, zs, "corrected")) > -1e-9
+            assert np.min(check_iii(p, zs, m.values("P", zs), "corrected")) > -1e-9
 
 
 def test_classical_checks():
@@ -348,11 +351,11 @@ def test_classical_checks():
     m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=256)
     # half-plane map attains the classical two-sided bound along the reals
     for r in (0.2, 0.5, 0.8):
-        assert abs(classical_convexity_check(m, r, "eq22_4")) < 1e-12
+        assert abs(classical_convexity_check(r, m.values("P", r), "eq22_4")) < 1e-12
     ident = generate_member(p, SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16)
-    assert abs(classical_convexity_check(ident, 0.4j, "eq22_3") - 1.0) < 1e-12
+    assert abs(classical_convexity_check(0.4j, ident.values("P", 0.4j), "eq22_3") - 1.0) < 1e-12
     pe = extremal_member(p, "plane", 1.0, order=64)
-    assert abs(classical_convexity_check(pe, -0.5, "eq22_4") - 0.5) < 1e-12
+    assert abs(classical_convexity_check(-0.5, pe.values("P", -0.5), "eq22_4") - 0.5) < 1e-12
 
 
 # ---------------------------------------------------------------------------
