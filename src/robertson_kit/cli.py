@@ -256,7 +256,7 @@ GRID = (RADII[:, None] * np.exp(1j * (2 * np.pi * np.arange(48) / 48))).ravel()
 SCAN_BLOCK = 288  # grid points per MemberBatch.values call, bounding the scan's memory
 
 
-def _grid_min(members, w: dict, cache: RunCache, zs: np.ndarray = GRID) -> list[tuple]:
+def _grid_min(members, w: dict, cache: RunCache, zs=GRID, residual=None) -> list[tuple]:
     """The default scan: each member's residual minimum over the points zs.
 
     One MemberBatch.values call per SCAN_BLOCK points serves every member;
@@ -265,19 +265,20 @@ def _grid_min(members, w: dict, cache: RunCache, zs: np.ndarray = GRID) -> list[
     its own margin, so points that tie at rounding level do not trade it.
     """
     check, batch = CHECKS[w["check"]], MemberBatch(members)
+    residual = residual or check.residual
     margins = np.empty((len(members), zs.size))
     for at in range(0, zs.size, SCAN_BLOCK):
         block = zs[at : at + SCAN_BLOCK]
         for i, (m, values) in enumerate(zip(members, batch.values(check.q, block))):
-            margins[i, at : at + SCAN_BLOCK] = check.residual(m, block, values, w)
+            margins[i, at : at + SCAN_BLOCK] = residual(m, block, values, w)
     lows = margins.min(axis=1)
     js = np.argmax(margins <= lows[:, None] + WITNESS_TIE, axis=1)
     return [(float(low), complex(zs[j]), zs.size, {"margin": float(row[j])})
             for low, j, row in zip(lows, js, margins)]
 
 
-def _pointwise_s_residual(m: MemberSeries, zs, s, w: dict):
-    xi = bounds.xi_of_member(m)
+def _pointwise_s_residual(m: MemberSeries, zs, s, w: dict, xis=None):
+    xi = bounds.xi_of_member(m) if xis is None else xis[id(m)]
     if xi >= 1 - 1e-12:
         # the bound degenerates to +inf at xi = 1; trivially satisfied
         return np.full(zs.shape, np.inf)
@@ -395,6 +396,9 @@ CHECKS: dict[str, Check] = {
         residual=_pointwise_s_residual,
         asserted=lambda cfg, mode: cfg.alpha == 0,
         q="S",
+        # each member's xi once, not once per block of the grid
+        scan=lambda ms, w, cache: _grid_min(ms, w, cache, residual=functools.partial(
+            _pointwise_s_residual, xis={id(m): bounds.xi_of_member(m) for m in ms})),
     ),
     "22.3": Check(
         anchor=lambda w: "Re(1 + z P_f) >= (1/4)(1-|z|^2)|P_f|^2 (convex members)",

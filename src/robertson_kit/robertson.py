@@ -20,6 +20,7 @@ import cmath
 import functools
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -28,6 +29,7 @@ import numpy as np
 from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
+    RECURRENCE_DEGREE,
     TAIL_TOL,
     RadiusExceeded,
     TruncatedSeries,
@@ -216,7 +218,7 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
 
 
 def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray):
-    """phi = omega/z and phi' at the points of a 1-d array, from the spec.
+    """phi = omega/z, phi' and 1/(1 - z phi) at the points of a 1-d array, from the spec.
 
     A polynomial runs Horner for the value and the derivative together.  A
     product (SchwarzSpec.product) is rotation * z^(s-1) * prod b_a over its
@@ -232,19 +234,19 @@ def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray):
         for cj in reversed(c[:-1]):
             dv = dv * z + v
             v = v * z + cj
-        return v, dv
-    rotation, s, factors = spec.product()
-    v = np.full(np.broadcast(z, rotation).shape, rotation, dtype=complex)
-    dv = np.zeros_like(v)
-    for _ in range(s - 1):
-        dv = dv * z + v
-        v = v * z
-    for a, scale in factors:
-        inv = 1 / (1 - a.conjugate() * z)
-        g = (a - z) * inv
-        dv = dv * g + v * (scale * inv * inv)
-        v = v * g
-    return v, dv
+    else:
+        rotation, s, factors = spec.product()
+        v = np.full(np.broadcast(z, rotation).shape, rotation, dtype=complex)
+        dv = np.zeros_like(v)
+        for _ in range(s - 1):
+            dv = dv * z + v
+            v = v * z
+        for a, scale in factors:
+            inv = 1 / (1 - a.conjugate() * z)
+            g = (a - z) * inv
+            dv = dv * g + v * (scale * inv * inv)
+            v = v * g
+    return v, dv, 1 / (1 - z * v)
 
 
 @dataclass(frozen=True)
@@ -285,8 +287,7 @@ def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: 
        = 2 G1 (phi' + phi^2)/(1 - omega)^2,
     so S = P' - P^2/2 = 2 G1 (phi' + (1 - G1) phi^2)/(1 - omega)^2.
     """
-    phi, dphi = phi_values(spec, z) if phi is None else phi
-    inv = 1 / (1 - z * phi)
+    phi, dphi, inv = phi_values(spec, z) if phi is None else phi
     if q == "P":
         return 2 * params.g1 * phi * inv
     return 2 * params.g1 * (dphi + (1 - params.g1) * phi * phi) * inv * inv
@@ -428,8 +429,24 @@ class MemberSeries:
 
     @functools.cached_property
     def f_prime(self) -> TruncatedSeries:
-        """exp of the integral of P_f = p_series(), at order N."""
-        return self.p_series().integ(max_order=self.order).exp()
+        """f' at order N from P_f = U/V (p_fraction), V(0) = 1 and f'(0) = 1: for
+        d = deg V < RECURRENCE_DEGREE, f'' V = U f' gives the O(N d) recurrence
+        (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j} over
+        Python complex scalars (recent holds a_n, recent_n n a_n); else exp of
+        the integral of p_series()."""
+        u, v = p_fraction(self.params, self.schwarz)
+        d = int(np.flatnonzero(v)[-1])  # deg U = d - 1
+        if d >= RECURRENCE_DEGREE:
+            return self.p_series().integ(max_order=self.order).exp()
+        u, v = u[:d].tolist(), v[1 : d + 1].tolist()
+        a = [1 + 0j]
+        recent, recent_n = deque(a, maxlen=len(u)), deque([0j], maxlen=len(v))  # newest first
+        for n in range(1, self.order + 1):
+            na = sum(map(complex.__mul__, u, recent)) - sum(map(complex.__mul__, v, recent_n))
+            recent_n.appendleft(na)
+            a.append(na / n)
+            recent.appendleft(a[-1])
+        return TruncatedSeries(a)
 
     @functools.cached_property
     def f(self) -> TruncatedSeries:
@@ -504,11 +521,11 @@ class MemberSeries:
         """q at circle(r, n_angles): on_circles' one row."""
         return self.on_circles((q,), [r], n_angles)[0][0]
 
-    def on_circles(self, qs, radii, n_angles: int) -> list:
-        """Each q of qs at polar_grid(radii, n_angles), one row per radius: a
-        series by one FFT, else exact(q), with one phi_values call serving
-        every q evaluated from the Schwarz data."""
-        out, zs, phi = [], None, None
+    def on_circles(self, qs, radii, n_angles: int, zs=None) -> list:
+        """Each q of qs at zs = polar_grid(radii, n_angles), built here if None,
+        one row per radius: a series by one FFT, else exact(q), with one
+        phi_values call serving every q evaluated from the Schwarz data."""
+        out, phi = [], None
         for q in qs:
             exact = self.exact(q)
             if exact is None:

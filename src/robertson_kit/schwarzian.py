@@ -138,24 +138,25 @@ ZOOM_POINTS = 17  # patch nodes per axis; odd, so the centre is a node
 SCAN_BLOCK = 16
 
 
-def _coarse_scan(member: MemberSeries, weights, radii: np.ndarray, n_ang: int) -> list[tuple]:
-    """Per weight, the (r, theta) where the zoom starts: the first maximum in
-    (radius, angle) order of the weighted modulus on polar_grid(radii, n_ang).
-    One member.on_circles call per SCAN_BLOCK radii serves every weight."""
-    best = np.empty((len(weights), 2, radii.size))  # each circle's maximum and its angle index
+def _coarse_scan(members, weights, radii: np.ndarray, n_ang: int):
+    """Arrays r, theta of (member, weight) where the zoom starts: the first
+    maximum in (radius, angle) order of the weighted modulus on polar_grid(radii,
+    n_ang).  Per SCAN_BLOCK radii, the grid and (1-|z|^2)^w are built once for
+    every member, and one member.on_circles call serves every weight."""
+    qs = [QUANTITY[w] for w in weights]
+    shape = (len(members), len(weights), radii.size)
+    peak, angle = np.empty(shape), np.empty(shape, dtype=int)  # per circle: maximum, its index
     for at in range(0, radii.size, SCAN_BLOCK):
         rs = radii[at : at + SCAN_BLOCK]
-        zs = polar_grid(rs, n_ang)
-        values = member.on_circles([QUANTITY[w] for w in weights], rs, n_ang)
-        for k, w in enumerate(weights):
-            vals = weighted(zs, w, values[k])
-            best[k, 0, at : at + SCAN_BLOCK] = vals.max(axis=1)
-            best[k, 1, at : at + SCAN_BLOCK] = vals.argmax(axis=1)
-    starts = []
-    for per_radius, angle in best:
-        j = int(np.argmax(per_radius))
-        starts.append((float(radii[j]), 2 * math.pi * int(angle[j]) / n_ang))
-    return starts
+        zs, rows = polar_grid(rs, n_ang), np.arange(rs.size)
+        scales = [(1 - np.abs(zs) ** 2) ** w for w in weights]
+        for i, m in enumerate(members):
+            for k, (scale, v) in enumerate(zip(scales, m.on_circles(qs, rs, n_ang, zs))):
+                vals = scale * np.abs(v)
+                j = vals.argmax(axis=1)
+                peak[i, k, at : at + rs.size], angle[i, k, at : at + rs.size] = vals[rows, j], j
+    js = peak.argmax(axis=2)
+    return radii[js], 2 * math.pi * np.take_along_axis(angle, js[..., None], 2)[..., 0] / n_ang
 
 
 def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
@@ -211,7 +212,7 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
     if opts.radial < 1 or opts.angular < 1:
         raise ParamOutOfRange(f"radial={opts.radial}, angular={opts.angular}: each must be >= 1")
-    r_maxes, tails, starts = [], [], []
+    r_maxes, tails = [], []
     for m in members:
         r_max = opts.r_max if opts.r_max is not None else 0.9995 if m.closed_form else 0.95
         if not 0 < r_max < 1:
@@ -220,17 +221,16 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
                 if m.exact("P") is None else 0.0 for w in weights]
         if max(tail, default=0.0) > TAIL_TOL:
             raise TailToleranceUnmet(f"series tail {max(tail):.3e} at r={r_max} > {TAIL_TOL:.1e}")
-        radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
-        starts.append(_coarse_scan(m, weights, radii, opts.angular))
         r_maxes.append(r_max)
         tails.append(tail)
     out = [[None] * len(weights) for _ in members]
     for r_max in dict.fromkeys(r_maxes):
         rows = [i for i, r in enumerate(r_maxes) if r == r_max]
         batch = MemberBatch([members[i] for i in rows], r_max)
+        radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
+        r, theta = _coarse_scan(batch.members, weights, radii, opts.angular)
         for k, w in enumerate(weights):
-            r, theta = np.array([starts[i][k] for i in rows]).T
-            best, best_z, steps = _zoom(batch, w, r, theta, r_max / (opts.radial + 1),
+            best, best_z, steps = _zoom(batch, w, r[:, k], theta[:, k], r_max / (opts.radial + 1),
                                         2 * math.pi / opts.angular, opts.refine_tol)
             for g, i in enumerate(rows):
                 out[i][k] = NormEstimate(value=float(best[g]), argmax=complex(best_z[g]),

@@ -20,6 +20,9 @@ COEFF_LIMIT = 1e100
 TAIL_TOL = 1e-6  # the largest tail bound a series may carry where it is evaluated
 HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
 SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
+# below this deg V, a generated member's f' runs its O(N d) recurrence: at orders
+# 256 to 4096 it beat exp up to deg V = 11 and lost from 23 on
+RECURRENCE_DEGREE = 12
 
 
 class SeriesError(Exception):
@@ -298,7 +301,8 @@ class TruncatedSeries:
         size = self._c.size
         rows = -(-size // n_angles)
         buf = np.zeros((rs.size, rows * n_angles), dtype=np.complex128)
-        np.multiply(self._c, rs[:, None] ** np.arange(size), out=buf[:, :size])
+        np.power(rs[:, None], np.arange(rows * n_angles), out=buf.real)
+        buf *= np.pad(self._c, (0, buf.shape[1] - size))
         folded = buf.reshape(rs.size, rows, n_angles).sum(axis=1)
         return np.fft.ifft(folded, axis=-1) * n_angles
 

@@ -321,7 +321,8 @@ def test_grid_witness_is_first_point_within_tie_of_minimum(monkeypatch):
 
 
 def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
-    # P_f and S_f come from the Schwarz data; only 2.2 reads f and f'
+    # P_f and S_f come from the Schwarz data, and f' of a generated member
+    # from the O(N d) recurrence of f'' V = U f': no exp and no series division
     TS = robertson_kit.series.TruncatedSeries
     recurrences = []
     real_exp, real_div = TS.exp, TS.__truediv__
@@ -338,12 +339,25 @@ def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
     monkeypatch.setattr(TS, "exp", exp)
     monkeypatch.setattr(TS, "__truediv__", div)
     out = str(tmp_path / "r.json")
-    assert main(["verify", "--theorem", "2.1ii", "--samples", "2", "--out", out]) == 0
-    assert recurrences == []
-    assert main(["verify", "--theorem", "2.2", "--samples", "2", "--out", out]) == 0
-    # one division and one exp for each of the 2 canonical + 2 sampled
-    # SP0 members' f'
-    assert sorted(recurrences) == ["div"] * 4 + ["exp"] * 4
+    for theorem in ("2.1ii", "2.2"):
+        assert main(["verify", "--theorem", theorem, "--samples", "2", "--out", out]) == 0
+        assert recurrences == [], theorem
+
+
+def test_verify_computes_xi_once_per_member(tmp_path, monkeypatch):
+    # check 2.5's grid scan runs its residual once per block of
+    # cli.SCAN_BLOCK points (4 blocks of cli.GRID), but xi once per member
+    calls = []
+    real = cli.bounds.xi_of_member
+
+    def counting(member):
+        calls.append(member)
+        return real(member)
+
+    monkeypatch.setattr(cli.bounds, "xi_of_member", counting)
+    out = str(tmp_path / "r.json")
+    assert main(["verify", "--theorem", "2.5", "--samples", "8", "--out", out]) == 0
+    assert len(calls) == 10 and len(set(map(id, calls))) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from robertson_kit.robertson import (
     member_from_json,
     member_to_json,
     omega_series,
+    p_fraction,
     phi_series,
     plane_extremal_schwarz_spec,
     schwarz_values,
@@ -39,7 +40,7 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
-from robertson_kit.series import chebyshev_radii
+from robertson_kit.series import RECURRENCE_DEGREE, chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +561,12 @@ POLY_SP0 = SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0.4, 0.3j, -0.2))
 
 
 def _mp_series(params, spec, order):
-    """P and S coefficients of a spec with omega(0) = 0 at 40 digits.
+    """P, S and f' coefficients of a spec with omega(0) = 0 at 40 digits.
 
     omega = num/den, so P = 2 G1 (num/z)/(den - num) = U/V and
     S = P' - P^2/2 = (U'V - UV' - U^2/2)/V^2, each by the recurrence of a
-    division by a polynomial.
+    division by a polynomial; a = f' by the recurrence of f'' V = U f',
+    (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j}.
     """
 
     def mul(a, b):
@@ -595,24 +597,45 @@ def _mp_series(params, spec, order):
         u, v = [2 * _mp_g1(params) * c for c in num[1:]], sub(den, num)
         du, dv = [i * c for i, c in enumerate(u)][1:], [i * c for i, c in enumerate(v)][1:]
         w = sub(sub(mul(du, v), mul(u, dv)), [c / 2 for c in mul(u, u)])
-        return div(u, v, order - 1), div(w, mul(v, v), order - 2)
+        a = [mp.mpc(1)]
+        for n in range(order):
+            s = sum((u[j] * a[n - j] for j in range(min(len(u), n + 1))), mp.mpc(0))
+            s -= sum((v[j] * (n + 1 - j) * a[n + 1 - j] for j in range(1, min(len(v), n + 2))),
+                     mp.mpc(0))
+            a.append(s / (n + 1))
+        fp = np.array([complex(c) for c in a])
+        return div(u, v, order - 1), div(w, mul(v, v), order - 2), fp
 
 
 def test_series_match_extended_precision_recurrence():
     params = make_params(math.pi / 4, 0.25)
     for spec in (POLY_SP0, BLASCHKE_WITNESS):
         m = generate_member(params, spec, order=512, validate=False)
-        want_p, want_s = _mp_series(params, spec, 512)
-        # measured: 1.5e-14 for P and S of the Blaschke witness
-        for got, want in ((m.p_series(), want_p), (m.s_series(), want_s)):
+        wants = _mp_series(params, spec, 512)
+        # measured: 1.5e-14 for P and S of the Blaschke witness, 1.6e-16 for f'
+        for got, want in zip((m.p_series(), m.s_series(), m.f_prime), wants):
             assert got.order == want.size - 1
             err = np.max(np.abs(got.coeffs - want)) / np.max(np.abs(want))
             assert err < 1e-13, (spec.kind, got.order, err)
 
 
+def test_f_prime_of_long_v_matches_closed_form():
+    # omega = z/(2 - z) truncated at order 128 has deg V = 128, so f' takes
+    # exp of the integral of P_f; at alpha = 0 it is (1 - z)^{-k}.  Measured:
+    # 1.9e-15
+    params, spec = make_params(0.0, 0.25), plane_extremal_schwarz_spec(128)
+    assert p_fraction(params, spec)[1].size - 1 >= RECURRENCE_DEGREE
+    m = generate_member(params, spec, order=256, validate=False)
+    n = np.arange(1, 257)
+    want = np.concatenate(([1.0], np.cumprod((n - 1 + params.k) / n)))
+    err = np.max(np.abs(m.f_prime.coeffs - want) / want)
+    assert err < 1e-12, err
+
+
 def test_series_from_spec_match_f_prime_route():
-    # f' = exp(int P) of the series P = U/V; P recovered from f' by f''/f'
-    # must agree, and the orders are N - 1 for P and N - 2 for S
+    # f' from the recurrence of f'' V = U f' and the series P = U/V; P
+    # recovered from f' by f''/f' must agree, and the orders are N - 1 for P
+    # and N - 2 for S
     specs = [
         POLY_SP0,
         BLASCHKE_WITNESS,
