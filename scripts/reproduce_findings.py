@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from robertson_kit.bounds import envelope_check, schwarzian_norm_bound
+from robertson_kit.bounds import envelope_checks, schwarzian_norm_bound
 from robertson_kit.radii import (
     ConcavitySetting,
     SearchOpts,
@@ -99,8 +99,7 @@ def finding_5_envelopes_off_axis():
     p = make_params(alpha, 0.0)
     worst = math.inf
     worst_z = None
-    for m in sample_members(p, 40, seed=321, sp0=True, order=256):
-        rep = envelope_check(m)
+    for rep in envelope_checks(sample_members(p, 40, seed=321, sp0=True, order=256)):
         if rep.distortion_min_margin < worst:
             worst, worst_z = rep.distortion_min_margin, rep.worst_z_distortion
     print(f"[5] printed distortion envelope at alpha = pi/4 (SP0 members)")

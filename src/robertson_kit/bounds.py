@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec
+from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
 from .robertson import phi_values, polar_grid
 from .series import chebyshev_radii
 
@@ -183,14 +183,60 @@ def _is_sp0(member: MemberSeries) -> bool:
 ENVELOPE_ANGLES = 64  # points per circle in envelope_check
 
 
-def _least_margin(vals: np.ndarray, envs: Sequence[Envelope], zs: np.ndarray):
-    """The least min(upper - v, v - lower) over rows of values, one envelope
-    per row, and its point: the first in row-major order; a NaN never wins."""
-    lower = np.array([e.lower for e in envs])[:, None]
-    upper = np.array([e.upper for e in envs])[:, None]
-    marg = np.minimum(upper - vals, vals - lower).ravel()
-    i = int(np.argmin(np.where(np.isnan(marg), math.inf, marg)))
-    return float(marg[i]), complex(zs.flat[i])
+def _band(envs: Sequence[Envelope]) -> tuple:
+    """The lower and upper bounds of one envelope per radius, as (radii, 1) columns."""
+    return (np.array([e.lower for e in envs])[:, None], np.array([e.upper for e in envs])[:, None])
+
+
+def envelope_checks(
+    members,
+    radii: Optional[np.ndarray] = None,
+    growth: Optional[Sequence[Envelope]] = None,
+) -> list[EnvelopeReport]:
+    """Margins of SP0 members (f''(0) = 0) against both envelopes over a polar
+    grid, one EnvelopeReport per member.
+
+    Margins are min(upper - value, value - lower); the least one over the
+    grid is reported per envelope with where it occurred, the first in
+    (radius, angle) order, and a NaN never wins.  growth, when given, holds
+    growth_envelope(params, r) for each r in radii, params those of every
+    member; else each params' envelopes are computed once.  Every f' and f
+    comes from one MemberBatch, in blocks of members (MemberBatch.circles).
+    """
+    members = list(members)
+    if not all(map(_is_sp0, members)):
+        raise ParamOutOfRange("envelope check requires an SP0 member (f''(0)=0)")
+    if radii is None:
+        radii = chebyshev_radii(24, 0.9)
+    if growth is not None and len(growth) != len(radii):
+        raise ValueError("one growth envelope per radius")
+    if growth is not None and len({m.params for m in members}) > 1:
+        raise ValueError("given growth envelopes serve members of one params")
+    bands = {}  # (params, "fprime" or "f") -> the envelope's bounds
+    for p in {m.params for m in members}:
+        bands[p, "fprime"] = _band([distortion_envelope(p, float(r)) for r in radii])
+        bands[p, "f"] = _band(growth or [growth_envelope(p, float(r)) for r in radii])
+    zs = polar_grid(radii, ENVELOPE_ANGLES).ravel()
+    batch, least = MemberBatch(members), {}
+    for q in ("fprime", "f"):
+        for rows, values in batch.circles(q, radii, ENVELOPE_ANGLES):
+            vals = np.abs(values)
+            band = [bands[members[i].params, q] for i in rows]
+            lower, upper = np.stack([b[0] for b in band]), np.stack([b[1] for b in band])
+            marg = np.minimum(upper - vals, vals - lower).reshape(len(rows), -1)
+            js = np.argmin(np.where(np.isnan(marg), math.inf, marg), axis=1)
+            for i, j, row in zip(rows, js, marg):
+                least[q, i] = float(row[j]), complex(zs[j])
+    return [
+        EnvelopeReport(
+            distortion_min_margin=least["fprime", i][0],
+            growth_min_margin=least["f", i][0],
+            worst_z_distortion=least["fprime", i][1],
+            worst_z_growth=least["f", i][1],
+            samples=len(radii) * ENVELOPE_ANGLES,
+        )
+        for i in range(len(members))
+    ]
 
 
 def envelope_check(
@@ -198,33 +244,5 @@ def envelope_check(
     radii: Optional[np.ndarray] = None,
     growth: Optional[Sequence[Envelope]] = None,
 ) -> EnvelopeReport:
-    """Margins of a member against both envelopes over a polar grid.
-
-    Requires an SP0 member (f''(0) = 0).  Margins are
-    min(upper - value, value - lower); the least one over the grid is
-    reported per envelope together with where it occurred.  growth, when
-    given, holds growth_envelope(member.params, r) for each r in radii;
-    the growth envelope does not depend on the member, so callers
-    checking many members compute it once.
-    """
-    if not _is_sp0(member):
-        raise ParamOutOfRange("envelope check requires an SP0 member (f''(0)=0)")
-    if radii is None:
-        radii = chebyshev_radii(24, 0.9)
-    p = member.params
-    if growth is None:
-        growth = [growth_envelope(p, float(r)) for r in radii]
-    if len(growth) != len(radii):
-        raise ValueError("one growth envelope per radius")
-    zs = polar_grid(radii, ENVELOPE_ANGLES)
-    fp = np.abs(member.on_circles(("fprime",), radii, ENVELOPE_ANGLES)[0])
-    fv = np.abs(member.f.eval_on_circles(radii, ENVELOPE_ANGLES))
-    best_d, z_d = _least_margin(fp, [distortion_envelope(p, float(r)) for r in radii], zs)
-    best_g, z_g = _least_margin(fv, growth, zs)
-    return EnvelopeReport(
-        distortion_min_margin=best_d,
-        growth_min_margin=best_g,
-        worst_z_distortion=z_d,
-        worst_z_growth=z_g,
-        samples=len(radii) * ENVELOPE_ANGLES,
-    )
+    """envelope_checks of one member."""
+    return envelope_checks([member], radii, growth)[0]

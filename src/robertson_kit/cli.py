@@ -21,7 +21,6 @@ import csv
 import datetime
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -47,7 +46,7 @@ ASSERT_TOL = 1e-9
 NORM_TOL = 1e-6
 WITNESS_TIE = 1e-12  # margins this close to the minimum count as tied for the witness
 MAX_EMIT_ROWS = 100_000  # the most rows an emit table may have; the default step gives 19
-EMIT_BLOCK = 256  # radii per eval_on_circles call in emit distortion, bounding its memory
+EMIT_BLOCK = 256  # radii per batch circles call in emit distortion, bounding its memory
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +298,22 @@ def _envelope_residual(m: MemberSeries, zs, values, w: dict, growth=None):
 
 
 def _envelope_scan(members, w: dict, cache: RunCache):
-    """The envelope margins by FFT circles; each witness's margin by its replay."""
+    """The envelope margins of the whole batch by FFT circles (one
+    bounds.envelope_checks call); the witness's margin by its replay, run for
+    the members within WITNESS_TIE of the least margin, the only ones
+    _run_check may pick."""
+    growth = [cache.growth_envelope(members[0].params, r) for r in RADII]
     out = []
-    for m in members:
-        growth = [cache.growth_envelope(m.params, r) for r in RADII]
-        rep = bounds.envelope_check(m, RADII, growth=growth)
+    for rep in bounds.envelope_checks(members, RADII, growth=growth):
         if rep.growth_min_margin < rep.distortion_min_margin:
-            margin, z, kind = rep.growth_min_margin, rep.worst_z_growth, "growth"
+            out.append((rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}))
         else:
-            margin, z, kind = rep.distortion_min_margin, rep.worst_z_distortion, "distortion"
-        replay = _envelope_residual(m, np.array([z]), None, {"kind": kind}, cache.growth_envelope)
-        out.append((margin, z, 1, {"kind": kind, "margin": float(replay[0])}))
+            out.append((rep.distortion_min_margin, rep.worst_z_distortion, 1, {"kind": "distortion"}))
+    best = min([math.inf, *(margin for margin, *_ in out)])
+    for m, (margin, z, _, extra) in zip(members, out):
+        if margin <= best + WITNESS_TIE:
+            replay = _envelope_residual(m, np.array([z]), None, extra, cache.growth_envelope)
+            extra["margin"] = float(replay[0])
     return out
 
 
@@ -589,10 +593,13 @@ def cmd_emit(args: argparse.Namespace) -> int:
         )
         header = ["r", "lower", "upper", "sampled_min", "sampled_max"]
         lo, hi = np.full(rs.size, math.inf), np.full(rs.size, -math.inf)  # |f'| over members
-        for m, at in itertools.product(members, range(0, rs.size, EMIT_BLOCK)):
-            v = np.abs(m.f_prime.eval_on_circles(rs[at : at + EMIT_BLOCK], 64))
-            lo[at : at + EMIT_BLOCK] = np.minimum(lo[at : at + EMIT_BLOCK], v.min(axis=1))
-            hi[at : at + EMIT_BLOCK] = np.maximum(hi[at : at + EMIT_BLOCK], v.max(axis=1))
+        batch = MemberBatch(members)
+        for at in range(0, rs.size, EMIT_BLOCK):
+            block = slice(at, at + EMIT_BLOCK)
+            for _, values in batch.circles("fprime", rs[block], 64):
+                v = np.abs(values)
+                lo[block] = np.minimum(lo[block], v.min(axis=(0, 2)))
+                hi[block] = np.maximum(hi[block], v.max(axis=(0, 2)))
         rows = []
         for r, smin, smax in zip(rs, lo, hi):
             env = bounds.distortion_envelope(params, float(r))

@@ -29,11 +29,13 @@ import numpy as np
 from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
+    RECURRENCE_BATCH,
     RECURRENCE_DEGREE,
     TAIL_TOL,
     RadiusExceeded,
     TruncatedSeries,
     chebyshev_radii,
+    circle_blocks,
 )
 
 
@@ -433,12 +435,12 @@ class MemberSeries:
         d = deg V < RECURRENCE_DEGREE, f'' V = U f' gives the O(N d) recurrence
         (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j} over
         Python complex scalars (recent holds a_n, recent_n n a_n); else exp of
-        the integral of p_series()."""
-        u, v = p_fraction(self.params, self.schwarz)
-        d = int(np.flatnonzero(v)[-1])  # deg U = d - 1
-        if d >= RECURRENCE_DEGREE:
+        the integral of p_series().  MemberBatch runs the recurrence of many
+        members at once (_f_prime_rows), with the same bits."""
+        uv = _recurrence(self.params, self.schwarz)
+        if uv is None:
             return self.p_series().integ(max_order=self.order).exp()
-        u, v = u[:d].tolist(), v[1 : d + 1].tolist()
+        u, v = (c.tolist() for c in uv)
         a = [1 + 0j]
         recent, recent_n = deque(a, maxlen=len(u)), deque([0j], maxlen=len(v))  # newest first
         for n in range(1, self.order + 1):
@@ -543,8 +545,63 @@ class MemberSeries:
         return self.on_circle("P", r, n_angles)
 
 
+def _recurrence(params: ClassParams, spec: SchwarzSpec) -> Optional[tuple]:
+    """(U_0..U_{d-1}, V_1..V_d), the coefficients of f'' V = U f' (p_fraction)
+    with d = deg V, or None when d >= RECURRENCE_DEGREE."""
+    u, v = p_fraction(params, spec)
+    d = int(np.flatnonzero(v)[-1])  # deg U = d - 1
+    return (u[:d], v[1 : d + 1]) if d < RECURRENCE_DEGREE else None
+
+
+def _f_prime_rows(uvs, order: int) -> np.ndarray:
+    """The f' coefficients to `order` of each (u, v) of _recurrence, one row each:
+    MemberSeries.f_prime's recurrence run once for all rows.
+
+    Every step works on a (d, G) window, d the largest deg V, with real
+    arithmetic that repeats Python's complex scalars: a product from real and
+    imaginary parts, each sum an outer-axis reduction seeded with +0.0 as
+    Python's sum is, and n a_n divided by n part by part (Python's complex
+    division by n gives the same bits, as n a_n is never -0.0).  Zero-padded
+    coefficients add signed zeros only, so each row is bit for bit the scalar
+    loop's.  A ring of 2d rows holds the window of a_n and n a_n, each row
+    written twice so that the window is always one slice.
+    """
+    d, g = max(1, *(u.size for u, _ in uvs)), len(uvs)  # deg V = 0 (omega = 0) gives a_n = 0
+    # coef[j, 0] gives the real parts of U_j a and V_{j+1} na, coef[j, 1] the imaginary
+    coef = np.zeros((d, 2, 4, g))
+    for i, (u, v) in enumerate(uvs):
+        for part, c in ((0, u), (2, v)):
+            coef[: c.size, 0, part, i], coef[: c.size, 0, part + 1, i] = c.real, -c.imag
+            coef[: c.size, 1, part, i], coef[: c.size, 1, part + 1, i] = c.imag, c.real
+    ring = np.zeros((2 * d, 4, g))  # rows of (Re a_n, Im a_n, Re n a_n, Im n a_n), newest first
+    ring[d - 1, 0] = ring[2 * d - 1, 0] = 1.0  # a_0 = 1
+    prods = np.empty((d, 2, 4, g))
+    terms = np.zeros((d + 1, 2, 2, g))  # the seed row 0 stays +0.0
+    sums = np.empty((2, 2, g))
+    out = np.empty((order + 1, 2, g))
+    out[0] = ring[d - 1, :2]
+    # the views each step reads, built once: the window and newest row at ring position p
+    at = [(ring[p : p + d, None], ring[p], ring[p + d], ring[p, :2], ring[p, 2:]) for p in range(d)]
+    re_im, im_re, seeded, su, sv = prods[:, :, 0::2], prods[:, :, 1::2], terms[1:], sums[:, 0], sums[:, 1]
+    p = d - 1
+    for n in range(1, order + 1):
+        np.multiply(coef, at[p][0], out=prods)
+        np.add(re_im, im_re, out=seeded)
+        np.add.reduce(terms, axis=0, out=sums)
+        p = p - 1 if p else d - 1
+        _, row, mirror, a, na = at[p]
+        np.subtract(su, sv, out=na)
+        np.divide(na, n, out=a)
+        mirror[...] = row
+        out[n] = a
+    rows = np.empty((g, order + 1), dtype=np.complex128)
+    rows.real, rows.imag = out[:, 0].T, out[:, 1].T
+    return rows
+
+
 class MemberBatch:
-    """Members evaluated together: values(q, z) has one row per member.
+    """Members evaluated together: values(q, z) has one row per member, and
+    circles(q, radii, n) yields f' or f on circles in blocks of members.
 
     The one place that groups members.  Members with Schwarz data
     (MemberSeries.exact_schwarz), equal params and one structure make one
@@ -587,6 +644,42 @@ class MemberBatch:
                 return vals.reshape(len(rows), -1)
             out[rows] = vals
         return out
+
+    def circles(self, q: str, radii, n_angles: int):
+        """Yield (rows, values): f' (q "fprime") or f (q "f") of the members
+        listed in rows at polar_grid(radii, n_angles), values[j] the one of
+        members[rows[j]], each bit for bit the member's own.
+
+        A closed form gives its member's f' in a block of its own; every other
+        f' or f is a series, and the series of one length share
+        series.circle_blocks calls.  First, generated members without f' get
+        it: one _f_prime_rows call per order that RECURRENCE_BATCH or more of
+        them share; fewer keep MemberSeries.f_prime's scalar loop.
+        """
+        if q not in ("fprime", "f"):
+            raise ParamOutOfRange(f"batch circles evaluate 'fprime' or 'f', not {q!r}")
+        todo: dict = {}
+        for m in self.members:
+            if m.schwarz is not None and "f_prime" not in vars(m):
+                uv = _recurrence(m.params, m.schwarz)
+                if uv is not None:
+                    todo.setdefault(m.order, []).append((m, uv))
+        for order, pairs in todo.items():
+            if len(pairs) >= RECURRENCE_BATCH:
+                for (m, _), row in zip(pairs, _f_prime_rows([uv for _, uv in pairs], order)):
+                    m.f_prime = TruncatedSeries(row)
+        lengths: dict = {}  # series length -> (member indices, coefficient rows)
+        for i, m in enumerate(self.members):
+            if q == "fprime" and m.exact(q) is not None:
+                yield [i], m.on_circles((q,), radii, n_angles)
+                continue
+            c = (m.f_prime if q == "fprime" else m.f).coeffs
+            rows, coeffs = lengths.setdefault(c.size, ([], []))
+            rows.append(i)
+            coeffs.append(c)
+        for rows, coeffs in lengths.values():
+            for at, values in circle_blocks(coeffs, radii, n_angles):
+                yield rows[at : at + len(values)], values
 
 
 def generate_member(

@@ -23,6 +23,12 @@ SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
 # below this deg V, a generated member's f' runs its O(N d) recurrence: at orders
 # 256 to 4096 it beat exp up to deg V = 11 and lost from 23 on
 RECURRENCE_DEGREE = 12
+# from this many members of one order, robertson.MemberBatch runs their f' recurrence
+# as one vectorized loop: a step took 10-15 us for 2 to 16 members and a member's
+# scalar step 3-4 us (2 cores, numpy 2.4), so at orders 256, 512 and 4096 the
+# batch lost at 3 members and won from 4 on
+RECURRENCE_BATCH = 4
+CIRCLE_BYTES = 512 * 1024  # the padded buffer of one circle_blocks FFT call, at most
 
 
 class SeriesError(Exception):
@@ -293,18 +299,9 @@ class TruncatedSeries:
         return self.eval_on_circles([r], n_angles)[0]
 
     def eval_on_circles(self, radii, n_angles: int) -> np.ndarray:
-        """Values at z = r e^{2*pi*i*j/n}, one row of j = 0..n-1 per radius r, by
-        one scaled fold of the coefficients modulo n and one FFT call."""
-        rs = np.asarray(radii, dtype=np.float64)
-        if not np.all((0 <= rs) & (rs < 1)):
-            raise RadiusExceeded("circle radius must lie in [0, 1)")
-        size = self._c.size
-        rows = -(-size // n_angles)
-        buf = np.zeros((rs.size, rows * n_angles), dtype=np.complex128)
-        np.power(rs[:, None], np.arange(rows * n_angles), out=buf.real)
-        buf *= np.pad(self._c, (0, buf.shape[1] - size))
-        folded = buf.reshape(rs.size, rows, n_angles).sum(axis=1)
-        return np.fft.ifft(folded, axis=-1) * n_angles
+        """Values at z = r e^{2*pi*i*j/n}, one row of j = 0..n-1 per radius r:
+        circle_blocks' one-row case."""
+        return next(circle_blocks([self._c], radii, n_angles))[1][0]
 
     def tail_bound(self, r: float) -> float:
         """Geometric-ratio estimate of the dropped tail at radius r.
@@ -346,6 +343,42 @@ class TruncatedSeries:
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "TruncatedSeries":
         return cls([complex(p[0], p[1]) for p in pairs])
+
+
+def circle_blocks(rows, radii, n_angles: int):
+    """Values of coefficient rows of one length at z = r e^{2*pi*i*j/n}, j = 0..n-1,
+    for each r in radii: yields (start, values), values[g, i] the circle of radii[i]
+    for row start + g.
+
+    The powers r^m are built once, in the first block's padded buffer.  Each
+    block of rows, as many as keep that buffer within CIRCLE_BYTES (one at
+    least), is scaled there, folded modulo n and transformed in one FFT call;
+    every circle is bit for bit the fold of its row and radius alone.
+    """
+    rs = np.asarray(radii, dtype=np.float64)
+    if not np.all((0 <= rs) & (rs < 1)):
+        raise RadiusExceeded("circle radius must lie in [0, 1)")
+    size = len(rows[0])
+    folds = -(-size // n_angles)
+    width = folds * n_angles
+    step = max(1, CIRCLE_BYTES // (16 * max(rs.size, 1) * width))
+    powers = None
+    for at in range(0, len(rows), step):
+        block = rows[at : at + step]
+        coeffs = np.zeros((len(block), 1, width), dtype=np.complex128)
+        coeffs[:, 0, :size] = block
+        buf = np.zeros((len(block), rs.size, width), dtype=np.complex128)
+        if powers is None:  # built in the first buffer, kept apart only for later blocks
+            powers = np.power(rs[:, None], np.arange(width, dtype=np.float64), out=buf.real[0])
+            buf.real[1:] = powers
+            if at + step < len(rows):
+                powers = powers.copy()
+        else:
+            buf.real[...] = powers
+        buf *= coeffs
+        folded = buf.reshape(len(block), rs.size, folds, n_angles).sum(axis=2)
+        del buf  # freed before the FFT allocates
+        yield at, np.fft.ifft(folded, axis=-1) * n_angles
 
 
 def chebyshev_radii(n: int, r_max: float) -> np.ndarray:

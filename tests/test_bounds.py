@@ -13,6 +13,7 @@ from robertson_kit.bounds import (
     adaptive_gauss_legendre,
     distortion_envelope,
     envelope_check,
+    envelope_checks,
     growth_envelope,
     growth_oracle,
     pre_norm_bound,
@@ -22,6 +23,8 @@ from robertson_kit.bounds import (
 )
 from robertson_kit.robertson import (
     ParamOutOfRange,
+    member_from_json,
+    member_to_json,
     SchwarzSpec,
     extremal_member,
     generate_member,
@@ -209,8 +212,7 @@ def test_envelope_check_requires_sp0():
 
 def test_envelope_check_seeded_members_alpha_zero():
     p = make_params(0, 0.25)
-    for m in sample_members(p, 20, seed=5150, sp0=True, order=256):
-        rep = envelope_check(m)
+    for rep in envelope_checks(sample_members(p, 20, seed=5150, sp0=True, order=256)):
         assert rep.distortion_min_margin >= -1e-9
         assert rep.growth_min_margin >= -1e-9
 
@@ -221,10 +223,35 @@ def test_envelope_check_alpha_nonzero_reports_finding():
     # a negative margin rather than hide
     p = make_params(math.pi / 4, 0.0)
     worst = math.inf
-    for m in sample_members(p, 40, seed=321, sp0=True, order=256):
-        rep = envelope_check(m)
+    for rep in envelope_checks(sample_members(p, 40, seed=321, sp0=True, order=256)):
         worst = min(worst, rep.distortion_min_margin, rep.growth_min_margin)
     assert worst < 0
+
+
+def test_envelope_checks_match_one_member_checks():
+    # one batch: sampled members at two params (their f' by the batched
+    # recurrence), a closed form, a member read from JSON and a second order;
+    # each report equals that of the member checked alone, f' by its scalar loop
+    p, q = make_params(math.pi / 4, 0.25), make_params(0.0, 0.5)
+    specs = sample_schwarz_specs(9, 8, sp0=True)
+
+    def batch():
+        ms = [generate_member(p, s, order=128, validate=False) for s in specs]
+        ms += [generate_member(q, s, order=128, validate=False) for s in specs[:5]]
+        ms += [extremal_member(p, "disk_symmetric", -1.0, order=128),
+               member_from_json(member_to_json(ms[0])),
+               generate_member(p, specs[1], order=64, validate=False)]
+        return ms
+
+    reps = envelope_checks(batch())
+    assert len(reps) == 8 + 5 + 3
+    for m, rep in zip(batch(), reps):
+        assert envelope_check(m) == rep
+    with pytest.raises(ValueError):
+        envelope_checks(batch(), np.array([0.5]), growth=[growth_envelope(p, 0.5)])
+    with pytest.raises(ParamOutOfRange):
+        envelope_checks([*batch(), generate_member(p, SchwarzSpec(kind="unit_constant_times_z"))])
+    assert envelope_checks([]) == []
 
 
 def test_envelope_check_precomputed_growth_matches_default():

@@ -1,15 +1,20 @@
 """CLI contract tests: exit codes, determinism, witness replay, emitters."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robertson_kit
 from robertson_kit import cli
@@ -383,6 +388,24 @@ def test_emit_growth_with_oracles(tmp_path):
         assert abs(float(row["upper"]) - (math.atanh(r) if r < 1 else 0)) < 1e-9
 
 
+def test_emit_distortion_samples_lie_in_envelope(tmp_path):
+    # at alpha = 0 every sampled |f'| lies between the distortion envelopes;
+    # 12 members take the batched f' recurrence, and 951 radii span 4 blocks
+    for step, count in (("0.05", 20), ("0.001", 951)):
+        out = tmp_path / "d.csv"
+        argv = ["emit", "distortion", "--alpha", "0", "--beta", "0.25", "--samples", "12",
+                "--order", "256", "--rmax", "0.95", "--step", step, "--out", str(out)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == count
+        assert rows[0]["r"] == "0" and rows[0]["sampled_min"] == rows[0]["sampled_max"] == ""
+        for row in rows[1:]:
+            lower, upper = float(row["lower"]), float(row["upper"])
+            for key in ("sampled_min", "sampled_max"):
+                assert lower - 1e-9 <= float(row[key]) <= upper + 1e-9, row
+            assert float(row["sampled_min"]) <= float(row["sampled_max"])
+
+
 def test_emit_phi_curves(tmp_path):
     out = tmp_path / "phi.csv"
     proc = run_cli(
@@ -528,6 +551,41 @@ def test_k_near_zero_exits_with_a_verdict(argv):
     proc = run_cli(*argv, "--beta", "0.9999999999999999")
     assert proc.returncode in (0, 3), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+TYPED_ERRORS = {
+    "ParamOutOfRange", "NotASchwarzFunction", "TailToleranceUnmet", "QuadratureNotConverged",
+    "XiOutOfRange", "RootNotBracketed", "SeriesError", "DivisionByZeroConstantTerm",
+    "RadiusExceeded", "CoefficientOverflow",
+}
+NEAR_RIGHT_ANGLE = st.floats(min_value=1.5, max_value=math.pi / 2, exclude_max=True)
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    alpha=st.one_of(NEAR_RIGHT_ANGLE, NEAR_RIGHT_ANGLE.map(lambda a: -a)),
+    beta=st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+    order=st.sampled_from([8, 4096]),
+    samples=st.sampled_from([0, 12]),
+)
+def test_check_2_2_hostile_parameters_end_in_a_verdict(alpha, beta, order, samples):
+    # k -> 0 near alpha = +-pi/2 and beta = 1, at the least and the greatest
+    # order, with 2 members (f' by the scalar loop) or 14 (the batched loop):
+    # exit 0 or 3 with finite margins and points, or 2 naming a typed error
+    argv = ["verify", "--theorem", "2.2", "--alpha", repr(alpha), "--beta", repr(beta),
+            "--order", str(order), "--samples", str(samples)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "r.json", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        if code == 2:
+            assert err.getvalue().split(":")[0] in TYPED_ERRORS, err.getvalue()
+            return
+        assert code in (0, 3), err.getvalue()
+        (record,) = json.loads(out.read_text())["checks"]
+    worst = record["worst"]
+    numbers = [record["min_margin"], worst["margin"], *worst["z"]]
+    assert all(isinstance(x, float) and math.isfinite(x) for x in numbers), record
 
 
 def test_radii_convexity_cli_degenerate_warning():

@@ -40,7 +40,7 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
-from robertson_kit.series import RECURRENCE_DEGREE, chebyshev_radii
+from robertson_kit.series import RECURRENCE_BATCH, RECURRENCE_DEGREE, chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +650,81 @@ def test_series_from_spec_match_f_prime_route():
             assert (fp.deriv() / fp).max_abs_diff(m.p_series()) < 1e-12, spec
             via = (phi_series(spec, 255) * (2 * params.g1)) / (1 - omega_series(spec, 255))
             assert via.max_abs_diff(m.p_series()) < 1e-12, spec
+
+
+def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
+    # MemberBatch runs the f' recurrence of RECURRENCE_BATCH or more members of
+    # one order as one vectorized loop; every row must be the scalar loop's
+    # raw bit for raw bit (uint64 views, so the sign of zero counts): sampled
+    # SP0 and general specs at two (alpha, beta), and a deg V = 11 polynomial;
+    # omega = 0 and -z^2 have exact zero coefficients, and the small omegas'
+    # coefficients underflow to zero.  The deg V = 24 plane spec stays on the
+    # exp route, outside the loop
+    deg11 = SchwarzSpec(kind="polynomial",
+                        coeffs=(0, *(0.08 * cmath.exp(1j * j) for j in range(1, 12))))
+    zeros = [SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0)),
+             SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=2),
+             SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0.01, -0.003j)),
+             SchwarzSpec(kind="blaschke_product", zeros=(0j, 0j, 0.05), rotation=-1j)]
+    long_v = plane_extremal_schwarz_spec(24)
+    assert [p_fraction(make_params(0, 0), s)[1].size - 1 for s in (deg11, long_v)] == [11, 24]
+    looped = []
+
+    def rows(uvs, order):
+        looped.append((len(uvs), order))
+        return real(uvs, order)
+
+    real = robertson._f_prime_rows
+    monkeypatch.setattr(robertson, "_f_prime_rows", rows)
+    for order, count in ((8, 12), (256, 12), (512, 12), (4096, 3)):
+        specs = [*sample_schwarz_specs(order, count, sp0=True),
+                 *sample_schwarz_specs(order + 1, count), *zeros, deg11, long_v]
+        for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
+            params = make_params(alpha, beta)
+            batch = [generate_member(params, spec, order=order, validate=False) for spec in specs]
+            del looped[:]
+            list(MemberBatch(batch).circles("fprime", [0.5], 8))
+            assert looped == [(2 * count + 5, order)]
+            for spec, m in zip(specs, batch):
+                alone = generate_member(params, spec, order=order, validate=False).f_prime
+                assert np.array_equal(m.f_prime.coeffs.view(np.uint64),
+                                      alone.coeffs.view(np.uint64)), (order, spec)
+    # a batch of omega = 0 alone, and fewer members than RECURRENCE_BATCH,
+    # which keep the scalar loop
+    del looped[:]
+    identity = [generate_member(params, zeros[0], order=64) for _ in range(RECURRENCE_BATCH)]
+    list(MemberBatch(identity).circles("fprime", [0.5], 8))
+    assert looped == [(RECURRENCE_BATCH, 64)]
+    assert all(np.array_equal(m.f_prime.coeffs, np.eye(1, 65)[0]) for m in identity)
+    del looped[:]
+    few = [generate_member(params, spec, order=64, validate=False)
+           for spec in specs[: RECURRENCE_BATCH - 1]]
+    list(MemberBatch(few).circles("f", [0.5], 8))
+    assert looped == []
+
+
+def test_batch_circles_match_member_circles():
+    # one block per closed form; series of one length fold together, and a
+    # member read from JSON and members at a second order join their own length
+    params = make_params(0.4, 0.1)
+    batch = sample_members(params, 9, seed=2, sp0=True, order=64)
+    batch += [extremal_member(params, "disk_symmetric", 1j, order=64),
+              member_from_json(member_to_json(batch[0])),
+              *sample_members(params, 5, seed=3, order=32)]
+    radii = np.array([0.0, 0.3, 0.85])
+    for q in ("fprime", "f"):
+        seen = []
+        for rows, values in MemberBatch(batch).circles(q, radii, 16):
+            assert len(rows) == len(values)
+            for i, got in zip(rows, values):
+                m = batch[i]
+                want = (m.on_circles((q,), radii, 16)[0] if q == "fprime"
+                        else m.f.eval_on_circles(radii, 16))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (q, i)
+            seen += rows
+        assert sorted(seen) == list(range(len(batch)))
+    with pytest.raises(ParamOutOfRange):
+        next(MemberBatch(batch).circles("P", radii, 16))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from robertson_kit.series import (
     RadiusExceeded,
     TruncatedSeries,
     _quotient,
+    circle_blocks,
     chebyshev_radii,
 )
 
@@ -314,6 +315,43 @@ def test_eval_on_circles_peak_memory():
     assert peak <= 400_000, peak
     for r, row in zip(radii, rows):
         assert np.array_equal(row.view(np.float64), s.eval_on_circle(r, 64).view(np.float64))
+
+
+def test_circle_blocks_rows_match_eval_on_circles():
+    # rows of one length in blocks of CIRCLE_BYTES: 2 rows per block at order
+    # 512 on 24 radii, 10 at order 64; each circle is the row's own, bit for bit
+    rng = np.random.default_rng(7)
+    radii = np.concatenate(([0.0], chebyshev_radii(23, 0.9)))
+    for size, count, per_block in ((513, 5, 2), (65, 30, 10)):
+        rows = rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+        blocks = list(circle_blocks(list(rows), radii, 64))
+        assert [at for at, _ in blocks] == list(range(0, count, per_block))
+        got = np.concatenate([values for _, values in blocks])
+        assert got.shape == (count, radii.size, 64)
+        for row, values in zip(rows, got):
+            want = TruncatedSeries(row).eval_on_circles(radii, 64)
+            assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(RadiusExceeded):
+        next(circle_blocks(rows, [0.5, 1.0], 16))
+
+
+def test_circle_blocks_peak_memory():
+    # check 2.2's batch: 52 rows at order 512 on 24 radii of 64 angles.  A
+    # block's padded buffer holds 2 rows (442 KB of the 512 KB CIRCLE_BYTES);
+    # with the powers kept for later blocks (110 KB), numpy's 130 KB ufunc
+    # buffer and the values of two blocks the walk peaks at about 801 KB
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(52, 513)) + 1j * rng.normal(size=(52, 513))
+    radii = chebyshev_radii(24, 0.9)
+    list(circle_blocks(rows, radii, 64))
+    tracemalloc.start()
+    try:
+        for _, values in circle_blocks(rows, radii, 64):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 850_000, peak
 
 
 def test_tail_bound_geometric_example():
