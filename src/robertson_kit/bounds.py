@@ -58,14 +58,15 @@ def xi_of_member(member: MemberSeries) -> float:
     return min(xi, 1.0)
 
 
-def schwarzian_pointwise_bound(params: ClassParams, xi: float, r):
-    """Bound 2k(2 + k (xi+r)^2/(1-xi^2)) on (1-|z|^2)^2 |S_f(z)|; r = |z| may be an array."""
-    if not 0 <= xi < 1:
+def schwarzian_pointwise_bound(params: ClassParams, xi, r):
+    """Bound 2k(2 + k (xi+r)^2/(1-xi^2)) on (1-|z|^2)^2 |S_f(z)|; xi and r = |z|
+    may be arrays.  xi^2 by libm's pow, as float **, so arrays keep its bits."""
+    if not np.all((0 <= xi) & (xi < 1)):
         raise XiOutOfRange(f"xi={xi} outside [0, 1)")
     if not np.all((0 <= r) & (r < 1)):
         raise ParamOutOfRange(f"r={r} outside [0, 1)")
     k = params.k
-    return 2 * k * (2 + k * (xi + r) ** 2 / (1 - xi**2))
+    return 2 * k * (2 + k * (xi + r) ** 2 / (1 - np.float_power(xi, 2)))
 
 
 # ---------------------------------------------------------------------------

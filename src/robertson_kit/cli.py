@@ -47,6 +47,7 @@ NORM_TOL = 1e-6
 WITNESS_TIE = 1e-12  # margins this close to the minimum count as tied for the witness
 MAX_EMIT_ROWS = 100_000  # the most rows an emit table may have; the default step gives 19
 EMIT_BLOCK = 256  # radii per batch circles call in emit distortion, bounding its memory
+VERIFY_ORDER = 512  # the series order of a verify run, in process and on the command line
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,7 @@ class RunConfig:
     alpha: float = 0.0
     beta: float = 0.0
     a_co: float = 2.0
-    order: int = DEFAULT_ORDER
+    order: int = VERIFY_ORDER
     samples: int = 50
     seed: int = 7
     mode: str = "both"  # paper | corrected | both
@@ -139,7 +140,8 @@ class RunCache:
     out, so a new list of them hits too.  The first request at an r_max
     estimates the members at the run's norm `weights` plus the one asked.
     Growth envelopes depend only on (params, r), so check 2.2 computes them
-    once for all members.  A cache lives for one `cmd_verify` call.
+    once for all members.  P on GRID, which 2.1ii, 2.1iii, 22.3 and 22.4
+    all read, is kept per member.  A cache lives for one `cmd_verify` call.
     """
 
     def __init__(self, weights=()):
@@ -147,6 +149,7 @@ class RunCache:
         self._members: dict = {}
         self._norms: dict = {}
         self._growth: dict = {}
+        self._p_grid: dict = {}  # id(member) -> (member, its P row on GRID)
 
     def members(self, cfg: RunConfig, batch: str):
         """Seeded members plus the canonical witness generators.
@@ -189,6 +192,16 @@ class RunCache:
                                for k, w in enumerate(weights))
         return self._norms[ids, weight, r_max]
 
+    def values(self, members, q: str, zs) -> np.ndarray:
+        """MemberBatch(members).values(q, zs), with P rows on GRID kept for
+        the run, keyed by member identity as `norms` keys its entries."""
+        if q != "P" or zs is not GRID:
+            return MemberBatch(members).values(q, zs)
+        todo = [m for m in members if id(m) not in self._p_grid]
+        for m, row in zip(todo, MemberBatch(todo).values(q, zs)):
+            self._p_grid[id(m)] = (m, row)  # holding m keeps its id unique
+        return np.array([self._p_grid[id(m)][1] for m in members])
+
     def growth_envelope(self, params: ClassParams, r: float) -> bounds.Envelope:
         key = (params, float(r))
         if key not in self._growth:
@@ -213,7 +226,7 @@ def replay_witness(w: dict) -> float:
         raise ValueError(f"unknown check id {w['check']!r}")
     check, m, zs = CHECKS[w["check"]], _witness_member(w), np.array([complex(*w["z"])])
     values = None if check.q is None else m.values(check.q, zs)
-    return float(check.residual(m, zs, values, w)[0])
+    return check.residual([m], zs, values, w).item(0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +238,11 @@ def replay_witness(w: dict) -> float:
 class Check:
     """One row of the check table.
 
-    residual(member, z, values, w) is the checked inequality's margin at
-    the points of the 1-d array z, nonnegative where it holds, and values
-    is the member's q ("P" or "S") there, None for q None.  w is the
+    residual(members, z, values, w) is the checked inequality's margin at
+    the points of the 1-d array z, nonnegative where it holds, one row per
+    member of the list members, which share one params; values is their q
+    ("P" or "S") there, one row each, None for q None (1-d in replay_witness:
+    numpy rounds complex products of shapes (1,) and (1, 1) otherwise).  w is the
     witness: the check id, the mode of a per-mode check, and extras(cfg,
     params, mode), the run's inputs that the residual reads.  scan(members,
     w, cache), _grid_min if None, gives each member's (margin, z, samples,
@@ -240,7 +255,7 @@ class Check:
 
     anchor: Callable[[dict], str]
     batch: str  # general | general+plane | sp0 | convex; see RunCache.members
-    residual: Callable[[MemberSeries, np.ndarray, Any, dict], np.ndarray]
+    residual: Callable[[list, np.ndarray, Any, dict], np.ndarray]
     asserted: Callable[[RunConfig, Optional[str]], bool]
     q: Optional[str] = None
     scan: Optional[Callable[[list, dict, RunCache], list]] = None
@@ -252,49 +267,55 @@ class Check:
 
 RADII = chebyshev_radii(24, 0.9)  # the default scan's radii, and 2.2's circles
 GRID = (RADII[:, None] * np.exp(1j * (2 * np.pi * np.arange(48) / 48))).ravel()
-SCAN_BLOCK = 288  # grid points per MemberBatch.values call, bounding the scan's memory
+# complex values per block of member rows in _grid_min, at most (one row at
+# least): 3 rows of GRID, 1 of a soundness grid.  64 KB and 128 KB timed
+# alike; whole batches took a concavity record's traced peak 382 KB -> 6.3 MB.
+ROW_BYTES = 64 * 1024
 
 
-def _grid_min(members, w: dict, cache: RunCache, zs=GRID, residual=None) -> list[tuple]:
+def _grid_min(members, w: dict, cache: RunCache, zs=GRID) -> list[tuple]:
     """The default scan: each member's residual minimum over the points zs.
 
-    One MemberBatch.values call per SCAN_BLOCK points serves every member;
-    the residual runs row by row on 1-d arrays, as replay_witness runs it.
-    The witness is the first point within WITNESS_TIE of the minimum, with
-    its own margin, so points that tie at rounding level do not trade it.
+    The members go in blocks of as many rows of zs as fit ROW_BYTES, each
+    block with one cache.values call and one residual call on its (rows,
+    points) array, as replay_witness calls it on one row.  The witness is
+    the first point within WITNESS_TIE of the minimum, with its own margin,
+    so points that tie at rounding level do not trade it.
     """
-    check, batch = CHECKS[w["check"]], MemberBatch(members)
-    residual = residual or check.residual
-    margins = np.empty((len(members), zs.size))
-    for at in range(0, zs.size, SCAN_BLOCK):
-        block = zs[at : at + SCAN_BLOCK]
-        for i, (m, values) in enumerate(zip(members, batch.values(check.q, block))):
-            margins[i, at : at + SCAN_BLOCK] = residual(m, block, values, w)
-    lows = margins.min(axis=1)
-    js = np.argmax(margins <= lows[:, None] + WITNESS_TIE, axis=1)
-    return [(float(low), complex(zs[j]), zs.size, {"margin": float(row[j])})
-            for low, j, row in zip(lows, js, margins)]
+    check, step = CHECKS[w["check"]], max(1, ROW_BYTES // (16 * zs.size))
+    out = []
+    for at in range(0, len(members), step):
+        block = members[at : at + step]
+        margins = np.broadcast_to(check.residual(block, zs, cache.values(block, check.q, zs), w),
+                                  (len(block), zs.size))
+        lows = margins.min(axis=1)
+        js = np.argmax(margins <= lows[:, None] + WITNESS_TIE, axis=1)
+        out += [(float(low), complex(zs[j]), zs.size, {"margin": float(row[j])})
+                for low, j, row in zip(lows, js, margins)]
+    return out
 
 
-def _pointwise_s_residual(m: MemberSeries, zs, s, w: dict, xis=None):
-    xi = bounds.xi_of_member(m) if xis is None else xis[id(m)]
-    if xi >= 1 - 1e-12:
-        # the bound degenerates to +inf at xi = 1; trivially satisfied
-        return np.full(zs.shape, np.inf)
-    b = bounds.schwarzian_pointwise_bound(m.params, xi, np.abs(zs))
-    return b - (1 - np.abs(zs) ** 2) ** 2 * np.abs(s)
+def _pointwise_s_residual(members, zs, s, w: dict):
+    """The pointwise Schwarzian bound's margin, each member's xi once; the
+    bound is +inf, so trivially satisfied, on rows with xi = 1."""
+    xi = np.array([[bounds.xi_of_member(m)] for m in members])
+    finite = xi < 1 - 1e-12
+    r = np.abs(zs)
+    b = bounds.schwarzian_pointwise_bound(members[0].params, np.where(finite, xi, 0.0), r)
+    return np.where(finite, b - (1 - r**2) ** 2 * np.abs(s), np.inf)
 
 
-def _envelope_residual(m: MemberSeries, zs, values, w: dict, growth=None):
+def _envelope_residual(members, zs, values, w: dict, growth=None):
     """How far |f'| or |f| lies inside its envelope at the points zs, in Python
     floats (numpy's complex abs rounds differently); growth: a run's cache."""
+    (m,) = members  # 2.2 scans by FFT circles: the residual replays one member
     if w["kind"] == "distortion":
         envelope, vals = bounds.distortion_envelope, m.values("fprime", zs)
     else:
         envelope, vals = growth or bounds.growth_envelope, m.f.eval_at(zs, 0.95)
     envs = [envelope(m.params, abs(z)) for z in zs.tolist()]
     vs = [abs(v) for v in vals.tolist()]
-    return np.array([min(e.upper - v, v - e.lower) for e, v in zip(envs, vs)])
+    return np.array([[min(e.upper - v, v - e.lower) for e, v in zip(envs, vs)]])
 
 
 def _envelope_scan(members, w: dict, cache: RunCache):
@@ -312,8 +333,8 @@ def _envelope_scan(members, w: dict, cache: RunCache):
     best = min([math.inf, *(margin for margin, *_ in out)])
     for m, (margin, z, _, extra) in zip(members, out):
         if margin <= best + WITNESS_TIE:
-            replay = _envelope_residual(m, np.array([z]), None, extra, cache.growth_envelope)
-            extra["margin"] = float(replay[0])
+            replay = _envelope_residual([m], np.array([z]), None, extra, cache.growth_envelope)
+            extra["margin"] = replay.item(0)
     return out
 
 
@@ -336,7 +357,7 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
     return Check(
         anchor=lambda w: anchor,
         batch="sp0",
-        residual=lambda m, z, values, w: w["bound"] - schwarzian.weighted(z, weight, values),
+        residual=lambda ms, z, values, w: w["bound"] - schwarzian.weighted(z, weight, values),
         asserted=asserted,
         q=schwarzian.QUANTITY[weight],
         scan=scan,
@@ -356,7 +377,7 @@ CHECKS: dict[str, Check] = {
     "2.1ii": Check(
         anchor=lambda w: "Re(1 + conj(G1) z P_f) >= 1 - k^2 + (1-|z|^2)/4 |z P_f|^2",
         batch="general",
-        residual=lambda m, z, p, w: robertson.check_ii(m.params, z, p),
+        residual=lambda ms, z, p, w: robertson.check_ii(ms[0].params, z, p),
         asserted=lambda cfg, mode: True,
         q="P",
     ),
@@ -366,7 +387,7 @@ CHECKS: dict[str, Check] = {
             "corrected": "|(1-|z|^2) P_f - 2 G1 conj(z)| <= 2k (corrected)",
         }[w["mode"]],
         batch="general+plane",
-        residual=lambda m, z, p, w: robertson.check_iii(m.params, z, p, w["mode"]),
+        residual=lambda ms, z, p, w: robertson.check_iii(ms[0].params, z, p, w["mode"]),
         asserted=lambda cfg, mode: mode == "corrected",
         q="P",
         record_id="2.1iii",
@@ -400,21 +421,18 @@ CHECKS: dict[str, Check] = {
         residual=_pointwise_s_residual,
         asserted=lambda cfg, mode: cfg.alpha == 0,
         q="S",
-        # each member's xi once, not once per block of the grid
-        scan=lambda ms, w, cache: _grid_min(ms, w, cache, residual=functools.partial(
-            _pointwise_s_residual, xis={id(m): bounds.xi_of_member(m) for m in ms})),
     ),
     "22.3": Check(
         anchor=lambda w: "Re(1 + z P_f) >= (1/4)(1-|z|^2)|P_f|^2 (convex members)",
         batch="convex",
-        residual=lambda m, z, p, w: robertson.classical_convexity_check(z, p, "eq22_3"),
+        residual=lambda ms, z, p, w: robertson.classical_convexity_check(z, p, "eq22_3"),
         asserted=lambda cfg, mode: True,
         q="P",
     ),
     "22.4": Check(
         anchor=lambda w: "|(1-|z|^2) P_f - 2 conj(z)| <= 2 (convex members)",
         batch="convex",
-        residual=lambda m, z, p, w: robertson.classical_convexity_check(z, p, "eq22_4"),
+        residual=lambda ms, z, p, w: robertson.classical_convexity_check(z, p, "eq22_4"),
         asserted=lambda cfg, mode: True,
         q="P",
     ),
@@ -429,7 +447,7 @@ CHECKS: dict[str, Check] = {
             f"Re T_f > 0 for |z| < R_{w['mode']} = {w['radius']:.12f} (A_co = {w['a_co']})"
         ),
         batch="general",
-        residual=lambda m, z, p, w: radii.t_from_p(radii.ConcavitySetting(w["a_co"]), z, p).real,
+        residual=lambda ms, z, p, w: radii.t_from_p(radii.ConcavitySetting(w["a_co"]), z, p).real,
         asserted=lambda cfg, mode: mode == "corrected",
         q="P",
         scan=lambda ms, w, cache: _grid_min(ms, w, cache, radii.soundness_grid(w["radius"])[1]),
@@ -709,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite over seeded members")
     _add_common(v)
-    v.set_defaults(order=512)
+    v.set_defaults(order=VERIFY_ORDER)
     v.add_argument("--theorem", default="all")
     v.add_argument("--samples", type=int, default=50)
     v.add_argument("--mode", choices=["paper", "corrected", "both"], default="both")

@@ -9,7 +9,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 import robertson_kit
 from robertson_kit import cli
 from robertson_kit.cli import main, replay_witness
-from robertson_kit.radii import ConcavitySetting, phi_quadratic, phi_value
-from robertson_kit.robertson import make_params
+from robertson_kit.radii import ConcavitySetting, phi_quadratic, phi_value, soundness_grid
+from robertson_kit.robertson import make_params, member_from_json, member_to_json
 
 # the child process imports the same package as this one
 PACKAGE_ROOT = str(Path(robertson_kit.__file__).resolve().parent.parent)
@@ -248,22 +250,42 @@ def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
     assert {w for _, w in norms} == {1}
 
 
-def test_verify_builds_one_member_batch_per_record(tmp_path, monkeypatch):
-    # a grid-scanned record evaluates its whole member batch through one MemberBatch
-    built = []
-    real = cli.MemberBatch
+def test_verify_scans_member_blocks_and_p_on_grid_once(tmp_path, monkeypatch):
+    # each grid-scanned record walks its member batch, in order, in blocks of
+    # at most cli.ROW_BYTES of values (one row at least), one RunCache.values
+    # call per block; and one run evaluates P on cli.GRID once per member
+    scans, p_rows = [], []
+    real_scan, real_values = cli._grid_min, cli.RunCache.values
 
-    def batch(members, *args, **kwargs):
-        built.append(len(members))
-        return real(members, *args, **kwargs)
+    def scan(members, w, cache, *args):
+        scans.append((list(map(id, members)), []))
+        return real_scan(members, w, cache, *args)
 
-    monkeypatch.setattr(cli, "MemberBatch", batch)
+    def values(self, members, q, zs):
+        scans[-1][1].append((list(map(id, members)), zs.size))
+        return real_values(self, members, q, zs)
+
+    class Batch(cli.MemberBatch):
+        def values(self, q, z):
+            if q == "P" and z is cli.GRID:
+                p_rows.extend(map(id, self.members))
+            return super().values(q, z)
+
+    monkeypatch.setattr(cli, "_grid_min", scan)
+    monkeypatch.setattr(cli.RunCache, "values", values)
+    monkeypatch.setattr(cli, "MemberBatch", Batch)
     out = str(tmp_path / "r.json")
-    assert main(["verify", "--theorem", "2.1ii", "--samples", "8", "--out", out]) == 0
-    assert built == [2 + 8]
-    del built[:]
-    assert main(["verify", "--theorem", "concavity", "--samples", "8", "--out", out]) == 3
-    assert built == [2 + 8, 2 + 8]  # concavity:paper and concavity:corrected
+    assert main(["verify", "--theorem", "all", "--samples", "8", "--out", out]) == 3
+    # 2.1ii, 2.1iii paper and corrected, 2.5, 22.3, 22.4, concavity paper and corrected
+    assert len(scans) == 8
+    for members, blocks in scans:
+        assert [i for block, _ in blocks for i in block] == members
+        for block, size in blocks:
+            assert len(block) == 1 or 16 * len(block) * size <= cli.ROW_BYTES
+    assert max(len(block) for _, blocks in scans for block, _ in blocks) > 1
+    # the 2 canonical and 8 sampled members of the general batch (convex at
+    # alpha = beta = 0), and the plane extremal of 2.1iii
+    assert len(p_rows) == len(set(p_rows)) == 2 + 8 + 1
 
 
 def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
@@ -325,6 +347,108 @@ def test_grid_witness_is_first_point_within_tie_of_minimum(monkeypatch):
     assert complex(*rec.worst["z"]) == rs[0] * np.exp(2j * np.pi * 3 / 48)
 
 
+GRID_RECORDS = [("2.1ii", None), ("2.1iii", "paper"), ("2.1iii", "corrected"), ("2.5", None),
+                ("22.3", None), ("22.4", None), ("concavity", "paper"), ("concavity", "corrected")]
+
+
+@pytest.mark.parametrize("row_bytes", [1, cli.ROW_BYTES, 10**9])
+def test_grid_rows_match_one_member_scans(monkeypatch, row_bytes):
+    # blocks of one row, the default, and the whole batch: each member's
+    # margin, z and witness margin are those of its own values and residual
+    # alone.  The plane extremal (closed form), a member read back from JSON
+    # (series) and omega = z (xi = 1: 2.5's rows are +inf) are among them
+    monkeypatch.setattr(cli, "ROW_BYTES", row_bytes)
+    cache = cli.RunCache()
+    run, params, _, members = cache.members(cli.RunConfig(samples=6, order=64), "general+plane")
+    members = [*members, member_from_json(member_to_json(members[2]))]
+    assert members[0].exact_schwarz.kind == "unit_constant_times_z"
+    assert cli.bounds.xi_of_member(members[0]) == 1.0
+    for cid, mode in GRID_RECORDS:
+        check = cli.CHECKS[cid]
+        w = {"check": cid, **({} if mode is None else {"mode": mode}),
+             **check.extras(run, params, mode)}
+        zs = cli.GRID if cid != "concavity" else soundness_grid(w["radius"])[1]
+        scanned = (check.scan or cli._grid_min)(members, w, cache)
+        assert len(scanned) == len(members)
+        for m, (margin, z, samples, extra) in zip(members, scanned):
+            row = check.residual([m], zs, m.values(check.q, zs), w).reshape(-1)
+            j = np.argmax(row <= row.min() + cli.WITNESS_TIE)
+            assert (margin, z, samples, extra["margin"]) == (row.min(), zs[j], zs.size, row[j]), cid
+
+
+NEAR_HALF_PI = st.floats(min_value=math.pi / 2 - 1e-6, max_value=math.pi / 2, exclude_max=True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    alpha=st.one_of(NEAR_HALF_PI, NEAR_HALF_PI.map(lambda a: -a)),
+    beta=st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+    order=st.sampled_from([8, 64]),
+    samples=st.sampled_from([0, 6]),
+)
+def test_grid_rows_hostile_parameters_end_in_a_verdict(alpha, beta, order, samples):
+    # k -> 0 within 1e-6 of alpha = +-pi/2 and near beta = 1: every grid row
+    # exits 0 or 3 with no member's margin NaN and a finite witness, or 2
+    # naming a typed error
+    scanned, real = [], cli._grid_min
+
+    def scan(members, w, cache, *args):
+        rows = real(members, w, cache, *args)
+        scanned.extend(rows)
+        return rows
+
+    with mock.patch.object(cli, "_grid_min", scan):
+        for theorem in ("2.1ii", "2.1iii", "2.5", "22.3", "22.4", "concavity"):
+            argv = ["verify", "--theorem", theorem, "--alpha", repr(alpha), "--beta", repr(beta),
+                    "--order", str(order), "--samples", str(samples)]
+            with tempfile.TemporaryDirectory() as tmp:
+                out, err = Path(tmp) / "r.json", io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([*argv, "--out", str(out)])
+                if code == 2:
+                    assert err.getvalue().split(":")[0] in TYPED_ERRORS, err.getvalue()
+                    continue
+                assert code in (0, 3), (theorem, err.getvalue())
+                records = json.loads(out.read_text())["checks"]
+            for record in records:
+                worst = record["worst"]
+                if worst is not None:
+                    numbers = [record["min_margin"], worst["margin"], *worst["z"]]
+                    assert all(math.isfinite(x) for x in numbers), record
+    assert scanned
+    for margin, z, _, extra in scanned:
+        assert not any(math.isnan(x) for x in (margin, z.real, z.imag, extra["margin"]))
+
+
+def test_concavity_scan_peak_memory():
+    # one concavity record over its 2,304-point soundness grid with the 52
+    # members of the default batch: blocks of one row of cli.ROW_BYTES peak
+    # at about 382 KB (the whole batch at once: 6.3 MB; the parent's blocks
+    # of 288 points: 2.1 MB)
+    cache = cli.RunCache()
+    run, params, _, members = cache.members(cli.RunConfig(), "general")
+    w = {"check": "concavity", "mode": "corrected",
+         **cli.CHECKS["concavity"].extras(run, params, "corrected")}
+    assert len(members) == 52 and soundness_grid(w["radius"])[1].size == 2304
+    cli.CHECKS["concavity"].scan(members, w, cache)
+    tracemalloc.start()
+    try:
+        cli.CHECKS["concavity"].scan(members, w, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450_000, peak
+
+
+def test_run_config_defaults_match_verify_parser():
+    # an in-process RunConfig() runs what `robkit verify` runs, order included
+    args, cfg = cli.build_parser().parse_args(["verify"]), cli.RunConfig()
+    assert cfg.order == args.order == cli.VERIFY_ORDER
+    assert (cfg.alpha, cfg.beta, cfg.a_co, cfg.samples, cfg.seed, cfg.mode, cfg.theorem,
+            cfg.r_max, cfg.out) == (args.alpha, args.beta, args.Aco, args.samples, args.seed,
+                                    args.mode, args.theorem, args.rmax, args.out)
+
+
 def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
     # P_f and S_f come from the Schwarz data, and f' of a generated member
     # from the O(N d) recurrence of f'' V = U f': no exp and no series division
@@ -350,8 +474,8 @@ def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
 
 
 def test_verify_computes_xi_once_per_member(tmp_path, monkeypatch):
-    # check 2.5's grid scan runs its residual once per block of
-    # cli.SCAN_BLOCK points (4 blocks of cli.GRID), but xi once per member
+    # check 2.5's grid scan runs its residual once per block of members
+    # (4 blocks of cli.ROW_BYTES on cli.GRID), and xi once per member
     calls = []
     real = cli.bounds.xi_of_member
 
