@@ -50,6 +50,10 @@ EMIT_BLOCK = 256  # radii per batch circles call in emit distortion, bounding it
 VERIFY_ORDER = 512  # the series order of a verify run, in process and on the command line
 
 
+class NaNMargin(ArithmeticError):
+    """A check's scan gave a member a NaN margin, which no verdict can rest on."""
+
+
 # ---------------------------------------------------------------------------
 # run configuration and report structure
 # ---------------------------------------------------------------------------
@@ -476,6 +480,8 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
         w = {"check": cid} if mode is None else {"check": cid, "mode": mode}
         w.update(check.extras(run, params, mode))
         scanned = (check.scan or _grid_min)(members, w, cache)
+        for i in (i for i, row in enumerate(scanned) if math.isnan(row[0])):
+            raise NaNMargin(f"check {cid}: member {i}, {specs[i]!r}, has margin NaN")
         best = min([math.inf, *(margin for margin, *_ in scanned)])
         worst = None
         if best < math.inf:
@@ -802,6 +808,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bounds.XiOutOfRange,
         radii.RootNotBracketed,
         SeriesError,
+        NaNMargin,
     ) as exc:  # the package's typed errors
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

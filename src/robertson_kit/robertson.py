@@ -219,35 +219,38 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
     return 2 * params.g1 * n, den - np.concatenate(([0j], n))
 
 
-def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray):
-    """phi = omega/z, phi' and 1/(1 - z phi) at the points of a 1-d array, from the spec.
+def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool = True):
+    """phi = omega/z, phi' (zeros if not deriv) and 1/(1 - z phi) at the points of z.
 
     A polynomial runs Horner for the value and the derivative together.  A
     product (SchwarzSpec.product) is rotation * z^(s-1) * prod b_a over its
     s >= 1 zeros at the origin and its other zeros a, with
     b_a = (a - z)/(1 - conj(a) z), b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2; the
     product rule streams over the factors and divides by no z and no b_a.
-    A SpecStack's (G, 1) columns broadcast against z into (G, n) rows.
+    A SpecStack's (G, 1) columns broadcast against a 2-d z, (1, n) or (G, n), into (G, n)
+    rows, factor j on rows [:n_j] (numpy rounds a one-element (1, 1) by (1,) product otherwise).
     """
     if spec.kind == "polynomial":
-        c = spec.coeffs[1:]
+        c, factors = spec.coeffs[1:], ()
         v = np.full(np.broadcast(z, c[-1]).shape, c[-1], dtype=complex) if c else np.zeros_like(z)
-        dv = np.zeros_like(v)
-        for cj in reversed(c[:-1]):
-            dv = dv * z + v
-            v = v * z + cj
+        steps = reversed(c[:-1])
     else:
         rotation, s, factors = spec.product()
         v = np.full(np.broadcast(z, rotation).shape, rotation, dtype=complex)
-        dv = np.zeros_like(v)
-        for _ in range(s - 1):
-            dv = dv * z + v
-            v = v * z
-        for a, scale in factors:
-            inv = 1 / (1 - a.conjugate() * z)
-            g = (a - z) * inv
-            dv = dv * g + v * (scale * inv * inv)
-            v = v * g
+        steps = [None] * (s - 1)  # z^(s-1): Horner steps that add no coefficient
+    dv = np.zeros_like(v)
+    for cj in steps:
+        dv = dv * z + v if deriv else dv
+        v = v * z if cj is None else v * z + cj
+    for a, scale, *n in factors:  # a SpecStack's factor j also holds n_j
+        rows = slice(None, *n)
+        inv = 1 / (1 - a.conjugate() * z[rows])
+        g = (a - z[rows]) * inv
+        dj = dv[rows] * g + v[rows] * (scale * inv * inv) if deriv else dv[rows]
+        if n:  # not v[rows] *= g: numpy's in-place product rounds one element otherwise
+            v[rows], dv[rows] = v[rows] * g, dj  # dv[rows] onto itself copies nothing
+        else:
+            v, dv = v * g, dj
     return v, dv, 1 / (1 - z * v)
 
 
@@ -264,32 +267,32 @@ class SpecStack:
 
 
 def _stack(specs) -> Optional[SpecStack]:
-    """Specs of one structure as a SpecStack, None for one spec alone;
-    polynomials are padded with trailing zeros to a common length >= 2
-    (Horner over leading zeros is exact)."""
+    """Specs of one structure as a SpecStack, None for one spec alone; polynomials are padded
+    with trailing zeros to a common length >= 2 (Horner over leading zeros is exact).  Products
+    of one s, most zeros first, give factor j as (a, scale, n_j) of the n_j rows that have it."""
     if len(specs) == 1:
         return None
     if specs[0].kind == "polynomial":
         n = max(2, *(len(spec.coeffs) for spec in specs))
         rows = [tuple(spec.coeffs) + (0j,) * (n - len(spec.coeffs)) for spec in specs]
         return SpecStack("polynomial", coeffs=tuple(np.array(rows, dtype=complex).T[..., None]))
-    rotations, powers, zeros = zip(*(spec.product() for spec in specs))
-    pairs = np.array(zeros, dtype=complex).reshape(len(specs), -1, 2).T[..., None]
-    factors = (np.array(rotations)[:, None], powers[0], tuple(zip(*pairs)))
+    rotations, powers, free = zip(*(spec.product() for spec in specs))
+    cols = (np.array([f[j] for f in free if len(f) > j]).T[..., None] for j in range(len(free[0])))
+    factors = (np.array(rotations)[:, None], powers[0], tuple((*c, c.shape[1]) for c in cols))
     return SpecStack("blaschke_product", factors=factors)
 
 
 def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: str,
                    z: np.ndarray, phi=None):
     """P_f (q "P") or S_f (q "S") at the points of an array, from the spec;
-    phi, if given, is phi_values(spec, z), so that one call serves P and S.
+    phi, if given, is phi_values(spec, z), so that one call serves P and S (P alone skips phi').
 
     With omega = z phi, P = 2 G1 phi/(1 - omega) and
     P' = 2 G1 (phi'(1 - omega) + phi omega')/(1 - omega)^2
        = 2 G1 (phi' + phi^2)/(1 - omega)^2,
     so S = P' - P^2/2 = 2 G1 (phi' + (1 - G1) phi^2)/(1 - omega)^2.
     """
-    phi, dphi, inv = phi_values(spec, z) if phi is None else phi
+    phi, dphi, inv = phi_values(spec, z, q != "P") if phi is None else phi
     if q == "P":
         return 2 * params.g1 * phi * inv
     return 2 * params.g1 * (dphi + (1 - params.g1) * phi * phi) * inv * inv
@@ -537,7 +540,7 @@ class MemberSeries:
             if self.exact_schwarz is None:
                 out.append(exact(zs))
             else:
-                phi = phi_values(self.exact_schwarz, zs) if phi is None else phi
+                phi = phi_values(self.exact_schwarz, zs, "S" in qs) if phi is None else phi
                 out.append(exact(zs, phi=phi))
         return out
 
@@ -603,29 +606,29 @@ class MemberBatch:
     """Members evaluated together: values(q, z) has one row per member, and
     circles(q, radii, n) yields f' or f on circles in blocks of members.
 
-    The one place that groups members.  Members with Schwarz data
-    (MemberSeries.exact_schwarz), equal params and one structure make one
-    schwarz_values call on a SpecStack; a member alone in its group, or
-    without Schwarz data, goes through MemberSeries.values(q, z, r_trunc).
-    Each row is that member's values, bit for bit.
+    The one place that groups members.  Members with Schwarz data (MemberSeries.exact_schwarz)
+    and equal params make one schwarz_values call per SpecStack (_stack): their polynomials,
+    and each product order s, its rows most zeros first; P skips phi'.  A member alone in its
+    group, or without Schwarz data, goes through MemberSeries.values(q, z, r_trunc).  Each row
+    is that member's values, bit for bit.
     """
 
     def __init__(self, members, r_trunc: float = 0.95):
         self.members, self.r_trunc = list(members), r_trunc
-        groups: dict = {}  # every polynomial stacks, and products by (s, zeros off 0)
+        groups: dict = {}  # every polynomial stacks, and products by s, most zeros first
         for i, m in enumerate(self.members):
-            spec = m.exact_schwarz
+            spec, rank = m.exact_schwarz, 0
             if spec is None:
                 key = i  # a group of its own
             elif spec.kind == "polynomial":
                 key = (m.params, "polynomial")
             else:
                 _, s, zeros = spec.product()
-                key = (m.params, s, len(zeros))
-            groups.setdefault(key, []).append(i)
+                key, rank = (m.params, s), -len(zeros)
+            groups.setdefault(key, []).append((rank, i))
         # (rows, their SpecStack, or None for one member's values)
         self._parts = [(rows, _stack([self.members[i].exact_schwarz for i in rows]))
-                       for rows in groups.values()]
+                       for rows in ([i for _, i in sorted(g)] for g in groups.values())]
 
     def values(self, q: str, z) -> np.ndarray:
         """P_f (q "P") or S_f (q "S") of every member, one row each, at z:
@@ -635,11 +638,11 @@ class MemberBatch:
         zs = np.asarray(z, dtype=np.complex128)
         out = np.empty((len(self.members), zs.shape[-1]), dtype=np.complex128)
         for rows, stack in self._parts:
-            whole = len(rows) == len(self.members)
+            whole = rows == list(range(len(self.members)))
             points = zs if zs.ndim == 1 or whole else zs[rows]
             m = self.members[rows[0]]
             vals = (m.values(q, points, self.r_trunc) if stack is None
-                    else schwarz_values(m.params, stack, q, points))
+                    else schwarz_values(m.params, stack, q, np.atleast_2d(points)))
             if whole:  # one part spans the batch: its rows need no copy
                 return vals.reshape(len(rows), -1)
             out[rows] = vals

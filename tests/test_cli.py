@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -322,6 +323,29 @@ def test_witness_is_first_member_within_tie_of_minimum(monkeypatch):
     assert rec.worst["margin"] == margins[0]
 
 
+@pytest.mark.parametrize("margins, member", [([math.nan, 0.5], 0), ([0.5, math.nan], 1)])
+def test_nan_margin_is_a_typed_error_naming_check_and_member(monkeypatch, tmp_path, margins,
+                                                             member):
+    # Python's min skips a NaN: the record would hold on the other member
+    stub = cli.Check(
+        anchor=lambda w: "stub",
+        batch="sp0",
+        residual=lambda m, z, values, w: np.zeros(z.shape),
+        asserted=lambda cfg, mode: True,
+        scan=lambda members, w, cache: [(margin, 0.5 + 0j, 1, {}) for margin in margins],
+    )
+    monkeypatch.setitem(cli.CHECKS, "stub", stub)
+    with pytest.raises(cli.NaNMargin, match=f"check stub: member {member}, SchwarzSpec"):
+        cli._run_check("stub", cli.RunConfig(samples=0, order=16), cli.RunCache())
+    monkeypatch.setitem(cli.CHECK_BUILDERS, "stub", functools.partial(cli._run_check, "stub"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--theorem", "stub", "--samples", "0", "--order", "16",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2 and err.getvalue().startswith(f"NaNMargin: check stub: member {member},")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_grid_witness_is_first_point_within_tie_of_minimum(monkeypatch):
     # a later grid point undercuts the first by 1 ulp: the record keeps the
     # exact minimum, and the witness is the first point, with its own margin
@@ -418,6 +442,43 @@ def test_grid_rows_hostile_parameters_end_in_a_verdict(alpha, beta, order, sampl
     assert scanned
     for margin, z, _, extra in scanned:
         assert not any(math.isnan(x) for x in (margin, z.real, z.imag, extra["margin"]))
+
+
+def _finite_numbers(report) -> bool:
+    """No NaN or inf anywhere in a parsed report, and no margin left out as null."""
+    if isinstance(report, dict):
+        numbers = all(map(_finite_numbers, report.values()))
+        return numbers and report.get("min_margin", 0) is not None
+    if isinstance(report, list):
+        return all(map(_finite_numbers, report))
+    return not isinstance(report, float) or math.isfinite(report)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    alpha=st.one_of(NEAR_HALF_PI, NEAR_HALF_PI.map(lambda a: -a)),
+    beta=st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+    order=st.sampled_from([8, 64]),
+    samples=st.sampled_from([0, 3]),
+)
+def test_norm_rows_hostile_parameters_end_in_a_verdict(alpha, beta, order, samples):
+    # k -> 0 within 1e-6 of alpha = +-pi/2 and near beta = 1: each norm row
+    # exits 0 or 3 with every number of its report finite, or 2 naming a
+    # typed error other than NaNMargin
+    for theorem in ("2.3", "2.4", "AB"):
+        argv = ["verify", "--theorem", theorem, "--alpha", repr(alpha), "--beta", repr(beta),
+                "--order", str(order), "--samples", str(samples)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = Path(tmp) / "r.json", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(out)])
+            if code == 2:
+                assert err.getvalue().split(":")[0] in TYPED_ERRORS, err.getvalue()
+                continue
+            assert code in (0, 3), (theorem, err.getvalue())
+            report = json.loads(out.read_text())
+        (record,) = report["checks"]
+        assert record["worst"] is not None and _finite_numbers(report), report
 
 
 def test_concavity_scan_peak_memory():

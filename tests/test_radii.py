@@ -22,6 +22,7 @@ from robertson_kit.radii import (
     sharpness_probe,
     t_values,
 )
+from robertson_kit import robertson
 from robertson_kit.robertson import (
     ParamOutOfRange,
     SchwarzSpec,
@@ -33,6 +34,7 @@ from robertson_kit.robertson import (
     member_to_json,
     plane_extremal_schwarz_spec,
     polar_grid,
+    schwarz_values,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.series import chebyshev_radii
@@ -348,6 +350,23 @@ def test_probe_budget_exhaustion_flag():
     st = ConcavitySetting(2.0)
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=30))
     assert res.budget_exhausted
+
+
+def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
+    # 16 rotations and the sampled products (all s = 1, 1-4 free zeros) make
+    # one stack, the sampled polynomials the other
+    calls = []
+
+    def counting(params, spec, q, z, phi=None):
+        calls.append(q)
+        return schwarz_values(params, spec, q, z, phi)
+
+    monkeypatch.setattr(robertson, "schwarz_values", counting)
+    res = sharpness_probe(make_params(math.pi / 8, 0.25), ConcavitySetting(1.5),
+                          SearchOpts(seed=3, budget=6000))
+    circles = res.evaluations // (PROBE_ROTATIONS + PROBE_SPECS)
+    assert circles > 10 and set(calls) == {"P"}
+    assert len(calls) <= 2 * circles
 
 
 def _reference_probe(params, setting, search, specs=None):

@@ -532,7 +532,7 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
 
     def counting(params, spec, q, z, phi=None):
         if isinstance(spec, SpecStack):
-            stack_calls.append(spec)
+            stack_calls.append(len(spec.coeffs[0]) if spec.coeffs else len(spec.factors[0]))
         return schwarz_values(params, spec, q, z, phi)
 
     monkeypatch.setattr(robertson, "schwarz_values", counting)
@@ -544,13 +544,70 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
             assert rows.shape == (len(batch), zs.size)
             for i, (m, row) in enumerate(zip(batch, rows)):
                 assert np.array_equal(row, m.values(q, points[i])), (i, q)
-    # per call, one stack per structure group of two or more members: at
-    # the first point the 17 rotations, the 9 polynomials and the 3 products
-    # with s = 2 and one free zero; at the second the 4 polynomials and the
-    # 2 products with s = 2 and one free zero
-    assert len(stack_calls) == 4 * 5
+    # per call, one stack per group of two or more members, whatever their
+    # free zeros: at the first point the 21 products with s = 1 (17 rotations
+    # and 4 with free zeros), the 7 with s = 2 and the 9 polynomials; at the
+    # second the 4 polynomials and the 2 products with s = 2
+    assert sorted(stack_calls) == sorted([21, 7, 9, 4, 2] * 4)
     with pytest.raises(ParamOutOfRange):
         MemberBatch(batch).values("fprime", zs)
+
+
+def test_batch_stacks_products_of_one_order_whatever_their_zeros(monkeypatch):
+    # products with s = 1 and 0-4 free zeros, out of zero-count order: one
+    # stack, its rows sorted by zero count, each mapped back to its member.
+    # One row has 4 zeros, so at one point its last factor multiplies a
+    # one-element prefix (numpy rounds that product otherwise in place)
+    params = make_params(math.pi / 4, 0.25)
+    rng = np.random.default_rng(8)
+    free = [0, 3, 1, 4, 0, 2, 3, 1, 0, 3]
+
+    def zeros(n):  # s = 1 and n free zeros
+        return (0j, *(0.8 * rng.uniform(size=n) * np.exp(6j * rng.uniform(size=n))))
+
+    specs = [SchwarzSpec(kind="blaschke_product", zeros=zeros(n), rotation=cmath.exp(1j * i))
+             for i, n in enumerate(free)]
+    specs[4] = SchwarzSpec(kind="unit_constant_times_z", rotation=-1j)
+    batch = [generate_member(params, spec, order=16, validate=False) for spec in specs]
+    stacks = []
+
+    def counting(params, spec, q, z, phi=None):
+        if isinstance(spec, SpecStack):
+            stacks.append(spec)
+        return schwarz_values(params, spec, q, z, phi)
+
+    monkeypatch.setattr(robertson, "schwarz_values", counting)
+    zs = 0.9 * np.exp(2j * np.pi * np.arange(40) / 40) * np.linspace(0.05, 1, 40)
+    per_row = zs * np.exp(0.3j * np.arange(len(batch)))[:, None]
+    values = MemberBatch(batch).values
+    for q in ("P", "S"):
+        for rows, points in ((values(q, zs), [zs] * len(batch)), (values(q, per_row), per_row)):
+            for i, (m, row) in enumerate(zip(batch, rows)):
+                assert np.array_equal(row, m.values(q, points[i])), (i, q)
+    assert len(stacks) == 4
+    _, s, factors = stacks[0].product()
+    assert s == 1 and [n for _, _, n in factors] == [7, 5, 4, 1]
+    for z in zs:
+        for q in ("P", "S"):
+            want = [m.values(q, z) for m in batch]
+            assert np.array_equal(values(q, [z]), np.array(want)[:, None]), (z, q)
+
+
+def test_p_alone_matches_p_beside_s_bit_for_bit():
+    # P skips phi' when S is not asked for: on circles and as a batch
+    params = make_params(0.3, 0.5)
+    specs = [BLASCHKE_WITNESS, SchwarzSpec(kind="unit_constant_times_z", rotation=1j, power=3),
+             *sample_schwarz_specs(6, 6)]
+    members = [generate_member(params, spec, order=16, validate=False) for spec in specs]
+    radii = chebyshev_radii(8, 0.95)
+    for m in members:
+        both = m.on_circles(("P", "S"), radii, 32)
+        assert np.array_equal(m.on_circles(("P",), radii, 32)[0], both[0]), m.provenance
+        assert np.array_equal(m.on_circles(("S",), radii, 32)[0], both[1]), m.provenance
+    zs = robertson.polar_grid(radii, 32).ravel()
+    phi = [robertson.phi_values(m.schwarz, zs) for m in members]
+    want = [schwarz_values(params, m.schwarz, "P", zs, p) for m, p in zip(members, phi)]
+    assert np.array_equal(MemberBatch(members).values("P", zs), np.array(want))
 
 
 # ---------------------------------------------------------------------------
