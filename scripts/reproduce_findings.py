@@ -8,7 +8,8 @@ Runs in a few seconds and prints self-contained witnesses:
   3. the printed radius of concavity is larger than the class radius
      (unsound); the corrected radius is sharp;
   4. the printed radius-of-convexity formula is degenerate for every
-     admissible parameter;
+     admissible parameter; the sharp radius 1/(k + |1 - G1|) is below 1
+     off the real axis;
   5. the printed lower distortion envelope fails for alpha != 0.
 """
 
@@ -29,6 +30,7 @@ from robertson_kit.radii import (
 from robertson_kit.robertson import (
     SchwarzSpec,
     check_iii,
+    circle,
     extremal_member,
     generate_member,
     make_params,
@@ -90,8 +92,14 @@ def finding_4_convexity_radius():
         res = radius_convexity(make_params(0, beta), "paper_literal")
         val = "1/0 (undefined)" if res.value == math.inf else f"{res.value:.6f}"
         print(f"      k = {1 - beta:.2f}: formula value {val}  (degenerate: {res.degenerate})")
-    res = radius_convexity(make_params(0, 0), "derived_bound", "corrected")
-    print(f"      derived whole-disk reading: radius {res.value}, boundary margin {res.margin}")
+    p = make_params(math.pi / 4, 0.25)
+    r = radius_convexity(p, "sharp").value
+    m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=16)
+    print(f"      sharp radius 1/(k + |1 - G1|) at (pi/4, 0.25) = {r:.6f} (1 at alpha = 0)")
+    for t in (0.99, 1.01):
+        zs = circle(t * r, 4096)
+        least = np.min((1 + zs * m.values("P", zs)).real)
+        print(f"      omega = lambda z on |z| = {t:.2f} R: min Re(1 + z P_f) = {least:+.6f}")
 
 
 def finding_5_envelopes_off_axis():

@@ -326,10 +326,19 @@ def _envelope_scan(members, w: dict, cache: RunCache):
     """The envelope margins of the whole batch by FFT circles (one
     bounds.envelope_checks call); the witness's margin by its replay, run for
     the members within WITNESS_TIE of the least margin, the only ones
-    _run_check may pick."""
+    _run_check may pick.  TailToleranceUnmet: a series it read (f, and f'
+    without a closed form) has a tail at RADII's largest above the check's
+    slack, which the truncation could then move a margin across."""
     growth = [cache.growth_envelope(members[0].params, r) for r in RADII]
+    reps = bounds.envelope_checks(members, RADII, growth=growth)
+    slack = CHECKS[w["check"]].slack
+    for m in members:  # the batch built every f' and f the scan read
+        for s in (m.f,) if m.exact("fprime") is not None else (m.f_prime, m.f):
+            if (tail := s.tail_bound(RADII[-1])) > slack:
+                raise schwarzian.TailToleranceUnmet(
+                    f"order-{s.order} series tail {tail:.3e} at r={RADII[-1]:.4f} > {slack:.1e}")
     out = []
-    for rep in bounds.envelope_checks(members, RADII, growth=growth):
+    for rep in reps:
         if rep.growth_min_margin < rep.distortion_min_margin:
             out.append((rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}))
         else:
@@ -685,7 +694,7 @@ def cmd_radii(args: argparse.Namespace) -> int:
         out = {m: radii.radius_concavity(params, setting, m).to_json() for m in modes}
         return _write_json(out)
     if args.radii_cmd == "convexity":
-        res = radii.radius_convexity(params, args.mode, args.characterization)
+        res = radii.radius_convexity(params, args.mode)
         if res.degenerate:
             print(
                 "warning: printed convexity-radius formula 1/(k-1) is degenerate "
@@ -766,12 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--mode", choices=["paper", "corrected", "both"], default="both")
     rv = rsub.add_parser("convexity")
     _add_common(rv)
-    rv.add_argument(
-        "--mode", choices=["paper_literal", "derived_bound"], default="paper_literal"
-    )
-    rv.add_argument(
-        "--characterization", choices=["paper", "corrected"], default="corrected"
-    )
+    rv.add_argument("--mode", choices=["paper_literal", "sharp"], default="paper_literal")
     rp = rsub.add_parser("probe")
     _add_common(rp)
     rp.add_argument("--Aco", type=float, default=2.0)

@@ -63,7 +63,6 @@ class RadiusResult:
     residual: float
     mode: str
     degenerate: bool = False
-    margin: Optional[float] = None
     note: str = ""
 
     def to_json(self) -> dict:
@@ -77,8 +76,6 @@ class RadiusResult:
             "mode": self.mode,
             "degenerate": self.degenerate,
         }
-        if self.margin is not None:
-            d["margin"] = self.margin
         if self.note:
             d["note"] = self.note
         return d
@@ -167,18 +164,18 @@ def radius_concavity(
 # ---------------------------------------------------------------------------
 
 
-def radius_convexity(
-    params: ClassParams, mode: str = "derived_bound", characterization: str = "corrected"
-) -> RadiusResult:
-    """Candidate radii for Re(1 + z f''/f') > 0 over the class.
+def radius_convexity(params: ClassParams, mode: str = "sharp") -> RadiusResult:
+    """Radii for Re(1 + z f''/f') > 0 over the class.
 
     mode "paper_literal" reproduces the printed formula 1/(k-1), which is
     non-positive (or divides by zero) for the entire admissible range
     k <= 1 and is returned flagged degenerate, for documentation only.
-    mode "derived_bound" returns the largest r in (0, 1] keeping the lower
-    envelope 1 - c k r/(1+r) positive, where c is 1 for the printed
-    characterization and 2 for the corrected one; since c k <= 2 this is
-    the whole disk, reported with the boundary margin 1 - c k / 2.
+    mode "sharp": 1 + z P_f = 1 + G1 2 omega/(1 - omega), and for |omega| <= r
+    the values of 2 omega/(1 - omega) fill the disk with centre 2r^2/(1-r^2)
+    and radius 2r/(1-r^2), so the least Re(1 + z P_f) on |z| = r is
+    (1 - 2kr + (2k cos(alpha) - 1) r^2)/(1 - r^2), attained by a rotation
+    omega = lambda z.  Its numerator is ((k + m) r - 1)((k - m) r - 1) with
+    m = |1 - G1|, so the radius is 1/(k + m), 1 at alpha = 0.
     """
     k = params.k
     if mode == "paper_literal":
@@ -200,17 +197,10 @@ def radius_convexity(
             degenerate=value <= 0 or value > 1,
             note="non-positive for every admissible k <= 1",
         )
-    if mode == "derived_bound":
-        c = 1.0 if characterization == "paper" else 2.0
-        ck = c * k
-        value = 1.0 if ck <= 2 else min(1.0, 1 / (ck - 1))
-        return RadiusResult(
-            value=value,
-            method="closed_form",
-            residual=0.0,
-            mode=f"{mode}:{characterization}",
-            margin=1 - ck / 2,
-        )
+    if mode == "sharp":
+        r = 1 / (k + abs(1 - params.g1))
+        numerator = 1 - 2 * k * r + (2 * k * math.cos(params.alpha) - 1) * r * r
+        return RadiusResult(value=r, method="closed_form", residual=abs(numerator), mode=mode)
     raise ParamOutOfRange(f"unknown mode {mode!r}")
 
 

@@ -20,7 +20,6 @@ import cmath
 import functools
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -29,7 +28,6 @@ import numpy as np
 from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
-    RECURRENCE_BATCH,
     RECURRENCE_DEGREE,
     TAIL_TOL,
     RadiusExceeded,
@@ -435,23 +433,13 @@ class MemberSeries:
     @functools.cached_property
     def f_prime(self) -> TruncatedSeries:
         """f' at order N from P_f = U/V (p_fraction), V(0) = 1 and f'(0) = 1: for
-        d = deg V < RECURRENCE_DEGREE, f'' V = U f' gives the O(N d) recurrence
-        (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j} over
-        Python complex scalars (recent holds a_n, recent_n n a_n); else exp of
-        the integral of p_series().  MemberBatch runs the recurrence of many
-        members at once (_f_prime_rows), with the same bits."""
+        d = deg V < RECURRENCE_DEGREE, _f_prime_rows' one row of the O(N d)
+        recurrence of f'' V = U f', the same bits as inside a MemberBatch; else
+        exp of the integral of p_series()."""
         uv = _recurrence(self.params, self.schwarz)
         if uv is None:
             return self.p_series().integ(max_order=self.order).exp()
-        u, v = (c.tolist() for c in uv)
-        a = [1 + 0j]
-        recent, recent_n = deque(a, maxlen=len(u)), deque([0j], maxlen=len(v))  # newest first
-        for n in range(1, self.order + 1):
-            na = sum(map(complex.__mul__, u, recent)) - sum(map(complex.__mul__, v, recent_n))
-            recent_n.appendleft(na)
-            a.append(na / n)
-            recent.appendleft(a[-1])
-        return TruncatedSeries(a)
+        return TruncatedSeries(_f_prime_rows([uv], self.order)[0])
 
     @functools.cached_property
     def f(self) -> TruncatedSeries:
@@ -558,16 +546,19 @@ def _recurrence(params: ClassParams, spec: SchwarzSpec) -> Optional[tuple]:
 
 def _f_prime_rows(uvs, order: int) -> np.ndarray:
     """The f' coefficients to `order` of each (u, v) of _recurrence, one row each:
-    MemberSeries.f_prime's recurrence run once for all rows.
+    the O(N d) recurrence of f'' V = U f',
+    (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j},
+    run once for all rows.
 
     Every step works on a (d, G) window, d the largest deg V, with real
-    arithmetic that repeats Python's complex scalars: a product from real and
-    imaginary parts, each sum an outer-axis reduction seeded with +0.0 as
-    Python's sum is, and n a_n divided by n part by part (Python's complex
-    division by n gives the same bits, as n a_n is never -0.0).  Zero-padded
-    coefficients add signed zeros only, so each row is bit for bit the scalar
-    loop's.  A ring of 2d rows holds the window of a_n and n a_n, each row
-    written twice so that the window is always one slice.
+    arithmetic that repeats a loop over Python complex scalars: a product
+    from real and imaginary parts, each sum an outer-axis reduction seeded
+    with +0.0 as Python's sum is, and n a_n divided by n part by part
+    (Python's complex division by n gives the same bits, as n a_n is never
+    -0.0).  Zero-padded coefficients add signed zeros only, so each row is bit
+    for bit that loop's, whichever rows share the call.  A ring of 2d rows
+    holds the window of a_n and n a_n, each row written twice so that the
+    window is always one slice.
     """
     d, g = max(1, *(u.size for u, _ in uvs)), len(uvs)  # deg V = 0 (omega = 0) gives a_n = 0
     # coef[j, 0] gives the real parts of U_j a and V_{j+1} na, coef[j, 1] the imaginary
@@ -655,9 +646,8 @@ class MemberBatch:
 
         A closed form gives its member's f' in a block of its own; every other
         f' or f is a series, and the series of one length share
-        series.circle_blocks calls.  First, generated members without f' get
-        it: one _f_prime_rows call per order that RECURRENCE_BATCH or more of
-        them share; fewer keep MemberSeries.f_prime's scalar loop.
+        series.circle_blocks calls.  First, generated members without f' on
+        the recurrence route get it by one _f_prime_rows call per order.
         """
         if q not in ("fprime", "f"):
             raise ParamOutOfRange(f"batch circles evaluate 'fprime' or 'f', not {q!r}")
@@ -668,9 +658,8 @@ class MemberBatch:
                 if uv is not None:
                     todo.setdefault(m.order, []).append((m, uv))
         for order, pairs in todo.items():
-            if len(pairs) >= RECURRENCE_BATCH:
-                for (m, _), row in zip(pairs, _f_prime_rows([uv for _, uv in pairs], order)):
-                    m.f_prime = TruncatedSeries(row)
+            for (m, _), row in zip(pairs, _f_prime_rows([uv for _, uv in pairs], order)):
+                m.f_prime = TruncatedSeries(row)
         lengths: dict = {}  # series length -> (member indices, coefficient rows)
         for i, m in enumerate(self.members):
             if q == "fprime" and m.exact(q) is not None:

@@ -21,13 +21,9 @@ TAIL_TOL = 1e-6  # the largest tail bound a series may carry where it is evaluat
 HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
 SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
 # below this deg V, a generated member's f' runs its O(N d) recurrence: at orders
-# 256 to 4096 it beat exp up to deg V = 11 and lost from 23 on
+# 256 to 4096 a scalar loop of it (since replaced by the vectorized run) beat exp up
+# to deg V = 11 and lost from 23 on
 RECURRENCE_DEGREE = 12
-# from this many members of one order, robertson.MemberBatch runs their f' recurrence
-# as one vectorized loop: a step took 10-15 us for 2 to 16 members and a member's
-# scalar step 3-4 us (2 cores, numpy 2.4), so at orders 256, 512 and 4096 the
-# batch lost at 3 members and won from 4 on
-RECURRENCE_BATCH = 4
 CIRCLE_BYTES = 512 * 1024  # the padded buffer of one circle_blocks FFT call, at most
 
 

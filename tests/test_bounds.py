@@ -231,7 +231,7 @@ def test_envelope_check_alpha_nonzero_reports_finding():
 def test_envelope_checks_match_one_member_checks():
     # one batch: sampled members at two params (their f' by the batched
     # recurrence), a closed form, a member read from JSON and a second order;
-    # each report equals that of the member checked alone, f' by its scalar loop
+    # each report equals that of the member checked alone, f' by a one-row run
     p, q = make_params(math.pi / 4, 0.25), make_params(0.0, 0.5)
     specs = sample_schwarz_specs(9, 8, sp0=True)
 

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, witness replay, emitters."""
 
+import cmath
 import contextlib
 import csv
 import functools
@@ -23,7 +24,7 @@ import robertson_kit
 from robertson_kit import cli
 from robertson_kit.cli import main, replay_witness
 from robertson_kit.radii import ConcavitySetting, phi_quadratic, phi_value, soundness_grid
-from robertson_kit.robertson import make_params, member_from_json, member_to_json
+from robertson_kit.robertson import SchwarzSpec, make_params, member_from_json, member_to_json
 
 # the child process imports the same package as this one
 PACKAGE_ROOT = str(Path(robertson_kit.__file__).resolve().parent.parent)
@@ -481,6 +482,71 @@ def test_norm_rows_hostile_parameters_end_in_a_verdict(alpha, beta, order, sampl
         assert record["worst"] is not None and _finite_numbers(report), report
 
 
+def _verify(argv):
+    """(exit code, stderr, parsed report or None) of one in-process verify run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "r.json", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        return code, err.getvalue(), json.loads(out.read_text()) if out.exists() else None
+
+
+def _ends_in_a_verdict(code, err, report) -> bool:
+    """Exit 2 naming a typed error other than NaNMargin, or exit 0 or 3 where
+    every record is degenerate, holds with no witness (each member's bound
+    +inf, as 2.5's at xi = 1), or has a witness and finite numbers."""
+    if code == 2:
+        return err.split(":")[0] in TYPED_ERRORS
+    return code in (0, 3) and all(
+        r["status"] == "degenerate" or (r["worst"] is not None and _finite_numbers(r))
+        or (r["status"], r["min_margin"], r["worst"]) == ("holds", None, None)
+        for r in report["checks"])
+
+
+# a Blaschke zero with 1 - 1e-6 <= |a| < 1, where 1 - conj(a) z cancels near a/|a|
+BOUNDARY_ZERO = st.builds(lambda t, theta: (1 - t) * cmath.exp(1j * theta),
+                          st.floats(min_value=1e-16, max_value=1e-6),
+                          st.floats(min_value=0, max_value=2 * math.pi)).filter(lambda a: abs(a) < 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    zeros=st.lists(BOUNDARY_ZERO, min_size=1, max_size=3),
+    theta=st.floats(min_value=0, max_value=2 * math.pi),
+    alpha=st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_value=1.5)),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+    order=st.sampled_from([8, 512, 4096]),
+)
+def test_rows_with_blaschke_zeros_near_the_circle_end_in_a_verdict(zeros, theta, alpha, beta,
+                                                                   order):
+    # the sampled member of every batch is a Blaschke product with zeros
+    # |a| -> 1 (beside 1 or 2 at the origin): the grid rows, the norm rows
+    # and 2.2 each end in a verdict with finite numbers, or in a typed error
+    def specs(seed, count, sp0=False):
+        return [SchwarzSpec(kind="blaschke_product", zeros=(0j,) * (1 + sp0) + tuple(zeros),
+                            rotation=cmath.exp(1j * theta))]
+
+    with mock.patch.object(cli.sampling, "sample_schwarz_specs", specs):
+        for theorem in ("2.1ii", "2.1iii", "2.5", "22.3", "22.4", "concavity", "2.3", "2.4",
+                        "AB", "2.2"):
+            run = _verify(["verify", "--theorem", theorem, f"--alpha={alpha!r}",
+                           f"--beta={beta!r}", "--order", str(order), "--samples", "1"])
+            assert _ends_in_a_verdict(*run), (theorem, run)
+
+
+@pytest.mark.parametrize("argv", [["--order", "8"], ["--order", "154"],
+                                  ["--order", "4096", "--samples", "2"]])
+def test_verify_all_at_low_and_greatest_orders_ends_in_a_verdict(argv):
+    # check 2.2's f' and f series carry tails at r = 0.9 of order 1 at
+    # order 8 and 7.4e-7 at 154, enough to read the asserted envelopes
+    # "violated" (exit 1; by -3.7e-8 at 154): a typed error instead, as a
+    # tail above the 1e-9 slack could move a margin across it
+    code, err, _ = run = _verify(["verify", "--theorem", "all", *argv])
+    assert _ends_in_a_verdict(*run), run
+    if argv[1] != "4096":
+        assert code == 2 and err.startswith("TailToleranceUnmet"), run
+
+
 def test_concavity_scan_peak_memory():
     # one concavity record over its 2,304-point soundness grid with the 52
     # members of the default batch: blocks of one row of cli.ROW_BYTES peak
@@ -755,7 +821,7 @@ NEAR_RIGHT_ANGLE = st.floats(min_value=1.5, max_value=math.pi / 2, exclude_max=T
 )
 def test_check_2_2_hostile_parameters_end_in_a_verdict(alpha, beta, order, samples):
     # k -> 0 near alpha = +-pi/2 and beta = 1, at the least and the greatest
-    # order, with 2 members (f' by the scalar loop) or 14 (the batched loop):
+    # order, with 2 members or 14 (each order's f' by one recurrence run):
     # exit 0 or 3 with finite margins and points, or 2 naming a typed error
     argv = ["verify", "--theorem", "2.2", "--alpha", repr(alpha), "--beta", repr(beta),
             "--order", str(order), "--samples", str(samples)]
@@ -779,6 +845,18 @@ def test_radii_convexity_cli_degenerate_warning():
     assert "degenerate" in proc.stderr
     d = json.loads(proc.stdout)
     assert d["degenerate"] is True
+
+
+def test_radii_convexity_cli_sharp():
+    # the sharp radius 1/(k + |1 - G1|) off the real axis, with no warning;
+    # the derived_bound mode and --characterization are gone
+    proc = run_cli("radii", "convexity", "--mode", "sharp", "--alpha", "0.7853981633974483",
+                   "--beta", "0.25")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    d = json.loads(proc.stdout)
+    assert d["mode"] == "sharp" and not d["degenerate"] and abs(d["value"] - 0.794156) < 5e-7
+    for argv in (["--mode", "derived_bound"], ["--characterization", "corrected"]):
+        assert run_cli("radii", "convexity", *argv).returncode == 2
 
 
 def test_radii_probe_cli():

@@ -201,18 +201,39 @@ def test_convexity_paper_literal_degenerate():
     assert res2.degenerate and res2.value < 0
 
 
-def test_convexity_derived_bound_whole_disk():
-    for k_beta in (0.0, 0.3, 0.9):
-        res = radius_convexity(make_params(0, k_beta), "derived_bound", "paper")
-        assert res.value == 1.0
-    res2 = radius_convexity(make_params(0, 0), "derived_bound", "corrected")
-    assert res2.value == 1.0
-    assert abs(res2.margin) < 1e-15  # 1 - 2k/2 -> 0 at k = 1
+def _least_re_one_plus_zp(params, r) -> float:
+    # min Re(1 + z P_f) on |z| = r over omega = lambda z, |lambda| = 1: the
+    # member omega = z on 4096 angles, since a rotation turns the circle
+    m = generate_member(params, SchwarzSpec(kind="unit_constant_times_z"), order=16)
+    zs = circle(r, 4096)
+    return float(np.min((1 + zs * m.values("P", zs)).real))
+
+
+def test_convexity_sharp_radius_against_rotation_scan():
+    # R = 1/(k + |1 - G1|); omega = lambda z keeps Re(1 + z P_f) > 0 at
+    # 0.99 R and loses it at 1.01 R, by the least real parts measured there
+    for alpha, beta, want, scan in ((math.pi / 4, 0.25, 0.794156, (3.028e-2, -3.250e-2)),
+                                    (1.2, 0.0, 0.772561, (3.459e-2, -3.693e-2)),
+                                    (-0.9, 0.5, 0.866897, (5.529e-2, -6.280e-2))):
+        params = make_params(alpha, beta)
+        res = radius_convexity(params, "sharp")
+        assert (res.mode, res.method, res.degenerate) == ("sharp", "closed_form", False)
+        assert abs(res.value - want) < 5e-7 and res.residual < 1e-15, (alpha, beta, res)
+        inside, outside = (_least_re_one_plus_zp(params, t * res.value) for t in (0.99, 1.01))
+        assert inside > 0 > outside and np.allclose((inside, outside), scan, atol=1e-5), (
+            alpha, beta, inside, outside)
+    # at alpha = 0, |1 - G1| = 1 - k: the whole disk, kept to 0.99
+    for beta in (0.0, 0.25, 0.9):
+        params = make_params(0.0, beta)
+        assert abs(radius_convexity(params).value - 1.0) < 1e-15
+        assert _least_re_one_plus_zp(params, 0.99) > 0
+    with pytest.raises(ParamOutOfRange):
+        radius_convexity(make_params(0, 0), "derived_bound")
 
 
 def test_convexity_consequence_on_members():
-    # with the corrected characterization, alpha = 0 members keep
-    # Re(1 + z P) > 0 on the whole disk; spot-check deep radii
+    # the sharp radius is 1 at alpha = 0: members keep Re(1 + z P) > 0 on
+    # the whole disk; spot-check deep radii
     p = make_params(0, 0.25)
     zs = 0.995 * np.exp(2j * np.pi * np.arange(64) / 64)
     for m in sample_members(p, 10, seed=8, sp0=True, order=2048):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import deque
 
 import mpmath as mp
 import numpy as np
@@ -40,7 +41,7 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
-from robertson_kit.series import RECURRENCE_BATCH, RECURRENCE_DEGREE, chebyshev_radii
+from robertson_kit.series import RECURRENCE_DEGREE, chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -709,14 +710,30 @@ def test_series_from_spec_match_f_prime_route():
             assert via.max_abs_diff(m.p_series()) < 1e-12, spec
 
 
+def _scalar_f_prime(params, spec, order) -> np.ndarray:
+    """The bit reference of f': the O(N d) recurrence of f'' V = U f' over
+    Python complex scalars (recent holds a_n, recent_n n a_n, newest first)."""
+    u, v = p_fraction(params, spec)
+    d = int(np.flatnonzero(v)[-1])
+    u, v = u[:d].tolist(), v[1 : d + 1].tolist()
+    a = [1 + 0j]
+    recent, recent_n = deque(a, maxlen=len(u)), deque([0j], maxlen=len(v))
+    for n in range(1, order + 1):
+        na = sum(map(complex.__mul__, u, recent)) - sum(map(complex.__mul__, v, recent_n))
+        recent_n.appendleft(na)
+        a.append(na / n)
+        recent.appendleft(a[-1])
+    return np.array(a)
+
+
 def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
-    # MemberBatch runs the f' recurrence of RECURRENCE_BATCH or more members of
-    # one order as one vectorized loop; every row must be the scalar loop's
-    # raw bit for raw bit (uint64 views, so the sign of zero counts): sampled
-    # SP0 and general specs at two (alpha, beta), and a deg V = 11 polynomial;
-    # omega = 0 and -z^2 have exact zero coefficients, and the small omegas'
-    # coefficients underflow to zero.  The deg V = 24 plane spec stays on the
-    # exp route, outside the loop
+    # every f' on the recurrence route, of a lone member or inside a
+    # MemberBatch (one vectorized _f_prime_rows call per order), must be the
+    # scalar loop's raw bit for raw bit (uint64 views, so the sign of zero
+    # counts): sampled SP0 and general specs at two (alpha, beta), and a
+    # deg V = 11 polynomial; omega = 0 and -z^2 have exact zero coefficients,
+    # and the small omegas' coefficients underflow to zero.  The deg V = 24
+    # plane spec stays on the exp route, outside the loop
     deg11 = SchwarzSpec(kind="polynomial",
                         coeffs=(0, *(0.08 * cmath.exp(1j * j) for j in range(1, 12))))
     zeros = [SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0)),
@@ -733,7 +750,7 @@ def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
 
     real = robertson._f_prime_rows
     monkeypatch.setattr(robertson, "_f_prime_rows", rows)
-    for order, count in ((8, 12), (256, 12), (512, 12), (4096, 3)):
+    for order, count in ((8, 12), (64, 12), (512, 12), (4096, 3)):
         specs = [*sample_schwarz_specs(order, count, sp0=True),
                  *sample_schwarz_specs(order + 1, count), *zeros, deg11, long_v]
         for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
@@ -742,22 +759,22 @@ def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
             del looped[:]
             list(MemberBatch(batch).circles("fprime", [0.5], 8))
             assert looped == [(2 * count + 5, order)]
-            for spec, m in zip(specs, batch):
+            for spec, m in zip(specs[:-1], batch):
+                want = _scalar_f_prime(params, spec, order).view(np.uint64)
                 alone = generate_member(params, spec, order=order, validate=False).f_prime
-                assert np.array_equal(m.f_prime.coeffs.view(np.uint64),
-                                      alone.coeffs.view(np.uint64)), (order, spec)
-    # a batch of omega = 0 alone, and fewer members than RECURRENCE_BATCH,
-    # which keep the scalar loop
+                assert np.array_equal(m.f_prime.coeffs.view(np.uint64), want), (order, spec)
+                assert np.array_equal(alone.coeffs.view(np.uint64), want), (order, spec)
+            alone = generate_member(params, long_v, order=order, validate=False).f_prime
+            assert np.array_equal(batch[-1].f_prime.coeffs, alone.coeffs)
+    # a lone member makes one call of one row, and a batch of omega = 0
+    # alone one call with every row
     del looped[:]
-    identity = [generate_member(params, zeros[0], order=64) for _ in range(RECURRENCE_BATCH)]
-    list(MemberBatch(identity).circles("fprime", [0.5], 8))
-    assert looped == [(RECURRENCE_BATCH, 64)]
+    assert np.array_equal(generate_member(params, zeros[0], order=64).f_prime.coeffs,
+                          np.eye(1, 65)[0])
+    identity = [generate_member(params, zeros[0], order=64) for _ in range(3)]
+    list(MemberBatch(identity).circles("f", [0.5], 8))
+    assert looped == [(1, 64), (3, 64)]
     assert all(np.array_equal(m.f_prime.coeffs, np.eye(1, 65)[0]) for m in identity)
-    del looped[:]
-    few = [generate_member(params, spec, order=64, validate=False)
-           for spec in specs[: RECURRENCE_BATCH - 1]]
-    list(MemberBatch(few).circles("f", [0.5], 8))
-    assert looped == []
 
 
 def test_batch_circles_match_member_circles():
