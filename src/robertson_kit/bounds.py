@@ -17,7 +17,8 @@ import numpy as np
 
 from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
 from .robertson import phi_values, polar_grid
-from .series import chebyshev_radii
+from .schwarzian import TailToleranceUnmet
+from .series import TAIL_TOL, chebyshev_radii
 
 
 class XiOutOfRange(ValueError):
@@ -48,9 +49,10 @@ def schwarzian_norm_bound(params: ClassParams) -> float:
 
 
 def xi_of_member(member: MemberSeries) -> float:
-    """xi = |phi(0)| = |f''(0)| / (2k), the normalized initial coefficient."""
+    """xi = |phi(0)| = |f''(0)| / (2k), the normalized initial coefficient; phi(0) is
+    phi_values' n(0), as d(0) = 1."""
     if member.schwarz is not None:
-        xi = abs(complex(phi_values(member.schwarz, np.zeros(1, dtype=complex))[0][0]))
+        xi = abs(complex(phi_values(member.schwarz, np.zeros(1, dtype=complex), False)[0][0]))
     else:
         xi = abs(complex(member.f_prime.coeffs[1])) / (2 * member.params.k)
     if xi > 1 + 1e-9:
@@ -189,10 +191,21 @@ def _band(envs: Sequence[Envelope]) -> tuple:
     return (np.array([e.lower for e in envs])[:, None], np.array([e.upper for e in envs])[:, None])
 
 
+def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> None:
+    """TailToleranceUnmet if a series MemberBatch.circles reads for q in qs, f ("f") or
+    f' ("fprime") without a closed form, has a tail above tol at r."""
+    for s in (m.f if q == "f" else m.f_prime for m in members for q in qs
+              if q == "f" or m.exact(q) is None):
+        if (tail := s.tail_bound(r)) > tol:
+            raise TailToleranceUnmet(
+                f"order-{s.order} series tail {tail:.3e} at r={r:.4f} > {tol:.1e}")
+
+
 def envelope_checks(
     members,
     radii: Optional[np.ndarray] = None,
     growth: Optional[Sequence[Envelope]] = None,
+    tail_tol: float = TAIL_TOL,
 ) -> list[EnvelopeReport]:
     """Margins of SP0 members (f''(0) = 0) against both envelopes over a polar
     grid, one EnvelopeReport per member.
@@ -203,6 +216,8 @@ def envelope_checks(
     growth_envelope(params, r) for each r in radii, params those of every
     member; else each params' envelopes are computed once.  Every f' and f
     comes from one MemberBatch, in blocks of members (MemberBatch.circles).
+    TailToleranceUnmet: a series it read has a tail above tail_tol at the
+    largest radius (require_tails).
     """
     members = list(members)
     if not all(map(_is_sp0, members)):
@@ -228,6 +243,7 @@ def envelope_checks(
             js = np.argmin(np.where(np.isnan(marg), math.inf, marg), axis=1)
             for i, j, row in zip(rows, js, marg):
                 least[q, i] = float(row[j]), complex(zs[j])
+    require_tails(members, ("fprime", "f"), float(np.max(radii, initial=0.0)), tail_tol)
     return [
         EnvelopeReport(
             distortion_min_margin=least["fprime", i][0],

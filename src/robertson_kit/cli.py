@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
@@ -105,11 +106,8 @@ class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "holds": sum(1 for r in self.records if r.status == "holds"),
-            "violated": sum(1 for r in self.records if r.status == "violated"),
-            "degenerate": sum(1 for r in self.records if r.status == "degenerate"),
-        }
+        statuses = [r.status for r in self.records]
+        return {k: statuses.count(k) for k in ("holds", "violated", "degenerate")}
 
     def exit_code(self) -> int:
         if any(r.status == "violated" and r.asserted for r in self.records):
@@ -217,9 +215,7 @@ def _witness_member(w: dict) -> MemberSeries:
     params = make_params(w["alpha"], w["beta"])
     spec = w["spec"]
     if isinstance(spec, dict):
-        return generate_member(
-            params, SchwarzSpec.from_json(spec), order=w["order"], validate=False
-        )
+        return generate_member(params, SchwarzSpec.from_json(spec), w["order"], validate=False)
     variant = spec.removeprefix("extremal_")
     return extremal_member(params, variant, 1.0, order=w["order"])
 
@@ -270,7 +266,7 @@ class Check:
 
 
 RADII = chebyshev_radii(24, 0.9)  # the default scan's radii, and 2.2's circles
-GRID = (RADII[:, None] * np.exp(1j * (2 * np.pi * np.arange(48) / 48))).ravel()
+GRID = robertson.polar_grid(RADII, 48).ravel()
 # complex values per block of member rows in _grid_min, at most (one row at
 # least): 3 rows of GRID, 1 of a soundness grid.  64 KB and 128 KB timed
 # alike; whole batches took a concavity record's traced peak 382 KB -> 6.3 MB.
@@ -326,17 +322,11 @@ def _envelope_scan(members, w: dict, cache: RunCache):
     """The envelope margins of the whole batch by FFT circles (one
     bounds.envelope_checks call); the witness's margin by its replay, run for
     the members within WITNESS_TIE of the least margin, the only ones
-    _run_check may pick.  TailToleranceUnmet: a series it read (f, and f'
-    without a closed form) has a tail at RADII's largest above the check's
-    slack, which the truncation could then move a margin across."""
+    _run_check may pick.  TailToleranceUnmet: a series it read has a tail at
+    RADII's largest above the check's slack, which the truncation could then
+    move a margin across (bounds.require_tails)."""
     growth = [cache.growth_envelope(members[0].params, r) for r in RADII]
-    reps = bounds.envelope_checks(members, RADII, growth=growth)
-    slack = CHECKS[w["check"]].slack
-    for m in members:  # the batch built every f' and f the scan read
-        for s in (m.f,) if m.exact("fprime") is not None else (m.f_prime, m.f):
-            if (tail := s.tail_bound(RADII[-1])) > slack:
-                raise schwarzian.TailToleranceUnmet(
-                    f"order-{s.order} series tail {tail:.3e} at r={RADII[-1]:.4f} > {slack:.1e}")
+    reps = bounds.envelope_checks(members, RADII, growth, tail_tol=CHECKS[w["check"]].slack)
     out = []
     for rep in reps:
         if rep.growth_min_margin < rep.distortion_min_margin:
@@ -530,7 +520,6 @@ def check_convexity(cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
             samples=0,
             min_margin=math.nan,
             status="degenerate" if res.degenerate else "holds",
-            worst=None,
         )
     ]
 
@@ -617,13 +606,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
             rows.append(row)
         return _write_csv(header, rows, args.out)
     if args.what == "distortion":
-        members = (
-            sampling.sample_members(
-                params, args.samples, args.seed, sp0=True, order=args.order
-            )
-            if args.samples
-            else []
-        )
+        members = sampling.sample_members(params, args.samples, args.seed, True, args.order)
         header = ["r", "lower", "upper", "sampled_min", "sampled_max"]
         lo, hi = np.full(rs.size, math.inf), np.full(rs.size, -math.inf)  # |f'| over members
         batch = MemberBatch(members)
@@ -633,6 +616,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
                 v = np.abs(values)
                 lo[block] = np.minimum(lo[block], v.min(axis=(0, 2)))
                 hi[block] = np.maximum(hi[block], v.max(axis=(0, 2)))
+        bounds.require_tails(members, ("fprime",), float(rs[-1]))
         rows = []
         for r, smin, smax in zip(rs, lo, hi):
             env = bounds.distortion_envelope(params, float(r))
@@ -666,16 +650,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
         return _write_json(robertson.member_to_json(member), args.out, "member")
     if args.what == "norm":
         member = extremal_member(params, args.variant, 1.0, order=args.order)
-        est = norm_estimate(
-            member,
-            args.weight,
-            ScanOpts(
-                radial=args.radial,
-                angular=args.angular,
-                r_max=args.rmax_scan,
-                refine_tol=args.refine_tol,
-            ),
-        )
+        opts = ScanOpts(radial=args.radial, angular=args.angular, r_max=args.rmax_scan,
+                        refine_tol=args.refine_tol)
+        est = norm_estimate(member, args.weight, opts)
         return _write_json(est.to_json(), args.out, "estimate")
     print(f"unknown emit target {args.what!r}", file=sys.stderr)
     return 2
@@ -726,6 +703,15 @@ def cmd_radii(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, that reads "-1e-05", "-inf" and "-nan" as
+    values: Python 3.11's negative-number pattern has no exponent, and took them for options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[+-]?\d+)?|inf|nan)$", re.I)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
@@ -734,7 +720,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="robkit",
         description="Verification toolkit for the generalized Robertson class SP_alpha(beta)",
     )

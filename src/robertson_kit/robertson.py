@@ -102,12 +102,13 @@ class SchwarzSpec:
     rotation: complex = 1.0 + 0.0j
     power: int = 1
 
+    @functools.cached_property
     def product(self) -> tuple[complex, int, tuple]:
         """(rotation, s, zeros) with omega = rotation * z^s * prod (a - z)/(1 - conj(a) z).
 
-        The product form of every kind but "polynomial"; a zero with
-        |a| <= 1e-14 counts in s, and `zeros` holds the others, each a as
-        the pair (a, |a|^2 - 1).
+        The product form of every kind but "polynomial", built once per spec; a
+        zero with |a| <= 1e-14 counts in s, and `zeros` holds the others, each a
+        as the pair (a, |a|^2 - 1).
         """
         if self.kind == "unit_constant_times_z":
             return complex(self.rotation), self.power, ()
@@ -124,7 +125,7 @@ class SchwarzSpec:
                 if abs(c) > 0:
                     return i
             return len(self.coeffs)
-        return self.product()[1]
+        return self.product[1]
 
     # -- JSON wire format --------------------------------------------------
 
@@ -179,7 +180,7 @@ def omega_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
         upto = min(len(spec.coeffs), order + 1)
         c[:upto] = np.asarray(spec.coeffs[:upto], dtype=np.complex128)
         return TruncatedSeries(c)
-    rotation, s, zeros = spec.product()
+    rotation, s, zeros = spec.product
     acc = TruncatedSeries.constant(rotation, order)
     for a, scale in zeros:
         # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum conj(a)^{n-1} z^n
@@ -206,7 +207,7 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
     """
     num, den = np.array(spec.coeffs, dtype=np.complex128), np.array([1 + 0j])
     if spec.kind != "polynomial":
-        rotation, s, zeros = spec.product()
+        rotation, s, zeros = spec.product
         num = np.array([rotation])
         for a, _ in zeros:
             num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
@@ -218,38 +219,45 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
 
 
 def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool = True):
-    """phi = omega/z, phi' (zeros if not deriv) and 1/(1 - z phi) at the points of z.
+    """(n, m, inv) at the points of z: phi = omega/z = n/d, phi' = m/d^2 (m None if not
+    deriv) and inv = 1/(d - z n) = 1/(d (1 - omega)), the one complex division per point.
 
-    A polynomial runs Horner for the value and the derivative together.  A
-    product (SchwarzSpec.product) is rotation * z^(s-1) * prod b_a over its
-    s >= 1 zeros at the origin and its other zeros a, with
-    b_a = (a - z)/(1 - conj(a) z), b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2; the
-    product rule streams over the factors and divides by no z and no b_a.
+    A polynomial runs Horner for n = phi and m = phi' together, with d = 1.  A product
+    (SchwarzSpec.product) is rotation * z^(s-1) * prod (a - z)/(1 - conj(a) z) over its
+    s >= 1 zeros at the origin and its other zeros a: n and m start as rotation z^(s-1) and
+    its derivative, d as 1, and each factor, with t = a - z, u = 1 - conj(a) z and
+    scale = |a|^2 - 1, sets m <- m t u + n d scale, n <- n t and d <- d u.
     A SpecStack's (G, 1) columns broadcast against a 2-d z, (1, n) or (G, n), into (G, n)
     rows, factor j on rows [:n_j] (numpy rounds a one-element (1, 1) by (1,) product otherwise).
     """
     if spec.kind == "polynomial":
         c, factors = spec.coeffs[1:], ()
-        v = np.full(np.broadcast(z, c[-1]).shape, c[-1], dtype=complex) if c else np.zeros_like(z)
-        steps = reversed(c[:-1])
+        n, steps = (c[-1], reversed(c[:-1])) if c else (0j, ())
     else:
-        rotation, s, factors = spec.product()
-        v = np.full(np.broadcast(z, rotation).shape, rotation, dtype=complex)
+        n, s, factors = spec.product
         steps = [None] * (s - 1)  # z^(s-1): Horner steps that add no coefficient
-    dv = np.zeros_like(v)
+    m, d = 0, 1  # the ints 0 and 1 until a step or a factor sets them: nothing multiplies them
     for cj in steps:
-        dv = dv * z + v if deriv else dv
-        v = v * z if cj is None else v * z + cj
-    for a, scale, *n in factors:  # a SpecStack's factor j also holds n_j
-        rows = slice(None, *n)
-        inv = 1 / (1 - a.conjugate() * z[rows])
-        g = (a - z[rows]) * inv
-        dj = dv[rows] * g + v[rows] * (scale * inv * inv) if deriv else dv[rows]
-        if n:  # not v[rows] *= g: numpy's in-place product rounds one element otherwise
-            v[rows], dv[rows] = v[rows] * g, dj  # dv[rows] onto itself copies nothing
+        m = (n if isinstance(m, int) else m * z + n) if deriv else m
+        n = n * z if cj is None else n * z + cj
+    if len(factors[0]) > 2 if factors else np.ndim(n) == 0:  # a SpecStack's rows, or a constant
+        n, m, d = (np.full(np.broadcast(z, n).shape, x, complex) for x in (n, m, d))
+    for a, scale, *top in factors:  # a SpecStack's factor j also holds n_j
+        rows = slice(None, *top)
+        if top:  # not n[rows] *= t: numpy's in-place product rounds one element otherwise
+            m[rows], n[rows], d[rows] = _factor(m[rows], n[rows], d[rows], a, scale, z[rows], deriv)
         else:
-            v, dv = v * g, dj
-    return v, dv, 1 / (1 - z * v)
+            m, n, d = _factor(m, n, d, a, scale, z, deriv)
+    return n, m if deriv else None, 1 / (d - z * n)
+
+
+def _factor(m, n, d, a, scale, z, deriv: bool):
+    """phi_values' (m, n, d) after the factor (a - z)/(1 - conj(a) z); t and u die here."""
+    t, u = a - z, 1 - a.conjugate() * z
+    if deriv:
+        nd = n * scale if isinstance(d, int) else n * d * scale
+        m = nd if isinstance(m, int) else m * t * u + nd
+    return m, n * t, u if isinstance(d, int) else d * u
 
 
 @dataclass(frozen=True)
@@ -258,10 +266,7 @@ class SpecStack:
 
     kind: str
     coeffs: tuple = ()
-    factors: tuple = ()
-
-    def product(self) -> tuple:
-        return self.factors
+    product: tuple = ()  # (rotations, s, factors), each factor (a, scale, n_j)
 
 
 def _stack(specs) -> Optional[SpecStack]:
@@ -274,26 +279,28 @@ def _stack(specs) -> Optional[SpecStack]:
         n = max(2, *(len(spec.coeffs) for spec in specs))
         rows = [tuple(spec.coeffs) + (0j,) * (n - len(spec.coeffs)) for spec in specs]
         return SpecStack("polynomial", coeffs=tuple(np.array(rows, dtype=complex).T[..., None]))
-    rotations, powers, free = zip(*(spec.product() for spec in specs))
+    rotations, powers, free = zip(*(spec.product for spec in specs))
     cols = (np.array([f[j] for f in free if len(f) > j]).T[..., None] for j in range(len(free[0])))
-    factors = (np.array(rotations)[:, None], powers[0], tuple((*c, c.shape[1]) for c in cols))
-    return SpecStack("blaschke_product", factors=factors)
+    factors = tuple((*c, c.shape[1]) for c in cols)
+    return SpecStack("blaschke_product", product=(np.array(rotations)[:, None], powers[0], factors))
 
 
 def schwarz_values(params: ClassParams, spec: Union[SchwarzSpec, SpecStack], q: str,
                    z: np.ndarray, phi=None):
     """P_f (q "P") or S_f (q "S") at the points of an array, from the spec;
-    phi, if given, is phi_values(spec, z), so that one call serves P and S (P alone skips phi').
+    phi, if given, is phi_values(spec, z), so that one call serves P and S (P alone skips m).
 
     With omega = z phi, P = 2 G1 phi/(1 - omega) and
     P' = 2 G1 (phi'(1 - omega) + phi omega')/(1 - omega)^2
        = 2 G1 (phi' + phi^2)/(1 - omega)^2,
-    so S = P' - P^2/2 = 2 G1 (phi' + (1 - G1) phi^2)/(1 - omega)^2.
+    so S = P' - P^2/2 = 2 G1 (phi' + (1 - G1) phi^2)/(1 - omega)^2.  With phi = n/d,
+    phi' = m/d^2 and inv = 1/(d - z n) (phi_values): P = 2 G1 n inv and
+    S = 2 G1 (m + (1 - G1) n^2) inv^2.
     """
-    phi, dphi, inv = phi_values(spec, z, q != "P") if phi is None else phi
+    n, m, inv = phi_values(spec, z, q != "P") if phi is None else phi
     if q == "P":
-        return 2 * params.g1 * phi * inv
-    return 2 * params.g1 * (dphi + (1 - params.g1) * phi * phi) * inv * inv
+        return 2 * params.g1 * n * inv
+    return 2 * params.g1 * (m + (1 - params.g1) * n * n) * inv * inv
 
 
 @dataclass(frozen=True)
@@ -336,7 +343,7 @@ def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
                 f"grid max |omega| = {grid_max:.12f} reaches the unit circle"
             )
         return SchwarzValidation(grid_max=grid_max, vanishing_order=vo)
-    rotation, _, zeros = spec.product()
+    rotation, _, zeros = spec.product
     for a, _ in zeros:
         if not abs(a) < 1:
             raise NotASchwarzFunction(f"Blaschke zero {a!r} outside the disk")
@@ -599,7 +606,7 @@ class MemberBatch:
 
     The one place that groups members.  Members with Schwarz data (MemberSeries.exact_schwarz)
     and equal params make one schwarz_values call per SpecStack (_stack): their polynomials,
-    and each product order s, its rows most zeros first; P skips phi'.  A member alone in its
+    and each product order s, its rows most zeros first; P skips m (phi').  A member alone in its
     group, or without Schwarz data, goes through MemberSeries.values(q, z, r_trunc).  Each row
     is that member's values, bit for bit.
     """
@@ -614,7 +621,7 @@ class MemberBatch:
             elif spec.kind == "polynomial":
                 key = (m.params, "polynomial")
             else:
-                _, s, zeros = spec.product()
+                _, s, zeros = spec.product
                 key, rank = (m.params, s), -len(zeros)
             groups.setdefault(key, []).append((rank, i))
         # (rows, their SpecStack, or None for one member's values)
@@ -821,15 +828,11 @@ def classical_convexity_check(z, p, which: str):
 
 def member_to_json(member: MemberSeries) -> dict:
     """JSON export: parameters, provenance, and both series."""
-    prov: dict | str
-    if isinstance(member.provenance, SchwarzSpec):
-        prov = member.provenance.to_json()
-    else:
-        prov = member.provenance
+    prov = member.provenance
     d = {
         "alpha": member.params.alpha,
         "beta": member.params.beta,
-        "provenance": prov,
+        "provenance": prov.to_json() if isinstance(prov, SchwarzSpec) else prov,
         "f": member.f.to_pairs(),
         "f_prime": member.f_prime.to_pairs(),
     }
@@ -842,23 +845,13 @@ def member_to_json(member: MemberSeries) -> dict:
 
 
 def member_from_json(d: dict) -> MemberSeries:
-    params = make_params(d["alpha"], d["beta"])
-    prov: Provenance
-    if isinstance(d["provenance"], dict):
-        prov = SchwarzSpec.from_json(d["provenance"])
-    else:
-        prov = d["provenance"]
-    cf = None
-    if "closed_form" in d:
-        cf = ClosedForm(
-            variant=d["closed_form"]["variant"],
-            lam=complex(*d["closed_form"]["lambda"]),
-            k=params.k,
-        )
+    params, prov, cf = make_params(d["alpha"], d["beta"]), d["provenance"], d.get("closed_form")
+    if cf is not None:
+        cf = ClosedForm(cf["variant"], complex(*cf["lambda"]), params.k)
     return MemberSeries(
         f=TruncatedSeries.from_pairs(d["f"]),
         f_prime=TruncatedSeries.from_pairs(d["f_prime"]),
         params=params,
-        provenance=prov,
+        provenance=SchwarzSpec.from_json(prov) if isinstance(prov, dict) else prov,
         closed_form=cf,
     )

@@ -33,7 +33,7 @@ from robertson_kit.robertson import (
     plane_extremal_schwarz_spec,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
-from robertson_kit.schwarzian import norm_estimate
+from robertson_kit.schwarzian import TailToleranceUnmet, norm_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_envelope_checks_match_one_member_checks():
         ms += [generate_member(q, s, order=128, validate=False) for s in specs[:5]]
         ms += [extremal_member(p, "disk_symmetric", -1.0, order=128),
                member_from_json(member_to_json(ms[0])),
-               generate_member(p, specs[1], order=64, validate=False)]
+               generate_member(p, specs[1], order=96, validate=False)]
         return ms
 
     reps = envelope_checks(batch())
@@ -252,6 +252,20 @@ def test_envelope_checks_match_one_member_checks():
     with pytest.raises(ParamOutOfRange):
         envelope_checks([*batch(), generate_member(p, SchwarzSpec(kind="unit_constant_times_z"))])
     assert envelope_checks([]) == []
+
+
+def test_envelope_checks_refuse_a_series_tail_above_tolerance():
+    # order 8: f' and f at r = 0.9 are far from their values (TAIL_TOL); a
+    # given tail_tol applies in its place, as check 2.2 gives its 1e-9 slack
+    p = make_params(0.0, 0.25)
+    with pytest.raises(TailToleranceUnmet, match="order-8 series tail"):
+        envelope_checks(sample_members(p, 3, seed=7, sp0=True, order=8))
+    members = sample_members(p, 3, seed=7, sp0=True, order=128)
+    tail = max(m.f_prime.tail_bound(0.9) for m in members)
+    assert 1e-9 < tail < 1e-6
+    envelope_checks(members, np.array([0.5, 0.9]))
+    with pytest.raises(TailToleranceUnmet):
+        envelope_checks(members, np.array([0.5, 0.9]), tail_tol=1e-9)
 
 
 def test_envelope_check_precomputed_growth_matches_default():

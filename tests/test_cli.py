@@ -80,6 +80,18 @@ def test_verify_usage_error_exit_2():
     assert proc2.returncode == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    (["verify"], {"alpha": "-1e-05", "beta": "2.5e-05", "Aco": "-1E+00", "rmax": "-1e-3"}),
+    (["emit", "growth"], {"alpha": "-1e-05", "rmax": "-1e-05", "step": "-inf"}),
+    (["radii", "probe"], {"alpha": "-1.5e-05", "Aco": "-2e0"}),
+])
+def test_float_flags_take_negative_values_in_exponent_form(command, flags):
+    # Python 3.11's argparse took "-1e-05" for an option: "expected one argument"
+    argv = [*command, *(x for key, value in flags.items() for x in (f"--{key}", value))]
+    args = cli.build_parser().parse_args(argv)
+    assert {key: getattr(args, key) for key in flags} == {k: float(v) for k, v in flags.items()}
+
+
 def test_verify_invalid_params_exit_2():
     proc = run_cli("verify", "--theorem", "2.3", "--alpha", "2.0")
     assert proc.returncode == 2
@@ -641,11 +653,12 @@ def test_emit_growth_with_oracles(tmp_path):
 
 def test_emit_distortion_samples_lie_in_envelope(tmp_path):
     # at alpha = 0 every sampled |f'| lies between the distortion envelopes;
-    # 12 members take the batched f' recurrence, and 951 radii span 4 blocks
+    # 12 members take the batched f' recurrence, and 951 radii span 4 blocks.
+    # Order 512: at 256 an f' tail at r = 0.95 is 2.0e-6, above TAIL_TOL
     for step, count in (("0.05", 20), ("0.001", 951)):
         out = tmp_path / "d.csv"
         argv = ["emit", "distortion", "--alpha", "0", "--beta", "0.25", "--samples", "12",
-                "--order", "256", "--rmax", "0.95", "--step", step, "--out", str(out)]
+                "--order", "512", "--rmax", "0.95", "--step", step, "--out", str(out)]
         assert main(argv) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == count
@@ -655,6 +668,14 @@ def test_emit_distortion_samples_lie_in_envelope(tmp_path):
             for key in ("sampled_min", "sampled_max"):
                 assert lower - 1e-9 <= float(row[key]) <= upper + 1e-9, row
             assert float(row["sampled_min"]) <= float(row["sampled_max"])
+
+
+def test_emit_distortion_refuses_truncated_series(capsys):
+    # at order 8 the f' series read at r = 0.9 carry a tail of order 1: its
+    # sampled_max would read 1.36694270097 against 1.41897229548 at order 512
+    assert main(["emit", "distortion", "--samples", "3", "--order", "8"]) == 2
+    assert capsys.readouterr().err.startswith("TailToleranceUnmet: order-8 series tail")
+    assert main(["emit", "distortion", "--samples", "3", "--order", "512"]) == 0
 
 
 def test_emit_phi_curves(tmp_path):

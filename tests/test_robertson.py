@@ -396,7 +396,7 @@ def test_rotated_monomial_is_the_product_with_origin_zeros():
         for power, rotation in ((1, 1.0), (2, -1.0), (3, 0.6 - 0.8j)):
             mono = SchwarzSpec(kind="unit_constant_times_z", rotation=rotation, power=power)
             prod = SchwarzSpec(kind="blaschke_product", zeros=(0j,) * power, rotation=rotation)
-            assert mono.product() == prod.product()
+            assert mono.product == prod.product
             m1, m2 = (generate_member(params, s, order=64) for s in (mono, prod))
             for q in "PS":
                 assert np.array_equal(m1.values(q, zs), m2.values(q, zs))
@@ -468,6 +468,61 @@ def test_exact_values_match_extended_precision_oracle():
                 assert abs(m.values(q, z) - complex(w)) < 1e-13 * max(1.0, abs(w)), (spec, q)
 
 
+def _mp_product_p_s_omega(params, spec, z):
+    """P, S and omega at z in 50 digits, from the product form itself: phi =
+    rotation z^(s-1) prod b_a, b_a = (a - z)/(1 - conj(a) z), and phi' by the
+    product rule with b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2."""
+    rotation, s, zeros = spec.product
+    with mp.workdps(50):
+        z, g1 = mp.mpc(z), _mp_g1(params)
+        b = [(mp.mpc(a) - z) / (1 - mp.conj(mp.mpc(a)) * z) for a, _ in zeros]
+        db = [(abs(mp.mpc(a)) ** 2 - 1) / (1 - mp.conj(mp.mpc(a)) * z) ** 2 for a, _ in zeros]
+        prod, power = mp.fprod(b), mp.mpc(rotation) * z ** (s - 1)
+        dprod = mp.fsum(db[j] * mp.fprod(b[:j] + b[j + 1 :]) for j in range(len(b)))
+        phi = power * prod
+        dphi = (s - 1) * mp.mpc(rotation) * z ** (s - 2) * prod + power * dprod  # z != 0
+        w = 1 - z * phi
+        return [complex(x) for x in (2 * g1 * phi / w, 2 * g1 * (dphi + (1 - g1) * phi**2) / w**2, z * phi)]
+
+
+# the largest error of P and S relative to |P| and |S|, each divided by the
+# point's condition 1 + 1/|1 - omega| + sum 1/|1 - conj(a) z|, that the
+# earlier evaluator (one complex reciprocal per Blaschke factor) gave on
+# _oracle_cases(): 5.88e-16 for P and 1.499e-14 for S, with a quarter more
+# allowed for rounding.  The fraction stream gives 3.50e-16 and 1.501e-14.
+# Undivided, the worst relative errors are 4.9e-11 and 1.3e-10 for both,
+# beside the zeros at 1 - |a| = 1e-6
+ORACLE_TOL = {"P": 7.5e-16, "S": 1.9e-14}
+
+
+def _oracle_cases():
+    """Blaschke products with 1-4 free zeros at 1 - |a| = 1e-1 .. 1e-6 (s = 1 or 2),
+    each at 32 points of |z| = 0.99 and at points within (1 - |a|)/2 of each zero."""
+    rng = np.random.default_rng(18)
+    for free in (1, 2, 3, 4):
+        for e in range(1, 7):
+            eps = 10.0**-e
+            zeros = tuple((1 - eps) * np.exp(2j * np.pi * rng.uniform(size=free)))
+            spec = SchwarzSpec(kind="blaschke_product", zeros=(0j,) * (1 + e % 2) + zeros,
+                               rotation=cmath.exp(2j * math.pi * rng.uniform()))
+            near = [a + c * eps * cmath.exp(2j * math.pi * rng.uniform())
+                    for a in zeros for c in (0.01, 0.1, 0.5) for _ in range(3)]
+            yield spec, np.array([*(0.99 * np.exp(2j * np.pi * np.arange(32) / 32)), *near])
+
+
+def test_exact_values_match_product_rule_oracle_near_the_circle():
+    params = make_params(math.pi / 4, 0.25)
+    worst = {"P": 0.0, "S": 0.0}
+    for spec, zs in _oracle_cases():
+        want = np.array([_mp_product_p_s_omega(params, spec, z) for z in zs]).T
+        cond = 1 + 1 / np.abs(1 - want[2])
+        cond += sum(1 / np.abs(1 - np.conj(a) * zs) for a, _ in spec.product[2])
+        for q, w in zip("PS", want):
+            err = np.abs(schwarz_values(params, spec, q, zs) - w) / np.abs(w) / cond
+            worst[q] = max(worst[q], float(np.max(err)))
+    assert worst["P"] <= ORACLE_TOL["P"] and worst["S"] <= ORACLE_TOL["S"], worst
+
+
 def test_exact_values_finite_at_origin_and_blaschke_zeros():
     specs = [s for s in sample_schwarz_specs(9, 12) if s.kind == "blaschke_product"]
     specs += [BLASCHKE_WITNESS, SchwarzSpec(kind="polynomial", coeffs=(0, 0.5, 0.25))]
@@ -533,7 +588,7 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
 
     def counting(params, spec, q, z, phi=None):
         if isinstance(spec, SpecStack):
-            stack_calls.append(len(spec.coeffs[0]) if spec.coeffs else len(spec.factors[0]))
+            stack_calls.append(len(spec.coeffs[0]) if spec.coeffs else len(spec.product[0]))
         return schwarz_values(params, spec, q, z, phi)
 
     monkeypatch.setattr(robertson, "schwarz_values", counting)
@@ -586,7 +641,7 @@ def test_batch_stacks_products_of_one_order_whatever_their_zeros(monkeypatch):
             for i, (m, row) in enumerate(zip(batch, rows)):
                 assert np.array_equal(row, m.values(q, points[i])), (i, q)
     assert len(stacks) == 4
-    _, s, factors = stacks[0].product()
+    _, s, factors = stacks[0].product
     assert s == 1 and [n for _, _, n in factors] == [7, 5, 4, 1]
     for z in zs:
         for q in ("P", "S"):

@@ -335,6 +335,25 @@ def test_circle_blocks_rows_match_eval_on_circles():
         next(circle_blocks(rows, [0.5, 1.0], 16))
 
 
+def test_circle_blocks_match_extended_precision_point_sums():
+    # orders 512 and 4096 out to r = 0.99: each circle value, at 2 of its
+    # 64 angles, is the 40-digit point sum of the same coefficients within
+    # 1e-13 of sum |c_n| r^n; a row of normal coefficients, and one whose
+    # coefficients decay as 0.999^n
+    rng = np.random.default_rng(12)
+    radii, n = [0.3, 0.9, 0.99], 64
+    for size in (513, 4097):
+        rows = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+        rows[1] *= 0.999 ** np.arange(size)
+        got = np.concatenate([values for _, values in circle_blocks(list(rows), radii, n)])
+        for row, circles in zip(rows, got):
+            for r, values in zip(radii, circles):
+                scale = np.polynomial.polynomial.polyval(r, np.abs(row))
+                for j in (5, 37):
+                    z = r * np.exp(2j * np.pi * j / n)
+                    assert abs(values[j] - _oracle(row, z)) <= 1e-13 * scale, (size, r, j)
+
+
 def test_circle_blocks_peak_memory():
     # check 2.2's batch: 52 rows at order 512 on 24 radii of 64 angles.  A
     # block's padded buffer holds 2 rows (442 KB of the 512 KB CIRCLE_BYTES);
