@@ -22,11 +22,16 @@ PERFBENCH = ROOT / "perfbench"
 PACKAGE_ROOT = str(Path(robertson_kit.__file__).resolve().parent.parent)
 
 
-@pytest.mark.parametrize("name", ["norm_tables", "reproduce_findings"])
-def test_script_imports(name):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # each script's entry point is guarded
+    return module
+
+
+@pytest.mark.parametrize("name", ["norm_tables", "reproduce_findings", "golden_outputs"])
+def test_script_imports(name):
+    load_script(name)
 
 
 def run_script(name, *argv, cwd=ROOT):
@@ -49,6 +54,19 @@ def test_norm_tables_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 35  # 7 alphas by 5 betas
+
+
+def test_golden_outputs_writes_every_case(tmp_path, capsys):
+    # one run in process: a report and a log per case, no timestamp in any
+    golden = load_script("golden_outputs")
+    assert golden.main([str(tmp_path / "golden")]) == 0
+    names = sorted(p.name for p in (tmp_path / "golden").iterdir())
+    assert names == sorted(f"{case}.{ext}" for case in golden.CASES for ext in ("out", "log"))
+    for path in (tmp_path / "golden").iterdir():
+        text = path.read_text()
+        assert text and "generated_at" not in text, path.name
+        if path.suffix == ".log":
+            assert text.splitlines()[-1] in ("exit 0", "exit 3"), path.name
 
 
 def test_benchmark_tracer_wraps_existing_names(monkeypatch):
