@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import phi_values, polar_grid
-from .schwarzian import TailToleranceUnmet
+from .robertson import phi_values, polar_grid, require_tails
 from .series import TAIL_TOL, chebyshev_radii
 
 
@@ -191,47 +190,28 @@ def _band(envs: Sequence[Envelope]) -> tuple:
     return (np.array([e.lower for e in envs])[:, None], np.array([e.upper for e in envs])[:, None])
 
 
-def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> None:
-    """TailToleranceUnmet if a series MemberBatch.circles reads for q in qs, f ("f") or
-    f' ("fprime") without a closed form, has a tail above tol at r."""
-    for s in (m.f if q == "f" else m.f_prime for m in members for q in qs
-              if q == "f" or m.exact(q) is None):
-        if (tail := s.tail_bound(r)) > tol:
-            raise TailToleranceUnmet(
-                f"order-{s.order} series tail {tail:.3e} at r={r:.4f} > {tol:.1e}")
-
-
 def envelope_checks(
-    members,
-    radii: Optional[np.ndarray] = None,
-    growth: Optional[Sequence[Envelope]] = None,
-    tail_tol: float = TAIL_TOL,
+    members, radii: Optional[np.ndarray] = None, tail_tol: float = TAIL_TOL
 ) -> list[EnvelopeReport]:
     """Margins of SP0 members (f''(0) = 0) against both envelopes over a polar
     grid, one EnvelopeReport per member.
 
     Margins are min(upper - value, value - lower); the least one over the
     grid is reported per envelope with where it occurred, the first in
-    (radius, angle) order, and a NaN never wins.  growth, when given, holds
-    growth_envelope(params, r) for each r in radii, params those of every
-    member; else each params' envelopes are computed once.  Every f' and f
-    comes from one MemberBatch, in blocks of members (MemberBatch.circles).
-    TailToleranceUnmet: a series it read has a tail above tail_tol at the
-    largest radius (require_tails).
+    (radius, angle) order, and a NaN never wins.  Each params' envelopes are
+    computed once.  Every f' and f comes from one MemberBatch, in blocks of
+    members (MemberBatch.circles).  TailToleranceUnmet: a series it read has
+    a tail above tail_tol at the largest radius (robertson.require_tails).
     """
     members = list(members)
     if not all(map(_is_sp0, members)):
         raise ParamOutOfRange("envelope check requires an SP0 member (f''(0)=0)")
     if radii is None:
         radii = chebyshev_radii(24, 0.9)
-    if growth is not None and len(growth) != len(radii):
-        raise ValueError("one growth envelope per radius")
-    if growth is not None and len({m.params for m in members}) > 1:
-        raise ValueError("given growth envelopes serve members of one params")
     bands = {}  # (params, "fprime" or "f") -> the envelope's bounds
     for p in {m.params for m in members}:
         bands[p, "fprime"] = _band([distortion_envelope(p, float(r)) for r in radii])
-        bands[p, "f"] = _band(growth or [growth_envelope(p, float(r)) for r in radii])
+        bands[p, "f"] = _band([growth_envelope(p, float(r)) for r in radii])
     zs = polar_grid(radii, ENVELOPE_ANGLES).ravel()
     batch, least = MemberBatch(members), {}
     for q in ("fprime", "f"):
@@ -256,10 +236,6 @@ def envelope_checks(
     ]
 
 
-def envelope_check(
-    member: MemberSeries,
-    radii: Optional[np.ndarray] = None,
-    growth: Optional[Sequence[Envelope]] = None,
-) -> EnvelopeReport:
+def envelope_check(member: MemberSeries, radii: Optional[np.ndarray] = None) -> EnvelopeReport:
     """envelope_checks of one member."""
-    return envelope_checks([member], radii, growth)[0]
+    return envelope_checks([member], radii)[0]

@@ -132,8 +132,7 @@ class VerificationReport:
 
 
 class RunCache:
-    """Member batches, norm estimates and growth envelopes computed once
-    within one verify run.
+    """Member batches and norm estimates computed once within one verify run.
 
     Batches are keyed by what generates them, not by batch name, so
     "convex" at alpha = beta = 0 reuses "general".  Norm estimates are
@@ -141,16 +140,14 @@ class RunCache:
     members by identity, stable as the cache holds every member it hands
     out, so a new list of them hits too.  The first request at an r_max
     estimates the members at the run's norm `weights` plus the one asked.
-    Growth envelopes depend only on (params, r), so check 2.2 computes them
-    once for all members.  P on GRID, which 2.1ii, 2.1iii, 22.3 and 22.4
-    all read, is kept per member.  A cache lives for one `cmd_verify` call.
+    P on GRID, which 2.1ii, 2.1iii, 22.3 and 22.4 all read, is kept per
+    member.  A cache lives for one `cmd_verify` call.
     """
 
     def __init__(self, weights=()):
         self._weights = frozenset(weights)
         self._members: dict = {}
         self._norms: dict = {}
-        self._growth: dict = {}
         self._p_grid: dict = {}  # id(member) -> (member, its P row on GRID)
 
     def members(self, cfg: RunConfig, batch: str):
@@ -203,12 +200,6 @@ class RunCache:
         for m, row in zip(todo, MemberBatch(todo).values(q, zs)):
             self._p_grid[id(m)] = (m, row)  # holding m keeps its id unique
         return np.array([self._p_grid[id(m)][1] for m in members])
-
-    def growth_envelope(self, params: ClassParams, r: float) -> bounds.Envelope:
-        key = (params, float(r))
-        if key not in self._growth:
-            self._growth[key] = bounds.growth_envelope(params, float(r))
-        return self._growth[key]
 
 
 def _witness_member(w: dict) -> MemberSeries:
@@ -305,14 +296,14 @@ def _pointwise_s_residual(members, zs, s, w: dict):
     return np.where(finite, b - (1 - r**2) ** 2 * np.abs(s), np.inf)
 
 
-def _envelope_residual(members, zs, values, w: dict, growth=None):
+def _envelope_residual(members, zs, values, w: dict):
     """How far |f'| or |f| lies inside its envelope at the points zs, in Python
-    floats (numpy's complex abs rounds differently); growth: a run's cache."""
+    floats (numpy's complex abs rounds differently)."""
     (m,) = members  # 2.2 scans by FFT circles: the residual replays one member
     if w["kind"] == "distortion":
         envelope, vals = bounds.distortion_envelope, m.values("fprime", zs)
     else:
-        envelope, vals = growth or bounds.growth_envelope, m.f.eval_at(zs, 0.95)
+        envelope, vals = bounds.growth_envelope, m.f.eval_at(zs, 0.95)
     envs = [envelope(m.params, abs(z)) for z in zs.tolist()]
     vs = [abs(v) for v in vals.tolist()]
     return np.array([[min(e.upper - v, v - e.lower) for e, v in zip(envs, vs)]])
@@ -324,9 +315,8 @@ def _envelope_scan(members, w: dict, cache: RunCache):
     the members within WITNESS_TIE of the least margin, the only ones
     _run_check may pick.  TailToleranceUnmet: a series it read has a tail at
     RADII's largest above the check's slack, which the truncation could then
-    move a margin across (bounds.require_tails)."""
-    growth = [cache.growth_envelope(members[0].params, r) for r in RADII]
-    reps = bounds.envelope_checks(members, RADII, growth, tail_tol=CHECKS[w["check"]].slack)
+    move a margin across (robertson.require_tails)."""
+    reps = bounds.envelope_checks(members, RADII, tail_tol=CHECKS[w["check"]].slack)
     out = []
     for rep in reps:
         if rep.growth_min_margin < rep.distortion_min_margin:
@@ -336,7 +326,7 @@ def _envelope_scan(members, w: dict, cache: RunCache):
     best = min([math.inf, *(margin for margin, *_ in out)])
     for m, (margin, z, _, extra) in zip(members, out):
         if margin <= best + WITNESS_TIE:
-            replay = _envelope_residual([m], np.array([z]), None, extra, cache.growth_envelope)
+            replay = _envelope_residual([m], np.array([z]), None, extra)
             extra["margin"] = replay.item(0)
     return out
 
@@ -616,7 +606,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
                 v = np.abs(values)
                 lo[block] = np.minimum(lo[block], v.min(axis=(0, 2)))
                 hi[block] = np.maximum(hi[block], v.max(axis=(0, 2)))
-        bounds.require_tails(members, ("fprime",), float(rs[-1]))
+        robertson.require_tails(members, ("fprime",), float(rs[-1]))
         rows = []
         for r, smin, smax in zip(rs, lo, hi):
             env = bounds.distortion_envelope(params, float(r))
@@ -793,7 +783,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         robertson.ParamOutOfRange,
         robertson.NotASchwarzFunction,
-        schwarzian.TailToleranceUnmet,
+        robertson.TailToleranceUnmet,
         bounds.QuadratureNotConverged,
         bounds.XiOutOfRange,
         radii.RootNotBracketed,

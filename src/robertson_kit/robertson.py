@@ -30,7 +30,6 @@ from .series import (
     MAX_ORDER,
     RECURRENCE_DEGREE,
     TAIL_TOL,
-    RadiusExceeded,
     TruncatedSeries,
     chebyshev_radii,
     circle_blocks,
@@ -43,6 +42,10 @@ class ParamOutOfRange(ValueError):
 
 class NotASchwarzFunction(ValueError):
     """The supplied data does not describe a Schwarz function."""
+
+
+class TailToleranceUnmet(ValueError):
+    """The series tail at the requested radius cannot be certified."""
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +504,8 @@ class MemberSeries:
         return None
 
     def _series(self, q: str) -> TruncatedSeries:
-        if q == "fprime":
-            return self.f_prime
+        if q in ("f", "fprime"):
+            return self.f if q == "f" else self.f_prime
         return self.p_series() if q == "P" else self.s_series()
 
     def values(self, q: str, z, r_trunc: float = 0.95):
@@ -541,6 +544,22 @@ class MemberSeries:
 
     def p_on_circle(self, r: float, n_angles: int) -> np.ndarray:
         return self.on_circle("P", r, n_angles)
+
+
+def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> list:
+    """The tail bound at r of the series each read of q in qs rests on, one row per member:
+    f's for q "f", else q's series where exact(q) does not serve q and 0.0 where it does.
+    The one gate on series tails: TailToleranceUnmet if one is above tol."""
+    rows = []
+    for m in members:
+        rows.append([])
+        for s in (m._series(q) if q == "f" or m.exact(q) is None else None for q in qs):
+            tail = 0.0 if s is None else s.tail_bound(r)
+            if tail > tol:
+                raise TailToleranceUnmet(
+                    f"order-{s.order} series tail {tail:.3e} at r={r:.4f} > {tol:.1e}")
+            rows[-1].append(tail)
+    return rows
 
 
 def _recurrence(params: ClassParams, spec: SchwarzSpec) -> Optional[tuple]:
@@ -768,16 +787,11 @@ def subordination_membership_check(
     """Minimum of Re(e^{i*alpha}(1 + z P_f(z))) - beta cos(alpha) on the grid.
 
     A nonnegative minimum (up to -1e-9) certifies the defining inequality
-    at the sampled points.  Only a member evaluated by its P series has
-    that series' tail checked at r_max (RadiusExceeded above TAIL_TOL).
+    at the sampled points.  A member evaluated by its P series needs that
+    series' tail at r_max within TAIL_TOL (require_tails).
     """
     pr = member.params
-    if member.exact("P") is None:
-        tb = member.p_series().tail_bound(grid.r_max)
-        if tb > TAIL_TOL:
-            raise RadiusExceeded(
-                f"pre-Schwarzian tail {tb:.3e} at r={grid.r_max} above {TAIL_TOL}"
-            )
+    require_tails([member], ("P",), grid.r_max)
     zs = polar_grid(chebyshev_radii(grid.n_radii, grid.r_max), grid.n_angles).ravel()
     pv = member.values("P", zs, grid.r_max)
     margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)

@@ -17,13 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .series import TAIL_TOL, TruncatedSeries, chebyshev_radii
+from .series import TruncatedSeries, chebyshev_radii
 from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import phi_series, polar_grid
-
-
-class TailToleranceUnmet(ValueError):
-    """The series tail at the requested scan radius cannot be certified."""
+from .robertson import TailToleranceUnmet, phi_series, polar_grid, require_tails
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
     refines over r +- r_max/(radial+1), theta +- 2 pi/angular.  The members
     that share an r_max zoom in lockstep as one MemberBatch, one zoom per
     weight.  No value depends on the batch.  TailToleranceUnmet: a
-    series-only member's tail at r_max.
+    series-only member's tail at r_max (require_tails).
     """
     if any(w not in QUANTITY for w in weights):
         raise ValueError("weight_exponent must be 1 or 2")
@@ -212,17 +208,13 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
         raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
     if opts.radial < 1 or opts.angular < 1:
         raise ParamOutOfRange(f"radial={opts.radial}, angular={opts.angular}: each must be >= 1")
-    r_maxes, tails = [], []
-    for m in members:
-        r_max = opts.r_max if opts.r_max is not None else 0.9995 if m.closed_form else 0.95
+    r_maxes = [opts.r_max if opts.r_max is not None else 0.9995 if m.closed_form else 0.95
+               for m in members]
+    for r_max in r_maxes:
         if not 0 < r_max < 1:
             raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
-        tail = [(m.p_series() if w == 1 else m.s_series()).tail_bound(r_max)
-                if m.exact("P") is None else 0.0 for w in weights]
-        if max(tail, default=0.0) > TAIL_TOL:
-            raise TailToleranceUnmet(f"series tail {max(tail):.3e} at r={r_max} > {TAIL_TOL:.1e}")
-        r_maxes.append(r_max)
-        tails.append(tail)
+    qs = [QUANTITY[w] for w in weights]
+    tails = [require_tails([m], qs, r_max)[0] for m, r_max in zip(members, r_maxes)]
     out = [[None] * len(weights) for _ in members]
     for r_max in dict.fromkeys(r_maxes):
         rows = [i for i, r in enumerate(r_maxes) if r == r_max]

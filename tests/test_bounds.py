@@ -247,8 +247,6 @@ def test_envelope_checks_match_one_member_checks():
     assert len(reps) == 8 + 5 + 3
     for m, rep in zip(batch(), reps):
         assert envelope_check(m) == rep
-    with pytest.raises(ValueError):
-        envelope_checks(batch(), np.array([0.5]), growth=[growth_envelope(p, 0.5)])
     with pytest.raises(ParamOutOfRange):
         envelope_checks([*batch(), generate_member(p, SchwarzSpec(kind="unit_constant_times_z"))])
     assert envelope_checks([]) == []
@@ -266,13 +264,3 @@ def test_envelope_checks_refuse_a_series_tail_above_tolerance():
     envelope_checks(members, np.array([0.5, 0.9]))
     with pytest.raises(TailToleranceUnmet):
         envelope_checks(members, np.array([0.5, 0.9]), tail_tol=1e-9)
-
-
-def test_envelope_check_precomputed_growth_matches_default():
-    p = make_params(math.pi / 4, 0.25)
-    rs = np.linspace(0.1, 0.9, 5)
-    growth = [growth_envelope(p, float(r)) for r in rs]
-    for m in sample_members(p, 3, seed=77, sp0=True, order=128):
-        assert envelope_check(m, rs, growth=growth) == envelope_check(m, rs)
-    with pytest.raises(ValueError):
-        envelope_check(m, rs, growth=growth[:-1])

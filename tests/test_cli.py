@@ -303,18 +303,27 @@ def test_verify_scans_member_blocks_and_p_on_grid_once(tmp_path, monkeypatch):
 
 
 def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
-    calls = []
-    real = cli.bounds.growth_envelope
+    calls, replays = [], []
+    real, real_residual = cli.bounds.growth_envelope, cli._envelope_residual
 
     def growth(params, r, *args, **kwargs):
         calls.append((params, r))
         return real(params, r, *args, **kwargs)
 
+    def residual(members, zs, values, w):
+        replays.append(w["kind"])
+        return real_residual(members, zs, values, w)
+
     monkeypatch.setattr(cli.bounds, "growth_envelope", growth)
+    monkeypatch.setattr(cli, "_envelope_residual", residual)
     argv = ["verify", "--theorem", "2.2", "--samples", "3", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 0
-    # 24 radii, shared by the 2 canonical and 3 sampled SP0 members
-    assert len(calls) == len(set(calls)) == 24
+    # the 24 radii once, shared by the 2 canonical and 3 sampled SP0 members,
+    # then one envelope per replayed growth witness, at its |z|
+    batch, witnesses = calls[:24], calls[24:]
+    assert len(set(batch)) == 24 and [r for _, r in batch] == list(map(float, cli.RADII))
+    assert replays and len(witnesses) == replays.count("growth")
+    assert all(r in cli.RADII and p == batch[0][0] for p, r in witnesses)
 
 
 def test_witness_is_first_member_within_tie_of_minimum(monkeypatch):

@@ -23,6 +23,7 @@ from robertson_kit.robertson import (
     ParamOutOfRange,
     SchwarzSpec,
     SpecStack,
+    TailToleranceUnmet,
     check_ii,
     check_iii,
     classical_convexity_check,
@@ -243,12 +244,29 @@ def test_membership_requires_certified_radius():
     # the generated member it came from is evaluated exactly and needs none
     p = make_params(0, 0)
     m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=32)
-    from robertson_kit.series import RadiusExceeded
-
-    with pytest.raises(RadiusExceeded):
+    with pytest.raises(TailToleranceUnmet, match="order-31 series tail"):
         subordination_membership_check(member_from_json(member_to_json(m)), GridSpec(r_max=0.9))
     rep = subordination_membership_check(m, GridSpec(r_max=0.9))
     assert rep.min_margin >= -1e-9
+
+
+def test_require_tails_reads_only_the_series_a_read_rests_on():
+    # f always; f', P and S only where exact() does not serve them
+    p = make_params(0.3, 0.2)
+    m = generate_member(p, SchwarzSpec(kind="blaschke_product", zeros=(0j, 0.4 + 0.1j)), order=128)
+    plane, read = extremal_member(p, "plane", order=128), member_from_json(member_to_json(m))
+    qs = ("f", "fprime", "P", "S")
+    rows = robertson.require_tails([m, plane, read], qs, 0.5)
+    assert rows[0] == [m.f.tail_bound(0.5), m.f_prime.tail_bound(0.5), 0.0, 0.0]
+    assert rows[1] == [plane.f.tail_bound(0.5), 0.0, 0.0, 0.0]
+    assert rows[2] == [read.f.tail_bound(0.5), read.f_prime.tail_bound(0.5),
+                       read.p_series().tail_bound(0.5), read.s_series().tail_bound(0.5)]
+    assert robertson.require_tails([], qs, 0.5) == []
+    with pytest.raises(TailToleranceUnmet, match="order-127 series tail .* at r=0.9900 > 1.0e-06"):
+        robertson.require_tails([m, read], ("P", "S"), 0.99)
+    from robertson_kit import schwarzian
+
+    assert schwarzian.TailToleranceUnmet is TailToleranceUnmet
 
 
 # ---------------------------------------------------------------------------
