@@ -9,11 +9,16 @@ Re T_f > 0 on |z| < R for every member.  Two candidate radii are exposed:
 
 * mode "paper": the printed quadratic (A+1-2k, -2(A+1+k), A-1), which
   rests on the falsified one-sided bound Re(z P_f) <= k r/(1-r);
-* mode "corrected": the quadratic (A+3-4k, -2(A+1+2k), A-1) obtained by
-  substituting the sharp subordination bound Re(z P_f) <= 2 k r/(1-r)
-  (alpha = 0) and clearing denominators:
-  (A+1)/2 (1-r)^2 - (1-r^2) - 2 k r (1+r) expands to
-  ((A+3-4k) r^2 - 2 (A+1+2k) r + (A-1)) / 2.
+* mode "corrected": the sharp radius, the smaller root of
+  (A+3-4k cos(alpha), -2(A+1+2k), A-1).  With omega = z phi,
+  z P_f = G1 2 omega/(1 - omega), and for |omega| <= r the values of
+  2 omega/(1 - omega) fill the disk with centre 2r^2/(1-r^2) and radius
+  2r/(1-r^2), so the largest Re(z P_f) on |z| = r is
+  2k (r + cos(alpha) r^2)/(1-r^2), which a rotation omega = lambda z puts
+  at z = -r, where Re (1+z)/(1-z) is least.  Clearing denominators,
+  (A+1)/2 (1-r)^2 - (1-r^2) - 2k (r + cos(alpha) r^2) expands to
+  ((A+3-4k cos(alpha)) r^2 - 2 (A+1+2k) r + (A-1)) / 2.  At alpha = 0
+  this is the bound Re(z P_f) <= 2 k r/(1-r).
 
 The probe searches members and circles for the empirical radius at which
 some member first loses Re T_f > 0.
@@ -111,7 +116,7 @@ def phi_quadratic(
     if mode == "paper":
         return (a_co + 1 - 2 * k, -2 * (a_co + 1 + k), a_co - 1)
     if mode == "corrected":
-        return (a_co + 3 - 4 * k, -2 * (a_co + 1 + 2 * k), a_co - 1)
+        return (a_co + 3 - 4 * k * math.cos(params.alpha), -2 * (a_co + 1 + 2 * k), a_co - 1)
     raise ParamOutOfRange(f"unknown mode {mode!r}")
 
 
@@ -125,8 +130,8 @@ def radius_concavity(
 ) -> RadiusResult:
     """Smaller root of the radius quadratic, cross-checked by bisection.
 
-    Phi(0) = A-1 > 0 and Phi(1) = -2-4k (paper) or -8k (corrected), so for
-    k > 0 the root is unique in (0, 1); the closed form uses the
+    Phi(0) = A-1 > 0 and Phi(1) = -2-4k (paper) or -4k(1 + cos(alpha))
+    (corrected), so for k > 0 the root is unique in (0, 1); the closed form uses the
     cancellation-free q-formula and positivity of Phi on [0, root) is
     spot-checked at 1000 samples.
     """

@@ -113,16 +113,41 @@ def test_phi_sign_conditions():
 
 
 def test_corrected_quadratic_rederivation():
-    # (A+1)/2 (1-r)^2 - (1-r^2) - 2 k r (1+r) must equal
-    # ((A+3-4k) r^2 - 2(A+1+2k) r + (A-1)) / 2 identically
+    # (A+1)/2 (1-r)^2 - (1-r^2) - 2 k (r + cos(alpha) r^2) must equal
+    # ((A+3-4k cos(alpha)) r^2 - 2(A+1+2k) r + (A-1)) / 2 identically, and
+    # phi_quadratic's "corrected" must be that quadratic
     rng = np.random.default_rng(9)
     for _ in range(200):
         a_co = rng.uniform(1.001, 2.0)
-        k = rng.uniform(0.01, 1.0)
+        alpha, beta = rng.uniform(-1.5, 1.5), rng.uniform(0, 0.99)
+        p = make_params(alpha, beta)
+        k, c = p.k, math.cos(alpha)
         r = rng.uniform(0, 1)
-        lhs = (a_co + 1) / 2 * (1 - r) ** 2 - (1 - r**2) - 2 * k * r * (1 + r)
-        rhs = ((a_co + 3 - 4 * k) * r**2 - 2 * (a_co + 1 + 2 * k) * r + (a_co - 1)) / 2
+        lhs = (a_co + 1) / 2 * (1 - r) ** 2 - (1 - r**2) - 2 * k * (r + c * r**2)
+        rhs = ((a_co + 3 - 4 * k * c) * r**2 - 2 * (a_co + 1 + 2 * k) * r + (a_co - 1)) / 2
         assert abs(lhs - rhs) < 1e-12
+        quad = phi_quadratic(p, ConcavitySetting(a_co), "corrected")
+        assert abs(phi_value(quad, r) / 2 - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, beta, a_co, radius", [
+    (math.pi / 4, 0.25, 2.0, 0.1304685860),
+    (1.2, 0.0, 2.0, 0.1472656797),
+    (-0.9, 0.5, 1.5, 0.0843327505),
+])
+def test_corrected_concavity_radius_is_sharp_off_the_axis(alpha, beta, a_co, radius):
+    # the extremal omega = lambda* z, lambda* = -w*/R with w* = m/(2+m) and
+    # m = (2R^2 + 2R e^{i alpha})/(1-R^2), is a rotation: Re T_f changes sign at z = -R
+    p, st = make_params(alpha, beta), ConcavitySetting(a_co)
+    big_r = radius_concavity(p, st, "corrected").value
+    assert abs(big_r - radius) < 1e-10
+    m = (2 * big_r**2 + 2 * big_r * np.exp(1j * alpha)) / (1 - big_r**2)
+    lam = -m / (2 + m) / big_r
+    assert abs(abs(lam) - 1) < 1e-15
+    member = generate_member(p, SchwarzSpec(kind="unit_constant_times_z", rotation=lam), order=64,
+                             validate=False)
+    assert t_values(member, st, -big_r * (1 - 1e-6)).real > 5e-7
+    assert t_values(member, st, -big_r * (1 + 1e-6)).real < -5e-7
 
 
 def test_radius_concavity_frozen_values():
@@ -143,17 +168,18 @@ def test_radius_concavity_small_aco_limit():
 
 
 def test_radius_concavity_as_k_tends_to_zero():
-    # corrected Phi(1) = -8k exactly, but the rounded a + b + c reaches 0 once
-    # k is below about 1e-16; the corrected radius tends to (A-1)/(A+3)
+    # corrected Phi(1) = -4k(1 + cos(alpha)) exactly, but the rounded a + b + c
+    # reaches 0 once k is below about 1e-16; the corrected radius tends to (A-1)/(A+3)
     for a_co in (1.5, 2.0):
         st = ConcavitySetting(a_co)
         for p in (make_params(0.0, 1 - 2**-53), make_params(math.nextafter(math.pi / 2, 0), 0.0)):
             assert abs(radius_concavity(p, st, "corrected").value - (a_co - 1) / (a_co + 3)) < 1e-12
             assert 0 < radius_concavity(p, st, "paper").value < 1
-    # the guard moves no radius away from k = 0
+    # the guard moves no radius away from k = 0 (the corrected radius at
+    # alpha = 0.2 has k cos(alpha) in its r^2 coefficient)
     st = ConcavitySetting(2.0)
     for (alpha, beta), want in (((0.0, 0.0), (0.12701665379258312, 0.10102051443364381)),
-                                ((0.2, 0.6), (0.15528046715501212, 0.14117068194764376))):
+                                ((0.2, 0.6), (0.15528046715501212, 0.14126521023870237))):
         p = make_params(alpha, beta)
         assert tuple(radius_concavity(p, st, m).value for m in ("paper", "corrected")) == want
 
