@@ -2,8 +2,9 @@
 
 All bound formulas are driven by the order constant k = (1-beta)cos(alpha).
 The growth envelopes need the integrals of (1 -+ t^2)^{-k}, evaluated by
-adaptive Gauss-Legendre quadrature with closed-form oracles at k = 1
-(arctan / artanh) and k = 1/2 (arcsin) available for cross-checks.
+adaptive Gauss-Legendre quadrature in u, t = tanh u or sinh u, where the
+integrands are smooth and bounded up to r = 1, with closed-form oracles at
+k = 1 (arctan / artanh) and k = 1/2 (arcsin) available for cross-checks.
 """
 
 from __future__ import annotations
@@ -147,12 +148,14 @@ def distortion_envelope(params: ClassParams, r: float) -> Envelope:
 def growth_envelope(
     params: ClassParams, r: float, quad: QuadOpts = QuadOpts()
 ) -> Envelope:
-    """int_0^r (1+t^2)^{-k} dt <= |f| <= int_0^r (1-t^2)^{-k} dt."""
+    """int_0^r (1+t^2)^{-k} dt <= |f| <= int_0^r (1-t^2)^{-k} dt, integrated in u
+    without the cancellation of 1 - t^2 near 1: t = sinh u gives the lower bound
+    int_0^{arsinh r} cosh(u)^{1-2k} du, t = tanh u the upper int_0^{artanh r} cosh(u)^{2k-2} du."""
     if not 0 <= r < 1:
         raise ParamOutOfRange(f"r={r} outside [0, 1)")
     k = params.k
-    lower = adaptive_gauss_legendre(lambda t: (1 + t * t) ** (-k), 0.0, r, quad)
-    upper = adaptive_gauss_legendre(lambda t: (1 - t * t) ** (-k), 0.0, r, quad)
+    lower = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (1 - 2 * k), 0.0, math.asinh(r), quad)
+    upper = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (2 * k - 2), 0.0, math.atanh(r), quad)
     return Envelope(r=r, lower=lower, upper=upper, kind="growth")
 
 

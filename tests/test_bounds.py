@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robertson_kit.bounds import (
     Envelope,
@@ -150,6 +152,30 @@ def test_growth_envelope_oracles():
 def test_growth_envelope_at_zero():
     env = growth_envelope(make_params(0.4, 0.2), 0.0)
     assert env.lower == 0.0 and env.upper == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=1.0,
+                                                          exclude_max=True)),
+    rs=st.lists(st.floats(min_value=0.0, max_value=1 - 1e-9), min_size=2, max_size=2),
+)
+def test_growth_envelope_converges_up_to_the_circle(beta, rs):
+    # k = 1 - beta in (0, 1], r up to 1 - 1e-9: the quadrature in u converges
+    # (no QuadratureNotConverged), lower <= upper, both grow with r, and at
+    # k = 1 and k = 1/2 they are the closed forms within 1e-14
+    r1, r2 = sorted(rs)
+    assume(r2 - r1 >= 1e-9)
+    p = make_params(0.0, beta)
+    e1, e2 = growth_envelope(p, r1), growth_envelope(p, r2)
+    for e in (e1, e2):
+        assert 0 <= e.lower <= e.upper
+        oracle = growth_oracle(p, e.r)
+        if oracle is not None:
+            # abs_tol only for subnormal r, where no relative tolerance holds
+            assert math.isclose(e.lower, oracle.lower, rel_tol=1e-14, abs_tol=1e-300)
+            assert math.isclose(e.upper, oracle.upper, rel_tol=1e-14, abs_tol=1e-300)
+    assert e2.lower > e1.lower and e2.upper > e1.upper
 
 
 def test_envelopes_monotone_in_radius():

@@ -765,8 +765,8 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         (None, ["emit", "growth", "--step", "inf"]),
         *((None, ["emit", what, "--step", step])
           for what in ("growth", "distortion", "phi") for step in ("1e-9", "1e-300")),
-        # typed numerical errors: the growth quadrature fails near r = 1 at k = 1
-        (None, ["emit", "growth", "--rmax", "0.9999", "--step", "0.9999"]),
+        # typed numerical errors: order-8 f' series read at r = 0.9 (TailToleranceUnmet)
+        (None, ["emit", "distortion", "--samples", "3", "--order", "8"]),
         (None, ["verify", "--samples", "-1"]),
         (None, ["radii", "probe", "--budget", "-1"]),
         # orders above series.MAX_ORDER, and more coefficients than it allows
@@ -789,8 +789,19 @@ def test_malformed_input_exit_2(tmp_path, capsys, spec, argv):
 
 
 def test_numerical_error_exit_2_names_the_error(capsys):
-    assert main(["emit", "growth", "--rmax", "0.9999", "--step", "0.9999"]) == 2
-    assert "QuadratureNotConverged" in capsys.readouterr().err
+    # check 2.2 reads order-8 f and f' series at r = 0.9, far from their values
+    assert main(["verify", "--theorem", "2.2", "--samples", "0", "--order", "8"]) == 2
+    assert capsys.readouterr().err.startswith("TailToleranceUnmet: order-8 series tail")
+
+
+def test_emit_growth_near_the_circle(capsys):
+    # the growth quadrature runs in u = artanh t and arsinh t: at k = 1 it
+    # converges at r = 1 - 1e-9, where (1 - t^2)^{-k} lost it from r = 0.9999
+    assert main(["emit", "growth", "--rmax", "0.999999999", "--step", "0.999999999"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["r"] for row in rows] == ["0", "0.999999999"]
+    assert float(rows[1]["upper"]) == float(f"{math.atanh(0.999999999):.12g}")
+    assert float(rows[1]["lower"]) == float(f"{math.atan(0.999999999):.12g}")
 
 
 def test_emit_norm_json(tmp_path):
