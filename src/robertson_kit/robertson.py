@@ -221,6 +221,11 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
     return 2 * params.g1 * n, den - np.concatenate(([0j], n))
 
 
+# Blaschke factors between phi_values' rescalings: |d| changes by at most 2^32 over
+# them (|u| <= 2), and by 2^-285 for 32 factors at 0.999 read at 0.9989
+RESCALE_FACTORS = 32
+
+
 def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool = True):
     """(n, m, inv) at the points of z: phi = omega/z = n/d, phi' = m/d^2 (m None if not
     deriv) and inv = 1/(d - z n) = 1/(d (1 - omega)), the one complex division per point.
@@ -229,7 +234,10 @@ def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool
     (SchwarzSpec.product) is rotation * z^(s-1) * prod (a - z)/(1 - conj(a) z) over its
     s >= 1 zeros at the origin and its other zeros a: n and m start as rotation z^(s-1) and
     its derivative, d as 1, and each factor, with t = a - z, u = 1 - conj(a) z and
-    scale = |a|^2 - 1, sets m <- m t u + n d scale, n <- n t and d <- d u.
+    scale = |a|^2 - 1, sets m <- m t u + n d scale, n <- n t and d <- d u.  After every
+    RESCALE_FACTORS factors, n, d and m are scaled by 2^-e, 2^-e and 2^-2e with
+    e = frexp(|d|)'s exponent per point, so that long products neither over- nor
+    underflow; powers of two are exact, so phi, phi' and inv keep their bits.
     A SpecStack's (G, 1) columns broadcast against a 2-d z, (1, n) or (G, n), into (G, n)
     rows, factor j on rows [:n_j] (numpy rounds a one-element (1, 1) by (1,) product otherwise).
     """
@@ -245,12 +253,16 @@ def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool
         n = n * z if cj is None else n * z + cj
     if len(factors[0]) > 2 if factors else np.ndim(n) == 0:  # a SpecStack's rows, or a constant
         n, m, d = (np.full(np.broadcast(z, n).shape, x, complex) for x in (n, m, d))
-    for a, scale, *top in factors:  # a SpecStack's factor j also holds n_j
+    for j, (a, scale, *top) in enumerate(factors, 1):  # a SpecStack's factor j also holds n_j
         rows = slice(None, *top)
         if top:  # not n[rows] *= t: numpy's in-place product rounds one element otherwise
             m[rows], n[rows], d[rows] = _factor(m[rows], n[rows], d[rows], a, scale, z[rows], deriv)
+            if j % RESCALE_FACTORS == 0:
+                m[rows], n[rows], d[rows] = _rescale(m[rows], n[rows], d[rows])
         else:
             m, n, d = _factor(m, n, d, a, scale, z, deriv)
+            if j % RESCALE_FACTORS == 0:
+                m, n, d = _rescale(m, n, d)
     return n, m if deriv else None, 1 / (d - z * n)
 
 
@@ -261,6 +273,12 @@ def _factor(m, n, d, a, scale, z, deriv: bool):
         nd = n * scale if isinstance(d, int) else n * d * scale
         m = nd if isinstance(m, int) else m * t * u + nd
     return m, n * t, u if isinstance(d, int) else d * u
+
+
+def _rescale(m, n, d):
+    """phi_values' (m, n, d) times 2^-2e, 2^-e and 2^-e, with |d| in [2^(e-1), 2^e)."""
+    c = np.ldexp(1.0, -np.frexp(np.abs(d))[1])
+    return m if isinstance(m, int) else m * c * c, n * c, d * c
 
 
 @dataclass(frozen=True)

@@ -489,14 +489,19 @@ def test_exact_values_match_extended_precision_oracle():
 def _mp_product_p_s_omega(params, spec, z):
     """P, S and omega at z in 50 digits, from the product form itself: phi =
     rotation z^(s-1) prod b_a, b_a = (a - z)/(1 - conj(a) z), and phi' by the
-    product rule with b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2."""
+    product rule with b_a' = (|a|^2 - 1)/(1 - conj(a) z)^2, each term's product of
+    the other factors a prefix times a suffix product."""
     rotation, s, zeros = spec.product
     with mp.workdps(50):
         z, g1 = mp.mpc(z), _mp_g1(params)
         b = [(mp.mpc(a) - z) / (1 - mp.conj(mp.mpc(a)) * z) for a, _ in zeros]
         db = [(abs(mp.mpc(a)) ** 2 - 1) / (1 - mp.conj(mp.mpc(a)) * z) ** 2 for a, _ in zeros]
-        prod, power = mp.fprod(b), mp.mpc(rotation) * z ** (s - 1)
-        dprod = mp.fsum(db[j] * mp.fprod(b[:j] + b[j + 1 :]) for j in range(len(b)))
+        prefix, suffix = [mp.mpc(1)], [mp.mpc(1)]
+        for x, y in zip(b, reversed(b)):
+            prefix.append(prefix[-1] * x)
+            suffix.append(suffix[-1] * y)
+        prod, power = prefix[-1], mp.mpc(rotation) * z ** (s - 1)
+        dprod = mp.fsum(db[j] * prefix[j] * suffix[len(b) - 1 - j] for j in range(len(b)))
         phi = power * prod
         dphi = (s - 1) * mp.mpc(rotation) * z ** (s - 2) * prod + power * dprod  # z != 0
         w = 1 - z * phi
@@ -539,6 +544,29 @@ def test_exact_values_match_product_rule_oracle_near_the_circle():
             err = np.abs(schwarz_values(params, spec, q, zs) - w) / np.abs(w) / cond
             worst[q] = max(worst[q], float(np.max(err)))
     assert worst["P"] <= ORACLE_TOL["P"] and worst["S"] <= ORACLE_TOL["S"], worst
+
+
+def test_exact_values_of_long_products_neither_over_nor_underflow():
+    # before phi_values rescaled n, m and d, 100 zeros at 0.999 read at 0.9989
+    # gave P = S = 0 by underflow, 120 gave NaN, and 1,000 read at -0.9 gave
+    # NaN for S; each is finite and within the oracle test's bound now, and a
+    # MemberBatch row of a long product is its member's values, bit for bit
+    params = make_params(math.pi / 4, 0.25)
+    members = []
+    for count, z in ((100, 0.9989), (120, 0.9989), (1000, -0.9)):
+        spec = SchwarzSpec(kind="blaschke_product", zeros=(0j,) + (0.999 + 0j,) * count)
+        members.append(generate_member(params, spec, order=16, validate=False))
+        want = _mp_product_p_s_omega(params, spec, z)
+        cond = 1 + 1 / abs(1 - want[2]) + count / abs(1 - 0.999 * z)
+        for q, w in zip("PS", want):
+            got = schwarz_values(params, spec, q, np.array([z + 0j]))[0]
+            assert np.isfinite(got) and w != 0, (count, q, got)
+            assert abs(got - w) / abs(w) / cond <= ORACLE_TOL[q], (count, q, got, w)
+    zs = np.array([0.9989, -0.9, 0.5j])
+    members.append(generate_member(params, BLASCHKE_WITNESS, order=16, validate=False))
+    for q in ("P", "S"):
+        rows = MemberBatch(members).values(q, zs)
+        assert np.array_equal(rows, [m.values(q, zs) for m in members]), q
 
 
 def test_exact_values_finite_at_origin_and_blaschke_zeros():
