@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Emit CSV tables of scanned extremal norms against the closed-form bounds.
+"""Emit CSV tables of scanned norms of a class member against the closed-form bounds.
 
-Writes norm_table.csv (one row per (alpha, beta)) and, per parameter pair,
-verifies the scan against 2k and 2k(2-k).  Intended for quick plotting of
-how the sharp constants move with the class parameters.
+Writes norm_table.csv (one row per (alpha, beta)) with the pre-Schwarzian
+and Schwarzian norms of member(p), generated by omega = z^2, beside 2k and
+2k(2-k).  That member lies in SP_alpha(beta) for every (alpha, beta), and at
+alpha = 0 its P_f and S_f are those of the disk extremal (1 - z^2)^{-k},
+which is a class member only at alpha = 0.  Intended for quick plotting of
+how the constants move with the class parameters.
 """
 
 import argparse
@@ -12,8 +15,14 @@ import math
 import sys
 
 from robertson_kit.bounds import pre_norm_bound, schwarzian_norm_bound
-from robertson_kit.robertson import extremal_member, make_params
+from robertson_kit.robertson import ClassParams, MemberSeries, SchwarzSpec, generate_member
+from robertson_kit.robertson import make_params
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
+
+
+def member(p: ClassParams) -> MemberSeries:
+    """The member of SP_alpha(beta) generated by omega = z^2 (an SP0 member)."""
+    return generate_member(p, SchwarzSpec("unit_constant_times_z", power=2), order=64)
 
 
 def main() -> int:
@@ -29,7 +38,7 @@ def main() -> int:
         for j in range(args.betas):
             beta = j / args.betas
             p = make_params(alpha, beta)
-            m = extremal_member(p, "disk_symmetric", 1.0, order=64)
+            m = member(p)
             e1 = norm_estimate(m, 1, ScanOpts(r_max=0.9995))
             e2 = norm_estimate(m, 2, ScanOpts(r_max=0.9995))
             rows.append(

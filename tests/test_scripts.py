@@ -53,7 +53,13 @@ def test_norm_tables_runs(tmp_path):
     proc = run_script("norm_tables", "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 35  # 7 alphas by 5 betas
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 35  # 7 alphas by 5 betas
+    # every row scans a class member: the defining inequality holds on the grid
+    member = load_script("norm_tables").member
+    for row in rows:
+        p = make_params(float(row["alpha"]), float(row["beta"]))
+        assert robertson.subordination_membership_check(member(p)).min_margin >= -1e-9, row
 
 
 def test_golden_outputs_writes_every_case(tmp_path, capsys):
