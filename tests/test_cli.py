@@ -31,14 +31,30 @@ PACKAGE_ROOT = str(Path(robertson_kit.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv):
+    """`robkit argv` in process through cli.main, as a CompletedProcess with its
+    exit code and standard streams; argparse's usage errors exit by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    # the one child process: `python -m robertson_kit` runs cli.main and exits with its code
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT + (os.pathsep + path if path else "")}
-    return subprocess.run(
-        [sys.executable, "-m", "robertson_kit", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    argv = ["verify", "--theorem", "2.1iii", "--mode", "paper", "--samples", "1"]
+    proc = subprocess.run([sys.executable, "-m", "robertson_kit", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["exit_code"] == 3
+    assert proc.stderr.startswith("[VIOLATED] 2.1iii")
+    usage = subprocess.run([sys.executable, "-m", "robertson_kit", "bogus-command"],
+                           capture_output=True, text=True, env=env)
+    assert usage.returncode == 2 and "usage: robkit" in usage.stderr
 
 
 # ---------------------------------------------------------------------------
