@@ -221,9 +221,7 @@ def p_fraction(params: ClassParams, spec: SchwarzSpec):
     return 2 * params.g1 * n, den - np.concatenate(([0j], n))
 
 
-# Blaschke factors between phi_values' rescalings: |d| changes by at most 2^32 over
-# them (|u| <= 2), and by 2^-285 for 32 factors at 0.999 read at 0.9989
-RESCALE_FACTORS = 32
+RESCALE_FACTORS = 32  # Blaschke factors between rescalings in phi_values; |u| <= 2 on each
 
 
 def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool = True):
@@ -254,31 +252,27 @@ def phi_values(spec: Union[SchwarzSpec, "SpecStack"], z: np.ndarray, deriv: bool
     if len(factors[0]) > 2 if factors else np.ndim(n) == 0:  # a SpecStack's rows, or a constant
         n, m, d = (np.full(np.broadcast(z, n).shape, x, complex) for x in (n, m, d))
     for j, (a, scale, *top) in enumerate(factors, 1):  # a SpecStack's factor j also holds n_j
-        rows = slice(None, *top)
+        rows, rescale = slice(None, *top), j % RESCALE_FACTORS == 0
         if top:  # not n[rows] *= t: numpy's in-place product rounds one element otherwise
-            m[rows], n[rows], d[rows] = _factor(m[rows], n[rows], d[rows], a, scale, z[rows], deriv)
-            if j % RESCALE_FACTORS == 0:
-                m[rows], n[rows], d[rows] = _rescale(m[rows], n[rows], d[rows])
+            m[rows], n[rows], d[rows] = _factor(m[rows], n[rows], d[rows], a, scale, z[rows], deriv,
+                                                rescale)
         else:
-            m, n, d = _factor(m, n, d, a, scale, z, deriv)
-            if j % RESCALE_FACTORS == 0:
-                m, n, d = _rescale(m, n, d)
+            m, n, d = _factor(m, n, d, a, scale, z, deriv, rescale)
     return n, m if deriv else None, 1 / (d - z * n)
 
 
-def _factor(m, n, d, a, scale, z, deriv: bool):
-    """phi_values' (m, n, d) after the factor (a - z)/(1 - conj(a) z); t and u die here."""
+def _factor(m, n, d, a, scale, z, deriv: bool, rescale: bool):
+    """phi_values' (m, n, d) after the factor (a - z)/(1 - conj(a) z), then, if rescale,
+    times 2^-2e, 2^-e and 2^-e with |d| in [2^(e-1), 2^e); t and u die here."""
     t, u = a - z, 1 - a.conjugate() * z
     if deriv:
         nd = n * scale if isinstance(d, int) else n * d * scale
         m = nd if isinstance(m, int) else m * t * u + nd
-    return m, n * t, u if isinstance(d, int) else d * u
-
-
-def _rescale(m, n, d):
-    """phi_values' (m, n, d) times 2^-2e, 2^-e and 2^-e, with |d| in [2^(e-1), 2^e)."""
-    c = np.ldexp(1.0, -np.frexp(np.abs(d))[1])
-    return m if isinstance(m, int) else m * c * c, n * c, d * c
+    n, d = n * t, u if isinstance(d, int) else d * u
+    if rescale:
+        c = np.ldexp(1.0, -np.frexp(np.abs(d))[1])
+        m, n, d = m if isinstance(m, int) else m * c * c, n * c, d * c
+    return m, n, d
 
 
 @dataclass(frozen=True)
