@@ -565,7 +565,8 @@ def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> list:
     rows = []
     for m in members:
         rows.append([])
-        for s in (m._series(q) if q == "f" or m.exact(q) is None else None for q in qs):
+        for q in qs:
+            s = m._series(q) if q == "f" or m.exact(q) is None else None
             tail = 0.0 if s is None else s.tail_bound(r)
             if tail > tol:
                 raise TailToleranceUnmet(
