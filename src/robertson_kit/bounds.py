@@ -150,13 +150,14 @@ def growth_envelope(
 ) -> Envelope:
     """int_0^r (1+t^2)^{-k} dt <= |f| <= int_0^r (1-t^2)^{-k} dt, integrated in u
     without the cancellation of 1 - t^2 near 1: t = sinh u gives the lower bound
-    int_0^{arsinh r} cosh(u)^{1-2k} du, t = tanh u the upper int_0^{artanh r} cosh(u)^{2k-2} du."""
+    int_0^{arsinh r} cosh(u)^{1-2k} du, t = tanh u the upper int_0^{artanh r} cosh(u)^{2k-2} du;
+    each is kept on its side of r, onto which both round as k -> 0."""
     if not 0 <= r < 1:
         raise ParamOutOfRange(f"r={r} outside [0, 1)")
     k = params.k
     lower = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (1 - 2 * k), 0.0, math.asinh(r), quad)
     upper = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (2 * k - 2), 0.0, math.atanh(r), quad)
-    return Envelope(r=r, lower=lower, upper=upper, kind="growth")
+    return Envelope(r=r, lower=min(lower, r), upper=max(upper, r), kind="growth")
 
 
 def growth_oracle(params: ClassParams, r: float) -> Optional[Envelope]:

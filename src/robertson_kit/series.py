@@ -20,9 +20,8 @@ COEFF_LIMIT = 1e100
 TAIL_TOL = 1e-6  # the largest tail bound a series may carry where it is evaluated
 HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
 SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
-# below this deg V, a generated member's f' runs its O(N d) recurrence: at orders
-# 256 to 4096 a scalar loop of it (since replaced by the vectorized run) beat exp up
-# to deg V = 11 and lost from 23 on
+# below this deg V, a generated member's f' runs its O(N d) recurrence, else exp: at orders
+# 256 to 4096 a scalar loop of the recurrence won up to deg V = 11 and lost from 23 on
 RECURRENCE_DEGREE = 12
 CIRCLE_BYTES = 512 * 1024  # the padded buffer of one circle_blocks FFT call, at most
 
@@ -64,19 +63,21 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _short_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a/b in O(N d) for a divisor of degree d = b.size - 1 in [1, SHORT_BLOCK).
 
-    Per block of SHORT_BLOCK coefficients, one np.convolve subtracts what the
-    d coefficients before the block contribute, and one with the leading
-    coefficients of 1/b solves the block; no FFT and no matrix product.
+    Per block of SHORT_BLOCK coefficients, one np.convolve subtracts what the d
+    coefficients before the block contribute, and one with the leading coefficients
+    of 1/b solves the block (from those d alone past a's last nonzero coefficient,
+    as in every block of 1/b after the first); no FFT and no matrix product.
     """
     d = b.size - 1
     unit = np.eye(1, SHORT_BLOCK, dtype=np.complex128)[0]
-    inv = _quotient(unit, np.pad(b, (0, SHORT_BLOCK - b.size)))
+    inv = _quotient(unit, np.concatenate((b, np.zeros(SHORT_BLOCK - b.size))))
+    end = int(np.flatnonzero(a).max(initial=-1)) + 1
     q = np.empty(a.size, dtype=np.complex128)
     for k in range(0, a.size, SHORT_BLOCK):
         r = a[k : k + SHORT_BLOCK].copy()
         if k:
             r[:d] -= np.convolve(b[1:], q[k - d : k])[d - 1 : d - 1 + r.size]
-        q[k : k + r.size] = np.convolve(inv[: r.size], r)[: r.size]
+        q[k : k + r.size] = np.convolve(inv[: r.size], r if k < end else r[:d])[: r.size]
     return q
 
 
@@ -122,9 +123,7 @@ class TruncatedSeries:
     def pad(self, order: int) -> "TruncatedSeries":
         if order <= self.order:
             return self
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[: self._c.size] = self._c
-        return TruncatedSeries(c)
+        return TruncatedSeries(np.concatenate((self._c, np.zeros(order - self.order))))
 
     def max_abs_diff(self, other: "TruncatedSeries") -> float:
         """Largest coefficient difference up to the common order."""
@@ -216,10 +215,7 @@ class TruncatedSeries:
     def integ(self, max_order: int = MAX_ORDER) -> "TruncatedSeries":
         """Antiderivative with constant term 0; order rises by one, capped."""
         n = np.arange(1, self.order + 2)
-        c = np.concatenate(([0.0 + 0.0j], self._c / n))
-        if c.size - 1 > max_order:
-            c = c[: max_order + 1]
-        return TruncatedSeries(c)
+        return TruncatedSeries(np.concatenate(([0.0 + 0.0j], self._c / n))[: max_order + 1])
 
     # -- transcendental ------------------------------------------------------
 
@@ -320,10 +316,8 @@ class TruncatedSeries:
         half = w // 2
         m1 = float(np.max(window[:half])) if half else 0.0
         m2 = float(np.max(window[half:]))
-        if m1 <= 0.0:
-            q = 1.0 / r  # no usable envelope; clamp makes this conservative
-        else:
-            q = (m2 / m1) ** (1.0 / (w - half))
+        # with no usable envelope (m1 = 0), q = 1/r, which the clamp makes conservative
+        q = (m2 / m1) ** (1.0 / (w - half)) if m1 > 0.0 else 1.0 / r
         q = min(max(q, 0.0), (1.0 / r) * (1 - 1e-9)) * (1 + 1e-12)
         # back-extrapolated magnitude scale for the first dropped coefficient
         powers = q ** np.arange(w, 0, -1)

@@ -42,7 +42,7 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
-from robertson_kit.series import RECURRENCE_DEGREE, chebyshev_radii
+from robertson_kit.series import RECURRENCE_DEGREE, TruncatedSeries, chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +712,25 @@ def test_p_alone_matches_p_beside_s_bit_for_bit():
     assert np.array_equal(MemberBatch(members).values("P", zs), np.array(want))
 
 
+def test_on_circle_matches_on_circles_one_row_bits():
+    # on_circle evaluates q at circle(r, n) directly; its rows are on_circles'
+    # one row bit for bit, n = 1 included (numpy rounds some one-element
+    # complex products apart from its array loop)
+    params = make_params(0.3, 0.5)
+    product = generate_member(params, BLASCHKE_WITNESS, order=64, validate=False)
+    poly = generate_member(params, POLY_SP0, order=64, validate=False)
+    plane = extremal_member(params, "plane", order=64)
+    read = member_from_json(member_to_json(product))
+    cases = [(product, "P"), (product, "S"), (poly, "P"), (poly, "S"), (plane, "fprime"),
+             (read, "P")]
+    for m, q in cases:
+        for n in (1024, 7, 1):
+            for r in (0.0, 0.45, 0.9):
+                got, want = m.on_circle(q, r, n), m.on_circles((q,), [r], n)[0][0]
+                assert got.shape == (n,), (q, n)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (q, n, r)
+
+
 # ---------------------------------------------------------------------------
 # series from the Schwarz data
 # ---------------------------------------------------------------------------
@@ -768,14 +787,40 @@ def _mp_series(params, spec, order):
 
 def test_series_match_extended_precision_recurrence():
     params = make_params(math.pi / 4, 0.25)
-    for spec in (POLY_SP0, BLASCHKE_WITNESS):
-        m = generate_member(params, spec, order=512, validate=False)
-        wants = _mp_series(params, spec, 512)
-        # measured: 1.5e-14 for P and S of the Blaschke witness, 1.6e-16 for f'
+    for spec, order in ((POLY_SP0, 512), (BLASCHKE_WITNESS, 512), (BLASCHKE_WITNESS, 2048)):
+        m = generate_member(params, spec, order=order, validate=False)
+        wants = _mp_series(params, spec, order)
+        # measured for the Blaschke witness: P and S 1.5e-14 at order 512 and 5.9e-14
+        # at 2048, where 31 of the 32 blocks of 1/V are solved from carried
+        # coefficients alone; f' 1.6e-16 and 2.6e-16
         for got, want in zip((m.p_series(), m.s_series(), m.f_prime), wants):
             assert got.order == want.size - 1
             err = np.max(np.abs(got.coeffs - want)) / np.max(np.abs(want))
             assert err < 1e-13, (spec.kind, got.order, err)
+
+
+def test_p_and_s_series_build_only_what_is_asked():
+    # perfbench's tracer times p_series and schwarzian only while their cache
+    # is None, and f' of a long V takes exp of the integral of P alone: P never
+    # builds S, S never builds P, and both read the one cached 1/V
+    params = make_params(math.pi / 4, 0.25)
+    m = generate_member(params, BLASCHKE_WITNESS, order=256, validate=False)
+    p = m.p_series()
+    assert m._s_series is None and m._p_series is p
+    inv = m._fraction[2]
+    other = generate_member(params, BLASCHKE_WITNESS, order=256, validate=False)
+    s = other.s_series()
+    assert other._p_series is None and other._s_series is s
+    m.s_series()
+    assert m._fraction[2] is inv and inv.order == 255
+    want = TruncatedSeries.constant(1.0, 255) / TruncatedSeries(m._fraction[1]).pad(255)
+    assert np.array_equal(inv.coeffs, want.coeffs)
+    assert np.array_equal(m.s_series().coeffs, s.coeffs)
+    params, spec = make_params(0.0, 0.25), plane_extremal_schwarz_spec(128)
+    assert p_fraction(params, spec)[1].size - 1 >= 64
+    long_v = generate_member(params, spec, order=256, validate=False)
+    assert long_v.f_prime.order == 256
+    assert long_v._p_series is not None and long_v._s_series is None
 
 
 def test_f_prime_of_long_v_matches_closed_form():

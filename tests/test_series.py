@@ -18,6 +18,8 @@ from robertson_kit.series import (
     circle_blocks,
     chebyshev_radii,
 )
+from robertson_kit.robertson import make_params, p_fraction
+from robertson_kit.sampling import sample_schwarz_specs
 
 
 def geometric(order, ratio=1.0):
@@ -81,6 +83,34 @@ def test_short_divisor_division_matches_recurrence(degree):
     want = _quotient(a, divisor.coeffs)
     got = (TruncatedSeries(a) / divisor).coeffs
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _sp0_blaschke_divisors(count):
+    # V of sampled SP0 Blaschke products: den - z num, with roots on |z| = 1
+    specs = [s for s in sample_schwarz_specs(5, 40, sp0=True) if s.kind == "blaschke_product"]
+    return [p_fraction(make_params(0.3, 0.2), s)[1] for s in specs[:count]]
+
+
+@pytest.mark.parametrize("case", ["short_numerator", "zero_numerator", "full_numerator"])
+def test_short_divisor_division_at_high_order(case):
+    # at order 4096, by the V of sampled SP0 Blaschke products, whose roots lie
+    # on |z| = 1 so that 1/V does not decay: a numerator zero past its third
+    # coefficient has every block after the first solved from the carried
+    # coefficients alone, as 1/V does; the recurrence is the reference
+    order = 4096
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+    if case != "full_numerator":
+        a[3 if case == "short_numerator" else 0 :] = 0
+    divisors = _sp0_blaschke_divisors(3)
+    assert len(divisors) == 3 and all(v.size - 1 < 64 for v in divisors)
+    assert all(np.allclose(np.abs(np.roots(v[::-1])), 1.0) for v in divisors)
+    for v in divisors:
+        divisor = TruncatedSeries(v).pad(order)
+        want = _quotient(a, divisor.coeffs)
+        got = (TruncatedSeries(a) / divisor).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), case
+        assert (np.max(np.abs(want)) > 0) == (case != "zero_numerator")
 
 
 def test_division_roundtrip_exactness():
