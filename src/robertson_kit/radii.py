@@ -241,7 +241,9 @@ SOUNDNESS_ANGLES = 96
 
 def soundness_grid(radius: float) -> tuple[float, np.ndarray]:
     """(r_cap, zs): the soundness scan's cap, just inside radius, and its
-    flattened polar grid out to r_cap."""
+    flattened polar grid out to r_cap; ParamOutOfRange for a radius outside (0, 1)."""
+    if not 0 < radius < 1:
+        raise ParamOutOfRange(f"radius={radius} outside (0, 1)")
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
     return r_cap, polar_grid(chebyshev_radii(SOUNDNESS_RADII, r_cap), SOUNDNESS_ANGLES).ravel()
 

@@ -28,7 +28,6 @@ import numpy as np
 from .series import (
     DEFAULT_ORDER,
     MAX_ORDER,
-    RECURRENCE_DEGREE,
     TAIL_TOL,
     TruncatedSeries,
     chebyshev_radii,
@@ -176,23 +175,25 @@ class SchwarzSpec:
         return cls(kind, rotation=rot, power=power)
 
 
+def omega_fraction(spec: SchwarzSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of num and den with omega = num/den and den(0) = 1: a
+    polynomial over 1, or rotation * z^s * prod (a - z) over prod (1 - conj(a) z)."""
+    num, den = np.array(spec.coeffs, dtype=np.complex128), np.array([1 + 0j])
+    if spec.kind != "polynomial":
+        rotation, s, zeros = spec.product
+        num = np.array([rotation])
+        for a, _ in zeros:
+            num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
+        num = np.concatenate((np.zeros(s, dtype=np.complex128), num))
+    return num, den
+
+
 def omega_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
-    """Taylor expansion of omega to the given order."""
-    c = np.zeros(order + 1, dtype=np.complex128)
-    if spec.kind == "polynomial":
-        upto = min(len(spec.coeffs), order + 1)
-        c[:upto] = np.asarray(spec.coeffs[:upto], dtype=np.complex128)
-        return TruncatedSeries(c)
-    rotation, s, zeros = spec.product
-    acc = TruncatedSeries.constant(rotation, order)
-    for a, scale in zeros:
-        # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) sum conj(a)^{n-1} z^n
-        fac = np.empty(order + 1, dtype=np.complex128)
-        fac[0] = a
-        fac[1:] = scale * np.conj(a) ** np.arange(order)
-        acc = acc * TruncatedSeries(fac)
-    c[s:] = acc.coeffs[: max(order + 1 - s, 0)]
-    return TruncatedSeries(c)
+    """Taylor expansion of omega to the given order: num/den (omega_fraction)."""
+    num, den = omega_fraction(spec)
+    c = np.zeros((2, order + 1), dtype=np.complex128)  # num and den to the order
+    c[0, : num.size], c[1, : den.size] = num[: order + 1], den[: order + 1]
+    return TruncatedSeries(c[0]) / TruncatedSeries(c[1])
 
 
 def phi_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
@@ -204,17 +205,10 @@ def phi_series(spec: SchwarzSpec, order: int) -> TruncatedSeries:
 def p_fraction(params: ClassParams, spec: SchwarzSpec):
     """Coefficients of U and V, one longer, with P_f = U/V and V(0) = 1.
 
-    omega = num/den: a polynomial over 1, or rotation * z^s * prod (a - z)
-    over prod (1 - conj(a) z).  omega must vanish at 0, so phi = omega/z =
+    omega = num/den (omega_fraction) must vanish at 0, so phi = omega/z =
     N/den with N = num[1:], U = 2 G1 N and V = den - z N.
     """
-    num, den = np.array(spec.coeffs, dtype=np.complex128), np.array([1 + 0j])
-    if spec.kind != "polynomial":
-        rotation, s, zeros = spec.product
-        num = np.array([rotation])
-        for a, _ in zeros:
-            num, den = np.convolve(num, [a, -1]), np.convolve(den, [1, -a.conjugate()])
-        num = np.concatenate((np.zeros(s, dtype=np.complex128), num))
+    num, den = omega_fraction(spec)
     size = max(num.size, den.size, 2)
     num, den = (np.pad(c, (0, size - c.size)) for c in (num, den))
     n = num[1:]
@@ -350,9 +344,9 @@ def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
     """
     vo = require_vanishing(spec)
     if spec.kind == "polynomial":
-        om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
         radii = chebyshev_radii(VALIDATION_RADII, VALIDATION_R)
-        grid_max = float(np.max(np.abs(om.eval_on_circles(radii, VALIDATION_ANGLES))))
+        om = TruncatedSeries(spec.coeffs).eval_on_circles(radii, VALIDATION_ANGLES)
+        grid_max = float(np.max(np.abs(om)))
         if not grid_max < 1 - VALIDATION_MARGIN:
             raise NotASchwarzFunction(
                 f"grid max |omega| = {grid_max:.12f} reaches the unit circle"
@@ -454,13 +448,10 @@ class MemberSeries:
 
     @functools.cached_property
     def f_prime(self) -> TruncatedSeries:
-        """f' at order N from P_f = U/V (p_fraction), V(0) = 1 and f'(0) = 1: for
-        d = deg V < RECURRENCE_DEGREE, _f_prime_rows' one row of the O(N d)
-        recurrence of f'' V = U f', the same bits as inside a MemberBatch; else
-        exp of the integral of p_series()."""
-        uv = _recurrence(self.params, self.schwarz)
-        if uv is None:
-            return self.p_series().integ(max_order=self.order).exp()
+        """f' at order N from P_f = U/V (p_fraction), V(0) = 1 and f'(0) = 1:
+        _f_prime_rows' one row of the O(N deg V) recurrence of f'' V = U f', the
+        same bits as inside a MemberBatch."""
+        uv = p_fraction(self.params, self.schwarz)
         return TruncatedSeries(_f_prime_rows([uv], self.order)[0])
 
     @functools.cached_property
@@ -580,16 +571,8 @@ def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> list:
     return rows
 
 
-def _recurrence(params: ClassParams, spec: SchwarzSpec) -> Optional[tuple]:
-    """(U_0..U_{d-1}, V_1..V_d), the coefficients of f'' V = U f' (p_fraction)
-    with d = deg V, or None when d >= RECURRENCE_DEGREE."""
-    u, v = p_fraction(params, spec)
-    d = int(np.flatnonzero(v)[-1])  # deg U = d - 1
-    return (u[:d], v[1 : d + 1]) if d < RECURRENCE_DEGREE else None
-
-
 def _f_prime_rows(uvs, order: int) -> np.ndarray:
-    """The f' coefficients to `order` of each (u, v) of _recurrence, one row each:
+    """The f' coefficients to `order` of each (U, V) of p_fraction, one row each:
     the O(N d) recurrence of f'' V = U f',
     (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j},
     run once for all rows.
@@ -600,40 +583,33 @@ def _f_prime_rows(uvs, order: int) -> np.ndarray:
     with +0.0 as Python's sum is, and n a_n divided by n part by part
     (Python's complex division by n gives the same bits, as n a_n is never
     -0.0).  Zero-padded coefficients add signed zeros only, so each row is bit
-    for bit that loop's, whichever rows share the call.  A ring of 2d rows
-    holds the window of a_n and n a_n, each row written twice so that the
-    window is always one slice.
+    for bit that loop's, whichever rows share the call.  One history array
+    holds a_n and n a_n from n = -d on, the d rows before a_0 zero, so the
+    window of a_{n-1} back to a_{n-d} is one reversed slice.
     """
-    d, g = max(1, *(u.size for u, _ in uvs)), len(uvs)  # deg V = 0 (omega = 0) gives a_n = 0
+    degs = [int(np.flatnonzero(v)[-1]) for _, v in uvs]  # deg V; deg U = deg V - 1
+    d, g = max(1, *degs), len(uvs)  # deg V = 0 (omega = 0) gives a_n = 0
     # coef[j, 0] gives the real parts of U_j a and V_{j+1} na, coef[j, 1] the imaginary
     coef = np.zeros((d, 2, 4, g))
-    for i, (u, v) in enumerate(uvs):
-        for part, c in ((0, u), (2, v)):
+    for i, ((u, v), k) in enumerate(zip(uvs, degs)):
+        for part, c in ((0, u[:k]), (2, v[1 : k + 1])):
             coef[: c.size, 0, part, i], coef[: c.size, 0, part + 1, i] = c.real, -c.imag
             coef[: c.size, 1, part, i], coef[: c.size, 1, part + 1, i] = c.imag, c.real
-    ring = np.zeros((2 * d, 4, g))  # rows of (Re a_n, Im a_n, Re n a_n, Im n a_n), newest first
-    ring[d - 1, 0] = ring[2 * d - 1, 0] = 1.0  # a_0 = 1
+    hist = np.zeros((d + order + 1, 4, g))  # row d + n: (Re a_n, Im a_n, Re n a_n, Im n a_n)
+    hist[d, 0] = 1.0  # a_0 = 1
     prods = np.empty((d, 2, 4, g))
     terms = np.zeros((d + 1, 2, 2, g))  # the seed row 0 stays +0.0
     sums = np.empty((2, 2, g))
-    out = np.empty((order + 1, 2, g))
-    out[0] = ring[d - 1, :2]
-    # the views each step reads, built once: the window and newest row at ring position p
-    at = [(ring[p : p + d, None], ring[p], ring[p + d], ring[p, :2], ring[p, 2:]) for p in range(d)]
     re_im, im_re, seeded, su, sv = prods[:, :, 0::2], prods[:, :, 1::2], terms[1:], sums[:, 0], sums[:, 1]
-    p = d - 1
     for n in range(1, order + 1):
-        np.multiply(coef, at[p][0], out=prods)
+        np.multiply(coef, hist[d + n - 1 : n - 1 : -1, None], out=prods)
         np.add(re_im, im_re, out=seeded)
         np.add.reduce(terms, axis=0, out=sums)
-        p = p - 1 if p else d - 1
-        _, row, mirror, a, na = at[p]
+        a, na = hist[d + n, :2], hist[d + n, 2:]
         np.subtract(su, sv, out=na)
         np.divide(na, n, out=a)
-        mirror[...] = row
-        out[n] = a
     rows = np.empty((g, order + 1), dtype=np.complex128)
-    rows.real, rows.imag = out[:, 0].T, out[:, 1].T
+    rows.real, rows.imag = hist[d:, 0].T, hist[d:, 1].T
     return rows
 
 
@@ -690,19 +666,18 @@ class MemberBatch:
 
         A closed form gives its member's f' in a block of its own; every other
         f' or f is a series, and the series of one length share
-        series.circle_blocks calls.  First, generated members without f' on
-        the recurrence route get it by one _f_prime_rows call per order.
+        series.circle_blocks calls.  First, generated members without f' get it
+        by one _f_prime_rows call per order.
         """
         if q not in ("fprime", "f"):
             raise ParamOutOfRange(f"batch circles evaluate 'fprime' or 'f', not {q!r}")
-        todo: dict = {}
+        todo: dict = {}  # order -> generated members without f'
         for m in self.members:
             if m.schwarz is not None and "f_prime" not in vars(m):
-                uv = _recurrence(m.params, m.schwarz)
-                if uv is not None:
-                    todo.setdefault(m.order, []).append((m, uv))
-        for order, pairs in todo.items():
-            for (m, _), row in zip(pairs, _f_prime_rows([uv for _, uv in pairs], order)):
+                todo.setdefault(m.order, []).append(m)
+        for order, ms in todo.items():
+            uvs = [p_fraction(m.params, m.schwarz) for m in ms]
+            for m, row in zip(ms, _f_prime_rows(uvs, order)):
                 m.f_prime = TruncatedSeries(row)
         lengths: dict = {}  # series length -> (member indices, coefficient rows)
         for i, m in enumerate(self.members):
@@ -806,8 +781,13 @@ def subordination_membership_check(
 
     A nonnegative minimum (up to -1e-9) certifies the defining inequality
     at the sampled points.  A member evaluated by its P series needs that
-    series' tail at r_max within TAIL_TOL (require_tails).
+    series' tail at r_max within TAIL_TOL (require_tails).  ParamOutOfRange
+    for an r_max outside (0, 1) or an empty grid.
     """
+    if not 0 < grid.r_max < 1:
+        raise ParamOutOfRange(f"r_max={grid.r_max} outside (0, 1)")
+    if grid.n_radii < 1 or grid.n_angles < 1:
+        raise ParamOutOfRange(f"{grid.n_radii} x {grid.n_angles} grid is empty")
     pr = member.params
     require_tails([member], ("P",), grid.r_max)
     zs = polar_grid(chebyshev_radii(grid.n_radii, grid.r_max), grid.n_angles).ravel()

@@ -26,10 +26,11 @@ from .robertson import TailToleranceUnmet, phi_series, polar_grid, require_tails
 class ScanOpts:
     """Polar-scan configuration for norm estimation.
 
-    r_max defaults to 0.9995 for members with closed-form evaluators and
-    0.95 for series-only members.  refine_tol is the half-width, in r and
-    in theta, below which the refinement zoom stops; it must be positive.
-    radial and angular, the scan's radii and angles, must be at least 1.
+    r_max defaults to 0.9995 for members with a closed form (the extremals)
+    and 0.95 for every other member, generated ones included.  refine_tol is
+    the half-width, in r and in theta, below which the refinement zoom stops;
+    it must be positive.  radial and angular, the scan's radii and angles,
+    must be at least 1.
     """
 
     radial: int = 128

@@ -20,9 +20,6 @@ COEFF_LIMIT = 1e100
 TAIL_TOL = 1e-6  # the largest tail bound a series may carry where it is evaluated
 HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
 SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
-# below this deg V, a generated member's f' runs its O(N d) recurrence, else exp: at orders
-# 256 to 4096 a scalar loop of the recurrence won up to deg V = 11 and lost from 23 on
-RECURRENCE_DEGREE = 12
 CIRCLE_BYTES = 512 * 1024  # the padded buffer of one circle_blocks FFT call, at most
 
 

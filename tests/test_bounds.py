@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robertson_kit.bounds import (
@@ -160,6 +160,7 @@ def test_growth_envelope_at_zero():
                                                           exclude_max=True)),
     rs=st.lists(st.floats(min_value=0.0, max_value=1 - 1e-9), min_size=2, max_size=2),
 )
+@example(beta=0.9999999999999998, rs=[0.5, 0.75])  # k -> 0: the bounds need the clamp at r
 def test_growth_envelope_converges_up_to_the_circle(beta, rs):
     # k = 1 - beta in (0, 1], r up to 1 - 1e-9: the quadrature in u converges
     # (no QuadratureNotConverged), lower <= upper, both grow with r, and at

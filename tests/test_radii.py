@@ -20,6 +20,7 @@ from robertson_kit.radii import (
     radius_concavity,
     radius_convexity,
     sharpness_probe,
+    soundness_grid,
     t_values,
 )
 from robertson_kit import robertson
@@ -284,6 +285,21 @@ def test_soundness_scan_identity_only():
     assert abs(rep.min_re_t - want) < 1e-12
     assert abs(rep.witness_z - (-r)) < 1e-12
     assert 0.2 - 1e-3 - 0.01 < r < 0.2 - 1e-3
+
+
+def test_soundness_scan_rejects_radii_off_the_disk():
+    # radius 1.5 scanned omega = -z out to 1.499, outside the disk (min Re T_f
+    # -245.8 at A_co = 2), and radius -0.2 a grid reflected through 0 (0.0106)
+    st = ConcavitySetting(2.0)
+    rot = generate_member(
+        make_params(0, 0), SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0), order=64
+    )
+    for radius in (1.5, 1.0, 0.0, -0.2, math.nan):
+        with pytest.raises(ParamOutOfRange):
+            soundness_grid(radius)
+        with pytest.raises(ParamOutOfRange):
+            concavity_soundness_scan([rot], st, radius)
+    assert soundness_grid(0.999)[0] == 0.998
 
 
 def test_corrected_radius_sound_on_seeded_members():

@@ -42,7 +42,7 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate
-from robertson_kit.series import RECURRENCE_DEGREE, TruncatedSeries, chebyshev_radii
+from robertson_kit.series import TruncatedSeries, chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,21 @@ def test_membership_requires_certified_radius():
         subordination_membership_check(member_from_json(member_to_json(m)), GridSpec(r_max=0.9))
     rep = subordination_membership_check(m, GridSpec(r_max=0.9))
     assert rep.min_margin >= -1e-9
+
+
+def test_membership_rejects_radii_off_the_disk_and_empty_grids():
+    # r_max = 1.5 put half the grid outside the disk, where this class member
+    # read as outside the class (margin -9.48); n_radii = 0 left argmin an
+    # empty array
+    p = make_params(math.pi / 4, 0.25)
+    spec = SchwarzSpec(kind="blaschke_product", zeros=(0j, 0.7 + 0.1j), rotation=1j)
+    m = generate_member(p, spec, order=64)
+    for grid in (GridSpec(r_max=1.5), GridSpec(r_max=1.0), GridSpec(r_max=0.0),
+                 GridSpec(r_max=-0.2), GridSpec(r_max=math.nan),
+                 GridSpec(n_radii=0), GridSpec(n_angles=0)):
+        with pytest.raises(ParamOutOfRange):
+            subordination_membership_check(m, grid)
+    assert subordination_membership_check(m, GridSpec(r_max=0.999)).min_margin >= -1e-9
 
 
 def test_require_tails_reads_only_the_series_a_read_rests_on():
@@ -801,8 +816,8 @@ def test_series_match_extended_precision_recurrence():
 
 def test_p_and_s_series_build_only_what_is_asked():
     # perfbench's tracer times p_series and schwarzian only while their cache
-    # is None, and f' of a long V takes exp of the integral of P alone: P never
-    # builds S, S never builds P, and both read the one cached 1/V
+    # is None: P never builds S, S never builds P, both read the one cached
+    # 1/V, and f' of a long V (the recurrence) builds neither
     params = make_params(math.pi / 4, 0.25)
     m = generate_member(params, BLASCHKE_WITNESS, order=256, validate=False)
     p = m.p_series()
@@ -820,15 +835,15 @@ def test_p_and_s_series_build_only_what_is_asked():
     assert p_fraction(params, spec)[1].size - 1 >= 64
     long_v = generate_member(params, spec, order=256, validate=False)
     assert long_v.f_prime.order == 256
-    assert long_v._p_series is not None and long_v._s_series is None
+    assert long_v._p_series is None and long_v._s_series is None
 
 
 def test_f_prime_of_long_v_matches_closed_form():
-    # omega = z/(2 - z) truncated at order 128 has deg V = 128, so f' takes
-    # exp of the integral of P_f; at alpha = 0 it is (1 - z)^{-k}.  Measured:
-    # 1.9e-15
+    # omega = z/(2 - z) truncated at order 128 has deg V = 128, and f' runs
+    # the recurrence on that window; at alpha = 0 it is (1 - z)^{-k}.
+    # Measured: 8.6e-15
     params, spec = make_params(0.0, 0.25), plane_extremal_schwarz_spec(128)
-    assert p_fraction(params, spec)[1].size - 1 >= RECURRENCE_DEGREE
+    assert p_fraction(params, spec)[1].size - 1 == 128
     m = generate_member(params, spec, order=256, validate=False)
     n = np.arange(1, 257)
     want = np.concatenate(([1.0], np.cumprod((n - 1 + params.k) / n)))
@@ -873,21 +888,22 @@ def _scalar_f_prime(params, spec, order) -> np.ndarray:
 
 
 def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
-    # every f' on the recurrence route, of a lone member or inside a
-    # MemberBatch (one vectorized _f_prime_rows call per order), must be the
-    # scalar loop's raw bit for raw bit (uint64 views, so the sign of zero
-    # counts): sampled SP0 and general specs at two (alpha, beta), and a
-    # deg V = 11 polynomial; omega = 0 and -z^2 have exact zero coefficients,
-    # and the small omegas' coefficients underflow to zero.  The deg V = 24
-    # plane spec stays on the exp route, outside the loop
+    # every f' of a generated member, alone or inside a MemberBatch (one
+    # vectorized _f_prime_rows call per order), must be the scalar loop's raw
+    # bit for raw bit (uint64 views, so the sign of zero counts): sampled SP0
+    # and general specs at two (alpha, beta), polynomials with deg V = 11 and
+    # 24, and one with 81 coefficients, more than orders 8 and 64 have;
+    # omega = 0 and -z^2 have exact zero coefficients, and the small omegas'
+    # coefficients underflow to zero
     deg11 = SchwarzSpec(kind="polynomial",
                         coeffs=(0, *(0.08 * cmath.exp(1j * j) for j in range(1, 12))))
     zeros = [SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0)),
              SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=2),
              SchwarzSpec(kind="polynomial", coeffs=(0, 0, 0.01, -0.003j)),
              SchwarzSpec(kind="blaschke_product", zeros=(0j, 0j, 0.05), rotation=-1j)]
-    long_v = plane_extremal_schwarz_spec(24)
-    assert [p_fraction(make_params(0, 0), s)[1].size - 1 for s in (deg11, long_v)] == [11, 24]
+    long_v, longer = plane_extremal_schwarz_spec(24), plane_extremal_schwarz_spec(80)
+    assert [p_fraction(make_params(0, 0), s)[1].size - 1 for s in (deg11, long_v, longer)] == [
+        11, 24, 80]
     looped = []
 
     def rows(uvs, order):
@@ -898,20 +914,18 @@ def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
     monkeypatch.setattr(robertson, "_f_prime_rows", rows)
     for order, count in ((8, 12), (64, 12), (512, 12), (4096, 3)):
         specs = [*sample_schwarz_specs(order, count, sp0=True),
-                 *sample_schwarz_specs(order + 1, count), *zeros, deg11, long_v]
+                 *sample_schwarz_specs(order + 1, count), *zeros, deg11, long_v, longer]
         for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
             params = make_params(alpha, beta)
             batch = [generate_member(params, spec, order=order, validate=False) for spec in specs]
             del looped[:]
             list(MemberBatch(batch).circles("fprime", [0.5], 8))
-            assert looped == [(2 * count + 5, order)]
-            for spec, m in zip(specs[:-1], batch):
+            assert looped == [(len(specs), order)]
+            for spec, m in zip(specs, batch):
                 want = _scalar_f_prime(params, spec, order).view(np.uint64)
                 alone = generate_member(params, spec, order=order, validate=False).f_prime
                 assert np.array_equal(m.f_prime.coeffs.view(np.uint64), want), (order, spec)
                 assert np.array_equal(alone.coeffs.view(np.uint64), want), (order, spec)
-            alone = generate_member(params, long_v, order=order, validate=False).f_prime
-            assert np.array_equal(batch[-1].f_prime.coeffs, alone.coeffs)
     # a lone member makes one call of one row, and a batch of omega = 0
     # alone one call with every row
     del looped[:]

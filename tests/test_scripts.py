@@ -63,16 +63,21 @@ def test_norm_tables_runs(tmp_path):
 
 
 def test_golden_outputs_writes_every_case(tmp_path, capsys):
-    # one run in process: a report and a log per case, no timestamp in any
+    # two runs in process: a report and a log per case, no timestamp in any,
+    # and the second run's files byte for byte the first's, which `diff -r`
+    # between two commits rests on
     golden = load_script("golden_outputs")
-    assert golden.main([str(tmp_path / "golden")]) == 0
-    names = sorted(p.name for p in (tmp_path / "golden").iterdir())
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert golden.main([str(first)]) == 0 and golden.main([str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
     assert names == sorted(f"{case}.{ext}" for case in golden.CASES for ext in ("out", "log"))
-    for path in (tmp_path / "golden").iterdir():
-        text = path.read_text()
-        assert text and "generated_at" not in text, path.name
-        if path.suffix == ".log":
-            assert text.splitlines()[-1] in ("exit 0", "exit 3"), path.name
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        text = (first / name).read_text()
+        assert text and "generated_at" not in text, name
+        if name.endswith(".log"):
+            assert text.splitlines()[-1] in ("exit 0", "exit 3"), name
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_benchmark_tracer_wraps_existing_names(monkeypatch):
