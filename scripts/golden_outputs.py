@@ -30,6 +30,8 @@ CASES = {
     "verify_pi4_0.25": ["verify", "--theorem", "all", "--alpha", PI_4, "--beta", "0.25"],
     "verify_1.2_0": ["verify", "--theorem", "all", "--alpha", "1.2", "--beta", "0"],
     "verify_paper": ["verify", "--theorem", "all", "--mode", "paper"],
+    # k = 0.1: check 2.5 fails (README finding 6), so this case exits 1
+    "verify_0_0.9": ["verify", "--theorem", "all", "--beta", "0.9"],
     "radii_probe_defaults": ["radii", "probe", "--seed", "11", "--budget", "6000"],
     "radii_probe_pi4_0.25": ["radii", "probe", "--alpha", PI_4, "--beta", "0.25",
                              "--seed", "11", "--budget", "6000"],

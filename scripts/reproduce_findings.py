@@ -10,7 +10,9 @@ Runs in a few seconds and prints self-contained witnesses:
   4. the printed radius-of-convexity formula is degenerate for every
      admissible parameter; the sharp radius 1/(k + |1 - G1|) is below 1
      off the real axis;
-  5. the printed lower distortion envelope fails for alpha != 0.
+  5. the printed lower distortion envelope fails for alpha != 0;
+  6. the pointwise Schwarzian bound of check 2.5 fails at alpha = 0 for
+     small k.
 """
 
 import json
@@ -18,7 +20,13 @@ import math
 
 import numpy as np
 
-from robertson_kit.bounds import envelope_checks, schwarzian_norm_bound
+from robertson_kit.bounds import (
+    envelope_checks,
+    schwarzian_norm_bound,
+    schwarzian_pointwise_bound,
+    xi_of_member,
+)
+from robertson_kit.cli import CHECK_BUILDERS, RunCache, RunConfig, replay_witness
 from robertson_kit.radii import (
     ConcavitySetting,
     SearchOpts,
@@ -34,6 +42,7 @@ from robertson_kit.robertson import (
     extremal_member,
     generate_member,
     make_params,
+    polar_grid,
     subordination_membership_check,
 )
 from robertson_kit.sampling import sample_members
@@ -116,6 +125,38 @@ def finding_5_envelopes_off_axis():
           f"at alpha = 0 the suite asserts it)")
 
 
+def finding_6_pointwise_schwarzian_small_k():
+    print("[6] check 2.5: (1-|z|^2)^2 |S_f| <= 2k(2 + k (xi+|z|)^2/(1-xi^2)) at alpha = 0")
+    for beta in (0.8, 0.85, 0.9, 0.99, 0.999):
+        (rec,) = CHECK_BUILDERS["2.5"](RunConfig(beta=beta), RunCache())
+        print(f"      verify --theorem 2.5 --beta {beta}: min margin {rec.min_margin:+.4e} "
+              f"({rec.status})")
+        if beta == 0.9:
+            w = rec.worst
+    p, spec = make_params(0, 0.9), SchwarzSpec.from_json(w["spec"])
+    m = generate_member(p, spec, order=w["order"])
+    print(f"      beta = 0.9 witness {json.dumps(w['spec'])}")
+    print(f"      at z = {complex(*w['z']):.6f}: margin {w['margin']:+.6f}, "
+          f"replayed {replay_witness(w):+.6f}")
+    zs = polar_grid(np.linspace(0.9, 0.9995, 200), 2048).ravel()
+    xi = xi_of_member(m)
+    margins = schwarzian_pointwise_bound(p, xi, np.abs(zs)) - (
+        (1 - np.abs(zs) ** 2) ** 2 * np.abs(m.values("S", zs)))
+    print(f"      scanned to |z| = 0.9995: least margin {margins.min():+.6f}")
+    # radially toward zeta with omega(zeta) = 1, (1-|z|^2)^2 |S_f| tends to
+    # 8k|u - G1|/u^2, u = zeta omega'(zeta) = 1 + (1-|a|^2)/|zeta-a|^2 for
+    # omega = rotation z (a - z)/(1 - conj(a) z); about 8k/u as k -> 0,
+    # above the bound's 4k + O(k^2) when u < 2.  Of the two roots of
+    # omega = 1, the one farther from a has the smaller u
+    lam, _, ((a, _),) = spec.product
+    zeta = max(np.roots([-lam, lam * a + np.conj(a), -1]), key=lambda t: abs(t - a))
+    u = 1 + (1 - abs(a) ** 2) / abs(zeta - a) ** 2
+    limit = 8 * p.k * abs(u - p.g1) / u**2
+    bound = 2 * p.k * (2 + p.k * (xi + 1) ** 2 / (1 - xi**2))
+    print(f"      rim limit toward arg zeta = {np.angle(zeta):.6f} (u = {u:.6f}): "
+          f"{limit:.6f} against the bound {bound:.6f} at |z| = 1 ({bound - limit:+.6f})")
+
+
 if __name__ == "__main__":
     for fn in (
         finding_1_pointwise_bound,
@@ -123,6 +164,7 @@ if __name__ == "__main__":
         finding_3_concavity_radius,
         finding_4_convexity_radius,
         finding_5_envelopes_off_axis,
+        finding_6_pointwise_schwarzian_small_k,
     ):
         fn()
         print()

@@ -259,8 +259,8 @@ class Check:
 RADII = chebyshev_radii(24, 0.9)  # the default scan's radii, and 2.2's circles
 GRID = robertson.polar_grid(RADII, 48).ravel()
 # complex values per block of member rows in _grid_min, at most (one row at
-# least): 3 rows of GRID, 1 of a soundness grid.  64 KB and 128 KB timed
-# alike; whole batches took a concavity record's traced peak 382 KB -> 6.3 MB.
+# least): 3 rows of GRID, 42 of a soundness circle.  64 KB and 128 KB timed
+# alike; the blocks bound a scan's traced peak, whatever the batch size.
 ROW_BYTES = 64 * 1024
 
 

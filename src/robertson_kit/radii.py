@@ -20,8 +20,12 @@ Re T_f > 0 on |z| < R for every member.  Two candidate radii are exposed:
   ((A+3-4k cos(alpha)) r^2 - 2 (A+1+2k) r + (A-1)) / 2.  At alpha = 0
   this is the bound Re(z P_f) <= 2 k r/(1-r).
 
-The probe searches members and circles for the empirical radius at which
-some member first loses Re T_f > 0.
+Re T_f and Re(1 + z P_f) are real parts of functions analytic on the closed
+disk |z| <= r < 1 (P_f is, since f' never vanishes there for a member built
+from a Schwarz function or a closed form), so by the minimum principle each
+takes its least value on |z| <= r on the circle |z| = r.  The soundness scan
+therefore reads one circle, and the probe searches members and circles for
+the empirical radius at which some member first loses Re T_f > 0.
 """
 
 from __future__ import annotations
@@ -40,10 +44,9 @@ from .robertson import (
     SchwarzSpec,
     circle,
     generate_member,
-    polar_grid,
 )
 from .sampling import sample_schwarz_specs
-from .series import DEFAULT_ORDER, chebyshev_radii
+from .series import DEFAULT_ORDER
 
 
 class RootNotBracketed(RuntimeError):
@@ -184,23 +187,16 @@ def radius_convexity(params: ClassParams, mode: str = "sharp") -> RadiusResult:
     """
     k = params.k
     if mode == "paper_literal":
-        if abs(k - 1) < 1e-15:
-            return RadiusResult(
-                value=math.inf,
-                method="formula_degenerate",
-                residual=math.nan,
-                mode=mode,
-                degenerate=True,
-                note="division by zero at k = 1",
-            )
-        value = 1 / (k - 1)
+        at_pole = abs(k - 1) < 1e-15
+        value = math.inf if at_pole else 1 / (k - 1)
         return RadiusResult(
             value=value,
             method="formula_degenerate",
             residual=math.nan,
             mode=mode,
-            degenerate=value <= 0 or value > 1,
-            note="non-positive for every admissible k <= 1",
+            degenerate=not 0 < value <= 1,
+            note=("division by zero at k = 1" if at_pole
+                  else "non-positive for every admissible k <= 1"),
         )
     if mode == "sharp":
         r = 1 / (k + abs(1 - params.g1))
@@ -234,25 +230,25 @@ def _first_least(rows: np.ndarray, zs: np.ndarray) -> tuple[float, int, complex]
     return float(mins[i]), i, complex(zs[js[i]])
 
 
-# the soundness scan's polar grid: Chebyshev radii by uniform angles
-SOUNDNESS_RADII = 24
+# points on the soundness scan's circle
 SOUNDNESS_ANGLES = 96
 
 
 def soundness_grid(radius: float) -> tuple[float, np.ndarray]:
-    """(r_cap, zs): the soundness scan's cap, just inside radius, and its
-    flattened polar grid out to r_cap; ParamOutOfRange for a radius outside (0, 1)."""
+    """(r_cap, zs): the soundness scan's cap, just inside radius, and the
+    circle |z| = r_cap that holds the least Re T_f on |z| <= r_cap (minimum
+    principle); ParamOutOfRange for a radius outside (0, 1)."""
     if not 0 < radius < 1:
         raise ParamOutOfRange(f"radius={radius} outside (0, 1)")
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
-    return r_cap, polar_grid(chebyshev_radii(SOUNDNESS_RADII, r_cap), SOUNDNESS_ANGLES).ravel()
+    return r_cap, circle(r_cap, SOUNDNESS_ANGLES)
 
 
 def concavity_soundness_scan(
     members: Sequence[MemberSeries], setting: ConcavitySetting, radius: float
 ) -> SoundnessReport:
-    """Minimum of Re T_f over the members and soundness_grid(radius), all
-    members in one MemberBatch call."""
+    """Minimum of Re T_f over the members and |z| <= r_cap, read on the
+    circle soundness_grid(radius), all members in one MemberBatch call."""
     r_cap, zs = soundness_grid(radius)
     re_t = t_from_p(setting, zs, MemberBatch(members, r_cap).values("P", zs)).real
     best, w_i, w_z = _first_least(re_t, zs)
@@ -261,11 +257,10 @@ def concavity_soundness_scan(
     )
 
 
-# sharpness_probe's default members, points per circle and coarse-scan radii
+# sharpness_probe's default members, points per circle and largest radius
 PROBE_ROTATIONS = 16
 PROBE_SPECS = 24
 PROBE_ANGLES = 96
-PROBE_R_LO = 0.02
 PROBE_R_HI = 0.9
 
 
@@ -308,10 +303,13 @@ def sharpness_probe(
     The member family combines pure rotations omega = lam z (which realize
     the extremal boundary values of Re(z P_f) on every circle) with seeded
     Blaschke/polynomial specs; pass `specs` to restrict the search to a
-    fixed family.  A coarse ascending scan brackets the first failure
-    radius and bisection narrows it to r_tol; the budget counts
-    member-circle evaluations and exhaustion returns the best-so-far with
-    a flag.  A circle evaluates the members in one MemberBatch call.
+    fixed family.  The least Re T_f on |z| <= r lies on |z| = r (minimum
+    principle), so it falls as r grows: one circle at PROBE_R_HI shows
+    whether any member fails by then, and bisection on [0, PROBE_R_HI]
+    narrows the first failure radius to r_tol.  The budget counts
+    member-circle evaluations; exhaustion returns the best-so-far with a
+    flag, and 0.0 when not even the first circle fits, since no radius was
+    shown to pass.  A circle evaluates the members in one MemberBatch call.
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
@@ -333,23 +331,11 @@ def sharpness_probe(
             witness = (specs[i], z)
         return least
 
-    exhausted = False
-    lo, hi = None, None
-    for r in np.linspace(PROBE_R_LO, PROBE_R_HI, 48):
-        if evals + len(members) > search.budget:
-            exhausted = True
-            break
-        if min_re_t(float(r)) <= 0:
-            hi = float(r)
-            break
-        lo = float(r)
-
-    if hi is None:
+    lo, hi, exhausted = 0.0, PROBE_R_HI, len(members) > search.budget
+    if exhausted or min_re_t(PROBE_R_HI) > 0:
         return ProbeResult(
-            empirical_radius=PROBE_R_HI if not exhausted else (lo or PROBE_R_LO),
-            witness_spec=None, witness_z=0j, evaluations=evals,
-            budget_exhausted=exhausted, violation_found=False)
-    lo = 0.0 if lo is None else lo
+            empirical_radius=0.0 if exhausted else PROBE_R_HI, witness_spec=None,
+            witness_z=0j, evaluations=evals, budget_exhausted=exhausted, violation_found=False)
     while hi - lo > search.r_tol:
         if evals + len(members) > search.budget:
             exhausted = True

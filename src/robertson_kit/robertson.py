@@ -30,7 +30,6 @@ from .series import (
     MAX_ORDER,
     TAIL_TOL,
     TruncatedSeries,
-    chebyshev_radii,
     circle_blocks,
 )
 
@@ -89,7 +88,7 @@ class SchwarzSpec:
     """Description of a Schwarz function omega: D -> D with omega(0) = 0.
 
     kind "polynomial": omega(z) = sum coeffs[i] z^i (coeffs[0] must be 0);
-    validated numerically on a dense polar grid.
+    validated numerically on a dense circle (validate_schwarz).
     kind "blaschke_product": omega(z) = rotation * prod (a - z)/(1 - conj(a) z)
     over `zeros`; zeros at the origin contribute plain factors of z, and the
     spec is a Schwarz function by construction when all |a| < 1 and
@@ -318,10 +317,9 @@ class SchwarzValidation:
     vanishing_order: int
 
 
-# the polar grid that validates a polynomial spec, and the least distance
-# from the unit circle its grid maximum must keep
-VALIDATION_RADII = 256
-VALIDATION_ANGLES = 256
+# the circle that validates a polynomial spec, and the least distance from
+# the unit circle its maximum must keep
+VALIDATION_ANGLES = 65536
 VALIDATION_R = 0.999
 VALIDATION_MARGIN = 1e-9
 
@@ -337,15 +335,15 @@ def require_vanishing(spec: SchwarzSpec) -> int:
 def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
     """Check that the spec describes a Schwarz function; raise otherwise.
 
-    Polynomial specs are validated numerically on a VALIDATION_RADII x
-    VALIDATION_ANGLES polar grid out to radius VALIDATION_R; products are
-    exact by construction and only have their zeros and rotation
-    range-checked.
+    Polynomial specs are validated numerically: |omega| of a polynomial takes
+    its largest value on |z| <= VALIDATION_R on that circle (maximum
+    modulus), read at VALIDATION_ANGLES points, enough for every sample of
+    a long polynomial; products are exact by construction and only have
+    their zeros and rotation range-checked.
     """
     vo = require_vanishing(spec)
     if spec.kind == "polynomial":
-        radii = chebyshev_radii(VALIDATION_RADII, VALIDATION_R)
-        om = TruncatedSeries(spec.coeffs).eval_on_circles(radii, VALIDATION_ANGLES)
+        om = TruncatedSeries(spec.coeffs).eval_on_circle(VALIDATION_R, VALIDATION_ANGLES)
         grid_max = float(np.max(np.abs(om)))
         if not grid_max < 1 - VALIDATION_MARGIN:
             raise NotASchwarzFunction(
@@ -760,9 +758,8 @@ def plane_extremal_schwarz_spec(order: int = DEFAULT_ORDER) -> SchwarzSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Polar validation grid: Chebyshev radii in (0, r_max], uniform angles."""
+    """Membership circle: n_angles uniform angles on |z| = r_max."""
 
-    n_radii: int = 64
     n_angles: int = 64
     r_max: float = 0.9
 
@@ -777,20 +774,23 @@ class MarginReport:
 def subordination_membership_check(
     member: MemberSeries, grid: GridSpec = GridSpec()
 ) -> MarginReport:
-    """Minimum of Re(e^{i*alpha}(1 + z P_f(z))) - beta cos(alpha) on the grid.
+    """Minimum of Re(e^{i*alpha}(1 + z P_f(z))) - beta cos(alpha) on |z| <= r_max.
 
-    A nonnegative minimum (up to -1e-9) certifies the defining inequality
-    at the sampled points.  A member evaluated by its P series needs that
-    series' tail at r_max within TAIL_TOL (require_tails).  ParamOutOfRange
-    for an r_max outside (0, 1) or an empty grid.
+    The margin is harmonic on the closed disk (P_f is analytic there, as f'
+    never vanishes), so by the minimum principle its least value lies on
+    |z| = r_max, scanned at grid.n_angles points.  A nonnegative minimum (up
+    to -1e-9) certifies the defining inequality at the sampled points.  A
+    member evaluated by its P series needs that series' tail at r_max within
+    TAIL_TOL (require_tails).  ParamOutOfRange for an r_max outside (0, 1)
+    or no angles.
     """
     if not 0 < grid.r_max < 1:
         raise ParamOutOfRange(f"r_max={grid.r_max} outside (0, 1)")
-    if grid.n_radii < 1 or grid.n_angles < 1:
-        raise ParamOutOfRange(f"{grid.n_radii} x {grid.n_angles} grid is empty")
+    if grid.n_angles < 1:
+        raise ParamOutOfRange(f"n_angles={grid.n_angles} leaves the circle empty")
     pr = member.params
     require_tails([member], ("P",), grid.r_max)
-    zs = polar_grid(chebyshev_radii(grid.n_radii, grid.r_max), grid.n_angles).ravel()
+    zs = circle(grid.r_max, grid.n_angles)
     pv = member.values("P", zs, grid.r_max)
     margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)
     i = int(np.argmin(margins))

@@ -585,15 +585,15 @@ def test_verify_all_at_low_and_greatest_orders_ends_in_a_verdict(argv):
 
 
 def test_concavity_scan_peak_memory():
-    # one concavity record over its 2,304-point soundness grid with the 52
-    # members of the default batch: blocks of one row of cli.ROW_BYTES peak
-    # at about 382 KB (the whole batch at once: 6.3 MB; the parent's blocks
-    # of 288 points: 2.1 MB)
+    # one concavity record over its 96-point soundness circle with the 52
+    # members of the default batch: blocks of 42 rows of cli.ROW_BYTES peak
+    # at about 302 KB (the whole batch at once: 340 KB; a 2,304-point grid
+    # in blocks of one row: 382 KB)
     cache = cli.RunCache()
     run, params, _, members = cache.members(cli.RunConfig(), "general")
     w = {"check": "concavity", "mode": "corrected",
          **cli.CHECKS["concavity"].extras(run, params, "corrected")}
-    assert len(members) == 52 and soundness_grid(w["radius"])[1].size == 2304
+    assert len(members) == 52 and soundness_grid(w["radius"])[1].size == 96
     cli.CHECKS["concavity"].scan(members, w, cache)
     tracemalloc.start()
     try:
@@ -651,6 +651,29 @@ def test_verify_computes_xi_once_per_member(tmp_path, monkeypatch):
     out = str(tmp_path / "r.json")
     assert main(["verify", "--theorem", "2.5", "--samples", "8", "--out", out]) == 0
     assert len(calls) == 10 and len(set(map(id, calls))) == 10
+
+
+def test_check_2_5_fails_at_alpha_0_for_small_k():
+    # README finding 6: at k = 0.1 a member with one free Blaschke zero breaks
+    # the asserted pointwise Schwarzian bound; its rim limit 8k|u - G1|/u^2
+    # (u = 1.279) exceeds the bound at |z| = 1 by 0.1000
+    code, _, report = _verify(["verify", "--theorem", "2.5", "--beta", "0.9"])
+    (rec,) = report["checks"]
+    assert code == 1 and report["exit_code"] == 1
+    assert (rec["id"], rec["status"], rec["asserted"]) == ("2.5", "violated", True)
+    assert abs(rec["min_margin"] - (-5.3635e-2)) < 1e-6
+    w = rec["worst"]
+    assert w["spec"]["kind"] == "blaschke_product" and w["spec"]["zeros"][0] == [0.0, 0.0]
+    assert np.allclose(w["spec"]["zeros"][1], [-0.006140, -0.585730], atol=1e-6)
+    assert np.allclose(w["spec"]["rotation"], [0.796226, -0.604999], atol=1e-6)
+    assert np.allclose(w["z"], [-0.449759, 0.779006], atol=1e-6)
+    assert replay_witness(w) == w["margin"] == rec["min_margin"]
+    # beta 0.8 and 0.85 hold; 0.99 and 0.999 fail too
+    for beta, low in (("0.8", 0.1125), ("0.85", 1.967e-3), ("0.99", -1.525e-2),
+                      ("0.999", -1.648e-3)):
+        code, _, report = _verify(["verify", "--theorem", "2.5", "--beta", beta])
+        assert code == (0 if low > 0 else 1), beta
+        assert abs(report["checks"][0]["min_margin"] - low) < 1e-3 * abs(low), beta
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from robertson_kit.radii import (
     PROBE_ANGLES,
     PROBE_R_HI,
-    PROBE_R_LO,
     PROBE_ROTATIONS,
     PROBE_SPECS,
     ConcavitySetting,
@@ -21,6 +20,7 @@ from robertson_kit.radii import (
     radius_convexity,
     sharpness_probe,
     soundness_grid,
+    t_from_p,
     t_values,
 )
 from robertson_kit import robertson
@@ -34,11 +34,9 @@ from robertson_kit.robertson import (
     member_from_json,
     member_to_json,
     plane_extremal_schwarz_spec,
-    polar_grid,
     schwarz_values,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
-from robertson_kit.series import chebyshev_radii
 
 R_PAPER_00_2 = 4 - math.sqrt(15)  # 0.1270166537925831
 R_CORR_00_2 = 5 - math.sqrt(24)  # 0.1010205144336438
@@ -222,10 +220,13 @@ def test_radius_concavity_monotonicity():
 
 
 def test_convexity_paper_literal_degenerate():
+    # k = 1 divides by zero; every k < 1 gives a negative value
     res = radius_convexity(make_params(0, 0), "paper_literal")
     assert res.degenerate and res.method == "formula_degenerate"
+    assert (res.value, res.note) == (math.inf, "division by zero at k = 1")
     res2 = radius_convexity(make_params(0, 0.5), "paper_literal")
     assert res2.degenerate and res2.value < 0
+    assert res2.note == "non-positive for every admissible k <= 1"
 
 
 def _least_re_one_plus_zp(params, r) -> float:
@@ -279,12 +280,11 @@ def test_soundness_scan_identity_only():
         make_params(0, 0), SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16
     )
     rep = concavity_soundness_scan([ident], st, 0.2)
-    # closed form: the minimum over each circle sits at z = -r
-    r = abs(rep.witness_z)
+    # closed form: the minimum over the disk |z| <= r_cap = 0.199 sits at z = -r_cap
+    r = 0.2 - 1e-3
     want = 2 * (1.5 * (1 - r) / (1 + r) - 1)
     assert abs(rep.min_re_t - want) < 1e-12
     assert abs(rep.witness_z - (-r)) < 1e-12
-    assert 0.2 - 1e-3 - 0.01 < r < 0.2 - 1e-3
 
 
 def test_soundness_scan_rejects_radii_off_the_disk():
@@ -300,6 +300,45 @@ def test_soundness_scan_rejects_radii_off_the_disk():
         with pytest.raises(ParamOutOfRange):
             concavity_soundness_scan([rot], st, radius)
     assert soundness_grid(0.999)[0] == 0.998
+
+
+def _probe_family(seed):
+    """sharpness_probe's default specs: 16 rotations and 24 sampled specs."""
+    return [
+        SchwarzSpec(kind="unit_constant_times_z",
+                    rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
+        for j in range(PROBE_ROTATIONS)
+    ] + sample_schwarz_specs(seed, PROBE_SPECS)
+
+
+# (alpha, beta, A_co) points for the extremum-principle tests
+PRINCIPLE_POINTS = [(0, 0, 2.0), (math.pi / 4, 0.25, 2.0), (1.2, 0, 2.0), (-0.9, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("alpha, beta, a_co", PRINCIPLE_POINTS)
+def test_harmonic_residuals_are_least_on_the_circle(alpha, beta, a_co):
+    # the soundness scan, the probe and the membership check read one circle:
+    # Re T_f and Re(e^{i alpha}(1 + z P_f)) are harmonic on the closed disk,
+    # so their least value over |z| <= r is on |z| = r.  Random interior
+    # points of each member stay above its circle minimum (measured margins
+    # at least 5.5e-5 and 1.6e-6)
+    p, st = make_params(alpha, beta), ConcavitySetting(a_co)
+    members = [generate_member(p, s, order=64, validate=False) for s in _probe_family(3)]
+    batch, rng = robertson.MemberBatch(members), np.random.default_rng(5)
+
+    def lows(zs):
+        # each member's least Re T_f and least Re(e^{i alpha}(1 + z P_f)) on zs
+        pv = batch.values("P", zs)
+        return np.stack([t_from_p(st, zs, pv).real.min(axis=1),
+                         (np.exp(1j * alpha) * (1 + zs * pv)).real.min(axis=1)])
+
+    for r in (0.1, 0.5, 0.9):
+        inner = r * np.sqrt(rng.uniform(size=4000)) * np.exp(2j * np.pi * rng.uniform(size=4000))
+        assert np.all(lows(inner) >= lows(circle(r, 4096))), r
+    # so the family's least Re T_f on circle(r, 96), which the probe's
+    # bisection reads, strictly decreases over 300 radii in [0.02, 0.9]
+    least = [lows(circle(r, PROBE_ANGLES))[0].min() for r in np.linspace(0.02, PROBE_R_HI, 300)]
+    assert np.all(np.diff(least) < 0)
 
 
 def test_corrected_radius_sound_on_seeded_members():
@@ -328,7 +367,7 @@ def test_paper_radius_unsound_finding():
 def _reference_soundness(members, setting, radius):
     """concavity_soundness_scan one t_values call per member, as before the batch."""
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
-    zs = polar_grid(chebyshev_radii(24, r_cap), 96).ravel()
+    zs = circle(r_cap, 96)
     best, w_i, w_z = math.inf, -1, 0j
     for i, m in enumerate(members):
         re_t = t_values(m, setting, zs, r_cap).real
@@ -409,10 +448,18 @@ def test_probe_empirical_at_least_corrected_across_settings():
 
 
 def test_probe_budget_exhaustion_flag():
+    # 30 evaluations do not pay for one circle of the 40 default members:
+    # no radius was shown to pass, so the probe reports 0
     p = make_params(0, 0)
     st = ConcavitySetting(2.0)
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=30))
-    assert res.budget_exhausted
+    assert res.budget_exhausted and not res.violation_found
+    assert (res.empirical_radius, res.evaluations) == (0.0, 0)
+    # 5 circles: the first at PROBE_R_HI, then bisection; the last failing
+    # circle lies outside the class radius
+    res = sharpness_probe(p, st, SearchOpts(seed=1, budget=200))
+    assert res.budget_exhausted and res.violation_found and res.evaluations == 200
+    assert R_CORR_00_2 < abs(res.witness_z) < PROBE_R_HI
 
 
 def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
@@ -435,11 +482,7 @@ def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
 def _reference_probe(params, setting, search, specs=None):
     """sharpness_probe with one t_values call per member and circle."""
     if specs is None:
-        specs = [
-            SchwarzSpec(kind="unit_constant_times_z",
-                        rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
-            for j in range(PROBE_ROTATIONS)
-        ] + sample_schwarz_specs(search.seed, PROBE_SPECS)
+        specs = _probe_family(search.seed)
     members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
     evals, witnesses = 0, []
 
@@ -458,19 +501,11 @@ def _reference_probe(params, setting, search, specs=None):
             witnesses.append(witness)
         return best <= 0
 
-    lo, hi, exhausted = None, None, False
-    for r in np.linspace(PROBE_R_LO, PROBE_R_HI, 48):
-        if evals + len(members) > search.budget:
-            exhausted = True
-            break
-        if fails(float(r)):
-            hi = float(r)
-            break
-        lo = float(r)
-    if hi is None:
-        radius = PROBE_R_HI if not exhausted else (lo or PROBE_R_LO)
-        return ProbeResult(radius, None, 0j, evals, exhausted, False).to_json()
-    lo = 0.0 if lo is None else lo
+    if len(members) > search.budget:
+        return ProbeResult(0.0, None, 0j, 0, True, False).to_json()
+    if not fails(PROBE_R_HI):
+        return ProbeResult(PROBE_R_HI, None, 0j, evals, False, False).to_json()
+    lo, hi, exhausted = 0.0, PROBE_R_HI, False
     while hi - lo > search.r_tol:
         if evals + len(members) > search.budget:
             exhausted = True

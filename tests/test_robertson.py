@@ -14,7 +14,6 @@ from robertson_kit import robertson
 from robertson_kit.robertson import (
     VALIDATION_ANGLES,
     VALIDATION_R,
-    VALIDATION_RADII,
     ClosedForm,
     GridSpec,
     MemberBatch,
@@ -104,18 +103,20 @@ def test_validate_identity_map():
     rep = validate_schwarz(SchwarzSpec(kind="polynomial", coeffs=(0, 1)))
     assert rep.vanishing_order == 1
     assert rep.grid_max < 1
-    # the grid maximum is the per-circle loop's, bit for bit
+    # the maximum is |omega|'s on the circle |z| = VALIDATION_R, bit for bit,
+    # and by the maximum modulus principle at least that of any inner circle:
+    # here 256 Chebyshev radii out to VALIDATION_R at 256 angles
     for spec in (
         SchwarzSpec(kind="polynomial", coeffs=(0, 1)),
         SchwarzSpec(kind="polynomial", coeffs=(0, 0.3, -0.2j, 0.1, 0.05 + 0.1j)),
         plane_extremal_schwarz_spec(256),
     ):
         om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
-        grid_max = 0.0
-        for rad in chebyshev_radii(VALIDATION_RADII, VALIDATION_R):
-            vals = om.eval_on_circle(rad, VALIDATION_ANGLES)
-            grid_max = max(grid_max, float(np.max(np.abs(vals))))
-        assert validate_schwarz(spec).grid_max == grid_max
+        grid_max = validate_schwarz(spec).grid_max
+        on_circle = om.eval_on_circle(VALIDATION_R, VALIDATION_ANGLES)
+        assert grid_max == float(np.max(np.abs(on_circle)))
+        inner = om.eval_on_circles(chebyshev_radii(256, VALIDATION_R), 256)
+        assert grid_max >= float(np.max(np.abs(inner)))
 
 
 def test_validate_square_map_is_sp0_generator():
@@ -212,8 +213,8 @@ def test_sp0_iff_vanishing_order_two():
 
 
 def test_membership_of_seeded_members_on_grid():
-    grid = GridSpec()  # 64 x 64 polar grid up to r = 0.9
-    assert (grid.n_radii, grid.n_angles, grid.r_max) == (64, 64, 0.9)
+    grid = GridSpec()  # 64 points on the circle |z| = 0.9
+    assert (grid.n_angles, grid.r_max) == (64, 0.9)
     for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
         p = make_params(alpha, beta)
         for m in sample_members(p, 12, seed=99, order=256):
@@ -226,12 +227,12 @@ def test_membership_margin_identity_member():
     for alpha, beta in ((0.0, 0.0), (0.6, 0.4)):
         p = make_params(alpha, beta)
         m = generate_member(p, SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16)
-        rep = subordination_membership_check(m, GridSpec(n_radii=8, n_angles=8))
+        rep = subordination_membership_check(m, GridSpec(n_angles=8))
         assert abs(rep.min_margin - p.k) < 1e-12
 
 
 def test_membership_margin_plane_extremal():
-    # 1 + z P = 1/(1-z) maps onto Re > 1/2; the grid minimum sits at z = -0.9
+    # 1 + z P = 1/(1-z) maps onto Re > 1/2; the circle's minimum sits at z = -0.9
     p = make_params(0, 0)
     m = extremal_member(p, "plane", 1.0, order=64)
     rep = subordination_membership_check(m)
@@ -252,14 +253,14 @@ def test_membership_requires_certified_radius():
 
 def test_membership_rejects_radii_off_the_disk_and_empty_grids():
     # r_max = 1.5 put half the grid outside the disk, where this class member
-    # read as outside the class (margin -9.48); n_radii = 0 left argmin an
+    # read as outside the class (margin -9.48); no angles leave argmin an
     # empty array
     p = make_params(math.pi / 4, 0.25)
     spec = SchwarzSpec(kind="blaschke_product", zeros=(0j, 0.7 + 0.1j), rotation=1j)
     m = generate_member(p, spec, order=64)
     for grid in (GridSpec(r_max=1.5), GridSpec(r_max=1.0), GridSpec(r_max=0.0),
                  GridSpec(r_max=-0.2), GridSpec(r_max=math.nan),
-                 GridSpec(n_radii=0), GridSpec(n_angles=0)):
+                 GridSpec(n_angles=0)):
         with pytest.raises(ParamOutOfRange):
             subordination_membership_check(m, grid)
     assert subordination_membership_check(m, GridSpec(r_max=0.999)).min_margin >= -1e-9

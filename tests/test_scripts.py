@@ -45,7 +45,7 @@ def test_reproduce_findings_runs():
     proc = run_script("reproduce_findings")
     assert proc.returncode == 0, proc.stderr
     headers = [line[:3] for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert headers == ["[1]", "[2]", "[3]", "[4]", "[5]"]
+    assert headers == ["[1]", "[2]", "[3]", "[4]", "[5]", "[6]"]
 
 
 def test_norm_tables_runs(tmp_path):
@@ -72,11 +72,15 @@ def test_golden_outputs_writes_every_case(tmp_path, capsys):
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(f"{case}.{ext}" for case in golden.CASES for ext in ("out", "log"))
     assert sorted(p.name for p in second.iterdir()) == names
+    # verify exits 3 on reported findings only, 1 where check 2.5 fails
+    # (k = 0.1); every other command exits 0
+    exits = {case: 1 if case == "verify_0_0.9" else 3 if argv[0] == "verify" else 0
+             for case, argv in golden.CASES.items()}
     for name in names:
         text = (first / name).read_text()
         assert text and "generated_at" not in text, name
         if name.endswith(".log"):
-            assert text.splitlines()[-1] in ("exit 0", "exit 3"), name
+            assert text.splitlines()[-1] == f"exit {exits[name[:-4]]}", name
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
