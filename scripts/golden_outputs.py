@@ -35,6 +35,8 @@ CASES = {
     "radii_probe_defaults": ["radii", "probe", "--seed", "11", "--budget", "6000"],
     "radii_probe_pi4_0.25": ["radii", "probe", "--alpha", PI_4, "--beta", "0.25",
                              "--seed", "11", "--budget", "6000"],
+    "radii_probe_1.2_0": ["radii", "probe", "--alpha", "1.2", "--beta", "0",
+                          "--seed", "11", "--budget", "6000"],
     "radii_concavity_pi4_0.25": ["radii", "concavity", "--alpha", PI_4, "--beta", "0.25"],
     "emit_distortion": ["emit", "distortion", "--beta", "0.25", "--samples", "8"],
     "emit_growth_0_0": ["emit", "growth"],

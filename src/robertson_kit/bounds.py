@@ -76,27 +76,20 @@ def schwarzian_pointwise_bound(params: ClassParams, xi, r):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadOpts:
-    abs_tol: float = 1e-10
-    max_depth: int = 40
-    nodes: int = 16
+QUAD_TOL = 1e-10  # absolute tolerance of adaptive_gauss_legendre
+QUAD_DEPTH = 40  # bisections of a panel before QuadratureNotConverged
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    """The 16 Gauss-Legendre nodes and weights, built on first use, so that
+    importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(16)
 
 
-def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    opts: QuadOpts = QuadOpts(),
-) -> float:
+def adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Integral of f on [a, b] by bisection-adaptive Gauss-Legendre panels."""
-    x, w = _gl_nodes(opts.nodes)
+    x, w = _gl_nodes()
 
     def panel(lo: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
@@ -109,7 +102,7 @@ def adaptive_gauss_legendre(
         right = panel(mid, hi)
         if abs(left + right - whole) <= tol:
             return left + right
-        if depth >= opts.max_depth:
+        if depth >= QUAD_DEPTH:
             raise QuadratureNotConverged(
                 f"panel [{lo}, {hi}] not converged at depth {depth}"
             )
@@ -119,7 +112,7 @@ def adaptive_gauss_legendre(
 
     if a == b:
         return 0.0
-    return refine(a, b, panel(a, b), opts.abs_tol, 0)
+    return refine(a, b, panel(a, b), QUAD_TOL, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +138,7 @@ def distortion_envelope(params: ClassParams, r: float) -> Envelope:
     )
 
 
-def growth_envelope(
-    params: ClassParams, r: float, quad: QuadOpts = QuadOpts()
-) -> Envelope:
+def growth_envelope(params: ClassParams, r: float) -> Envelope:
     """int_0^r (1+t^2)^{-k} dt <= |f| <= int_0^r (1-t^2)^{-k} dt, integrated in u
     without the cancellation of 1 - t^2 near 1: t = sinh u gives the lower bound
     int_0^{arsinh r} cosh(u)^{1-2k} du, t = tanh u the upper int_0^{artanh r} cosh(u)^{2k-2} du;
@@ -155,8 +146,8 @@ def growth_envelope(
     if not 0 <= r < 1:
         raise ParamOutOfRange(f"r={r} outside [0, 1)")
     k = params.k
-    lower = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (1 - 2 * k), 0.0, math.asinh(r), quad)
-    upper = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (2 * k - 2), 0.0, math.atanh(r), quad)
+    lower = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (1 - 2 * k), 0.0, math.asinh(r))
+    upper = adaptive_gauss_legendre(lambda u: np.cosh(u) ** (2 * k - 2), 0.0, math.atanh(r))
     return Envelope(r=r, lower=min(lower, r), upper=max(upper, r), kind="growth")
 
 

@@ -30,6 +30,7 @@ the empirical radius at which some member first loses Re T_f > 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -67,7 +68,7 @@ class ConcavitySetting:
 @dataclass(frozen=True)
 class RadiusResult:
     value: float
-    method: str  # "closed_form" | "bisection" | "formula_degenerate"
+    method: str  # "closed_form" | "formula_degenerate"
     residual: float
     mode: str
     degenerate: bool = False
@@ -257,6 +258,18 @@ def concavity_soundness_scan(
     )
 
 
+def extremal_rotation(params: ClassParams, setting: ConcavitySetting) -> complex:
+    """The lam of omega = lam z with Re T_f(-R) = 0 at the corrected radius R.
+
+    z = -R makes Re (1+z)/(1-z) least on |z| = R, and Re(z P_f) = k Re(e^{-i alpha} m)
+    is largest where m = 2 omega/(1 - omega) is the point (2R^2 + 2R e^{i alpha})/(1-R^2)
+    of its disk; omega = w* = m/(2+m) there, so lam = -w*/R, which is -1 at alpha = 0.
+    """
+    r = radius_concavity(params, setting, "corrected").value
+    m = (2 * r * r + 2 * r * cmath.exp(1j * params.alpha)) / (1 - r * r)
+    return -m / (2 + m) / r
+
+
 # sharpness_probe's default members, points per circle and largest radius
 PROBE_ROTATIONS = 16
 PROBE_SPECS = 24
@@ -300,8 +313,9 @@ def sharpness_probe(
 ) -> ProbeResult:
     """Smallest radius at which some member attains Re T_f <= 0.
 
-    The member family combines pure rotations omega = lam z (which realize
-    the extremal boundary values of Re(z P_f) on every circle) with seeded
+    The member family combines PROBE_ROTATIONS evenly spaced rotations
+    omega = lam z and the extremal rotation, whose Re T_f first reaches 0
+    at the corrected radius (extremal_rotation), with PROBE_SPECS seeded
     Blaschke/polynomial specs; pass `specs` to restrict the search to a
     fixed family.  The least Re T_f on |z| <= r lies on |z| = r (minimum
     principle), so it falls as r grows: one circle at PROBE_R_HI shows
@@ -314,9 +328,9 @@ def sharpness_probe(
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
     specs = list(specs) if specs is not None else [
-        SchwarzSpec(kind="unit_constant_times_z",
-                    rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
-        for j in range(PROBE_ROTATIONS)
+        SchwarzSpec(kind="unit_constant_times_z", rotation=lam) for lam in [
+            *(complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)) for j in range(PROBE_ROTATIONS)),
+            extremal_rotation(params, setting)]
     ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
     members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
     batch = MemberBatch(members)

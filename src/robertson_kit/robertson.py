@@ -525,13 +525,6 @@ class MemberSeries:
         out = exact(flat) if exact is not None else self._series(q).eval_at(flat, r_trunc)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
-    def on_circle(self, q: str, r: float, n_angles: int) -> np.ndarray:
-        """q at circle(r, n_angles), the bits of on_circles' one row without its grid."""
-        exact = self.exact(q)
-        if exact is None:
-            return self._series(q).eval_on_circle(r, n_angles)
-        return exact(circle(r, n_angles))
-
     def on_circles(self, qs, radii, n_angles: int, zs=None) -> list:
         """Each q of qs at zs = polar_grid(radii, n_angles), built here if None,
         one row per radius: a series by one FFT, else exact(q), with one
@@ -549,7 +542,8 @@ class MemberSeries:
         return out
 
     def p_on_circle(self, r: float, n_angles: int) -> np.ndarray:
-        return self.on_circle("P", r, n_angles)
+        """P_f at circle(r, n_angles): on_circles' one row."""
+        return self.on_circles(("P",), (r,), n_angles)[0][0]
 
 
 def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> list:
@@ -647,14 +641,10 @@ class MemberBatch:
         zs = np.asarray(z, dtype=np.complex128)
         out = np.empty((len(self.members), zs.shape[-1]), dtype=np.complex128)
         for rows, stack in self._parts:
-            whole = rows == list(range(len(self.members)))
-            points = zs if zs.ndim == 1 or whole else zs[rows]
+            points = zs if zs.ndim == 1 else zs[rows]
             m = self.members[rows[0]]
-            vals = (m.values(q, points, self.r_trunc) if stack is None
-                    else schwarz_values(m.params, stack, q, np.atleast_2d(points)))
-            if whole:  # one part spans the batch: its rows need no copy
-                return vals.reshape(len(rows), -1)
-            out[rows] = vals
+            out[rows] = (m.values(q, points, self.r_trunc) if stack is None
+                         else schwarz_values(m.params, stack, q, np.atleast_2d(points)))
         return out
 
     def circles(self, q: str, radii, n_angles: int):

@@ -9,8 +9,6 @@ fully determines the sample.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .robertson import ClassParams, MemberSeries, ParamOutOfRange, SchwarzSpec, generate_member
@@ -30,14 +28,11 @@ def _unimodular(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * np.pi * rng.uniform()))
 
 
-def sample_schwarz_spec(
-    rng: np.random.Generator, sp0: bool = False, kind: Optional[str] = None
-) -> SchwarzSpec:
-    """One random spec; sp0=True forces a zero of order >= 2 at the origin."""
-    if kind is None:
-        kind = "blaschke_product" if rng.uniform() < 0.5 else "polynomial"
+def sample_schwarz_spec(rng: np.random.Generator, sp0: bool = False) -> SchwarzSpec:
+    """One random spec, a Blaschke product or a polynomial with equal odds;
+    sp0=True forces a zero of order >= 2 at the origin."""
     origin_order = 2 if sp0 else 1
-    if kind == "blaschke_product":
+    if rng.uniform() < 0.5:
         n_zeros = int(rng.integers(1, 5))
         zeros = [0j] * origin_order + [
             _uniform_disk(rng, BLASCHKE_ZERO_RADIUS) for _ in range(n_zeros)
@@ -45,27 +40,19 @@ def sample_schwarz_spec(
         return SchwarzSpec(
             kind="blaschke_product", zeros=tuple(zeros), rotation=_unimodular(rng)
         )
-    if kind == "polynomial":
-        degree = origin_order + int(rng.integers(1, 5))
-        raw = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-        raw[:origin_order] = 0.0
-        budget = POLY_COEFF_BUDGET * rng.uniform(0.5, 1.0)
-        raw *= budget / np.sum(np.abs(raw))
-        return SchwarzSpec(kind="polynomial", coeffs=tuple(raw))
-    raise ValueError(f"unsupported sampled kind {kind!r}")
+    degree = origin_order + int(rng.integers(1, 5))
+    raw = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    raw[:origin_order] = 0.0
+    budget = POLY_COEFF_BUDGET * rng.uniform(0.5, 1.0)
+    raw *= budget / np.sum(np.abs(raw))
+    return SchwarzSpec(kind="polynomial", coeffs=tuple(raw))
 
 
-def sample_schwarz_specs(
-    seed: int, count: int, sp0: bool = False, kinds: Optional[Sequence[str]] = None
-) -> list[SchwarzSpec]:
+def sample_schwarz_specs(seed: int, count: int, sp0: bool = False) -> list[SchwarzSpec]:
     if count < 0:
         raise ParamOutOfRange(f"sample count {count} is negative")
     rng = np.random.default_rng(seed)
-    specs = []
-    for i in range(count):
-        kind = None if kinds is None else kinds[i % len(kinds)]
-        specs.append(sample_schwarz_spec(rng, sp0=sp0, kind=kind))
-    return specs
+    return [sample_schwarz_spec(rng, sp0=sp0) for _ in range(count)]
 
 
 def sample_members(

@@ -90,7 +90,8 @@ def schwarzian_via_phi(
 
 
 def s_on_circle(member: MemberSeries, r: float, n_angles: int):
-    return member.on_circle("S", r, n_angles)
+    """S_f at circle(r, n_angles): member.on_circles' one row."""
+    return member.on_circles(("S",), (r,), n_angles)[0][0]
 
 
 QUANTITY = {1: "P", 2: "S"}  # the quantity each weight exponent weighs

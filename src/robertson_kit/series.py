@@ -18,7 +18,6 @@ MAX_ORDER = 4096
 TOL_DIV = 1e-14
 COEFF_LIMIT = 1e100
 TAIL_TOL = 1e-6  # the largest tail bound a series may carry where it is evaluated
-HORNER_BLOCK = 16  # coefficients per block in the two-level Horner of eval_at
 SHORT_BLOCK = 64  # quotient coefficients per block when the divisor is short
 CIRCLE_BYTES = 512 * 1024  # the padded buffer of one circle_blocks FFT call, at most
 
@@ -245,40 +244,21 @@ class TruncatedSeries:
     def eval_at(self, z: complex, r_trunc: float):
         """Value at one point (or array) inside |z| <= r_trunc < 1.
 
-        Two-level Horner: the coefficients are padded to nb blocks of
-        HORNER_BLOCK (B = 16) and read as sum_b z^(bB) q_b(z), with q_b of
-        degree < B.  One Horner pass in z evaluates every q_b at once on an
-        (nb, points) array and builds z^B alongside; a second pass is
-        Horner in z^B over the blocks.  At order 512 that is 15 + 31 numpy
-        steps instead of 511, each on nb times more elements, so numpy's
-        per-call overhead stops dominating small point sets.  It uses
-        elementwise products only: a matrix product would go through BLAS,
-        whose worker threads start on large complex products and which
-        this package cannot cap.  Points that are NaN or lie outside
-        r_trunc raise RadiusExceeded; a scalar input returns a complex.
+        Horner over the flat points by numpy.polynomial.polynomial.polyval,
+        whose steps are elementwise and out of place: no matrix product, so no
+        BLAS worker thread, and a point gets the same bits alone as inside an
+        array.  numpy.polynomial is imported here, on first use, so that
+        importing the package does not load it.  Points that are NaN or lie
+        outside r_trunc raise RadiusExceeded; a scalar input returns a complex.
         """
+        from numpy.polynomial.polynomial import polyval
+
         if not 0 <= r_trunc < 1:
             raise RadiusExceeded("truncation radius must lie in [0, 1)")
         zs = np.asarray(z, dtype=np.complex128)
         if not np.all(np.abs(zs) <= r_trunc * (1 + 1e-12)):
             raise RadiusExceeded("evaluation point outside radius %g" % r_trunc)
-        size = self._c.size
-        nb = -(-size // HORNER_BLOCK)
-        blocks = np.zeros(nb * HORNER_BLOCK, dtype=np.complex128)
-        blocks[:size] = self._c
-        blocks = blocks.reshape(nb, HORNER_BLOCK)
-        flat = zs.reshape(-1)
-        acc = np.empty((nb, flat.size), dtype=np.complex128)
-        acc[:] = blocks[:, -1:]
-        z_block = flat.copy()
-        for m in range(HORNER_BLOCK - 2, -1, -1):
-            acc *= flat
-            acc += blocks[:, m : m + 1]
-            z_block *= flat
-        out = acc[-1].copy()
-        for b in range(nb - 2, -1, -1):
-            out *= z_block
-            out += acc[b]
+        out = polyval(zs.reshape(-1), self._c)
         if zs.ndim == 0:
             return complex(out[0])
         return out.reshape(zs.shape)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from robertson_kit import bounds
 from robertson_kit.bounds import (
     Envelope,
-    QuadOpts,
     QuadratureNotConverged,
     XiOutOfRange,
     adaptive_gauss_legendre,
@@ -120,14 +120,11 @@ def test_quadrature_polynomial_exact():
     assert abs(val - 1 / 9) < 1e-14
 
 
-def test_quadrature_depth_limit():
+def test_quadrature_depth_limit(monkeypatch):
+    monkeypatch.setattr(bounds, "QUAD_TOL", 1e-14)
+    monkeypatch.setattr(bounds, "QUAD_DEPTH", 0)
     with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss_legendre(
-            lambda t: np.exp(-4000 * (t - 0.37) ** 2),
-            0.0,
-            1.0,
-            QuadOpts(abs_tol=1e-14, max_depth=0),
-        )
+        adaptive_gauss_legendre(lambda t: np.exp(-4000 * (t - 0.37) ** 2), 0.0, 1.0)
 
 
 def test_growth_envelope_oracles():

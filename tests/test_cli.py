@@ -43,7 +43,7 @@ def run_cli(*argv):
 
 
 def test_module_entry_point_exit_code(tmp_path):
-    # the one child process: `python -m robertson_kit` runs cli.main and exits with its code
+    # a child process: `python -m robertson_kit` runs cli.main and exits with its code
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT + (os.pathsep + path if path else "")}
     argv = ["verify", "--theorem", "2.1iii", "--mode", "paper", "--samples", "1"]
@@ -55,6 +55,17 @@ def test_module_entry_point_exit_code(tmp_path):
     usage = subprocess.run([sys.executable, "-m", "robertson_kit", "bogus-command"],
                            capture_output=True, text=True, env=env)
     assert usage.returncode == 2 and "usage: robkit" in usage.stderr
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # eval_at and the quadrature nodes import numpy.polynomial on first use:
+    # loading it takes about 4 ms, which a run that needs neither would pay
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT + (os.pathsep + path if path else "")}
+    code = "import sys, robertson_kit.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

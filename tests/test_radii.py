@@ -14,6 +14,7 @@ from robertson_kit.radii import (
     ProbeResult,
     SearchOpts,
     concavity_soundness_scan,
+    extremal_rotation,
     phi_quadratic,
     phi_value,
     radius_concavity,
@@ -142,7 +143,7 @@ def test_corrected_concavity_radius_is_sharp_off_the_axis(alpha, beta, a_co, rad
     assert abs(big_r - radius) < 1e-10
     m = (2 * big_r**2 + 2 * big_r * np.exp(1j * alpha)) / (1 - big_r**2)
     lam = -m / (2 + m) / big_r
-    assert abs(abs(lam) - 1) < 1e-15
+    assert abs(abs(lam) - 1) < 1e-15 and abs(extremal_rotation(p, st) - lam) < 1e-15
     member = generate_member(p, SchwarzSpec(kind="unit_constant_times_z", rotation=lam), order=64,
                              validate=False)
     assert t_values(member, st, -big_r * (1 - 1e-6)).real > 5e-7
@@ -302,13 +303,15 @@ def test_soundness_scan_rejects_radii_off_the_disk():
     assert soundness_grid(0.999)[0] == 0.998
 
 
-def _probe_family(seed):
-    """sharpness_probe's default specs: 16 rotations and 24 sampled specs."""
+def _probe_family(params, setting, seed):
+    """sharpness_probe's default specs: 16 rotations, the extremal rotation
+    and 24 sampled specs."""
     return [
         SchwarzSpec(kind="unit_constant_times_z",
                     rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
         for j in range(PROBE_ROTATIONS)
-    ] + sample_schwarz_specs(seed, PROBE_SPECS)
+    ] + [SchwarzSpec(kind="unit_constant_times_z", rotation=extremal_rotation(params, setting))
+         ] + sample_schwarz_specs(seed, PROBE_SPECS)
 
 
 # (alpha, beta, A_co) points for the extremum-principle tests
@@ -323,7 +326,7 @@ def test_harmonic_residuals_are_least_on_the_circle(alpha, beta, a_co):
     # points of each member stay above its circle minimum (measured margins
     # at least 5.5e-5 and 1.6e-6)
     p, st = make_params(alpha, beta), ConcavitySetting(a_co)
-    members = [generate_member(p, s, order=64, validate=False) for s in _probe_family(3)]
+    members = [generate_member(p, s, order=64, validate=False) for s in _probe_family(p, st, 3)]
     batch, rng = robertson.MemberBatch(members), np.random.default_rng(5)
 
     def lows(zs):
@@ -437,6 +440,17 @@ def test_probe_full_family_recovers_corrected_radius():
     assert res.witness_spec["kind"] == "unit_constant_times_z"
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.pi / 4, 0.25), (1.2, 0), (-0.9, 0.5)])
+def test_probe_meets_corrected_radius_off_the_axis(alpha, beta):
+    # the extremal rotation fails first at the corrected radius, where the
+    # evenly spaced rotations alone overshot it by up to 4.4e-4
+    p, st = make_params(alpha, beta), ConcavitySetting(2.0)
+    res = sharpness_probe(p, st, SearchOpts(seed=11, budget=6000))
+    assert abs(res.empirical_radius - radius_concavity(p, st, "corrected").value) <= 1e-6
+    lam = extremal_rotation(p, st)
+    assert res.witness_spec == SchwarzSpec("unit_constant_times_z", rotation=lam).to_json()
+
+
 def test_probe_empirical_at_least_corrected_across_settings():
     rng = np.random.default_rng(14)
     for _ in range(4):
@@ -448,7 +462,7 @@ def test_probe_empirical_at_least_corrected_across_settings():
 
 
 def test_probe_budget_exhaustion_flag():
-    # 30 evaluations do not pay for one circle of the 40 default members:
+    # 30 evaluations do not pay for one circle of the 41 default members:
     # no radius was shown to pass, so the probe reports 0
     p = make_params(0, 0)
     st = ConcavitySetting(2.0)
@@ -457,13 +471,13 @@ def test_probe_budget_exhaustion_flag():
     assert (res.empirical_radius, res.evaluations) == (0.0, 0)
     # 5 circles: the first at PROBE_R_HI, then bisection; the last failing
     # circle lies outside the class radius
-    res = sharpness_probe(p, st, SearchOpts(seed=1, budget=200))
-    assert res.budget_exhausted and res.violation_found and res.evaluations == 200
+    res = sharpness_probe(p, st, SearchOpts(seed=1, budget=205))
+    assert res.budget_exhausted and res.violation_found and res.evaluations == 205
     assert R_CORR_00_2 < abs(res.witness_z) < PROBE_R_HI
 
 
 def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
-    # 16 rotations and the sampled products (all s = 1, 1-4 free zeros) make
+    # 17 rotations and the sampled products (all s = 1, 1-4 free zeros) make
     # one stack, the sampled polynomials the other
     calls = []
 
@@ -474,7 +488,7 @@ def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
     monkeypatch.setattr(robertson, "schwarz_values", counting)
     res = sharpness_probe(make_params(math.pi / 8, 0.25), ConcavitySetting(1.5),
                           SearchOpts(seed=3, budget=6000))
-    circles = res.evaluations // (PROBE_ROTATIONS + PROBE_SPECS)
+    circles = res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS)
     assert circles > 10 and set(calls) == {"P"}
     assert len(calls) <= 2 * circles
 
@@ -482,7 +496,7 @@ def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
 def _reference_probe(params, setting, search, specs=None):
     """sharpness_probe with one t_values call per member and circle."""
     if specs is None:
-        specs = _probe_family(search.seed)
+        specs = _probe_family(params, setting, search.seed)
     members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
     evals, witnesses = 0, []
 

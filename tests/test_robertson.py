@@ -40,7 +40,7 @@ from robertson_kit.robertson import (
     validate_schwarz,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
-from robertson_kit.schwarzian import ScanOpts, norm_estimate
+from robertson_kit.schwarzian import ScanOpts, norm_estimate, s_on_circle
 from robertson_kit.series import TruncatedSeries, chebyshev_radii
 
 
@@ -601,7 +601,8 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
     params = make_params(math.pi / 4, 0.25)
     members = [
         generate_member(params, BLASCHKE_WITNESS, order=16, validate=False),
-        generate_member(params, sample_schwarz_specs(2, 1, kinds=["polynomial"])[0], order=16),
+        generate_member(params, next(s for s in sample_schwarz_specs(2, 8) if s.kind == "polynomial"),
+                        order=16),
         extremal_member(params, "disk_symmetric", 1j, order=16),
     ]
     offsets = np.linspace(-1.0, 1.0, 17)
@@ -632,7 +633,7 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
         SchwarzSpec(kind="blaschke_product", zeros=(0j, 1e-15, 0.5j), rotation=0.9),
         SchwarzSpec(kind="polynomial", coeffs=(0,)),
         SchwarzSpec(kind="polynomial", coeffs=(0, 1)),
-        *sample_schwarz_specs(3, 6, kinds=["polynomial"]),
+        *(s for s in sample_schwarz_specs(3, 16) if s.kind == "polynomial"),
         plane_extremal_schwarz_spec(256),
         BLASCHKE_WITNESS,
     ]
@@ -728,23 +729,22 @@ def test_p_alone_matches_p_beside_s_bit_for_bit():
     assert np.array_equal(MemberBatch(members).values("P", zs), np.array(want))
 
 
-def test_on_circle_matches_on_circles_one_row_bits():
-    # on_circle evaluates q at circle(r, n) directly; its rows are on_circles'
-    # one row bit for bit, n = 1 included (numpy rounds some one-element
-    # complex products apart from its array loop)
+def test_p_and_s_on_circle_are_on_circles_one_row():
+    # p_on_circle and schwarzian.s_on_circle read on_circles' one row, bit for
+    # bit, n = 1 included (numpy rounds some one-element complex products
+    # apart from its array loop)
     params = make_params(0.3, 0.5)
     product = generate_member(params, BLASCHKE_WITNESS, order=64, validate=False)
     poly = generate_member(params, POLY_SP0, order=64, validate=False)
     plane = extremal_member(params, "plane", order=64)
     read = member_from_json(member_to_json(product))
-    cases = [(product, "P"), (product, "S"), (poly, "P"), (poly, "S"), (plane, "fprime"),
-             (read, "P")]
-    for m, q in cases:
+    for m in (product, poly, plane, read):
         for n in (1024, 7, 1):
             for r in (0.0, 0.45, 0.9):
-                got, want = m.on_circle(q, r, n), m.on_circles((q,), [r], n)[0][0]
-                assert got.shape == (n,), (q, n)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (q, n, r)
+                for q, got in (("P", m.p_on_circle(r, n)), ("S", s_on_circle(m, r, n))):
+                    want = m.on_circles((q,), [r], n)[0][0]
+                    assert got.shape == (n,), (q, n)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (q, n, r)
 
 
 # ---------------------------------------------------------------------------

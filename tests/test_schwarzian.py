@@ -394,7 +394,8 @@ def test_closed_form_serves_before_schwarz_data():
     rows = norm_estimates(batch, (1, 2), opts)
     assert rows[0] == [_one_member_estimate(ext, w, opts) for w in (1, 2)]
     for m in (both, ext):
-        assert np.array_equal(m.on_circle("S", 0.5, 8), ext.closed_form.s(circle(0.5, 8)))
+        assert np.array_equal(m.on_circles(("S",), (0.5,), 8)[0][0],
+                              ext.closed_form.s(circle(0.5, 8)))
 
 
 def test_series_member_coarse_scan_is_fft_only(monkeypatch):

@@ -266,7 +266,7 @@ def _oracle(coeffs, z) -> complex:
 
 @pytest.mark.parametrize("size", [1, 2, 15, 16, 17, 33, 512, 4096])
 def test_eval_at_matches_extended_precision_oracle(size):
-    # sizes around the Horner block of 16 and the production orders
+    # short series and the production orders
     rng = np.random.default_rng(size)
     c = rng.normal(size=size) + 1j * rng.normal(size=size)
     s = TruncatedSeries(c)
@@ -290,6 +290,19 @@ def test_eval_at_matches_extended_precision_oracle(size):
         for i in at:
             scale = np.polynomial.polynomial.polyval(abs(zs[i]), np.abs(c))
             assert abs(vals[i] - _oracle(c, zs[i])) <= 1e-14 * scale
+
+
+def test_eval_at_point_alone_matches_its_array_bits():
+    # a point gets the same bits alone as inside an array: 200 random series
+    # of 1-599 coefficients, 37 points each (numpy rounds some in-place
+    # products of one-element arrays apart from its array loop)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 600))
+        s = TruncatedSeries((rng.normal(size=n) + 1j * rng.normal(size=n)) / np.arange(1, n + 1))
+        zs = 0.9 * np.sqrt(rng.uniform(size=37)) * np.exp(2j * np.pi * rng.uniform(size=37))
+        alone = np.array([s.eval_at(complex(z), 0.9) for z in zs])
+        assert np.array_equal(s.eval_at(zs, 0.9).view(np.uint64), alone.view(np.uint64)), n
 
 
 def test_eval_on_circle_matches_pointwise():
