@@ -38,12 +38,16 @@ CASES = {
     "radii_probe_1.2_0": ["radii", "probe", "--alpha", "1.2", "--beta", "0",
                           "--seed", "11", "--budget", "6000"],
     "radii_concavity_pi4_0.25": ["radii", "concavity", "--alpha", PI_4, "--beta", "0.25"],
+    "radii_convexity_sharp_pi4_0.25": ["radii", "convexity", "--mode", "sharp",
+                                       "--alpha", PI_4, "--beta", "0.25"],
     "emit_distortion": ["emit", "distortion", "--beta", "0.25", "--samples", "8"],
     "emit_growth_0_0": ["emit", "growth"],
     "emit_growth_0_0.5": ["emit", "growth", "--beta", "0.5"],
     "emit_growth_pi4_0.25": ["emit", "growth", "--alpha", PI_4, "--beta", "0.25"],
     "emit_member": ["emit", "member", "--alpha", "0.2", "--beta", "0.1", "--order", "64"],
     "emit_norm": ["emit", "norm", "--beta", "0.5", "--weight", "2"],
+    "emit_norm_plane": ["emit", "norm", "--variant", "plane", "--beta", "0.5", "--weight", "1"],
+    "emit_phi": ["emit", "phi"],
 }
 
 

@@ -25,7 +25,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -151,7 +151,8 @@ class RunCache:
         self._p_grid: dict = {}  # id(member) -> (member, its P row on GRID)
 
     def members(self, cfg: RunConfig, batch: str):
-        """Seeded members plus the canonical witness generators.
+        """(cfg, params, members): seeded members plus the canonical witness
+        generators, each member's provenance its witness spec.
 
         The canonical extras (a plain rotation and its negative, squared
         for SP0) make the standard counterexamples deterministic parts of
@@ -166,21 +167,20 @@ class RunCache:
         key = (cfg.alpha, cfg.beta, sp0, cfg.seed, cfg.samples, cfg.order)
         if key not in self._members:
             power = 2 if sp0 else 1
-            specs: list = [
+            specs = [
                 SchwarzSpec(kind="unit_constant_times_z", power=power),
                 SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=power),
                 *sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0),
             ]
-            built = [generate_member(params, s, order=cfg.order, validate=False) for s in specs]
-            self._members[key] = (specs, built)
-        specs, members = self._members[key]
+            self._members[key] = [generate_member(params, s, order=cfg.order, validate=False)
+                                  for s in specs]
+        members = self._members[key]
         if batch == "general+plane" and cfg.alpha == 0:
             plane_key = (cfg.alpha, cfg.beta, "extremal_plane", cfg.order)
             if plane_key not in self._members:
                 self._members[plane_key] = extremal_member(params, "plane", 1.0, order=cfg.order)
-            specs = [*specs, "extremal_plane"]
             members = [*members, self._members[plane_key]]
-        return cfg, params, specs, members
+        return cfg, params, members
 
     def norms(self, members, weight: int, r_max: float) -> list[NormEstimate]:
         ids = tuple(map(id, members))
@@ -463,24 +463,25 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
         modes: list = [None]
     else:
         modes = ["paper", "corrected"] if cfg.mode == "both" else [cfg.mode]
-    run, params, specs, members = cache.members(cfg, check.batch)
+    run, params, members = cache.members(cfg, check.batch)
     records = []
     for mode in modes:
         w = {"check": cid} if mode is None else {"check": cid, "mode": mode}
         w.update(check.extras(run, params, mode))
         scanned = (check.scan or _grid_min)(members, w, cache)
         for i in (i for i, row in enumerate(scanned) if math.isnan(row[0])):
-            raise NaNMargin(f"check {cid}: member {i}, {specs[i]!r}, has margin NaN")
+            raise NaNMargin(f"check {cid}: member {i}, {members[i].provenance!r}, has margin NaN")
         best = min([math.inf, *(margin for margin, *_ in scanned)])
         worst = None
         if best < math.inf:
             i = next(i for i, row in enumerate(scanned) if row[0] <= best + WITNESS_TIE)
             margin, z, _, extra = scanned[i]
+            spec = members[i].provenance
             worst = {
                 "alpha": run.alpha,
                 "beta": run.beta,
                 "order": run.order,
-                "spec": specs[i].to_json() if isinstance(specs[i], SchwarzSpec) else specs[i],
+                "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
                 "z": [z.real, z.imag],
                 "margin": margin,
                 **w,
@@ -702,11 +703,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[+-]?\d+)?|inf|nan)$", re.I)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    """--alpha and --beta, and if seeded (members are built) --order and --seed."""
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--seed", type=int, default=7)
+    if seeded:
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+        p.add_argument("--seed", type=int, default=7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -718,13 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite over seeded members")
     _add_common(v)
-    v.set_defaults(order=VERIFY_ORDER)
-    v.add_argument("--theorem", default="all")
-    v.add_argument("--samples", type=int, default=50)
-    v.add_argument("--mode", choices=["paper", "corrected", "both"], default="both")
-    v.add_argument("--Aco", type=float, default=2.0)
-    v.add_argument("--rmax", type=float, default=None)
-    v.add_argument("--out", default=None)
+    v.add_argument("--theorem")
+    v.add_argument("--samples", type=int)
+    v.add_argument("--mode", choices=["paper", "corrected", "both"])
+    v.add_argument("--Aco", type=float, dest="a_co")
+    v.add_argument("--rmax", type=float, dest="r_max")
+    v.add_argument("--out")
+    v.set_defaults(**vars(RunConfig()))  # verify's defaults are declared in RunConfig alone
 
     e = sub.add_parser("emit", help="emit CSV/JSON tables and members")
     e.add_argument("what", choices=["growth", "distortion", "phi", "member", "norm"])
@@ -746,11 +749,11 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("radii", help="radius-of-concavity and convexity queries")
     rsub = r.add_subparsers(dest="radii_cmd", required=True)
     rc = rsub.add_parser("concavity")
-    _add_common(rc)
+    _add_common(rc, seeded=False)
     rc.add_argument("--Aco", type=float, default=2.0)
     rc.add_argument("--mode", choices=["paper", "corrected", "both"], default="both")
     rv = rsub.add_parser("convexity")
-    _add_common(rv)
+    _add_common(rv, seeded=False)
     rv.add_argument("--mode", choices=["paper_literal", "sharp"], default="paper_literal")
     rp = rsub.add_parser("probe")
     _add_common(rp)
@@ -763,19 +766,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            cfg = RunConfig(
-                alpha=args.alpha,
-                beta=args.beta,
-                a_co=args.Aco,
-                order=args.order,
-                samples=args.samples,
-                seed=args.seed,
-                mode=args.mode,
-                theorem=args.theorem,
-                r_max=args.rmax,
-                out=args.out,
-            )
-            return cmd_verify(cfg)
+            return cmd_verify(RunConfig(**{f.name: getattr(args, f.name)
+                                           for f in fields(RunConfig)}))
         if args.command == "emit":
             return cmd_emit(args)
         if args.command == "radii":

@@ -132,34 +132,18 @@ def phi_value(coeffs: tuple[float, float, float], r) -> np.ndarray:
 def radius_concavity(
     params: ClassParams, setting: ConcavitySetting, mode: str = "paper"
 ) -> RadiusResult:
-    """Smaller root of the radius quadratic, cross-checked by bisection.
+    """Smaller root of the radius quadratic, by the cancellation-free q-formula.
 
-    Phi(0) = A-1 > 0 and Phi(1) = -2-4k (paper) or -4k(1 + cos(alpha))
-    (corrected), so for k > 0 the root is unique in (0, 1); the closed form uses the
-    cancellation-free q-formula and positivity of Phi on [0, root) is
-    spot-checked at 1000 samples.
+    Phi opens upward (a = A+1-2k or A+3-4k cos(alpha), both > 0 as A > 1 and
+    k <= 1), Phi(0) = A-1 > 0 and Phi(1) = -2-4k (paper) or -4k(1 + cos(alpha))
+    (corrected), so for k > 0 the smaller root is the one in (0, 1) and Phi is
+    positive on [0, root).  The residual is |Phi(root)|.
     """
     a, b, c = phi_quadratic(params, setting, mode)
     disc = b * b - 4 * a * c
     if disc < 0 or not params.k > 0:  # not the rounded Phi(1), 0 for k below 1e-16
         raise RootNotBracketed(f"no sign change for mode={mode}, {params}, {setting}")
     root = 2 * c / (-b + math.sqrt(disc))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if phi_value((a, b, c), mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    if abs(root - 0.5 * (lo + hi)) > 1e-12:
-        raise RootNotBracketed(
-            f"closed form {root} disagrees with bisection {0.5 * (lo + hi)}"
-        )
-
-    samples = np.linspace(0.0, root, 1000, endpoint=False)
-    if np.any(phi_value((a, b, c), samples) <= 0):
-        raise RootNotBracketed("Phi not positive left of the computed root")
     return RadiusResult(
         value=float(root),
         method="closed_form",

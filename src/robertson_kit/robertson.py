@@ -428,7 +428,7 @@ class MemberSeries:
     ("P") and S_f ("S"); exact(q) picks, in one place, the closed form
     (extremals), the Schwarz data (generated members; exact_schwarz) or the
     series (members read from JSON or built by hand).  The series of f and
-    f' are given, or built from `schwarz` on first access.
+    f' are given, or built from `fraction` on first access.
     """
 
     def __init__(self, params: ClassParams, provenance: Provenance, f=None, f_prime=None,
@@ -445,12 +445,25 @@ class MemberSeries:
         self._s_series: Optional[TruncatedSeries] = None
 
     @functools.cached_property
+    def fraction(self) -> Optional[tuple]:
+        """(U, V) with P_f = U/V and V(0) = 1: p_fraction of the Schwarz data, else
+        ([k lam], [1, -lam]) for the plane extremal and ([0, 2 k lam], [1, 0, -lam])
+        for the disk-symmetric one; None for a member with series only."""
+        if self.schwarz is not None:
+            return p_fraction(self.params, self.schwarz)
+        cf = self.closed_form
+        if cf is None:
+            return None
+        if cf.variant == "plane":
+            return np.array([cf.k * cf.lam]), np.array([1, -cf.lam])
+        return np.array([0, 2 * cf.k * cf.lam]), np.array([1, 0, -cf.lam])
+
+    @functools.cached_property
     def f_prime(self) -> TruncatedSeries:
-        """f' at order N from P_f = U/V (p_fraction), V(0) = 1 and f'(0) = 1:
+        """f' at order N from P_f = U/V (fraction), V(0) = 1 and f'(0) = 1:
         _f_prime_rows' one row of the O(N deg V) recurrence of f'' V = U f', the
         same bits as inside a MemberBatch."""
-        uv = p_fraction(self.params, self.schwarz)
-        return TruncatedSeries(_f_prime_rows([uv], self.order)[0])
+        return TruncatedSeries(_f_prime_rows([self.fraction], self.order)[0])
 
     @functools.cached_property
     def f(self) -> TruncatedSeries:
@@ -461,14 +474,14 @@ class MemberSeries:
 
     @functools.cached_property
     def _fraction(self) -> tuple:
-        """(U, V, 1/V) of p_fraction, 1/V at order N - 1: P and S share its division."""
-        u, v = p_fraction(self.params, self.schwarz)
+        """(U, V, 1/V) of fraction, 1/V at order N - 1: P and S share its division."""
+        u, v = self.fraction
         return u, v, 1 / TruncatedSeries(v[: self.order]).pad(self.order - 1)
 
     def p_series(self) -> TruncatedSeries:
-        """Series of P_f at order N - 1: U (1/V) if generated (_fraction), else f''/f'."""
+        """Series of P_f at order N - 1: U (1/V) (_fraction), or f''/f' without a fraction."""
         if self._p_series is None:
-            if self.schwarz is None:
+            if self.fraction is None:
                 self._p_series = self.f_prime.deriv() / self.f_prime
             else:
                 u, _, inv = self._fraction
@@ -476,12 +489,12 @@ class MemberSeries:
         return self._p_series
 
     def s_series(self) -> TruncatedSeries:
-        """Series of S_f = P' - P^2/2 at order N - 2: from the P series, or if generated
-        (W (1/V))/V with W = U'V - UV' - U^2/2, the short W times _fraction's 1/V and one
+        """Series of S_f = P' - P^2/2 at order N - 2: from the P series without a fraction,
+        else (W (1/V))/V with W = U'V - UV' - U^2/2, the short W times _fraction's 1/V and one
         division by V.  Once by V^2 loses digits: at order 1024 and (pi/4, 0.25), W/V^2 was
         2.6e-12 to 5.4e-10 off the 40-digit series, (W/V)/V 1.3e-14 to 4.6e-14 (relative)."""
         if self._s_series is None:
-            if self.schwarz is None:
+            if self.fraction is None:
                 p = self.p_series()
                 self._s_series = p.deriv() - p * p * 0.5
             else:
@@ -564,7 +577,7 @@ def require_tails(members, qs, r: float, tol: float = TAIL_TOL) -> list:
 
 
 def _f_prime_rows(uvs, order: int) -> np.ndarray:
-    """The f' coefficients to `order` of each (U, V) of p_fraction, one row each:
+    """The f' coefficients to `order` of each (U, V) of MemberSeries.fraction, one row each:
     the O(N d) recurrence of f'' V = U f',
     (n+1) a_{n+1} = sum_j U_j a_{n-j} - sum_{j>=1} V_j (n+1-j) a_{n+1-j},
     run once for all rows.
@@ -654,18 +667,18 @@ class MemberBatch:
 
         A closed form gives its member's f' in a block of its own; every other
         f' or f is a series, and the series of one length share
-        series.circle_blocks calls.  First, generated members without f' get it
-        by one _f_prime_rows call per order.
+        series.circle_blocks calls.  First, the members that read a series
+        and have a fraction but no f' get it by one _f_prime_rows call per order.
         """
         if q not in ("fprime", "f"):
             raise ParamOutOfRange(f"batch circles evaluate 'fprime' or 'f', not {q!r}")
-        todo: dict = {}  # order -> generated members without f'
+        todo: dict = {}  # order -> members whose f' is built here
         for m in self.members:
-            if m.schwarz is not None and "f_prime" not in vars(m):
+            if (m.fraction is not None and "f_prime" not in vars(m)
+                    and (q == "f" or m.exact(q) is None)):
                 todo.setdefault(m.order, []).append(m)
         for order, ms in todo.items():
-            uvs = [p_fraction(m.params, m.schwarz) for m in ms]
-            for m, row in zip(ms, _f_prime_rows(uvs, order)):
+            for m, row in zip(ms, _f_prime_rows([m.fraction for m in ms], order)):
                 m.f_prime = TruncatedSeries(row)
         lengths: dict = {}  # series length -> (member indices, coefficient rows)
         for i, m in enumerate(self.members):
@@ -710,21 +723,20 @@ def extremal_member(
     lam: complex = 1.0 + 0.0j,
     order: int = DEFAULT_ORDER,
 ) -> MemberSeries:
-    """The extremal families f'(z) = (1 - lam z)^{-k} / (1 - lam z^2)^{-k}."""
+    """The extremal families f'(z) = (1 - lam z)^{-k} / (1 - lam z^2)^{-k}.
+
+    f', P_f and S_f are evaluated by the closed form.  The order-`order` series
+    of f, f', P_f and S_f are built on first access from MemberSeries.fraction,
+    the closed form's P_f = U/V, as a generated member's are.
+    """
     if variant not in ("plane", "disk_symmetric"):
         raise ParamOutOfRange(f"unknown extremal variant {variant!r}")
     if abs(abs(lam) - 1) > 1e-12:
         raise ParamOutOfRange("lambda must be unimodular")
     if not 8 <= order <= MAX_ORDER:
         raise ParamOutOfRange(f"series order {order} outside [8, {MAX_ORDER}]")
-    base = np.zeros(order + 1, dtype=np.complex128)
-    base[0], base[1 if variant == "plane" else 2] = 1.0, -lam
-    return MemberSeries(
-        f_prime=TruncatedSeries(base).pow(-params.k),
-        params=params,
-        provenance=f"extremal_{variant}",
-        closed_form=ClosedForm(variant=variant, lam=complex(lam), k=params.k),
-    )
+    return MemberSeries(params, f"extremal_{variant}", order=order,
+                        closed_form=ClosedForm(variant=variant, lam=complex(lam), k=params.k))
 
 
 def plane_extremal_schwarz_spec(order: int = DEFAULT_ORDER) -> SchwarzSpec:

@@ -81,8 +81,9 @@ class TruncatedSeries:
     """Power series c0 + c1 z + ... + cN z^N of fixed order N >= 0.
 
     Supports ring arithmetic (+, -, *, /), calculus (deriv/integ),
-    exp/log/pow, point evaluation with a tail estimate, and
-    JSON round-tripping.  Complex scalars mix freely with series.
+    exp/log/pow (kernel oracles: no production code calls them), point
+    evaluation with a tail estimate, and JSON round-tripping.  Complex
+    scalars mix freely with series.
     """
 
     __slots__ = ("_c",)

@@ -116,7 +116,20 @@ def test_float_flags_take_negative_values_in_exponent_form(command, flags):
     # Python 3.11's argparse took "-1e-05" for an option: "expected one argument"
     argv = [*command, *(x for key, value in flags.items() for x in (f"--{key}", value))]
     args = cli.build_parser().parse_args(argv)
-    assert {key: getattr(args, key) for key in flags} == {k: float(v) for k, v in flags.items()}
+    # verify keeps --Aco and --rmax under their RunConfig field names
+    dests = {"Aco": "a_co", "rmax": "r_max"} if command == ["verify"] else {}
+    assert ({key: getattr(args, dests.get(key, key)) for key in flags}
+            == {k: float(v) for k, v in flags.items()})
+
+
+@pytest.mark.parametrize("argv", [
+    ("radii", "concavity", "--order", "64"),
+    ("radii", "convexity", "--seed", "3"),
+])
+def test_radii_formulas_reject_member_options(argv):
+    # the closed-form radii build no members, so --order and --seed are not theirs
+    proc = run_cli(*argv)
+    assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr
 
 
 def test_verify_invalid_params_exit_2():
@@ -432,7 +445,7 @@ def test_grid_rows_match_one_member_scans(monkeypatch, row_bytes):
     # (series) and omega = z (xi = 1: 2.5's rows are +inf) are among them
     monkeypatch.setattr(cli, "ROW_BYTES", row_bytes)
     cache = cli.RunCache()
-    run, params, _, members = cache.members(cli.RunConfig(samples=6, order=64), "general+plane")
+    run, params, members = cache.members(cli.RunConfig(samples=6, order=64), "general+plane")
     members = [*members, member_from_json(member_to_json(members[2]))]
     assert members[0].exact_schwarz.kind == "unit_constant_times_z"
     assert cli.bounds.xi_of_member(members[0]) == 1.0
@@ -601,7 +614,7 @@ def test_concavity_scan_peak_memory():
     # at about 302 KB (the whole batch at once: 340 KB; a 2,304-point grid
     # in blocks of one row: 382 KB)
     cache = cli.RunCache()
-    run, params, _, members = cache.members(cli.RunConfig(), "general")
+    run, params, members = cache.members(cli.RunConfig(), "general")
     w = {"check": "concavity", "mode": "corrected",
          **cli.CHECKS["concavity"].extras(run, params, "corrected")}
     assert len(members) == 52 and soundness_grid(w["radius"])[1].size == 96
@@ -619,33 +632,30 @@ def test_run_config_defaults_match_verify_parser():
     # an in-process RunConfig() runs what `robkit verify` runs, order included
     args, cfg = cli.build_parser().parse_args(["verify"]), cli.RunConfig()
     assert cfg.order == args.order == cli.VERIFY_ORDER
-    assert (cfg.alpha, cfg.beta, cfg.a_co, cfg.samples, cfg.seed, cfg.mode, cfg.theorem,
-            cfg.r_max, cfg.out) == (args.alpha, args.beta, args.Aco, args.samples, args.seed,
-                                    args.mode, args.theorem, args.rmax, args.out)
+    assert vars(args) == {"command": "verify", **vars(cfg)}
 
 
 def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
-    # P_f and S_f come from the Schwarz data, and f' of a generated member
-    # from the O(N d) recurrence of f'' V = U f': no exp and no series division
+    # P_f and S_f come from the Schwarz data or the closed form, and f' of a
+    # generated member from the O(N d) recurrence of f'' V = U f': no exp, log
+    # or pow and no series division, the plane extremal of 2.1iii included
     TS = robertson_kit.series.TruncatedSeries
     recurrences = []
-    real_exp, real_div = TS.exp, TS.__truediv__
 
-    def exp(self):
-        recurrences.append("exp")
-        return real_exp(self)
+    def counting(name, real):
+        def call(self, *args):
+            if name != "div" or isinstance(args[0], TS):
+                recurrences.append(name)
+            return real(self, *args)
+        return call
 
-    def div(self, other):
-        if isinstance(other, TS):
-            recurrences.append("div")
-        return real_div(self, other)
-
-    monkeypatch.setattr(TS, "exp", exp)
-    monkeypatch.setattr(TS, "__truediv__", div)
+    for name, attr in (("exp", "exp"), ("log", "log"), ("pow", "pow"), ("div", "__truediv__")):
+        monkeypatch.setattr(TS, attr, counting(name, getattr(TS, attr)))
     out = str(tmp_path / "r.json")
-    for theorem in ("2.1ii", "2.2"):
-        assert main(["verify", "--theorem", theorem, "--samples", "2", "--out", out]) == 0
-        assert recurrences == [], theorem
+    for alpha, beta in (("0", "0"), ("0.7853981633974483", "0.25")):
+        argv = ["verify", "--theorem", "all", "--alpha", alpha, "--beta", beta]
+        assert main([*argv, "--samples", "2", "--out", out]) == 3  # reported findings only
+        assert recurrences == [], (alpha, beta)
 
 
 def test_verify_computes_xi_once_per_member(tmp_path, monkeypatch):

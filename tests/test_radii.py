@@ -185,14 +185,21 @@ def test_radius_concavity_as_k_tends_to_zero():
 
 
 def test_radius_concavity_random_cross_check():
-    # the closed form is cross-checked against bisection internally; this
-    # drives 50 random parameter pairs through both modes
+    # the q-formula root against a 60-step bisection of Phi on [0, 1], and Phi
+    # positive left of it, over 50 random parameter pairs in both modes
     rng = np.random.default_rng(50)
     for _ in range(50):
         p = make_params(rng.uniform(-1.5, 1.5), rng.uniform(0, 0.99))
         st = ConcavitySetting(rng.uniform(1.01, 2.0))
         for mode in ("paper", "corrected"):
             res = radius_concavity(p, st, mode)
+            quad = phi_quadratic(p, st, mode)
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if phi_value(quad, mid) > 0 else (lo, mid)
+            assert abs(res.value - 0.5 * (lo + hi)) <= 1e-12
+            assert np.all(phi_value(quad, np.linspace(0.0, res.value, 1000, endpoint=False)) > 0)
             assert 0 < res.value < 1
             assert res.residual <= 1e-12
 

@@ -321,13 +321,29 @@ def test_extremal_rejects_non_unimodular_lambda():
         extremal_member(make_params(0, 0), "ball", 1.0)
 
 
-def test_closed_form_against_series():
-    p = make_params(0.4, 0.3)
-    m = extremal_member(p, "disk_symmetric", cmath.exp(0.3j), order=256)
+@pytest.mark.parametrize("variant", ["plane", "disk_symmetric"])
+@pytest.mark.parametrize("lam", [1.0, 1j, cmath.exp(0.3j)], ids=["1", "i", "exp0.3i"])
+def test_closed_form_against_series(variant, lam):
+    # an extremal builds no series until asked; then f' from the closed form's
+    # P_f = U/V is the binomial series of (1 - lam z^p)^{-k}, and the P and S
+    # series agree with the closed form
+    p, order = make_params(0.4, 0.3), 256
+    m = extremal_member(p, variant, lam, order=order)
+    assert "f_prime" not in vars(m)
+    step = 1 if variant == "plane" else 2
+    want = np.zeros(order + 1, dtype=complex)
+    c = 1 + 0j
+    for n in range(order // step + 1):  # c_n = c_{n-1} lam (k + n - 1)/n
+        want[n * step] = c
+        c = c * lam * (p.k + n) / (n + 1)
+    got = m.f_prime.coeffs
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     zs = 0.6 * np.exp(2j * np.pi * np.arange(7) / 7)
-    series_vals = m.f_prime.eval_at(zs, 0.7)
-    closed = m.closed_form.fprime(zs)
-    assert np.max(np.abs(series_vals - closed)) < 1e-12
+    assert np.max(np.abs(m.f_prime.eval_at(zs, 0.7) - m.closed_form.fprime(zs))) < 1e-12
+    zs = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
+    for series, closed in ((m.p_series(), m.closed_form.p), (m.s_series(), m.closed_form.s)):
+        want = closed(zs)
+        assert np.max(np.abs(series.eval_at(zs, 0.5) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

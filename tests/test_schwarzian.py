@@ -353,7 +353,7 @@ def _mixed_family():
     members = []
     for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
         cfg = cli.RunConfig(alpha=alpha, beta=beta, order=512, samples=6)
-        members += cli.RunCache().members(cfg, "sp0")[3]
+        members += cli.RunCache().members(cfg, "sp0")[2]
     p = make_params(math.pi / 4, 0.25)
     rng = np.random.default_rng(3)
     members.append(generate_member(p, SchwarzSpec("polynomial", (0, 0.3, 0.2j, -0.1)), order=256))
