@@ -21,9 +21,15 @@ from pathlib import Path
 from robertson_kit import cli
 
 PI_4 = "0.7853981633974483"
-# a Blaschke product with a zero at the origin and one inside the disk, for emit member
-MEMBER_SPEC = {"kind": "blaschke_product", "zeros": [[0.0, 0.0], [0.3, -0.2]],
-               "rotation": [0.0, 1.0]}
+# the spec each emit member case reads through --spec: a Blaschke product with a
+# zero at the origin and one inside the disk, and a polynomial, which the
+# validator reads on the unit circle
+MEMBER_SPECS = {
+    "emit_member": {"kind": "blaschke_product", "zeros": [[0.0, 0.0], [0.3, -0.2]],
+                    "rotation": [0.0, 1.0]},
+    "emit_member_polynomial": {"kind": "polynomial",
+                               "coeffs": [[0.0, 0.0], [0.3, 0.0], [0.0, -0.2], [0.1, 0.05]]},
+}
 
 CASES = {
     "verify_defaults": ["verify", "--theorem", "all"],
@@ -45,6 +51,8 @@ CASES = {
     "emit_growth_0_0.5": ["emit", "growth", "--beta", "0.5"],
     "emit_growth_pi4_0.25": ["emit", "growth", "--alpha", PI_4, "--beta", "0.25"],
     "emit_member": ["emit", "member", "--alpha", "0.2", "--beta", "0.1", "--order", "64"],
+    "emit_member_polynomial": ["emit", "member", "--alpha", "0.2", "--beta", "0.1",
+                               "--order", "64"],
     "emit_norm": ["emit", "norm", "--beta", "0.5", "--weight", "2"],
     "emit_norm_plane": ["emit", "norm", "--variant", "plane", "--beta", "0.5", "--weight", "1"],
     "emit_phi": ["emit", "phi"],
@@ -66,10 +74,12 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        spec = Path(tmp) / "spec.json"
-        spec.write_text(json.dumps(MEMBER_SPEC), encoding="utf-8")
         for name, case in CASES.items():
-            code, out, err = run([*case, "--spec", str(spec)] if name == "emit_member" else case)
+            if name in MEMBER_SPECS:
+                spec = Path(tmp) / f"{name}.json"
+                spec.write_text(json.dumps(MEMBER_SPECS[name]), encoding="utf-8")
+                case = [*case, "--spec", str(spec)]
+            code, out, err = run(case)
             if case[0] == "verify" and out:
                 report = json.loads(out)
                 report.pop("generated_at", None)

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import phi_values, polar_grid, require_tails
+from .robertson import ClassParams, MemberBatch, MemberSeries, NaNMargin, ParamOutOfRange
+from .robertson import SchwarzSpec, phi_values, polar_grid, require_tails
 from .series import TAIL_TOL, chebyshev_radii
 
 
@@ -193,10 +193,10 @@ def envelope_checks(
 
     Margins are min(upper - value, value - lower); the least one over the
     grid is reported per envelope with where it occurred, the first in
-    (radius, angle) order, and a NaN never wins.  Each params' envelopes are
-    computed once.  Every f' and f comes from one MemberBatch, in blocks of
-    members (MemberBatch.circles).  TailToleranceUnmet: a series it read has
-    a tail above tail_tol at the largest radius (robertson.require_tails).
+    (radius, angle) order, and a NaN margin raises NaNMargin.  Each params'
+    envelopes are computed once.  Every f' and f comes from one MemberBatch,
+    in blocks of members (MemberBatch.circles).  TailToleranceUnmet: a series
+    it read has a tail above tail_tol at the largest radius (require_tails).
     """
     members = list(members)
     if not all(map(_is_sp0, members)):
@@ -215,8 +215,10 @@ def envelope_checks(
             band = [bands[members[i].params, q] for i in rows]
             lower, upper = np.stack([b[0] for b in band]), np.stack([b[1] for b in band])
             marg = np.minimum(upper - vals, vals - lower).reshape(len(rows), -1)
-            js = np.argmin(np.where(np.isnan(marg), math.inf, marg), axis=1)
+            js = np.argmin(marg, axis=1)  # a NaN's index where a row holds one
             for i, j, row in zip(rows, js, marg):
+                if math.isnan(row[j]):
+                    raise NaNMargin(f"member {i}: {q} margin NaN at z = {complex(zs[j])}")
                 least[q, i] = float(row[j]), complex(zs[j])
     require_tails(members, ("fprime", "f"), float(np.max(radii, initial=0.0)), tail_tol)
     return [

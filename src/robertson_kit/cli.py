@@ -35,6 +35,7 @@ from .robertson import (
     ClassParams,
     MemberBatch,
     MemberSeries,
+    NaNMargin,
     SchwarzSpec,
     extremal_member,
     generate_member,
@@ -49,10 +50,6 @@ WITNESS_TIE = 1e-12  # margins this close to the minimum count as tied for the w
 MAX_EMIT_ROWS = 100_000  # the most rows an emit table may have; the default step gives 19
 EMIT_BLOCK = 256  # radii per batch circles call in emit distortion, bounding its memory
 VERIFY_ORDER = 512  # the series order of a verify run, in process and on the command line
-
-
-class NaNMargin(ArithmeticError):
-    """A check's scan gave a member a NaN margin, which no verdict can rest on."""
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +523,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     ids = list(CHECK_BUILDERS) if cfg.theorem == "all" else [cfg.theorem]
     cache = RunCache(CHECKS[cid].weight for cid in ids if cid in CHECKS and CHECKS[cid].weight)
     for cid in ids:
-        if cid not in CHECK_BUILDERS:
-            print(f"unknown check id {cid!r}; known: {sorted(CHECK_BUILDERS)}", file=sys.stderr)
-            return 2
         report.records.extend(CHECK_BUILDERS[cid](cfg, cache))
     if _write_json(report.to_json(), cfg.out, "report"):
         return 2
@@ -574,7 +568,7 @@ def _write_csv(header: list[str], rows, path: Optional[str]) -> int:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     params = make_params(args.alpha, args.beta)
-    if not 0 < args.step < math.inf:
+    if args.what in ("growth", "distortion", "phi") and not 0 < args.step < math.inf:
         raise robertson.ParamOutOfRange(f"step={args.step} must be positive and finite")
     if args.what in ("growth", "distortion"):
         if not 0 <= args.rmax < 1:
@@ -628,9 +622,6 @@ def cmd_emit(args: argparse.Namespace) -> int:
         ]
         return _write_csv(["r"] + [f"phi_{m}" for m in modes], rows, args.out)
     if args.what == "member":
-        if args.spec is None:
-            print("emit member needs --spec PATH", file=sys.stderr)
-            return 2
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 spec = SchwarzSpec.from_json(json.load(fh))
@@ -639,14 +630,11 @@ def cmd_emit(args: argparse.Namespace) -> int:
             return 2
         member = generate_member(params, spec, order=args.order)
         return _write_json(robertson.member_to_json(member), args.out, "member")
-    if args.what == "norm":
-        member = extremal_member(params, args.variant, 1.0, order=args.order)
-        opts = ScanOpts(radial=args.radial, angular=args.angular, r_max=args.rmax_scan,
-                        refine_tol=args.refine_tol)
-        est = norm_estimate(member, args.weight, opts)
-        return _write_json(est.to_json(), args.out, "estimate")
-    print(f"unknown emit target {args.what!r}", file=sys.stderr)
-    return 2
+    # norm, the one target left
+    opts = ScanOpts(radial=args.radial, angular=args.angular, r_max=args.rmax_scan,
+                    refine_tol=args.refine_tol)
+    est = norm_estimate(extremal_member(params, args.variant, 1.0), args.weight, opts)
+    return _write_json(est.to_json(), args.out, "estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -670,23 +658,15 @@ def cmd_radii(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return _write_json(res.to_json())
-    if args.radii_cmd == "probe":
-        setting = radii.ConcavitySetting(args.Aco)
-        res = radii.sharpness_probe(
-            params,
-            setting,
-            radii.SearchOpts(seed=args.seed, budget=args.budget, order=args.order),
-        )
-        corrected = radii.radius_concavity(params, setting, "corrected").value
-        paper = radii.radius_concavity(params, setting, "paper").value
-        payload = res.to_json()
-        payload["radius_paper"] = paper
-        payload["radius_corrected"] = corrected
-        payload["gap_to_paper"] = res.empirical_radius - paper
-        payload["gap_to_corrected"] = res.empirical_radius - corrected
-        return _write_json(payload)
-    print(f"unknown radii command {args.radii_cmd!r}", file=sys.stderr)
-    return 2
+    # probe, the one command left
+    setting = radii.ConcavitySetting(args.Aco)
+    search = radii.SearchOpts(seed=args.seed, budget=args.budget)
+    res = radii.sharpness_probe(params, setting, search)
+    payload = res.to_json()
+    for mode in ("paper", "corrected"):
+        radius = radii.radius_concavity(params, setting, mode).value
+        payload[f"radius_{mode}"], payload[f"gap_to_{mode}"] = radius, res.empirical_radius - radius
+    return _write_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -695,24 +675,37 @@ def cmd_radii(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, subparsers included, that reads "-1e-05", "-inf" and "-nan" as
-    values: Python 3.11's negative-number pattern has no exponent, and took them for options."""
+    """An ArgumentParser, subparsers included, that takes no prefix for an option and reads
+    "-1e-05", "-inf" and "-nan" as values: Python 3.11's negative-number pattern has no exponent."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[+-]?\d+)?|inf|nan)$", re.I)
 
 
-def _add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
-    """--alpha and --beta, and if seeded (members are built) --order and --seed."""
+# options that more than one command reads, with their types and defaults (verify's: RunConfig's)
+SHARED_OPTIONS: dict[str, dict] = {
+    "--order": {"type": int, "default": DEFAULT_ORDER},
+    "--seed": {"type": int, "default": 7},
+    "--samples": {"type": int, "default": 0},
+    "--Aco": {"type": float, "default": 2.0},
+    "--mode": {"choices": ["paper", "corrected", "both"], "default": "both"},
+    "--rmax": {"type": float, "default": 0.9},
+    "--step": {"type": float, "default": 0.05},
+    "--out": {},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
+    """--alpha and --beta, which every command reads, then the named SHARED_OPTIONS."""
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
-    if seeded:
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-        p.add_argument("--seed", type=int, default=7)
+    for name in options:
+        p.add_argument(name, **SHARED_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The robkit parser, each command with exactly the options its handler reads."""
     ap = _Parser(
         prog="robkit",
         description="Verification toolkit for the generalized Robertson class SP_alpha(beta)",
@@ -720,44 +713,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite over seeded members")
-    _add_common(v)
-    v.add_argument("--theorem")
-    v.add_argument("--samples", type=int)
-    v.add_argument("--mode", choices=["paper", "corrected", "both"])
+    _add_common(v, "--order", "--seed", "--samples", "--mode", "--out")
+    v.add_argument("--theorem", choices=[*CHECK_BUILDERS, "all"])
     v.add_argument("--Aco", type=float, dest="a_co")
     v.add_argument("--rmax", type=float, dest="r_max")
-    v.add_argument("--out")
     v.set_defaults(**vars(RunConfig()))  # verify's defaults are declared in RunConfig alone
 
     e = sub.add_parser("emit", help="emit CSV/JSON tables and members")
-    e.add_argument("what", choices=["growth", "distortion", "phi", "member", "norm"])
-    _add_common(e)
-    e.add_argument("--rmax", type=float, default=0.9)
-    e.add_argument("--step", type=float, default=0.05)
-    e.add_argument("--Aco", type=float, default=2.0)
-    e.add_argument("--mode", choices=["paper", "corrected", "both"], default="both")
-    e.add_argument("--samples", type=int, default=0)
-    e.add_argument("--spec", default=None)
-    e.add_argument("--out", default=None)
-    e.add_argument("--variant", choices=["disk_symmetric", "plane"], default="disk_symmetric")
-    e.add_argument("--weight", type=int, choices=[1, 2], default=2)
-    e.add_argument("--radial", type=int, default=128)
-    e.add_argument("--angular", type=int, default=256)
-    e.add_argument("--rmax-scan", type=float, default=None, dest="rmax_scan")
-    e.add_argument("--refine-tol", type=float, default=1e-10, dest="refine_tol")
+    esub = e.add_subparsers(dest="what", required=True)
+    _add_common(esub.add_parser("growth"), "--rmax", "--step", "--out")
+    _add_common(esub.add_parser("distortion"),
+                "--rmax", "--step", "--samples", "--seed", "--order", "--out")
+    _add_common(esub.add_parser("phi"), "--step", "--Aco", "--mode", "--out")
+    em = esub.add_parser("member")
+    _add_common(em, "--order", "--out")
+    em.add_argument("--spec", required=True)
+    en = esub.add_parser("norm")
+    _add_common(en, "--out")
+    en.add_argument("--variant", choices=["disk_symmetric", "plane"], default="disk_symmetric")
+    en.add_argument("--weight", type=int, choices=[1, 2], default=2)
+    en.add_argument("--radial", type=int, default=128)
+    en.add_argument("--angular", type=int, default=256)
+    en.add_argument("--rmax-scan", type=float, default=None, dest="rmax_scan")
+    en.add_argument("--refine-tol", type=float, default=1e-10, dest="refine_tol")
 
     r = sub.add_parser("radii", help="radius-of-concavity and convexity queries")
     rsub = r.add_subparsers(dest="radii_cmd", required=True)
-    rc = rsub.add_parser("concavity")
-    _add_common(rc, seeded=False)
-    rc.add_argument("--Aco", type=float, default=2.0)
-    rc.add_argument("--mode", choices=["paper", "corrected", "both"], default="both")
+    _add_common(rsub.add_parser("concavity"), "--Aco", "--mode")
     rv = rsub.add_parser("convexity")
-    _add_common(rv, seeded=False)
+    _add_common(rv)
     rv.add_argument("--mode", choices=["paper_literal", "sharp"], default="paper_literal")
     rp = rsub.add_parser("probe")
-    _add_common(rp)
-    rp.add_argument("--Aco", type=float, default=2.0)
+    _add_common(rp, "--seed", "--Aco")
     rp.add_argument("--budget", type=int, default=2000)
     return ap
 
@@ -770,8 +757,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                            for f in fields(RunConfig)}))
         if args.command == "emit":
             return cmd_emit(args)
-        if args.command == "radii":
-            return cmd_radii(args)
+        return cmd_radii(args)
     except (
         robertson.ParamOutOfRange,
         robertson.NotASchwarzFunction,
@@ -784,7 +770,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:  # the package's typed errors
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

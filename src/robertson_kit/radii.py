@@ -41,13 +41,13 @@ from .robertson import (
     ClassParams,
     MemberBatch,
     MemberSeries,
+    NaNMargin,
     ParamOutOfRange,
     SchwarzSpec,
     circle,
     generate_member,
 )
 from .sampling import sample_schwarz_specs
-from .series import DEFAULT_ORDER
 
 
 class RootNotBracketed(RuntimeError):
@@ -205,10 +205,12 @@ class SoundnessReport:
 
 def _first_least(rows: np.ndarray, zs: np.ndarray) -> tuple[float, int, complex]:
     """(least, i, z): the first row i with the strictly least row minimum, at
-    its first minimizing column of the shared points zs.  A row whose argmin
-    is NaN never wins; no winning row gives (inf, -1, 0j)."""
-    js = np.argmin(rows, axis=1)
-    mins = np.append(np.fmin(rows[np.arange(len(rows)), js], math.inf), math.inf)
+    its first minimizing column of the shared points zs; no rows, or rows of
+    +inf alone, give (inf, -1, 0j).  NaNMargin if a row holds a NaN."""
+    js = np.argmin(rows, axis=1)  # a NaN's index where a row holds one
+    mins = np.append(rows[np.arange(len(rows)), js], math.inf)
+    if np.isnan(mins).any():
+        raise NaNMargin(f"member {int(np.isnan(mins).argmax())} reads Re T_f = NaN")
     i = int(np.argmin(mins))
     if mins[i] == math.inf:
         return math.inf, -1, 0j
@@ -266,7 +268,6 @@ class SearchOpts:
     seed: int = 0
     budget: int = 2000  # circle evaluations (member at one radius)
     r_tol: float = 1e-6
-    order: int = DEFAULT_ORDER
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def sharpness_probe(
     narrows the first failure radius to r_tol.  The budget counts
     member-circle evaluations; exhaustion returns the best-so-far with a
     flag, and 0.0 when not even the first circle fits, since no radius was
-    shown to pass.  A circle evaluates the members in one MemberBatch call.
+    shown to pass.  A circle reads the members' exact P_f in one MemberBatch call.
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
@@ -316,7 +317,7 @@ def sharpness_probe(
             *(complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)) for j in range(PROBE_ROTATIONS)),
             extremal_rotation(params, setting)]
     ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
-    members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
+    members = [generate_member(params, s, validate=False) for s in specs]
     batch = MemberBatch(members)
     evals, witness = 0, None  # witness: (spec, z) of the last circle with Re T_f <= 0
 

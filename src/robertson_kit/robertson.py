@@ -46,6 +46,10 @@ class TailToleranceUnmet(ValueError):
     """The series tail at the requested radius cannot be certified."""
 
 
+class NaNMargin(ArithmeticError):
+    """A scan read a NaN, which no verdict, extremum or radius can rest on."""
+
+
 # ---------------------------------------------------------------------------
 # class parameters
 # ---------------------------------------------------------------------------
@@ -317,11 +321,9 @@ class SchwarzValidation:
     vanishing_order: int
 
 
-# the circle that validates a polynomial spec, and the least distance from
-# the unit circle its maximum must keep
+# points on the unit circle that validate a polynomial spec, at least
+# MAX_ORDER + 1, so that its FFT never truncates the coefficients
 VALIDATION_ANGLES = 65536
-VALIDATION_R = 0.999
-VALIDATION_MARGIN = 1e-9
 
 
 def require_vanishing(spec: SchwarzSpec) -> int:
@@ -335,20 +337,20 @@ def require_vanishing(spec: SchwarzSpec) -> int:
 def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
     """Check that the spec describes a Schwarz function; raise otherwise.
 
-    Polynomial specs are validated numerically: |omega| of a polynomial takes
-    its largest value on |z| <= VALIDATION_R on that circle (maximum
-    modulus), read at VALIDATION_ANGLES points, enough for every sample of
-    a long polynomial; products are exact by construction and only have
-    their zeros and rotation range-checked.
+    Polynomial specs are validated numerically: |omega| takes its largest
+    value on the closed disk on the unit circle (maximum modulus), read at
+    VALIDATION_ANGLES = M points by one FFT; a sampled maximum above 1 by
+    more than rounding rejects the spec.  |omega|^2 there is a trigonometric
+    polynomial of degree deg, whose second derivative is at most deg^2 times
+    its maximum (Bernstein), and every point lies within pi/M of a sample, so
+    the sampling misses at most about (pi deg/M)^2/4 of the maximum, relative.
+    Products are exact by construction; their zeros and rotation are range-checked.
     """
     vo = require_vanishing(spec)
     if spec.kind == "polynomial":
-        om = TruncatedSeries(spec.coeffs).eval_on_circle(VALIDATION_R, VALIDATION_ANGLES)
-        grid_max = float(np.max(np.abs(om)))
-        if not grid_max < 1 - VALIDATION_MARGIN:
-            raise NotASchwarzFunction(
-                f"grid max |omega| = {grid_max:.12f} reaches the unit circle"
-            )
+        grid_max = float(np.max(np.abs(np.fft.fft(spec.coeffs, VALIDATION_ANGLES))))
+        if not grid_max <= 1 + 1e-12:
+            raise NotASchwarzFunction(f"max |omega| = {grid_max:.12f} on the unit circle exceeds 1")
         return SchwarzValidation(grid_max=grid_max, vanishing_order=vo)
     rotation, _, zeros = spec.product
     for a, _ in zeros:
@@ -784,7 +786,7 @@ def subordination_membership_check(
     to -1e-9) certifies the defining inequality at the sampled points.  A
     member evaluated by its P series needs that series' tail at r_max within
     TAIL_TOL (require_tails).  ParamOutOfRange for an r_max outside (0, 1)
-    or no angles.
+    or no angles; NaNMargin for a NaN margin.
     """
     if not 0 < grid.r_max < 1:
         raise ParamOutOfRange(f"r_max={grid.r_max} outside (0, 1)")
@@ -795,7 +797,9 @@ def subordination_membership_check(
     zs = circle(grid.r_max, grid.n_angles)
     pv = member.values("P", zs, grid.r_max)
     margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)
-    i = int(np.argmin(margins))
+    i = int(np.argmin(margins))  # a NaN's index where margins hold one
+    if math.isnan(margins[i]):
+        raise NaNMargin(f"margin NaN at z = {complex(zs[i])}")
     return MarginReport(min_margin=float(margins[i]), argmin=complex(zs[i]), samples=zs.size)
 
 

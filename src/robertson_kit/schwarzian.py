@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .series import TruncatedSeries, chebyshev_radii
-from .robertson import ClassParams, MemberBatch, MemberSeries, ParamOutOfRange, SchwarzSpec
-from .robertson import TailToleranceUnmet, phi_series, polar_grid, require_tails
+from .robertson import ClassParams, MemberBatch, MemberSeries, NaNMargin, ParamOutOfRange
+from .robertson import SchwarzSpec, TailToleranceUnmet, phi_series, polar_grid, require_tails
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ SCAN_BLOCK = 16
 def _coarse_scan(members, weights, radii: np.ndarray, n_ang: int):
     """Arrays r, theta of (member, weight) where the zoom starts: the first
     maximum in (radius, angle) order of the weighted modulus on polar_grid(radii,
-    n_ang).  Per SCAN_BLOCK radii, the grid and (1-|z|^2)^w are built once for
-    every member, and one member.on_circles call serves every weight."""
+    n_ang); NaNMargin if one is NaN.  Per SCAN_BLOCK radii, the grid and (1-|z|^2)^w
+    are built once for every member, one member.on_circles call serves every weight."""
     qs = [QUANTITY[w] for w in weights]
     shape = (len(members), len(weights), radii.size)
     peak, angle = np.empty(shape), np.empty(shape, dtype=int)  # per circle: maximum, its index
@@ -151,8 +151,10 @@ def _coarse_scan(members, weights, radii: np.ndarray, n_ang: int):
         for i, m in enumerate(members):
             for k, (scale, v) in enumerate(zip(scales, m.on_circles(qs, rs, n_ang, zs))):
                 vals = scale * np.abs(v)
-                j = vals.argmax(axis=1)
+                j = vals.argmax(axis=1)  # a NaN's index where a circle holds one
                 peak[i, k, at : at + rs.size], angle[i, k, at : at + rs.size] = vals[rows, j], j
+    if np.isnan(peak).any():
+        raise NaNMargin(f"member {int(np.isnan(peak).any(axis=(1, 2)).argmax())} reads NaN")
     js = peak.argmax(axis=2)
     return radii[js], 2 * math.pi * np.take_along_axis(angle, js[..., None], 2)[..., 0] / n_ang
 
@@ -164,7 +166,7 @@ def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
     nodes r +- dr (clipped to [0, batch.r_trunc]) by theta +- dth in one
     batch.values call on a (G, ZOOM_POINTS**2) array, moves a row's centre
     to its first patch maximum when that strictly beats the row's best (a
-    NaN never wins), and shrinks both half-widths 4x until both are <= tol.
+    NaN raises NaNMargin), and shrinks both half-widths 4x until both are <= tol.
     Returns each row's best value, its exact point, and the point count per row.
     """
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
@@ -176,8 +178,10 @@ def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
         zs = (rs[:, :, None] * np.exp(1j * ths)[:, None, :]).reshape(r.size, -1)
         vals = weighted(zs, weight_exponent, batch.values(QUANTITY[weight_exponent], zs))
         evals += ZOOM_POINTS**2
-        k = vals.argmax(axis=1)
+        k = vals.argmax(axis=1)  # a NaN's index where a patch holds one
         v = vals[g, k]
+        if np.isnan(v).any():
+            raise NaNMargin(f"member {int(np.isnan(v).argmax())} reads NaN")
         up = v > best
         # a row that does not improve keeps its centre, the patch's centre node
         best, k = np.where(up, v, best), np.where(up, k, centre)

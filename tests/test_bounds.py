@@ -24,6 +24,8 @@ from robertson_kit.bounds import (
     xi_of_member,
 )
 from robertson_kit.robertson import (
+    MemberBatch,
+    NaNMargin,
     ParamOutOfRange,
     member_from_json,
     member_to_json,
@@ -274,6 +276,16 @@ def test_envelope_checks_match_one_member_checks():
     with pytest.raises(ParamOutOfRange):
         envelope_checks([*batch(), generate_member(p, SchwarzSpec(kind="unit_constant_times_z"))])
     assert envelope_checks([]) == []
+
+
+def test_envelope_checks_raise_on_a_nan_value(monkeypatch):
+    # a NaN |f'| or |f| raises rather than losing to every margin, which
+    # would leave the member's least margin at inf
+    circles = MemberBatch.circles
+    monkeypatch.setattr(MemberBatch, "circles", lambda self, *args: (
+        (rows, np.multiply(values, np.nan)) for rows, values in circles(self, *args)))
+    with pytest.raises(NaNMargin, match="member 0: fprime margin NaN"):
+        envelope_checks([extremal_member(make_params(0, 0), "disk_symmetric", order=64)])
 
 
 def test_envelope_checks_refuse_a_series_tail_above_tolerance():

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -120,6 +121,58 @@ def test_float_flags_take_negative_values_in_exponent_form(command, flags):
     dests = {"Aco": "a_co", "rmax": "r_max"} if command == ["verify"] else {}
     assert ({key: getattr(args, dests.get(key, key)) for key in flags}
             == {k: float(v) for k, v in flags.items()})
+
+
+# the options each command reads, as the README lists them
+COMMAND_OPTIONS = {
+    ("verify",): {"--theorem", "--alpha", "--beta", "--Aco", "--mode", "--samples", "--seed",
+                  "--order", "--rmax", "--out"},
+    ("emit", "growth"): {"--alpha", "--beta", "--rmax", "--step", "--out"},
+    ("emit", "distortion"): {"--alpha", "--beta", "--rmax", "--step", "--samples", "--seed",
+                             "--order", "--out"},
+    ("emit", "phi"): {"--alpha", "--beta", "--step", "--Aco", "--mode", "--out"},
+    ("emit", "member"): {"--alpha", "--beta", "--spec", "--order", "--out"},
+    ("emit", "norm"): {"--alpha", "--beta", "--variant", "--weight", "--radial", "--angular",
+                       "--rmax-scan", "--refine-tol", "--out"},
+    ("radii", "concavity"): {"--alpha", "--beta", "--Aco", "--mode"},
+    ("radii", "convexity"): {"--alpha", "--beta", "--mode"},
+    ("radii", "probe"): {"--alpha", "--beta", "--seed", "--Aco", "--budget"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS, ids="-".join)
+def test_each_command_declares_the_options_it_reads(command, capsys):
+    # argparse refuses every option a command does not declare
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([*command, "--help"])
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"} == (
+        COMMAND_OPTIONS[command])
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(argv, "unrecognized arguments", id=name) for name, argv in [
+        ("emit-growth-samples", ["emit", "growth", "--samples", "3"]),
+        ("emit-distortion-Aco", ["emit", "distortion", "--Aco", "1.5"]),
+        ("emit-phi-rmax", ["emit", "phi", "--rmax", "0.5"]),
+        ("emit-member-seed", ["emit", "member", "--spec", "spec.json", "--seed", "3"]),
+        # probe and norm members are read by their exact P_f and S_f alone
+        ("emit-norm-order-4097", ["emit", "norm", "--order", "4097"]),
+        ("emit-norm-order-1", ["emit", "norm", "--order", "1"]),
+        ("radii-probe-order-4097", ["radii", "probe", "--order", "4097"]),
+        # a prefix stands for no option: read as --rmax-scan, --rmax 0.99
+        # would scan to 0.99, while emit norm reads no --rmax
+        ("emit-norm-rmax-prefix", ["emit", "norm", "--rmax", "0.99", "--weight", "1"]),
+        ("verify-theorem-prefix", ["verify", "--theo", "2.3"]),
+        ("radii-probe-budget-prefix", ["radii", "probe", "--bud", "10"]),
+    ]] + [
+    pytest.param(["emit", "member"], "required: --spec", id="emit-member-no-spec"),
+    # options come after the emit target
+    pytest.param(["emit", "--alpha", "0.3", "growth"], "invalid choice", id="emit-option-first"),
+])
+def test_unread_options_exit_2(capsys, argv, error):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2 and error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -831,11 +884,11 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         (None, ["radii", "probe", "--budget", "-1"]),
         # orders above series.MAX_ORDER, and more coefficients than it allows
         (None, ["verify", "--order", "4097"]),
-        (None, ["emit", "norm", "--order", "4097"]),
-        (None, ["emit", "norm", "--order", "1"]),
-        (None, ["radii", "probe", "--order", "4097"]),
         pytest.param('{"kind": "polynomial", "coeffs": [%s]}' % ", ".join(["[0, 0]"] * 4098),
                      None, id="4098-coeffs"),
+        # not Schwarz functions: |omega| > 1 on the unit circle, although < 1 on |z| = 0.999
+        *(pytest.param('{"kind": "polynomial", "coeffs": [%s[%s, 0]]}' % ("[0, 0], " * n, c),
+                       None, id=f"{c}z^{n}") for n, c in ((20, 1.01), (1000, 1.5))),
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, spec, argv):

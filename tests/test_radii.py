@@ -501,10 +501,11 @@ def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
 
 
 def _reference_probe(params, setting, search, specs=None):
-    """sharpness_probe with one t_values call per member and circle."""
+    """sharpness_probe with one t_values call per member and circle, its
+    members at the default order, as the probe's."""
     if specs is None:
         specs = _probe_family(params, setting, search.seed)
-    members = [generate_member(params, s, order=search.order, validate=False) for s in specs]
+    members = [generate_member(params, s, validate=False) for s in specs]
     evals, witnesses = 0, []
 
     def fails(r):

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from robertson_kit import robertson
 from robertson_kit.robertson import (
     VALIDATION_ANGLES,
-    VALIDATION_R,
     ClosedForm,
     GridSpec,
     MemberBatch,
     MemberSeries,
+    NaNMargin,
     NotASchwarzFunction,
     ParamOutOfRange,
     SchwarzSpec,
@@ -39,6 +39,7 @@ from robertson_kit.robertson import (
     subordination_membership_check,
     validate_schwarz,
 )
+from robertson_kit.radii import ConcavitySetting, concavity_soundness_scan, sharpness_probe
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import ScanOpts, norm_estimate, s_on_circle
 from robertson_kit.series import TruncatedSeries, chebyshev_radii
@@ -102,20 +103,23 @@ def test_params_out_of_range():
 def test_validate_identity_map():
     rep = validate_schwarz(SchwarzSpec(kind="polynomial", coeffs=(0, 1)))
     assert rep.vanishing_order == 1
-    assert rep.grid_max < 1
-    # the maximum is |omega|'s on the circle |z| = VALIDATION_R, bit for bit,
-    # and by the maximum modulus principle at least that of any inner circle:
-    # here 256 Chebyshev radii out to VALIDATION_R at 256 angles
+    # omega = z has |omega| = 1 on the unit circle, which the validator reads
+    assert abs(rep.grid_max - 1) < 1e-15
+    # the maximum is |omega|'s at the VALIDATION_ANGLES roots of unity (Horner
+    # there agrees with the FFT to rounding), and by the maximum modulus
+    # principle at least that of any inner circle: here 256 Chebyshev radii
+    # out to 0.999 at 256 angles
+    zs = np.exp(2j * np.pi * np.arange(VALIDATION_ANGLES) / VALIDATION_ANGLES)
     for spec in (
         SchwarzSpec(kind="polynomial", coeffs=(0, 1)),
         SchwarzSpec(kind="polynomial", coeffs=(0, 0.3, -0.2j, 0.1, 0.05 + 0.1j)),
         plane_extremal_schwarz_spec(256),
     ):
-        om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
         grid_max = validate_schwarz(spec).grid_max
-        on_circle = om.eval_on_circle(VALIDATION_R, VALIDATION_ANGLES)
-        assert grid_max == float(np.max(np.abs(on_circle)))
-        inner = om.eval_on_circles(chebyshev_radii(256, VALIDATION_R), 256)
+        on_circle = np.polynomial.polynomial.polyval(zs, spec.coeffs)
+        assert grid_max == pytest.approx(float(np.max(np.abs(on_circle))), rel=1e-14)
+        om = omega_series(spec, max(len(spec.coeffs) - 1, 1))
+        inner = om.eval_on_circles(chebyshev_radii(256, 0.999), 256)
         assert grid_max >= float(np.max(np.abs(inner)))
 
 
@@ -127,6 +131,32 @@ def test_validate_square_map_is_sp0_generator():
 def test_validate_rejects_expanding_map():
     with pytest.raises(NotASchwarzFunction):
         validate_schwarz(SchwarzSpec(kind="polynomial", coeffs=(0, 2)))
+    # |omega| = scale on the unit circle, although on |z| = 0.999 these read
+    # 0.989991 and 0.551543, inside the disk
+    for degree, scale in ((20, 1.01), (1000, 1.5)):
+        with pytest.raises(NotASchwarzFunction, match="on the unit circle exceeds 1"):
+            validate_schwarz(SchwarzSpec(kind="polynomial", coeffs=(0,) * degree + (scale,)))
+
+
+# omega = 1e308 (z + z^2), unvalidated: P_f overflows to NaN on every circle
+NAN_SPEC = SchwarzSpec(kind="polynomial", coeffs=(0, 1e308, 1e308))
+
+
+@pytest.mark.parametrize("scan", [
+    # without the raise, each would end in a value: -inf, the other member's
+    # minimum 0.668, a NaN margin, and the radius 0.9 with no violation found
+    pytest.param(lambda m: norm_estimate(m, 1, ScanOpts(r_max=0.95)), id="norm_estimate"),
+    pytest.param(lambda m: concavity_soundness_scan(
+        [m, generate_member(m.params, SchwarzSpec("polynomial", (0, 1)))], ConcavitySetting(2.0),
+        0.2), id="concavity_soundness_scan"),
+    pytest.param(subordination_membership_check, id="subordination_membership_check"),
+    pytest.param(lambda m: sharpness_probe(m.params, ConcavitySetting(2.0), specs=[NAN_SPEC]),
+                 id="sharpness_probe"),
+])
+def test_a_scan_that_reads_nan_raises(scan):
+    member = generate_member(make_params(0, 0), NAN_SPEC, validate=False)
+    with np.errstate(all="ignore"), pytest.raises(NaNMargin):
+        scan(member)
 
 
 def test_validate_rejects_nonvanishing():
