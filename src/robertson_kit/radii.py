@@ -25,7 +25,9 @@ disk |z| <= r < 1 (P_f is, since f' never vanishes there for a member built
 from a Schwarz function or a closed form), so by the minimum principle each
 takes its least value on |z| <= r on the circle |z| = r.  The soundness scan
 therefore reads one circle, and the probe searches members and circles for
-the empirical radius at which some member first loses Re T_f > 0.
+the empirical radius at which some member first loses Re T_f > 0: an ITP
+search (itp_point) on the least Re T_f per circle, which reads 7 or 8
+circles at the default r_tol and never more than one past bisection's count.
 """
 
 from __future__ import annotations
@@ -261,6 +263,35 @@ PROBE_ROTATIONS = 16
 PROBE_SPECS = 24
 PROBE_ANGLES = 96
 PROBE_R_HI = 0.9
+# the ITP search's truncation kappa_1 (b - a)^kappa_2 and its slack of n0 steps
+# over bisection's ceil(log2((b - a)/tol)) (Oliveira and Takahashi, ACM TOMS 47(1), 2021)
+ITP_K1 = 0.2 / PROBE_R_HI
+ITP_K2 = 2.0
+ITP_N0 = 1
+
+
+def itp_steps(width: float, tol: float) -> int:
+    """The most points itp_point reads to narrow a bracket of this width to tol:
+    bisection's ceil(log2(width/tol)) steps plus ITP_N0."""
+    return math.ceil(math.log2(width / tol)) + ITP_N0
+
+
+def itp_point(lo: float, f_lo: float, hi: float, f_hi: float, tol: float, left: int) -> float:
+    """The next point of an ITP search on [lo, hi], f_lo > 0 >= f_hi, that has
+    `left` of its itp_steps(...) points to go and stops once hi - lo <= tol.
+
+    The regula-falsi point between the two values is truncated toward the
+    midpoint by ITP_K1 (hi - lo)^ITP_K2, then projected into the interval
+    around the midpoint that still narrows the bracket to tol in `left`
+    steps: the bracket shrinks from both sides, never slower than bisection
+    with ITP_N0 steps of slack.
+    """
+    mid = 0.5 * (lo + hi)
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    step = ITP_K1 * (hi - lo) ** ITP_K2
+    x = mid if abs(mid - x) <= step else x + math.copysign(step, mid - x)
+    reach = max(0.0, tol * 2.0 ** (left - 1) - 0.5 * (hi - lo))
+    return x if abs(x - mid) <= reach else mid + math.copysign(reach, x - mid)
 
 
 @dataclass(frozen=True)
@@ -304,11 +335,17 @@ def sharpness_probe(
     Blaschke/polynomial specs; pass `specs` to restrict the search to a
     fixed family.  The least Re T_f on |z| <= r lies on |z| = r (minimum
     principle), so it falls as r grows: one circle at PROBE_R_HI shows
-    whether any member fails by then, and bisection on [0, PROBE_R_HI]
-    narrows the first failure radius to r_tol.  The budget counts
-    member-circle evaluations; exhaustion returns the best-so-far with a
-    flag, and 0.0 when not even the first circle fits, since no radius was
-    shown to pass.  A circle reads the members' exact P_f in one MemberBatch call.
+    whether any member fails by then.  If one does, an ITP search
+    (itp_point) narrows [0, PROBE_R_HI] until hi - lo <= r_tol and returns
+    the midpoint.  Its left value is Re T_f(0) = 1, which holds for every
+    member, so no circle is read at 0; each step reads one circle at a
+    regula-falsi point of the least Re T_f, truncated and projected so that
+    the search reads at most itp_steps(PROBE_R_HI, r_tol) circles after the
+    first, ITP_N0 more than bisection.  The witness is the argmin of the last
+    circle with Re T_f <= 0.  The budget counts member-circle evaluations;
+    exhaustion returns the best-so-far with a flag, and 0.0 when not even the
+    first circle fits, since no radius was shown to pass.  A circle reads the
+    members' exact P_f in one MemberBatch call.
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
@@ -330,20 +367,26 @@ def sharpness_probe(
             witness = (specs[i], z)
         return least
 
-    lo, hi, exhausted = 0.0, PROBE_R_HI, len(members) > search.budget
-    if exhausted or min_re_t(PROBE_R_HI) > 0:
+    exhausted = len(members) > search.budget
+    f_hi = math.inf if exhausted else min_re_t(PROBE_R_HI)
+    if f_hi > 0:
         return ProbeResult(
             empirical_radius=0.0 if exhausted else PROBE_R_HI, witness_spec=None,
             witness_z=0j, evaluations=evals, budget_exhausted=exhausted, violation_found=False)
+    # T_f(0) = 1 for every member, so the left value needs no circle at 0
+    lo, f_lo, hi = 0.0, 1.0, PROBE_R_HI
+    left = itp_steps(hi - lo, search.r_tol)
     while hi - lo > search.r_tol:
         if evals + len(members) > search.budget:
             exhausted = True
             break
-        mid = 0.5 * (lo + hi)
-        if min_re_t(mid) <= 0:
-            hi = mid
+        r = itp_point(lo, f_lo, hi, f_hi, search.r_tol, left)
+        left -= 1
+        least = min_re_t(r)
+        if least <= 0:
+            hi, f_hi = r, least
         else:
-            lo = mid
+            lo, f_lo = r, least
 
     return ProbeResult(
         empirical_radius=0.5 * (lo + hi), witness_spec=witness[0].to_json(),

@@ -493,8 +493,9 @@ class MemberSeries:
     def s_series(self) -> TruncatedSeries:
         """Series of S_f = P' - P^2/2 at order N - 2: from the P series without a fraction,
         else (W (1/V))/V with W = U'V - UV' - U^2/2, the short W times _fraction's 1/V and one
-        division by V.  Once by V^2 loses digits: at order 1024 and (pi/4, 0.25), W/V^2 was
-        2.6e-12 to 5.4e-10 off the 40-digit series, (W/V)/V 1.3e-14 to 4.6e-14 (relative)."""
+        division by V, which takes its leading block of 1/V from that 1/V.  Once by V^2 loses
+        digits: at order 1024 and (pi/4, 0.25), W/V^2 was 2.6e-12 to 5.4e-10 off the 40-digit
+        series, (W/V)/V 1.3e-14 to 4.6e-14 (relative)."""
         if self._s_series is None:
             if self.fraction is None:
                 p = self.p_series()
@@ -505,7 +506,7 @@ class MemberSeries:
                 zw[1:] -= np.convolve(u, u) / 2  # z W = (z U') V - U (z V') - z U^2/2
                 n = self.order - 2
                 w = TruncatedSeries(np.convolve(zw[1:], inv.coeffs[: n + 1])[: n + 1])
-                self._s_series = w / TruncatedSeries(v[: n + 1]).pad(n)
+                self._s_series = w._divide(TruncatedSeries(v[: n + 1]).pad(n), inv.coeffs)
         return self._s_series
 
     @property

@@ -56,17 +56,21 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return q
 
 
-def _short_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _short_quotient(a: np.ndarray, b: np.ndarray, inv=None) -> np.ndarray:
     """a/b in O(N d) for a divisor of degree d = b.size - 1 in [1, SHORT_BLOCK).
 
     Per block of SHORT_BLOCK coefficients, one np.convolve subtracts what the d
     coefficients before the block contribute, and one with the leading coefficients
     of 1/b solves the block (from those d alone past a's last nonzero coefficient,
-    as in every block of 1/b after the first); no FFT and no matrix product.
+    as in every block of 1/b after the first); no FFT and no matrix product.  Those
+    leading coefficients come from the O(SHORT_BLOCK^2) recurrence, or from inv, 1/b
+    as this function computed it: its first block is the recurrence's bit for bit.
     """
     d = b.size - 1
-    unit = np.eye(1, SHORT_BLOCK, dtype=np.complex128)[0]
-    inv = _quotient(unit, np.concatenate((b, np.zeros(SHORT_BLOCK - b.size))))
+    if inv is None:
+        unit = np.eye(1, SHORT_BLOCK, dtype=np.complex128)[0]
+        inv = _quotient(unit, np.concatenate((b, np.zeros(SHORT_BLOCK - b.size))))
+    inv = inv[:SHORT_BLOCK]
     end = int(np.flatnonzero(a).max(initial=-1)) + 1
     q = np.empty(a.size, dtype=np.complex128)
     for k in range(0, a.size, SHORT_BLOCK):
@@ -183,6 +187,11 @@ class TruncatedSeries:
             return self * (1.0 / other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        return self._divide(other)
+
+    def _divide(self, other: "TruncatedSeries", inv=None) -> "TruncatedSeries":
+        """self/other; inv, if given, is 1/other as a division computed it, to order
+        SHORT_BLOCK - 1 or more, and spares a short division rebuilding its first block."""
         self._guard()
         other._guard()
         a, b, n = self._common(other)
@@ -192,7 +201,7 @@ class TruncatedSeries:
             )
         d = int(np.flatnonzero(b)[-1])  # the divisor's degree
         if d < SHORT_BLOCK < n:
-            return TruncatedSeries(_short_quotient(a, b[: d + 1]) if d else a / b[0])
+            return TruncatedSeries(_short_quotient(a, b[: d + 1], inv) if d else a / b[0])
         return TruncatedSeries(_quotient(a, b))
 
     def __rtruediv__(self, other):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from robertson_kit.radii import (
     PROBE_ANGLES,
@@ -15,6 +17,8 @@ from robertson_kit.radii import (
     SearchOpts,
     concavity_soundness_scan,
     extremal_rotation,
+    itp_point,
+    itp_steps,
     phi_quadratic,
     phi_value,
     radius_concavity,
@@ -65,6 +69,21 @@ def test_t_at_origin_is_one():
     for a_co in (1.2, 1.7, 2.0):
         for m in sample_members(make_params(0.4, 0.3), 5, seed=3, order=64):
             assert abs(t_values(m, ConcavitySetting(a_co), 0.0) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("a_co", [1.1, 1.3, 1.5, 1.7, 2.0])
+def test_t_at_origin_is_one_for_the_probe_family(a_co):
+    # the probe's search takes Re T_f(0) = 1 without reading a circle: every
+    # member of the default family gives 1 within 4 ulp at z = 0.  Its P_f(0)
+    # drops out (0 * P_f(0) = 0), so what remains is the formula's rounding of
+    # (A+1)/2 - 1, which grows as A_co tends to 1 (5 ulp at 1.2, 1e4 at 1.0001)
+    p, st = make_params(math.pi / 8, 0.25), ConcavitySetting(a_co)
+    members = [generate_member(p, s, validate=False) for s in _probe_family(p, st, 1)]
+    zs = np.zeros(1, dtype=np.complex128)
+    t0 = t_from_p(st, zs, robertson.MemberBatch(members).values("P", zs))
+    assert t0.shape == (PROBE_ROTATIONS + 1 + PROBE_SPECS, 1)
+    assert np.all(np.abs(t0 - 1) <= 4 * np.spacing(1.0)), t0.ravel()
+    assert np.all(t0 == t_from_p(st, zs, 0.0))
 
 
 def test_t_identity_member_closed_form():
@@ -476,11 +495,13 @@ def test_probe_budget_exhaustion_flag():
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=30))
     assert res.budget_exhausted and not res.violation_found
     assert (res.empirical_radius, res.evaluations) == (0.0, 0)
-    # 5 circles: the first at PROBE_R_HI, then bisection; the last failing
-    # circle lies outside the class radius
+    # 5 circles: the first at PROBE_R_HI, then 4 ITP steps; the last failing
+    # circle lies outside the class radius, and the midpoint is within 1e-3
+    # of it (bisection's 4 steps ended 1.7e-2 short, at 0.084375)
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=205))
     assert res.budget_exhausted and res.violation_found and res.evaluations == 205
     assert R_CORR_00_2 < abs(res.witness_z) < PROBE_R_HI
+    assert abs(res.empirical_radius - R_CORR_00_2) < 1e-3
 
 
 def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
@@ -496,21 +517,21 @@ def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
     res = sharpness_probe(make_params(math.pi / 8, 0.25), ConcavitySetting(1.5),
                           SearchOpts(seed=3, budget=6000))
     circles = res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS)
-    assert circles > 10 and set(calls) == {"P"}
+    assert circles >= 7 and set(calls) == {"P"}  # 7 measured: the first circle and 6 ITP steps
     assert len(calls) <= 2 * circles
 
 
 def _reference_probe(params, setting, search, specs=None):
     """sharpness_probe with one t_values call per member and circle, its
-    members at the default order, as the probe's."""
+    members at the default order, as the probe's, and the same ITP steps."""
     if specs is None:
         specs = _probe_family(params, setting, search.seed)
     members = [generate_member(params, s, validate=False) for s in specs]
     evals, witnesses = 0, []
 
-    def fails(r):
-        # Re T <= 0 somewhere on circle(r); the witness is the first member
-        # with the strictly least minimum, at its first minimizing angle
+    def least(r):
+        # the least Re T on circle(r), and the witness, the first member with
+        # the strictly least minimum at its first minimizing angle, if <= 0
         nonlocal evals
         best, witness, zs = math.inf, None, circle(r, PROBE_ANGLES)
         for spec, m in zip(specs, members):
@@ -521,22 +542,26 @@ def _reference_probe(params, setting, search, specs=None):
                 best, witness = float(re_t[j]), (spec.to_json(), complex(zs[j]))
         if best <= 0:
             witnesses.append(witness)
-        return best <= 0
+        return best
 
     if len(members) > search.budget:
         return ProbeResult(0.0, None, 0j, 0, True, False).to_json()
-    if not fails(PROBE_R_HI):
+    f_hi = least(PROBE_R_HI)
+    if f_hi > 0:
         return ProbeResult(PROBE_R_HI, None, 0j, evals, False, False).to_json()
-    lo, hi, exhausted = 0.0, PROBE_R_HI, False
+    lo, f_lo, hi, exhausted = 0.0, 1.0, PROBE_R_HI, False
+    left = itp_steps(hi - lo, search.r_tol)
     while hi - lo > search.r_tol:
         if evals + len(members) > search.budget:
             exhausted = True
             break
-        mid = 0.5 * (lo + hi)
-        if fails(mid):
-            hi = mid
+        r = itp_point(lo, f_lo, hi, f_hi, search.r_tol, left)
+        left -= 1
+        value = least(r)
+        if value <= 0:
+            hi, f_hi = r, value
         else:
-            lo = mid
+            lo, f_lo = r, value
     spec, z = witnesses[-1]
     return ProbeResult(0.5 * (lo + hi), spec, z, evals, exhausted, True).to_json()
 
@@ -564,3 +589,99 @@ def test_probe_matches_per_member_reference(alpha, beta, a_co, search, specs):
     p, st = make_params(alpha, beta), ConcavitySetting(a_co)
     want = _reference_probe(p, st, search, specs)
     assert sharpness_probe(p, st, search, specs).to_json() == want
+
+
+# (alpha, beta, A_co) of the benchmark's radii sweep
+SWEEP_POINTS = [(alpha, beta, a_co) for alpha in (0.0, math.pi / 8, math.pi / 4)
+                for beta in (0.0, 0.25, 0.5) for a_co in (1.5, 2.0)]
+
+
+def _bisection_probe(params, setting, seed, r_tol):
+    """(radius, witness spec) of the default family by bisection on the sign of
+    the least Re T_f per circle, from [0, PROBE_R_HI] to a bracket of r_tol."""
+    specs = _probe_family(params, setting, seed)
+    batch = robertson.MemberBatch([generate_member(params, s, validate=False) for s in specs])
+
+    def least(r):
+        zs = circle(r, PROBE_ANGLES)
+        lows = t_from_p(setting, zs, batch.values("P", zs)).real.min(axis=1)
+        i = int(np.argmin(lows))
+        return lows[i], specs[i].to_json()
+
+    lo, hi = 0.0, PROBE_R_HI
+    value, witness = least(hi)
+    assert value <= 0
+    while hi - lo > r_tol:
+        mid = 0.5 * (lo + hi)
+        value, spec = least(mid)
+        lo, hi, witness = (lo, mid, spec) if value <= 0 else (mid, hi, witness)
+    return 0.5 * (lo + hi), witness
+
+
+@pytest.mark.parametrize("alpha, beta, a_co", SWEEP_POINTS)
+def test_probe_matches_fine_bisection_on_the_sweep(alpha, beta, a_co):
+    # the ITP search lands within its r_tol of a bisection run to 1e-10, and its
+    # last failing circle names the same member.  At alpha = 0 the family holds
+    # omega = -z twice, as the rotation exp(i pi) = -1 + 1.2e-16i and as the
+    # extremal rotation -1: the two tie to rounding, and at (0, 0.25, 1.5) each
+    # search's last circle names a different one
+    p, st = make_params(alpha, beta), ConcavitySetting(a_co)
+    for seed in (1, 7):
+        res = sharpness_probe(p, st, SearchOpts(seed=seed, budget=6000))
+        radius, witness = _bisection_probe(p, st, seed, 1e-10)
+        assert abs(res.empirical_radius - radius) <= SearchOpts().r_tol, (seed, res, radius)
+        if res.witness_spec != witness:
+            pair = (res.witness_spec, witness)
+            assert alpha == 0 and all(w["kind"] == "unit_constant_times_z" for w in pair), pair
+            assert abs(complex(*pair[0]["rotation"]) - complex(*pair[1]["rotation"])) < 1e-15
+
+
+def _circle_bound(r_tol):
+    # the first circle, bisection's ceil(log2(PROBE_R_HI / r_tol)) steps and ITP's n0 = 1
+    return math.ceil(math.log2(PROBE_R_HI / r_tol)) + 2
+
+
+def test_probe_reads_at_most_one_circle_more_than_bisection():
+    assert _circle_bound(SearchOpts().r_tol) == 22  # bisection reads 21
+    p, st = make_params(0, 0), ConcavitySetting(2.0)
+    res = sharpness_probe(p, st, SearchOpts(seed=1, budget=6000))
+    assert res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS) <= _circle_bound(1e-6)
+    for spec in (SchwarzSpec(kind="polynomial", coeffs=(0, 0)), plane_extremal_schwarz_spec(order=256)):
+        for r_tol in (1e-9, 1e-8):
+            res = sharpness_probe(p, st, SearchOpts(seed=1, budget=5000, r_tol=r_tol), specs=[spec])
+            assert res.violation_found and res.evaluations <= _circle_bound(r_tol), (spec, r_tol)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=hst.floats(-1.5, 1.5), beta=hst.floats(0, 0.95), a_co=hst.floats(1.01, 2.0),
+       r_tol=hst.floats(1e-10, 1e-3))
+def test_probe_circle_count_bound_on_drawn_settings(alpha, beta, a_co, r_tol):
+    p, st = make_params(alpha, beta), ConcavitySetting(a_co)
+    res = sharpness_probe(p, st, SearchOpts(seed=2, budget=10**5, r_tol=r_tol))
+    assert res.violation_found and not res.budget_exhausted
+    assert res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS) <= _circle_bound(r_tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=hst.floats(1e-6, PROBE_R_HI - 1e-6), power=hst.sampled_from([1, 3, 9]),
+       drop=hst.floats(1e-300, 1e300), r_tol=hst.floats(1e-12, 1e-2))
+def test_itp_point_keeps_the_bisection_bound(root, power, drop, r_tol):
+    # decreasing functions that vanish at root, from odd powers to a step of
+    # any depth (where regula falsi alone crawls from one side): the search
+    # brackets the root and stops within itp_steps points
+    def f(x):
+        return (root - x) ** power if x < root else -drop * (x - root) ** power
+
+    lo, f_lo, hi, f_hi = 0.0, f(0.0), PROBE_R_HI, f(PROBE_R_HI)
+    left = itp_steps(hi - lo, r_tol)
+    for used in range(left + 1):
+        if hi - lo <= r_tol:
+            break
+        x = itp_point(lo, f_lo, hi, f_hi, r_tol, left - used)
+        assert lo <= x <= hi
+        if f(x) <= 0:
+            hi, f_hi = x, f(x)
+        else:
+            lo, f_lo = x, f(x)
+    assert hi - lo <= r_tol and used <= left
+    assert lo <= root <= hi

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robertson_kit import robertson
+from robertson_kit import robertson, series
 from robertson_kit.robertson import (
     VALIDATION_ANGLES,
     ClosedForm,
@@ -883,6 +883,32 @@ def test_p_and_s_series_build_only_what_is_asked():
     long_v = generate_member(params, spec, order=256, validate=False)
     assert long_v.f_prime.order == 256
     assert long_v._p_series is None and long_v._s_series is None
+
+
+@pytest.mark.parametrize("order", [512, 4096])
+def test_s_series_division_reuses_the_inverse_block(order, monkeypatch):
+    # the final division of S by V takes 1/V's first SHORT_BLOCK coefficients
+    # from _fraction, which holds them bit for bit, instead of rebuilding them
+    # by the O(SHORT_BLOCK^2) recurrence: the same bytes as the rebuilt path,
+    # and no _quotient call once 1/V is built
+    params = make_params(math.pi / 4, 0.25)
+    members = [generate_member(params, spec, order=order, validate=False)
+               for sp0 in (False, True) for spec in sample_schwarz_specs(4, 6, sp0=sp0)]
+    quotients = []
+    quotient = series._quotient
+    monkeypatch.setattr(series, "_quotient", lambda a, b: quotients.append(b) or quotient(a, b))
+    got = []
+    for m in members:
+        m._fraction
+        quotients.clear()
+        got.append(m.s_series().coeffs.tobytes())
+        assert quotients == []
+    monkeypatch.undo()
+    divide = TruncatedSeries._divide
+    monkeypatch.setattr(TruncatedSeries, "_divide", lambda self, other, inv=None: divide(self, other))
+    for m, bits in zip(members, got):
+        m._s_series = None
+        assert m.s_series().coeffs.tobytes() == bits
 
 
 def test_f_prime_of_long_v_matches_closed_form():
