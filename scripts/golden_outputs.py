@@ -43,7 +43,10 @@ CASES = {
                              "--seed", "11", "--budget", "6000"],
     "radii_probe_1.2_0": ["radii", "probe", "--alpha", "1.2", "--beta", "0",
                           "--seed", "11", "--budget", "6000"],
-    # 5 circles of the 41 default members: the search stops with budget_exhausted
+    # the extremal rotation at alpha = 0 is -1, once among the 16 rotations
+    "radii_probe_0_0.25_Aco1.5": ["radii", "probe", "--beta", "0.25", "--Aco", "1.5",
+                                  "--seed", "11", "--budget", "6000"],
+    # 5 circles of the 40 default members: the search stops with budget_exhausted
     "radii_probe_budget_205": ["radii", "probe", "--seed", "1", "--budget", "205"],
     "radii_concavity_pi4_0.25": ["radii", "concavity", "--alpha", PI_4, "--beta", "0.25"],
     "radii_convexity_sharp_pi4_0.25": ["radii", "convexity", "--mode", "sharp",

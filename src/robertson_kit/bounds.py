@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .robertson import ClassParams, MemberBatch, MemberSeries, NaNMargin, ParamOutOfRange
-from .robertson import SchwarzSpec, phi_values, polar_grid, require_tails
+from .robertson import SchwarzSpec, first_tied, phi_values, polar_grid, require_tails
 from .series import TAIL_TOL, chebyshev_radii
 
 
@@ -192,11 +192,12 @@ def envelope_checks(
     grid, one EnvelopeReport per member.
 
     Margins are min(upper - value, value - lower); the least one over the
-    grid is reported per envelope with where it occurred, the first in
-    (radius, angle) order, and a NaN margin raises NaNMargin.  Each params'
-    envelopes are computed once.  Every f' and f comes from one MemberBatch,
-    in blocks of members (MemberBatch.circles).  TailToleranceUnmet: a series
-    it read has a tail above tail_tol at the largest radius (require_tails).
+    grid is reported per envelope with its witness, the first point in
+    (radius, angle) order tied with it (first_tied), and a NaN margin raises
+    NaNMargin.  Each params' envelopes are computed once.  Every f' and f
+    comes from one MemberBatch, in blocks of members (MemberBatch.circles).
+    TailToleranceUnmet: a series it read has a tail above tail_tol at the
+    largest radius (require_tails).
     """
     members = list(members)
     if not all(map(_is_sp0, members)):
@@ -215,11 +216,11 @@ def envelope_checks(
             band = [bands[members[i].params, q] for i in rows]
             lower, upper = np.stack([b[0] for b in band]), np.stack([b[1] for b in band])
             marg = np.minimum(upper - vals, vals - lower).reshape(len(rows), -1)
-            js = np.argmin(marg, axis=1)  # a NaN's index where a row holds one
-            for i, j, row in zip(rows, js, marg):
-                if math.isnan(row[j]):
-                    raise NaNMargin(f"member {i}: {q} margin NaN at z = {complex(zs[j])}")
-                least[q, i] = float(row[j]), complex(zs[j])
+            for i, low, j, row in zip(rows, *first_tied(marg), marg):
+                if math.isnan(low):
+                    z = complex(zs[np.isnan(row).argmax()])
+                    raise NaNMargin(f"member {i}: {q} margin NaN at z = {z}")
+                least[q, i] = float(low), complex(zs[j])
     require_tails(members, ("fprime", "f"), float(np.max(radii, initial=0.0)), tail_tol)
     return [
         EnvelopeReport(

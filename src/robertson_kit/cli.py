@@ -34,7 +34,6 @@ from . import bounds, radii, robertson, sampling, schwarzian
 from .robertson import (
     ClassParams,
     MemberBatch,
-    MemberSeries,
     NaNMargin,
     SchwarzSpec,
     extremal_member,
@@ -46,7 +45,6 @@ from .series import DEFAULT_ORDER, SeriesError, chebyshev_radii
 
 ASSERT_TOL = 1e-9
 NORM_TOL = 1e-6
-WITNESS_TIE = 1e-12  # margins this close to the minimum count as tied for the witness
 MAX_EMIT_ROWS = 100_000  # the most rows an emit table may have; the default step gives 19
 EMIT_BLOCK = 256  # radii per batch circles call in emit distortion, bounding its memory
 VERIFY_ORDER = 512  # the series order of a verify run, in process and on the command line
@@ -151,11 +149,10 @@ class RunCache:
         """(cfg, params, members): seeded members plus the canonical witness
         generators, each member's provenance its witness spec.
 
-        The canonical extras (a plain rotation and its negative, squared
-        for SP0) make the standard counterexamples deterministic parts of
-        every run.  "convex" is the general batch at alpha = beta = 0;
-        "general+plane" adds the plane extremal at alpha = 0, the printed
-        2.1iii's witness, in new lists; the cached ones are never mutated.
+        The canonical extras, omega = +-z, and z^2 for SP0, make the standard
+        counterexamples deterministic parts of every run; -z^2 is z^2 turned
+        by i, which no SP0 check can tell apart.  "convex" is the general
+        batch at alpha = beta = 0.
         """
         if batch == "convex":
             cfg = replace(cfg, alpha=0.0, beta=0.0)
@@ -163,21 +160,12 @@ class RunCache:
         params = make_params(cfg.alpha, cfg.beta)
         key = (cfg.alpha, cfg.beta, sp0, cfg.seed, cfg.samples, cfg.order)
         if key not in self._members:
-            power = 2 if sp0 else 1
-            specs = [
-                SchwarzSpec(kind="unit_constant_times_z", power=power),
-                SchwarzSpec(kind="unit_constant_times_z", rotation=-1.0, power=power),
-                *sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0),
-            ]
+            specs = [SchwarzSpec(kind="unit_constant_times_z", rotation=rot, power=1 + sp0)
+                     for rot in ((1.0,) if sp0 else (1.0, -1.0))]
+            specs += sampling.sample_schwarz_specs(cfg.seed, cfg.samples, sp0=sp0)
             self._members[key] = [generate_member(params, s, order=cfg.order, validate=False)
                                   for s in specs]
-        members = self._members[key]
-        if batch == "general+plane" and cfg.alpha == 0:
-            plane_key = (cfg.alpha, cfg.beta, "extremal_plane", cfg.order)
-            if plane_key not in self._members:
-                self._members[plane_key] = extremal_member(params, "plane", 1.0, order=cfg.order)
-            members = [*members, self._members[plane_key]]
-        return cfg, params, members
+        return cfg, params, self._members[key]
 
     def norms(self, members, weight: int, r_max: float) -> list[NormEstimate]:
         ids = tuple(map(id, members))
@@ -199,20 +187,14 @@ class RunCache:
         return np.array([self._p_grid[id(m)][1] for m in members])
 
 
-def _witness_member(w: dict) -> MemberSeries:
-    params = make_params(w["alpha"], w["beta"])
-    spec = w["spec"]
-    if isinstance(spec, dict):
-        return generate_member(params, SchwarzSpec.from_json(spec), w["order"], validate=False)
-    variant = spec.removeprefix("extremal_")
-    return extremal_member(params, variant, 1.0, order=w["order"])
-
-
 def replay_witness(w: dict) -> float:
-    """Recompute a stored witness's margin through its check's residual."""
+    """Recompute a stored witness's margin through its check's residual, its
+    member generated from its Schwarz spec."""
     if w["check"] not in CHECKS:
         raise ValueError(f"unknown check id {w['check']!r}")
-    check, m, zs = CHECKS[w["check"]], _witness_member(w), np.array([complex(*w["z"])])
+    m = generate_member(make_params(w["alpha"], w["beta"]), SchwarzSpec.from_json(w["spec"]),
+                        w["order"], validate=False)
+    check, zs = CHECKS[w["check"]], np.array([complex(*w["z"])])
     values = None if check.q is None else m.values(check.q, zs)
     return check.residual([m], zs, values, w).item(0)
 
@@ -242,7 +224,7 @@ class Check:
     """
 
     anchor: Callable[[dict], str]
-    batch: str  # general | general+plane | sp0 | convex; see RunCache.members
+    batch: str  # general | sp0 | convex; see RunCache.members
     residual: Callable[[list, np.ndarray, Any, dict], np.ndarray]
     asserted: Callable[[RunConfig, Optional[str]], bool]
     q: Optional[str] = None
@@ -267,8 +249,7 @@ def _grid_min(members, w: dict, cache: RunCache, zs=GRID) -> list[tuple]:
     The members go in blocks of as many rows of zs as fit ROW_BYTES, each
     block with one cache.values call and one residual call on its (rows,
     points) array, as replay_witness calls it on one row.  The witness is
-    the first point within WITNESS_TIE of the minimum, with its own margin,
-    so points that tie at rounding level do not trade it.
+    robertson.first_tied's point, with its own margin.
     """
     check, step = CHECKS[w["check"]], max(1, ROW_BYTES // (16 * zs.size))
     out = []
@@ -276,8 +257,7 @@ def _grid_min(members, w: dict, cache: RunCache, zs=GRID) -> list[tuple]:
         block = members[at : at + step]
         margins = np.broadcast_to(check.residual(block, zs, cache.values(block, check.q, zs), w),
                                   (len(block), zs.size))
-        lows = margins.min(axis=1)
-        js = np.argmax(margins <= lows[:, None] + WITNESS_TIE, axis=1)
+        lows, js = robertson.first_tied(margins)
         out += [(float(low), complex(zs[j]), zs.size, {"margin": float(row[j])})
                 for low, j, row in zip(lows, js, margins)]
     return out
@@ -309,10 +289,10 @@ def _envelope_residual(members, zs, values, w: dict):
 def _envelope_scan(members, w: dict, cache: RunCache):
     """The envelope margins of the whole batch by FFT circles (one
     bounds.envelope_checks call); the witness's margin by its replay, run for
-    the members within WITNESS_TIE of the least margin, the only ones
-    _run_check may pick.  TailToleranceUnmet: a series it read has a tail at
-    RADII's largest above the check's slack, which the truncation could then
-    move a margin across (robertson.require_tails)."""
+    the member that _run_check picks (robertson.first_tied).
+    TailToleranceUnmet: a series it read has a tail at RADII's largest above
+    the check's slack, which the truncation could then move a margin across
+    (robertson.require_tails)."""
     reps = bounds.envelope_checks(members, RADII, tail_tol=CHECKS[w["check"]].slack)
     out = []
     for rep in reps:
@@ -320,11 +300,9 @@ def _envelope_scan(members, w: dict, cache: RunCache):
             out.append((rep.growth_min_margin, rep.worst_z_growth, 1, {"kind": "growth"}))
         else:
             out.append((rep.distortion_min_margin, rep.worst_z_distortion, 1, {"kind": "distortion"}))
-    best = min([math.inf, *(margin for margin, *_ in out)])
-    for m, (margin, z, _, extra) in zip(members, out):
-        if margin <= best + WITNESS_TIE:
-            replay = _envelope_residual([m], np.array([z]), None, extra)
-            extra["margin"] = replay.item(0)
+    i = int(robertson.first_tied(np.array([row[0] for row in out]))[1])
+    _, z, _, extra = out[i]
+    extra["margin"] = _envelope_residual([members[i]], np.array([z]), None, extra).item(0)
     return out
 
 
@@ -376,7 +354,7 @@ CHECKS: dict[str, Check] = {
             "paper": "|(1-|z|^2) P_f - 2 k conj(z)| <= k (printed)",
             "corrected": "|(1-|z|^2) P_f - 2 G1 conj(z)| <= 2k (corrected)",
         }[w["mode"]],
-        batch="general+plane",
+        batch="general",
         residual=lambda ms, z, p, w: robertson.check_iii(ms[0].params, z, p, w["mode"]),
         asserted=lambda cfg, mode: mode == "corrected",
         q="P",
@@ -450,10 +428,8 @@ CHECKS: dict[str, Check] = {
 def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
     """Scan a table check's member batch; the worst margin decides the record.
 
-    min_margin is the exact minimum over the members.  The witness is the
-    first member whose margin is within WITNESS_TIE of it, recorded with
-    its own margin, so members that tie in exact arithmetic (rotations
-    such as omega = +-z^2) do not trade the witness on last-bit rounding.
+    min_margin is the exact minimum over the members.  The witness is
+    robertson.first_tied's member, recorded with its own margin.
     """
     check = CHECKS[cid]
     if check.record_id is None:
@@ -468,17 +444,15 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
         scanned = (check.scan or _grid_min)(members, w, cache)
         for i in (i for i, row in enumerate(scanned) if math.isnan(row[0])):
             raise NaNMargin(f"check {cid}: member {i}, {members[i].provenance!r}, has margin NaN")
-        best = min([math.inf, *(margin for margin, *_ in scanned)])
+        best, i = robertson.first_tied(np.array([*(row[0] for row in scanned), math.inf]))
         worst = None
         if best < math.inf:
-            i = next(i for i, row in enumerate(scanned) if row[0] <= best + WITNESS_TIE)
             margin, z, _, extra = scanned[i]
-            spec = members[i].provenance
             worst = {
                 "alpha": run.alpha,
                 "beta": run.beta,
                 "order": run.order,
-                "spec": spec.to_json() if isinstance(spec, SchwarzSpec) else spec,
+                "spec": members[i].provenance.to_json(),
                 "z": [z.real, z.imag],
                 "margin": margin,
                 **w,
@@ -490,7 +464,7 @@ def _run_check(cid: str, cfg: RunConfig, cache: RunCache) -> list[CheckRecord]:
                 anchor=check.anchor(w),
                 asserted=check.asserted(cfg, mode),
                 samples=sum(n for _, _, n, _ in scanned),
-                min_margin=best,
+                min_margin=float(best),
                 status="holds" if best >= -check.slack else "violated",
                 worst=worst,
             )
@@ -573,9 +547,10 @@ def cmd_emit(args: argparse.Namespace) -> int:
     if args.what in ("growth", "distortion"):
         if not 0 <= args.rmax < 1:
             raise robertson.ParamOutOfRange(f"rmax={args.rmax} outside [0, 1)")
-        if not (args.rmax + 1e-12) / args.step <= MAX_EMIT_ROWS:
+        steps = args.rmax / args.step * (1 + 2**-50)  # the i > 0 with i step <= rmax, to rounding
+        if not steps <= MAX_EMIT_ROWS:
             raise robertson.ParamOutOfRange(f"step={args.step} gives over {MAX_EMIT_ROWS} rows")
-        rs = np.arange(0.0, args.rmax + 1e-12, args.step)
+        rs = np.minimum(np.arange(math.floor(steps) + 1) * args.step, args.rmax)
     if args.what == "growth":
         header = ["r", "lower", "upper"]
         oracle = bounds.growth_oracle(params, 0.0) is not None

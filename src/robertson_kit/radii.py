@@ -47,6 +47,7 @@ from .robertson import (
     ParamOutOfRange,
     SchwarzSpec,
     circle,
+    first_tied,
     generate_member,
 )
 from .sampling import sample_schwarz_specs
@@ -206,17 +207,16 @@ class SoundnessReport:
 
 
 def _first_least(rows: np.ndarray, zs: np.ndarray) -> tuple[float, int, complex]:
-    """(least, i, z): the first row i with the strictly least row minimum, at
-    its first minimizing column of the shared points zs; no rows, or rows of
-    +inf alone, give (inf, -1, 0j).  NaNMargin if a row holds a NaN."""
-    js = np.argmin(rows, axis=1)  # a NaN's index where a row holds one
-    mins = np.append(rows[np.arange(len(rows)), js], math.inf)
-    if np.isnan(mins).any():
-        raise NaNMargin(f"member {int(np.isnan(mins).argmax())} reads Re T_f = NaN")
-    i = int(np.argmin(mins))
-    if mins[i] == math.inf:
+    """(least, i, z): the least entry of rows, the first row i whose minimum is tied with
+    it, and z, the first of the shared points zs tied with that row's minimum (first_tied);
+    no rows, or rows of +inf alone, give (inf, -1, 0j).  NaNMargin if a row holds a NaN."""
+    lows = rows.min(axis=1)
+    least, i = first_tied(lows) if lows.size else (math.inf, -1)
+    if math.isnan(least):
+        raise NaNMargin(f"member {int(np.isnan(lows).argmax())} reads Re T_f = NaN")
+    if least == math.inf:
         return math.inf, -1, 0j
-    return float(mins[i]), i, complex(zs[js[i]])
+    return float(least), int(i), complex(zs[first_tied(rows[i])[1]])
 
 
 # points on the soundness scan's circle
@@ -329,31 +329,32 @@ def sharpness_probe(
 ) -> ProbeResult:
     """Smallest radius at which some member attains Re T_f <= 0.
 
-    The member family combines PROBE_ROTATIONS evenly spaced rotations
-    omega = lam z and the extremal rotation, whose Re T_f first reaches 0
-    at the corrected radius (extremal_rotation), with PROBE_SPECS seeded
-    Blaschke/polynomial specs; pass `specs` to restrict the search to a
-    fixed family.  The least Re T_f on |z| <= r lies on |z| = r (minimum
-    principle), so it falls as r grows: one circle at PROBE_R_HI shows
-    whether any member fails by then.  If one does, an ITP search
-    (itp_point) narrows [0, PROBE_R_HI] until hi - lo <= r_tol and returns
-    the midpoint.  Its left value is Re T_f(0) = 1, which holds for every
-    member, so no circle is read at 0; each step reads one circle at a
-    regula-falsi point of the least Re T_f, truncated and projected so that
-    the search reads at most itp_steps(PROBE_R_HI, r_tol) circles after the
-    first, ITP_N0 more than bisection.  The witness is the argmin of the last
-    circle with Re T_f <= 0.  The budget counts member-circle evaluations;
-    exhaustion returns the best-so-far with a flag, and 0.0 when not even the
-    first circle fits, since no radius was shown to pass.  A circle reads the
+    The member family combines PROBE_ROTATIONS rotations omega = lam z,
+    lam = lam* e^{2 pi i j/PROBE_ROTATIONS} from the extremal rotation lam*
+    at j = 0, whose Re T_f first reaches 0 at the corrected radius
+    (extremal_rotation), with PROBE_SPECS seeded Blaschke/polynomial specs;
+    pass `specs` to restrict the search to a fixed family.  The least Re T_f
+    on |z| <= r lies on |z| = r (minimum principle), so it falls as r grows:
+    one circle at PROBE_R_HI shows whether any member fails by then.  If one
+    does, an ITP search (itp_point) narrows [0, PROBE_R_HI] until
+    hi - lo <= r_tol and returns the midpoint.  Its left value is
+    Re T_f(0) = 1, which holds for every member, so no circle is read at 0;
+    each step reads one circle at a regula-falsi point of the least Re T_f,
+    truncated and projected so that the search reads at most
+    itp_steps(PROBE_R_HI, r_tol) circles after the first, ITP_N0 more than
+    bisection.  The witness is _first_least's on the last circle with
+    Re T_f <= 0.  The budget counts member-circle evaluations; exhaustion
+    returns the best-so-far with a flag, and 0.0 when not even the first
+    circle fits, since no radius was shown to pass.  A circle reads the
     members' exact P_f in one MemberBatch call.
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
-    specs = list(specs) if specs is not None else [
-        SchwarzSpec(kind="unit_constant_times_z", rotation=lam) for lam in [
-            *(complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)) for j in range(PROBE_ROTATIONS)),
-            extremal_rotation(params, setting)]
-    ] + sample_schwarz_specs(search.seed, PROBE_SPECS, sp0=False)
+    if specs is None:
+        lam, turn = extremal_rotation(params, setting), 2j * math.pi / PROBE_ROTATIONS
+        specs = [SchwarzSpec(kind="unit_constant_times_z", rotation=lam * cmath.exp(turn * j))
+                 for j in range(PROBE_ROTATIONS)] + sample_schwarz_specs(search.seed, PROBE_SPECS)
+    specs = list(specs)
     members = [generate_member(params, s, validate=False) for s in specs]
     batch = MemberBatch(members)
     evals, witness = 0, None  # witness: (spec, z) of the last circle with Re T_f <= 0

@@ -769,6 +769,18 @@ class GridSpec:
     r_max: float = 0.9
 
 
+WITNESS_TIE = 1e-12  # margins this close to the least count as tied for the witness
+
+
+def first_tied(margins: np.ndarray):
+    """(least, i) along the last axis: the least margin, and the index of the first margin
+    within WITNESS_TIE of it, the witness of every scan, so that margins which tie in exact
+    arithmetic (rotations, points along a ray) do not trade it on last-bit rounding.  A NaN
+    makes its least NaN, which the caller checks."""
+    least = margins.min(axis=-1, keepdims=True)
+    return least[..., 0], (margins <= least + WITNESS_TIE).argmax(axis=-1)
+
+
 @dataclass(frozen=True)
 class MarginReport:
     min_margin: float
@@ -783,11 +795,12 @@ def subordination_membership_check(
 
     The margin is harmonic on the closed disk (P_f is analytic there, as f'
     never vanishes), so by the minimum principle its least value lies on
-    |z| = r_max, scanned at grid.n_angles points.  A nonnegative minimum (up
-    to -1e-9) certifies the defining inequality at the sampled points.  A
-    member evaluated by its P series needs that series' tail at r_max within
-    TAIL_TOL (require_tails).  ParamOutOfRange for an r_max outside (0, 1)
-    or no angles; NaNMargin for a NaN margin.
+    |z| = r_max, scanned at grid.n_angles points; argmin is the witness
+    (first_tied).  A nonnegative minimum (up to -1e-9) certifies the defining
+    inequality at the sampled points.  A member evaluated by its P series
+    needs that series' tail at r_max within TAIL_TOL (require_tails).
+    ParamOutOfRange for an r_max outside (0, 1) or no angles; NaNMargin for
+    a NaN margin.
     """
     if not 0 < grid.r_max < 1:
         raise ParamOutOfRange(f"r_max={grid.r_max} outside (0, 1)")
@@ -798,10 +811,10 @@ def subordination_membership_check(
     zs = circle(grid.r_max, grid.n_angles)
     pv = member.values("P", zs, grid.r_max)
     margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)
-    i = int(np.argmin(margins))  # a NaN's index where margins hold one
-    if math.isnan(margins[i]):
-        raise NaNMargin(f"margin NaN at z = {complex(zs[i])}")
-    return MarginReport(min_margin=float(margins[i]), argmin=complex(zs[i]), samples=zs.size)
+    least, i = first_tied(margins)
+    if math.isnan(least):
+        raise NaNMargin(f"margin NaN at z = {complex(zs[np.isnan(margins).argmax()])}")
+    return MarginReport(min_margin=float(least), argmin=complex(zs[i]), samples=zs.size)
 
 
 def check_ii(params: ClassParams, z, p):

@@ -38,6 +38,7 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
 from robertson_kit.schwarzian import TailToleranceUnmet, norm_estimate
+from robertson_kit.series import chebyshev_radii
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,20 @@ def test_envelope_check_alpha_nonzero_reports_finding():
     for rep in envelope_checks(sample_members(p, 40, seed=321, sp0=True, order=256)):
         worst = min(worst, rep.distortion_min_margin, rep.growth_min_margin)
     assert worst < 0
+
+
+def test_envelope_witness_is_the_first_tied_point():
+    # omega = z^2 at alpha = 0 meets the distortion and growth envelopes along
+    # whole rays, so points there tie with the least margin to rounding: the
+    # witness is the first in (radius, angle) order, on the real axis at the
+    # smallest radius, not the point a last bit picks (0.8880i for distortion)
+    radii = chebyshev_radii(24, 0.9)
+    m = generate_member(make_params(0, 0.9), SchwarzSpec(kind="unit_constant_times_z", power=2),
+                        order=512, validate=False)
+    rep = envelope_check(m, radii)
+    assert rep.worst_z_distortion == rep.worst_z_growth == radii[0]
+    assert radii[0] == pytest.approx(0.0294, abs=1e-4)
+    assert -1e-12 < min(rep.distortion_min_margin, rep.growth_min_margin) < 0
 
 
 def test_envelope_checks_match_one_member_checks():

@@ -22,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robertson_kit
-from robertson_kit import cli
+from robertson_kit import cli, robertson
 from robertson_kit.cli import main, replay_witness
 from robertson_kit.radii import ConcavitySetting, phi_quadratic, phi_value, soundness_grid
-from robertson_kit.robertson import SchwarzSpec, make_params, member_from_json, member_to_json
+from robertson_kit.robertson import (SchwarzSpec, extremal_member, generate_member, make_params,
+                                    member_from_json, member_to_json)
+from robertson_kit.schwarzian import ScanOpts, norm_estimates
 
 # the child process imports the same package as this one
 PACKAGE_ROOT = str(Path(robertson_kit.__file__).resolve().parent.parent)
@@ -97,8 +99,11 @@ def test_verify_printed_bound_yields_finding(tmp_path):
     rec = rep["checks"][0]
     assert rec["status"] == "violated" and not rec["asserted"]
     assert rec["worst"]["margin"] < 0
-    # run alone, 2.1iii still scans the plane extremal beside 2 + 1 members
-    assert rec["samples"] == (2 + 1 + 1) * 24 * 48
+    # run alone, 2.1iii scans the general batch: omega = +-z and 1 sampled member,
+    # and omega = z witnesses the printed bound's margin -k
+    assert rec["samples"] == (2 + 1) * 24 * 48
+    assert rec["worst"]["spec"] == {"kind": "unit_constant_times_z", "rotation": [1.0, 0.0],
+                                    "power": 1}
 
 
 def test_verify_usage_error_exit_2():
@@ -339,21 +344,21 @@ def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
     argv = ["verify", "--theorem", "all", "--samples", "2", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 3
     n_generated = len(generated)
-    # general and sp0 batches of 2 canonical + 2 sampled members; convex
-    # at alpha = beta = 0 is the general batch again
-    assert n_generated == len(set(generated)) == 2 * (2 + 2)
+    # the general batch of omega = +-z and the sp0 batch of omega = z^2, each
+    # with 2 sampled members; convex at alpha = beta = 0 is the general batch again
+    assert n_generated == len(set(generated)) == (2 + 2) + (1 + 2)
     # weight 1 (2.3) and weight 2 (2.4, reused by AB) over the sp0 batch,
     # each pair estimated once
-    assert len(norms) == len(set(norms)) == 2 * (2 + 2)
+    assert len(norms) == len(set(norms)) == 2 * (1 + 2)
     # a second run recomputes everything: no cache outlives a run
     assert main(argv) == 3
     assert len(generated) == 2 * n_generated
-    assert len(norms) == 2 * 2 * (2 + 2)
+    assert len(norms) == 2 * 2 * (1 + 2)
     # 2.3 alone needs no Schwarzian norm
     del norms[:]
     assert main(["verify", "--theorem", "2.3", "--samples", "2",
                  "--out", str(tmp_path / "r23.json")]) == 0
-    assert len(norms) == len(set(norms)) == 2 + 2
+    assert len(norms) == len(set(norms)) == 1 + 2
     assert {w for _, w in norms} == {1}
 
 
@@ -390,9 +395,9 @@ def test_verify_scans_member_blocks_and_p_on_grid_once(tmp_path, monkeypatch):
         for block, size in blocks:
             assert len(block) == 1 or 16 * len(block) * size <= cli.ROW_BYTES
     assert max(len(block) for _, blocks in scans for block, _ in blocks) > 1
-    # the 2 canonical and 8 sampled members of the general batch (convex at
-    # alpha = beta = 0), and the plane extremal of 2.1iii
-    assert len(p_rows) == len(set(p_rows)) == 2 + 8 + 1
+    # the 2 canonical and 8 sampled members of the general batch, which
+    # 2.1iii reads too (and convex at alpha = beta = 0)
+    assert len(p_rows) == len(set(p_rows)) == 2 + 8
 
 
 def test_verify_computes_growth_envelopes_once(tmp_path, monkeypatch):
@@ -423,7 +428,7 @@ def test_witness_is_first_member_within_tie_of_minimum(monkeypatch):
     margins = [0.5, np.nextafter(0.5, 0.0)]
     stub = cli.Check(
         anchor=lambda w: "stub",
-        batch="sp0",
+        batch="general",
         residual=lambda m, z, values, w: np.zeros(z.shape),
         asserted=lambda cfg, mode: True,
         scan=lambda members, w, cache: [(margin, 0.5 + 0j, 1, {}) for margin in margins],
@@ -444,7 +449,7 @@ def test_nan_margin_is_a_typed_error_naming_check_and_member(monkeypatch, tmp_pa
     # Python's min skips a NaN: the record would hold on the other member
     stub = cli.Check(
         anchor=lambda w: "stub",
-        batch="sp0",
+        batch="general",
         residual=lambda m, z, values, w: np.zeros(z.shape),
         asserted=lambda cfg, mode: True,
         scan=lambda members, w, cache: [(margin, 0.5 + 0j, 1, {}) for margin in margins],
@@ -498,8 +503,9 @@ def test_grid_rows_match_one_member_scans(monkeypatch, row_bytes):
     # (series) and omega = z (xi = 1: 2.5's rows are +inf) are among them
     monkeypatch.setattr(cli, "ROW_BYTES", row_bytes)
     cache = cli.RunCache()
-    run, params, members = cache.members(cli.RunConfig(samples=6, order=64), "general+plane")
-    members = [*members, member_from_json(member_to_json(members[2]))]
+    run, params, members = cache.members(cli.RunConfig(samples=6, order=64), "general")
+    members = [*members, extremal_member(params, "plane", 1.0, order=64),
+               member_from_json(member_to_json(members[2]))]
     assert members[0].exact_schwarz.kind == "unit_constant_times_z"
     assert cli.bounds.xi_of_member(members[0]) == 1.0
     for cid, mode in GRID_RECORDS:
@@ -511,7 +517,7 @@ def test_grid_rows_match_one_member_scans(monkeypatch, row_bytes):
         assert len(scanned) == len(members)
         for m, (margin, z, samples, extra) in zip(members, scanned):
             row = check.residual([m], zs, m.values(check.q, zs), w).reshape(-1)
-            j = np.argmax(row <= row.min() + cli.WITNESS_TIE)
+            j = np.argmax(row <= row.min() + robertson.WITNESS_TIE)
             assert (margin, z, samples, extra["margin"]) == (row.min(), zs[j], zs.size, row[j]), cid
 
 
@@ -691,7 +697,7 @@ def test_run_config_defaults_match_verify_parser():
 def test_verify_runs_recurrences_only_for_series(tmp_path, monkeypatch):
     # P_f and S_f come from the Schwarz data or the closed form, and f' of a
     # generated member from the O(N d) recurrence of f'' V = U f': no exp, log
-    # or pow and no series division, the plane extremal of 2.1iii included
+    # or pow and no series division
     TS = robertson_kit.series.TruncatedSeries
     recurrences = []
 
@@ -748,6 +754,41 @@ def test_check_2_5_fails_at_alpha_0_for_small_k():
         code, _, report = _verify(["verify", "--theorem", "2.5", "--beta", beta])
         assert code == (0 if low > 0 else 1), beta
         assert abs(report["checks"][0]["min_margin"] - low) < 1e-3 * abs(low), beta
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.999])
+def test_omega_z_decides_2_1iii_at_alpha_0(beta):
+    # why 2.1iii's batch needs no plane extremal: on GRID its least margin lies
+    # above omega = z's by 0.1005 k in both modes, and the printed record's
+    # witness is omega = z, at margin -k
+    params = make_params(0.0, beta)
+    rot = generate_member(params, SchwarzSpec("unit_constant_times_z"), order=cli.VERIFY_ORDER)
+    plane = extremal_member(params, "plane", 1.0, order=cli.VERIFY_ORDER)
+    for mode in ("paper", "corrected"):
+        low, plane_low = (robertson.check_iii(params, cli.GRID, m.values("P", cli.GRID), mode).min()
+                          for m in (rot, plane))
+        assert plane_low - low > 0.1 * params.k, (mode, low, plane_low)
+    _, _, report = _verify(["verify", "--theorem", "2.1iii", "--mode", "paper",
+                            "--beta", repr(beta)])
+    (rec,) = report["checks"]
+    assert rec["worst"]["spec"] == SchwarzSpec("unit_constant_times_z").to_json()
+    assert abs(rec["min_margin"] + params.k) < 1e-12
+    assert abs(rec["worst"]["margin"] + params.k) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (math.pi / 4, 0.25), (1.2, 0.0)])
+def test_omega_minus_z_squared_adds_nothing_to_the_sp0_checks(alpha, beta):
+    # why the SP0 batch holds omega = z^2 and not -z^2: -z^2 is z^2 turned by
+    # i, and 2.2, 2.3, 2.4 and AB do not change under rotation; the two give
+    # the same envelope margins and weight-1 and weight-2 norms
+    params = make_params(alpha, beta)
+    pair = [generate_member(params, SchwarzSpec("unit_constant_times_z", rotation=rot, power=2),
+                            order=cli.VERIFY_ORDER) for rot in (1.0, -1.0)]
+    plus, minus = cli.bounds.envelope_checks(pair, cli.RADII)
+    assert abs(plus.distortion_min_margin - minus.distortion_min_margin) < 1e-12
+    assert abs(plus.growth_min_margin - minus.growth_min_margin) < 1e-12
+    for plus, minus in zip(*norm_estimates(pair, [1, 2], ScanOpts(r_max=0.95))):
+        assert abs(plus.value - minus.value) < 1e-12, plus.weight_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +956,19 @@ def test_emit_growth_near_the_circle(capsys):
     assert [row["r"] for row in rows] == ["0", "0.999999999"]
     assert float(rows[1]["upper"]) == float(f"{math.atanh(0.999999999):.12g}")
     assert float(rows[1]["lower"]) == float(f"{math.atan(0.999999999):.12g}")
+
+
+@pytest.mark.parametrize("what", ["growth", "distortion"])
+@pytest.mark.parametrize("rmax, last", [("0.94999999999995", "0.9"), ("0.999999999999999", "0.95"),
+                                        ("0.3", "0.3")])
+def test_emit_rows_stop_at_rmax(capsys, what, rmax, last):
+    # no row lies past --rmax: a fixed slack of 1e-12 once added a row at 0.95
+    # for rmax 0.95 - 5e-14, and one at r = 1.0 for 1 - 1e-15 (exit 2); the row
+    # that rounding puts 1 ulp past rmax (6 x 0.05 > 0.3) reads rmax itself
+    assert main(["emit", what, "--rmax", rmax]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rows[-1]["r"] == last and len(rows) == round(float(last) / 0.05) + 1
+    assert all(float(row["r"]) <= float(rmax) for row in rows)
 
 
 def test_emit_norm_json(tmp_path):

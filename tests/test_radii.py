@@ -1,5 +1,6 @@
 """Concavity/convexity radii: roots, soundness scans, sharpness probes."""
 
+import cmath
 import math
 
 import numpy as np
@@ -81,7 +82,7 @@ def test_t_at_origin_is_one_for_the_probe_family(a_co):
     members = [generate_member(p, s, validate=False) for s in _probe_family(p, st, 1)]
     zs = np.zeros(1, dtype=np.complex128)
     t0 = t_from_p(st, zs, robertson.MemberBatch(members).values("P", zs))
-    assert t0.shape == (PROBE_ROTATIONS + 1 + PROBE_SPECS, 1)
+    assert t0.shape == (PROBE_ROTATIONS + PROBE_SPECS, 1) == (40, 1)
     assert np.all(np.abs(t0 - 1) <= 4 * np.spacing(1.0)), t0.ravel()
     assert np.all(t0 == t_from_p(st, zs, 0.0))
 
@@ -331,13 +332,19 @@ def test_soundness_scan_rejects_radii_off_the_disk():
 
 def _probe_family(params, setting, seed):
     """sharpness_probe's default specs: 16 rotations, the extremal rotation
-    and 24 sampled specs."""
+    turned by e^{2 pi i j/16} (j = 0 the extremal rotation itself), and 24
+    sampled specs."""
+    lam = extremal_rotation(params, setting)
     return [
-        SchwarzSpec(kind="unit_constant_times_z",
-                    rotation=complex(np.exp(2j * np.pi * j / PROBE_ROTATIONS)))
+        SchwarzSpec(kind="unit_constant_times_z", rotation=lam * cmath.exp(2j * math.pi * j / 16))
         for j in range(PROBE_ROTATIONS)
-    ] + [SchwarzSpec(kind="unit_constant_times_z", rotation=extremal_rotation(params, setting))
-         ] + sample_schwarz_specs(seed, PROBE_SPECS)
+    ] + sample_schwarz_specs(seed, PROBE_SPECS)
+
+
+def _first_tied(margins):
+    """The index of the first of the margins within WITNESS_TIE of their least."""
+    least = min(margins)
+    return next(i for i, m in enumerate(margins) if m <= least + robertson.WITNESS_TIE)
 
 
 # (alpha, beta, A_co) points for the extremum-principle tests
@@ -394,21 +401,21 @@ def test_paper_radius_unsound_finding():
 
 
 def _reference_soundness(members, setting, radius):
-    """concavity_soundness_scan one t_values call per member, as before the batch."""
+    """concavity_soundness_scan one t_values call per member, as before the batch;
+    the witness is the first member tied with the least, at its first tied point."""
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
     zs = circle(r_cap, 96)
-    best, w_i, w_z = math.inf, -1, 0j
-    for i, m in enumerate(members):
-        re_t = t_values(m, setting, zs, r_cap).real
-        j = int(np.argmin(re_t))
-        if re_t[j] < best:
-            best, w_i, w_z = float(re_t[j]), i, complex(zs[j])
-    return best, w_i, w_z, len(members) * zs.size
+    rows = [t_values(m, setting, zs, r_cap).real.tolist() for m in members]
+    lows = [min(row) for row in rows]
+    if min(lows, default=math.inf) == math.inf:
+        return math.inf, -1, 0j, len(members) * zs.size
+    i = _first_tied(lows)
+    return min(lows), i, complex(zs[_first_tied(rows[i])]), len(members) * zs.size
 
 
 def test_soundness_scan_matches_per_member_reference():
-    # sampled members at two points, rotations (omega = +-z tie), a closed
-    # form, a member read from JSON and a repeated member
+    # sampled members at two points, two forms of omega = -z (they tie), a
+    # closed form, a member read from JSON and a repeated member
     p, q = make_params(0, 0), make_params(math.pi / 8, 0.25)
     members = sample_members(p, 8, seed=3, order=64) + sample_members(q, 6, seed=4, order=64)
     members += [
@@ -488,7 +495,7 @@ def test_probe_empirical_at_least_corrected_across_settings():
 
 
 def test_probe_budget_exhaustion_flag():
-    # 30 evaluations do not pay for one circle of the 41 default members:
+    # 30 evaluations do not pay for one circle of the 40 default members:
     # no radius was shown to pass, so the probe reports 0
     p = make_params(0, 0)
     st = ConcavitySetting(2.0)
@@ -499,13 +506,13 @@ def test_probe_budget_exhaustion_flag():
     # circle lies outside the class radius, and the midpoint is within 1e-3
     # of it (bisection's 4 steps ended 1.7e-2 short, at 0.084375)
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=205))
-    assert res.budget_exhausted and res.violation_found and res.evaluations == 205
+    assert res.budget_exhausted and res.violation_found and res.evaluations == 200
     assert R_CORR_00_2 < abs(res.witness_z) < PROBE_R_HI
     assert abs(res.empirical_radius - R_CORR_00_2) < 1e-3
 
 
 def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
-    # 17 rotations and the sampled products (all s = 1, 1-4 free zeros) make
+    # 16 rotations and the sampled products (all s = 1, 1-4 free zeros) make
     # one stack, the sampled polynomials the other
     calls = []
 
@@ -516,7 +523,7 @@ def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
     monkeypatch.setattr(robertson, "schwarz_values", counting)
     res = sharpness_probe(make_params(math.pi / 8, 0.25), ConcavitySetting(1.5),
                           SearchOpts(seed=3, budget=6000))
-    circles = res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS)
+    circles = res.evaluations // (PROBE_ROTATIONS + PROBE_SPECS)
     assert circles >= 7 and set(calls) == {"P"}  # 7 measured: the first circle and 6 ITP steps
     assert len(calls) <= 2 * circles
 
@@ -530,19 +537,18 @@ def _reference_probe(params, setting, search, specs=None):
     evals, witnesses = 0, []
 
     def least(r):
-        # the least Re T on circle(r), and the witness, the first member with
-        # the strictly least minimum at its first minimizing angle, if <= 0
+        # the least Re T on circle(r), and the witness, the first member tied
+        # with it at its first tied angle, if <= 0
         nonlocal evals
-        best, witness, zs = math.inf, None, circle(r, PROBE_ANGLES)
-        for spec, m in zip(specs, members):
-            re_t = t_values(m, setting, zs, r).real
+        zs, rows = circle(r, PROBE_ANGLES), []
+        for m in members:
+            rows.append(t_values(m, setting, zs, r).real.tolist())
             evals += 1
-            j = int(np.argmin(re_t))
-            if re_t[j] < best:
-                best, witness = float(re_t[j]), (spec.to_json(), complex(zs[j]))
-        if best <= 0:
-            witnesses.append(witness)
-        return best
+        lows = [min(row) for row in rows]
+        if min(lows) <= 0:
+            i = _first_tied(lows)
+            witnesses.append((specs[i].to_json(), complex(zs[_first_tied(rows[i])])))
+        return min(lows)
 
     if len(members) > search.budget:
         return ProbeResult(0.0, None, 0j, 0, True, False).to_json()
@@ -598,15 +604,15 @@ SWEEP_POINTS = [(alpha, beta, a_co) for alpha in (0.0, math.pi / 8, math.pi / 4)
 
 def _bisection_probe(params, setting, seed, r_tol):
     """(radius, witness spec) of the default family by bisection on the sign of
-    the least Re T_f per circle, from [0, PROBE_R_HI] to a bracket of r_tol."""
+    the least Re T_f per circle, from [0, PROBE_R_HI] to a bracket of r_tol; the
+    witness is the first member tied with the least."""
     specs = _probe_family(params, setting, seed)
     batch = robertson.MemberBatch([generate_member(params, s, validate=False) for s in specs])
 
     def least(r):
         zs = circle(r, PROBE_ANGLES)
-        lows = t_from_p(setting, zs, batch.values("P", zs)).real.min(axis=1)
-        i = int(np.argmin(lows))
-        return lows[i], specs[i].to_json()
+        lows = t_from_p(setting, zs, batch.values("P", zs)).real.min(axis=1).tolist()
+        return min(lows), specs[_first_tied(lows)].to_json()
 
     lo, hi = 0.0, PROBE_R_HI
     value, witness = least(hi)
@@ -621,19 +627,15 @@ def _bisection_probe(params, setting, seed, r_tol):
 @pytest.mark.parametrize("alpha, beta, a_co", SWEEP_POINTS)
 def test_probe_matches_fine_bisection_on_the_sweep(alpha, beta, a_co):
     # the ITP search lands within its r_tol of a bisection run to 1e-10, and its
-    # last failing circle names the same member.  At alpha = 0 the family holds
-    # omega = -z twice, as the rotation exp(i pi) = -1 + 1.2e-16i and as the
-    # extremal rotation -1: the two tie to rounding, and at (0, 0.25, 1.5) each
-    # search's last circle names a different one
+    # last failing circle names the same member: the extremal rotation, which
+    # the family holds once, at alpha = 0 too
     p, st = make_params(alpha, beta), ConcavitySetting(a_co)
+    lam = SchwarzSpec("unit_constant_times_z", rotation=extremal_rotation(p, st)).to_json()
     for seed in (1, 7):
         res = sharpness_probe(p, st, SearchOpts(seed=seed, budget=6000))
         radius, witness = _bisection_probe(p, st, seed, 1e-10)
         assert abs(res.empirical_radius - radius) <= SearchOpts().r_tol, (seed, res, radius)
-        if res.witness_spec != witness:
-            pair = (res.witness_spec, witness)
-            assert alpha == 0 and all(w["kind"] == "unit_constant_times_z" for w in pair), pair
-            assert abs(complex(*pair[0]["rotation"]) - complex(*pair[1]["rotation"])) < 1e-15
+        assert res.witness_spec == witness == lam, (seed, res.witness_spec, witness)
 
 
 def _circle_bound(r_tol):
@@ -645,7 +647,7 @@ def test_probe_reads_at_most_one_circle_more_than_bisection():
     assert _circle_bound(SearchOpts().r_tol) == 22  # bisection reads 21
     p, st = make_params(0, 0), ConcavitySetting(2.0)
     res = sharpness_probe(p, st, SearchOpts(seed=1, budget=6000))
-    assert res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS) <= _circle_bound(1e-6)
+    assert res.evaluations // (PROBE_ROTATIONS + PROBE_SPECS) <= _circle_bound(1e-6)
     for spec in (SchwarzSpec(kind="polynomial", coeffs=(0, 0)), plane_extremal_schwarz_spec(order=256)):
         for r_tol in (1e-9, 1e-8):
             res = sharpness_probe(p, st, SearchOpts(seed=1, budget=5000, r_tol=r_tol), specs=[spec])
@@ -659,7 +661,7 @@ def test_probe_circle_count_bound_on_drawn_settings(alpha, beta, a_co, r_tol):
     p, st = make_params(alpha, beta), ConcavitySetting(a_co)
     res = sharpness_probe(p, st, SearchOpts(seed=2, budget=10**5, r_tol=r_tol))
     assert res.violation_found and not res.budget_exhausted
-    assert res.evaluations // (PROBE_ROTATIONS + 1 + PROBE_SPECS) <= _circle_bound(r_tol)
+    assert res.evaluations // (PROBE_ROTATIONS + PROBE_SPECS) <= _circle_bound(r_tol)
 
 
 @settings(max_examples=200, deadline=None)
