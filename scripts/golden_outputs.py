@@ -61,6 +61,8 @@ CASES = {
     "emit_norm": ["emit", "norm", "--beta", "0.5", "--weight", "2"],
     "emit_norm_plane": ["emit", "norm", "--variant", "plane", "--beta", "0.5", "--weight", "1"],
     "emit_phi": ["emit", "phi"],
+    # rows at i step up to 1: 0, 0.3, 0.6, 0.9
+    "emit_phi_step_0.3": ["emit", "phi", "--step", "0.3"],
 }
 
 

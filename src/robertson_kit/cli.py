@@ -540,17 +540,22 @@ def _write_csv(header: list[str], rows, path: Optional[str]) -> int:
     return _write(path, text.getvalue(), "table")
 
 
+def _emit_radii(step: float, rmax: float) -> np.ndarray:
+    """An emit table's r column: i step for each i >= 0 with i step <= rmax, clamped to rmax."""
+    if not 0 < step < math.inf:
+        raise robertson.ParamOutOfRange(f"step={step} must be positive and finite")
+    steps = rmax / step * (1 + 2**-50)  # the i > 0 with i step <= rmax, to rounding
+    if not steps <= MAX_EMIT_ROWS:
+        raise robertson.ParamOutOfRange(f"step={step} gives over {MAX_EMIT_ROWS} rows")
+    return np.minimum(np.arange(math.floor(steps) + 1) * step, rmax)
+
+
 def cmd_emit(args: argparse.Namespace) -> int:
     params = make_params(args.alpha, args.beta)
-    if args.what in ("growth", "distortion", "phi") and not 0 < args.step < math.inf:
-        raise robertson.ParamOutOfRange(f"step={args.step} must be positive and finite")
     if args.what in ("growth", "distortion"):
         if not 0 <= args.rmax < 1:
             raise robertson.ParamOutOfRange(f"rmax={args.rmax} outside [0, 1)")
-        steps = args.rmax / args.step * (1 + 2**-50)  # the i > 0 with i step <= rmax, to rounding
-        if not steps <= MAX_EMIT_ROWS:
-            raise robertson.ParamOutOfRange(f"step={args.step} gives over {MAX_EMIT_ROWS} rows")
-        rs = np.minimum(np.arange(math.floor(steps) + 1) * args.step, args.rmax)
+        rs = _emit_radii(args.step, args.rmax)
     if args.what == "growth":
         header = ["r", "lower", "upper"]
         oracle = bounds.growth_oracle(params, 0.0) is not None
@@ -587,13 +592,10 @@ def cmd_emit(args: argparse.Namespace) -> int:
         setting = radii.ConcavitySetting(args.Aco)
         modes = ["paper", "corrected"] if args.mode == "both" else [args.mode]
         quads = {m: radii.phi_quadratic(params, setting, m) for m in modes}
-        if not 1.0 / args.step + 1 <= MAX_EMIT_ROWS:
-            raise robertson.ParamOutOfRange(f"step={args.step} gives over {MAX_EMIT_ROWS} rows")
-        rs = np.linspace(0.0, 1.0, int(round(1.0 / args.step)) + 1)
         rows = [
             [f"{r:.10g}"]
             + [f"{float(radii.phi_value(quads[m], r)):.12g}" for m in modes]
-            for r in rs
+            for r in _emit_radii(args.step, 1.0)
         ]
         return _write_csv(["r"] + [f"phi_{m}" for m in modes], rows, args.out)
     if args.what == "member":
@@ -737,7 +739,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         robertson.ParamOutOfRange,
         robertson.NotASchwarzFunction,
         robertson.TailToleranceUnmet,
-        bounds.QuadratureNotConverged,
         bounds.XiOutOfRange,
         radii.RootNotBracketed,
         SeriesError,

@@ -2,20 +2,19 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from robertson_kit import bounds
 from robertson_kit.bounds import (
     Envelope,
-    QuadratureNotConverged,
     XiOutOfRange,
-    adaptive_gauss_legendre,
     distortion_envelope,
     envelope_check,
     envelope_checks,
+    gauss_legendre,
     growth_envelope,
     growth_oracle,
     pre_norm_bound,
@@ -119,15 +118,28 @@ def test_pointwise_bound_values():
 
 
 def test_quadrature_polynomial_exact():
-    val = adaptive_gauss_legendre(lambda t: t**8, 0.0, 1.0)
-    assert abs(val - 1 / 9) < 1e-14
+    # 16 nodes integrate degree 31 exactly on each panel; [0, 2.5] takes three
+    assert abs(gauss_legendre(lambda t: t**8, 0.0, 1.0) - 1 / 9) < 1e-14
+    assert math.isclose(gauss_legendre(lambda t: t**31, 0.0, 2.5), 2.5**32 / 32, rel_tol=1e-13)
 
 
-def test_quadrature_depth_limit(monkeypatch):
-    monkeypatch.setattr(bounds, "QUAD_TOL", 1e-14)
-    monkeypatch.setattr(bounds, "QUAD_DEPTH", 0)
-    with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss_legendre(lambda t: np.exp(-4000 * (t - 0.37) ** 2), 0.0, 1.0)
+GROWTH_KS = [1e-9, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0]
+GROWTH_RS = [1e-8, 0.1, 0.5, 0.9, 0.99, 0.999, 0.999999, 1 - 1e-12, 1 - 2**-53]
+
+
+@pytest.mark.parametrize("k", GROWTH_KS)
+def test_growth_envelope_matches_40_digits(k):
+    # int_0^r (1 -+ t^2)^{-k} dt = r 2F1(1/2, k; 3/2; -+r^2) at 40 digits, a
+    # closed form independent of the quadrature in u: both ends within 1e-15
+    # relative, up to the largest float below 1
+    p = make_params(0.0, 1 - k)
+    for r in GROWTH_RS:
+        env = growth_envelope(p, r)
+        with mp.workdps(40):
+            kk, rr = mp.mpf(p.k), mp.mpf(r)
+            for got, sign in ((env.lower, -1), (env.upper, 1)):
+                exact = rr * mp.hyp2f1(0.5, kk, 1.5, sign * rr**2)
+                assert abs(mp.mpf(got) - exact) <= 1e-15 * exact, (p.k, r, sign)
 
 
 def test_growth_envelope_oracles():
@@ -162,9 +174,9 @@ def test_growth_envelope_at_zero():
 )
 @example(beta=0.9999999999999998, rs=[0.5, 0.75])  # k -> 0: the bounds need the clamp at r
 def test_growth_envelope_converges_up_to_the_circle(beta, rs):
-    # k = 1 - beta in (0, 1], r up to 1 - 1e-9: the quadrature in u converges
-    # (no QuadratureNotConverged), lower <= upper, both grow with r, and at
-    # k = 1 and k = 1/2 they are the closed forms within 1e-14
+    # k = 1 - beta in (0, 1], r up to 1 - 1e-9: the quadrature in u gives
+    # lower <= upper, both grow with r, and at k = 1 and k = 1/2 they are the
+    # closed forms within 1e-14
     r1, r2 = sorted(rs)
     assume(r2 - r1 >= 1e-9)
     p = make_params(0.0, beta)

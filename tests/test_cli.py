@@ -302,12 +302,23 @@ def test_witness_replay_every_check(tmp_path, alpha, beta):
             assert abs(replay_witness(w) - w["margin"]) < 1e-12, r["id"]
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.7853981633974483, 0.25)])
-def test_witness_replay_exact_at_defaults(tmp_path, alpha, beta):
-    # every witness, 2.2's included, replays to its recorded margin bit for bit
+@pytest.mark.parametrize(
+    "options, code",
+    [
+        pytest.param(["--alpha", "0.0", "--beta", "0.0"], 3, id="0.0-0.0"),
+        pytest.param(["--alpha", "0.7853981633974483", "--beta", "0.25"], 3,
+                     id="0.7853981633974483-0.25"),
+        pytest.param(["--alpha", "1.2", "--beta", "0"], 3, id="1.2-0"),
+        pytest.param(["--mode", "paper"], 3, id="paper"),
+        pytest.param(["--beta", "0.9"], 1, id="0-0.9"),  # k = 0.1: check 2.5 fails
+    ],
+)
+def test_witness_replay_exact_at_defaults(tmp_path, options, code):
+    # at every golden verify configuration each witness, 2.2's included (its
+    # scan and its replay both read bounds.growth_envelope), replays to its
+    # recorded margin bit for bit
     out = tmp_path / "r.json"
-    argv = ["verify", "--theorem", "all", "--alpha", str(alpha), "--beta", str(beta)]
-    assert main([*argv, "--out", str(out)]) == 3
+    assert main(["verify", "--theorem", "all", *options, "--out", str(out)]) == code
     for r in json.loads(out.read_text())["checks"]:
         if r["worst"] is not None:
             assert replay_witness(r["worst"]) == r["worst"]["margin"], r["id"]
@@ -842,21 +853,26 @@ def test_emit_distortion_refuses_truncated_series(capsys):
 
 
 def test_emit_phi_curves(tmp_path):
+    # the rows are i step for i step <= 1, as in emit growth and distortion:
+    # --step 0.3 and 0.4 do not end at r = 1
     out = tmp_path / "phi.csv"
-    proc = run_cli(
-        "emit", "phi", "--Aco", "2", "--alpha", "0", "--beta", "0",
-        "--step", "0.125", "--out", str(out),
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(out.read_text().splitlines()))
     p = make_params(0, 0)
     st = ConcavitySetting(2.0)
     cp = phi_quadratic(p, st, "paper")
     cc = phi_quadratic(p, st, "corrected")
-    for row in rows:
-        r = float(row["r"])
-        assert abs(float(row["phi_paper"]) - phi_value(cp, r)) < 1e-9
-        assert abs(float(row["phi_corrected"]) - phi_value(cc, r)) < 1e-9
+    for step, r_column in (
+        ("0.125", ["0", "0.125", "0.25", "0.375", "0.5", "0.625", "0.75", "0.875", "1"]),
+        ("0.3", ["0", "0.3", "0.6", "0.9"]),
+        ("0.4", ["0", "0.4", "0.8"]),
+    ):
+        argv = ["emit", "phi", "--Aco", "2", "--alpha", "0", "--beta", "0", "--step", step]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["r"] for row in rows] == r_column, step
+        for row in rows:
+            r = float(row["r"])
+            assert abs(float(row["phi_paper"]) - phi_value(cp, r)) < 1e-9
+            assert abs(float(row["phi_corrected"]) - phi_value(cc, r)) < 1e-9
 
 
 def test_emit_member_roundtrip(tmp_path):
@@ -1013,9 +1029,9 @@ def test_k_near_zero_exits_with_a_verdict(argv):
 
 
 TYPED_ERRORS = {
-    "ParamOutOfRange", "NotASchwarzFunction", "TailToleranceUnmet", "QuadratureNotConverged",
-    "XiOutOfRange", "RootNotBracketed", "SeriesError", "DivisionByZeroConstantTerm",
-    "RadiusExceeded", "CoefficientOverflow",
+    "ParamOutOfRange", "NotASchwarzFunction", "TailToleranceUnmet", "XiOutOfRange",
+    "RootNotBracketed", "SeriesError", "DivisionByZeroConstantTerm", "RadiusExceeded",
+    "CoefficientOverflow",
 }
 NEAR_RIGHT_ANGLE = st.floats(min_value=1.5, max_value=math.pi / 2, exclude_max=True)
 

@@ -73,11 +73,11 @@ def test_golden_outputs_writes_every_case(tmp_path, capsys):
     assert names == sorted(f"{case}.{ext}" for case in golden.CASES for ext in ("out", "log"))
     assert sorted(p.name for p in second.iterdir()) == names
     # verify exits 3 on reported findings only, 1 where check 2.5 fails
-    # (k = 0.1); the 16 radii and emit commands exit 0, the probe whose
+    # (k = 0.1); the 17 radii and emit commands exit 0, the probe whose
     # budget runs out included
     exits = {case: 1 if case == "verify_0_0.9" else 3 if argv[0] == "verify" else 0
              for case, argv in golden.CASES.items()}
-    assert len(exits) == 21 and sorted(exits.values()) == [0] * 16 + [1] + [3] * 4
+    assert len(exits) == 22 and sorted(exits.values()) == [0] * 17 + [1] + [3] * 4
     for name in names:
         text = (first / name).read_text()
         assert text and "generated_at" not in text, name
