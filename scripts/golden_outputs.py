@@ -7,18 +7,30 @@ report's "generated_at" removed, and NAME.log, its standard error followed by
 its exit code.  Two runs on two commits compare with `diff -r`: no difference
 means the change left these outputs byte for byte as they were.
 
+The committed snapshot in tests/golden/ holds every case as the current code
+writes it, and VERSIONS there the Python and numpy versions that wrote them;
+tests/test_scripts.py compares a fresh run with it.  --update rewrites it, for
+a change that moves a report on purpose.
+
     python scripts/golden_outputs.py OUTDIR
+    python scripts/golden_outputs.py --update
 """
 
 import argparse
 import contextlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from robertson_kit import cli
+
+SNAPSHOT = Path(__file__).resolve().parent.parent / "tests" / "golden"
+VERSIONS = "VERSIONS"  # the snapshot's record of the versions that wrote it
 
 PI_4 = "0.7853981633974483"
 # the spec each emit member case reads through --spec: a Blaschke product with a
@@ -74,12 +86,25 @@ def run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def versions() -> str:
+    """The running Python and numpy versions, as VERSIONS records them."""
+    return f"python {platform.python_version()}\nnumpy {np.__version__}\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("outdir", help="directory to write NAME.out and NAME.log into")
+    ap.add_argument("outdir", nargs="?", help="directory to write NAME.out and NAME.log into")
+    ap.add_argument("--update", action="store_true",
+                    help=f"rewrite the snapshot in {SNAPSHOT} instead")
     args = ap.parse_args(argv)
-    outdir = Path(args.outdir)
+    if (args.outdir is None) == (not args.update):
+        ap.error("give either OUTDIR or --update")
+    outdir = SNAPSHOT if args.update else Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    if args.update:  # a case no longer run leaves no file behind
+        for old in [*outdir.glob("*.out"), *outdir.glob("*.log")]:
+            old.unlink()
+        (outdir / VERSIONS).write_text(versions(), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         for name, case in CASES.items():
             if name in MEMBER_SPECS:

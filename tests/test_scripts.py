@@ -84,6 +84,23 @@ def test_golden_outputs_writes_every_case(tmp_path, capsys):
         if name.endswith(".log"):
             assert text.splitlines()[-1] == f"exit {exits[name[:-4]]}", name
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    # the first run is the committed snapshot byte for byte, at the versions
+    # that wrote it; scripts/golden_outputs.py --update rewrites it
+    snapshot = golden.SNAPSHOT
+    recorded, running = (snapshot / golden.VERSIONS).read_text(), golden.versions()
+    moved = [] if recorded == running else [
+        f"snapshot written by {' '.join(recorded.split())}, running {' '.join(running.split())}"]
+    stored = sorted(p.name for p in snapshot.iterdir() if p.name != golden.VERSIONS)
+    moved += [f"{name}: in one of the run and the snapshot only"
+              for name in sorted(set(stored) ^ set(names))]
+    for name in sorted(set(stored) & set(names)):
+        want, got = (snapshot / name).read_bytes(), (first / name).read_bytes()
+        if want != got:
+            want, got = want.splitlines(keepends=True), got.splitlines(keepends=True)
+            i = next(i for i, pair in enumerate(zip(want + [b""], got + [b""])) if len(set(pair)) > 1)
+            line = [(s[i] if i < len(s) else b"<end of file>") for s in (want, got)]
+            moved.append(f"{name} line {i + 1}: snapshot {line[0]!r}, run {line[1]!r}")
+    assert not moved, "\n".join(moved)
 
 
 def test_benchmark_tracer_wraps_existing_names(monkeypatch):
