@@ -46,11 +46,11 @@ def schwarzian_norm_bound(params: ClassParams) -> float:
 
 def xi_of_member(member: MemberSeries) -> float:
     """xi = |phi(0)| = |f''(0)| / (2k), the normalized initial coefficient; phi(0) is
-    phi_values' n(0), as d(0) = 1."""
+    phi_values' n(0), as d(0) = 1, and f''(0) = P_f(0) is the closed form's U(0) (fraction)."""
     if member.schwarz is not None:
         xi = abs(complex(phi_values(member.schwarz, np.zeros(1, dtype=complex), False)[0][0]))
     else:
-        xi = abs(complex(member.f_prime.coeffs[1])) / (2 * member.params.k)
+        xi = abs(complex(member.fraction[0][0])) / (2 * member.params.k)
     if xi > 1 + 1e-9:
         raise XiOutOfRange(f"xi = {xi} exceeds 1; not a class member")
     return min(xi, 1.0)
@@ -104,7 +104,6 @@ class Envelope:
     r: float
     lower: float
     upper: float
-    kind: str  # "distortion" | "growth"
 
 
 def distortion_envelope(params: ClassParams, r: float) -> Envelope:
@@ -112,9 +111,7 @@ def distortion_envelope(params: ClassParams, r: float) -> Envelope:
     if not 0 <= r < 1:
         raise ParamOutOfRange(f"r={r} outside [0, 1)")
     k = params.k
-    return Envelope(
-        r=r, lower=(1 + r * r) ** (-k), upper=(1 - r * r) ** (-k), kind="distortion"
-    )
+    return Envelope(r=r, lower=(1 + r * r) ** (-k), upper=(1 - r * r) ** (-k))
 
 
 def growth_envelope(params: ClassParams, r: float) -> Envelope:
@@ -127,17 +124,17 @@ def growth_envelope(params: ClassParams, r: float) -> Envelope:
     k = params.k
     lower = gauss_legendre(lambda u: np.cosh(u) ** (1 - 2 * k), 0.0, math.asinh(r))
     upper = gauss_legendre(lambda u: np.cosh(u) ** (2 * k - 2), 0.0, math.atanh(r))
-    return Envelope(r=r, lower=min(lower, r), upper=max(upper, r), kind="growth")
+    return Envelope(r=r, lower=min(lower, r), upper=max(upper, r))
 
 
 def growth_oracle(params: ClassParams, r: float) -> Optional[Envelope]:
     """Closed-form growth envelope where it exists (k = 1 and k = 1/2)."""
     k = params.k
     if abs(k - 1) < 1e-15:
-        return Envelope(r=r, lower=math.atan(r), upper=math.atanh(r), kind="growth")
+        return Envelope(r=r, lower=math.atan(r), upper=math.atanh(r))
     if abs(k - 0.5) < 1e-15:
         lower = math.asinh(r)  # int (1+t^2)^{-1/2}
-        return Envelope(r=r, lower=lower, upper=math.asin(r), kind="growth")
+        return Envelope(r=r, lower=lower, upper=math.asin(r))
     return None
 
 

@@ -98,10 +98,10 @@ class RadiusResult:
 # ---------------------------------------------------------------------------
 
 
-def t_values(member: MemberSeries, setting: ConcavitySetting, z, r_trunc=0.95):
+def t_values(member: MemberSeries, setting: ConcavitySetting, z):
     """T_f at a point or array of points."""
     zs = np.asarray(z, dtype=np.complex128)
-    return t_from_p(setting, zs, member.values("P", zs, r_trunc))
+    return t_from_p(setting, zs, member.values("P", zs))
 
 
 def t_from_p(setting: ConcavitySetting, zs: np.ndarray, p):
@@ -239,7 +239,7 @@ def concavity_soundness_scan(
     """Minimum of Re T_f over the members and |z| <= r_cap, read on the
     circle soundness_grid(radius), all members in one MemberBatch call."""
     r_cap, zs = soundness_grid(radius)
-    re_t = t_from_p(setting, zs, MemberBatch(members, r_cap).values("P", zs)).real
+    re_t = t_from_p(setting, zs, MemberBatch(members).values("P", zs)).real
     best, w_i, w_z = _first_least(re_t, zs)
     return SoundnessReport(
         min_re_t=best, witness_index=w_i, witness_z=w_z, samples=len(members) * zs.size

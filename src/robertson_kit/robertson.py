@@ -337,20 +337,25 @@ def require_vanishing(spec: SchwarzSpec) -> int:
 def validate_schwarz(spec: SchwarzSpec) -> SchwarzValidation:
     """Check that the spec describes a Schwarz function; raise otherwise.
 
-    Polynomial specs are validated numerically: |omega| takes its largest
-    value on the closed disk on the unit circle (maximum modulus), read at
-    VALIDATION_ANGLES = M points by one FFT; a sampled maximum above 1 by
-    more than rounding rejects the spec.  |omega|^2 there is a trigonometric
-    polynomial of degree deg, whose second derivative is at most deg^2 times
-    its maximum (Bernstein), and every point lies within pi/M of a sample, so
-    the sampling misses at most about (pi deg/M)^2/4 of the maximum, relative.
-    Products are exact by construction; their zeros and rotation are range-checked.
+    A polynomial's |omega| is largest on the unit circle (maximum modulus).
+    sum |c_i| <= 1 (math.fsum, up to 1e-12) bounds it by 1 on its own.  Else
+    one FFT reads it at the M = VALIDATION_ANGLES roots of unity, whose maximum
+    S must be <= sqrt(1 - (pi n/M)^2/2), n = len(coeffs): |omega|^2 there is a
+    trigonometric polynomial T of degree < n, so |T''| <= n^2 max T (Bernstein);
+    T' = 0 at T's maximum, within pi/M of a sample, so S^2 >= max T (1 - (pi n/M)^2/2)
+    and max T <= 1 (up to the FFT's rounding).  Products are exact by
+    construction; their zeros and rotation are range-checked.
     """
     vo = require_vanishing(spec)
     if spec.kind == "polynomial":
         grid_max = float(np.max(np.abs(np.fft.fft(spec.coeffs, VALIDATION_ANGLES))))
-        if not grid_max <= 1 + 1e-12:
-            raise NotASchwarzFunction(f"max |omega| = {grid_max:.12f} on the unit circle exceeds 1")
+        mags = np.abs(np.array(spec.coeffs, dtype=np.complex128))  # fsum of each <= 1 is finite
+        if not (np.all(mags <= 1) and math.fsum(mags) <= 1 + 1e-12):
+            bound = math.sqrt(1 - (math.pi * mags.size / VALIDATION_ANGLES) ** 2 / 2)
+            if not grid_max <= bound:
+                raise NotASchwarzFunction(
+                    f"max |omega| on the unit circle exceeds 1, or its samples cannot show it "
+                    f"does not: sampled max {grid_max:.12f} > {bound:.12f} (Bernstein)")
         return SchwarzValidation(grid_max=grid_max, vanishing_order=vo)
     rotation, _, zeros = spec.product
     for a, _ in zeros:
@@ -428,34 +433,28 @@ class MemberSeries:
 
     values(q, z) and on_circles(qs, radii, n) evaluate f' ("fprime"), P_f
     ("P") and S_f ("S"); exact(q) picks, in one place, the closed form
-    (extremals), the Schwarz data (generated members; exact_schwarz) or the
-    series (members read from JSON or built by hand).  The series of f and
-    f' are given, or built from `fraction` on first access.
+    (extremals) or the Schwarz data (generated members; exact_schwarz), one of
+    which every member has.  The order-`order` series of f and f', which a
+    generated member's f' reads, are built from `fraction` on first access.
     """
 
-    def __init__(self, params: ClassParams, provenance: Provenance, f=None, f_prime=None,
-                 closed_form: Optional[ClosedForm] = None,
-                 schwarz: Optional[SchwarzSpec] = None, order: Optional[int] = None):
-        self.params, self.provenance = params, provenance
+    def __init__(self, params: ClassParams, provenance: Provenance, order: int,
+                 closed_form: Optional[ClosedForm] = None, schwarz: Optional[SchwarzSpec] = None):
+        if closed_form is None and schwarz is None:
+            raise ParamOutOfRange("a member needs Schwarz data or a closed form")
+        self.params, self.provenance, self.order = params, provenance, order
         self.closed_form, self.schwarz = closed_form, schwarz
-        self.order = f_prime.order if order is None else order
-        if f_prime is not None:
-            self.f_prime = f_prime
-        if f is not None:
-            self.f = f
         self._p_series: Optional[TruncatedSeries] = None
         self._s_series: Optional[TruncatedSeries] = None
 
     @functools.cached_property
-    def fraction(self) -> Optional[tuple]:
+    def fraction(self) -> tuple:
         """(U, V) with P_f = U/V and V(0) = 1: p_fraction of the Schwarz data, else
         ([k lam], [1, -lam]) for the plane extremal and ([0, 2 k lam], [1, 0, -lam])
-        for the disk-symmetric one; None for a member with series only."""
+        for the disk-symmetric one."""
         if self.schwarz is not None:
             return p_fraction(self.params, self.schwarz)
         cf = self.closed_form
-        if cf is None:
-            return None
         if cf.variant == "plane":
             return np.array([cf.k * cf.lam]), np.array([1, -cf.lam])
         return np.array([0, 2 * cf.k * cf.lam]), np.array([1, 0, -cf.lam])
@@ -481,32 +480,25 @@ class MemberSeries:
         return u, v, 1 / TruncatedSeries(v[: self.order]).pad(self.order - 1)
 
     def p_series(self) -> TruncatedSeries:
-        """Series of P_f at order N - 1: U (1/V) (_fraction), or f''/f' without a fraction."""
+        """Series of P_f at order N - 1: U (1/V) (_fraction)."""
         if self._p_series is None:
-            if self.fraction is None:
-                self._p_series = self.f_prime.deriv() / self.f_prime
-            else:
-                u, _, inv = self._fraction
-                self._p_series = TruncatedSeries(np.convolve(u, inv.coeffs)[: self.order])
+            u, _, inv = self._fraction
+            self._p_series = TruncatedSeries(np.convolve(u, inv.coeffs)[: self.order])
         return self._p_series
 
     def s_series(self) -> TruncatedSeries:
-        """Series of S_f = P' - P^2/2 at order N - 2: from the P series without a fraction,
-        else (W (1/V))/V with W = U'V - UV' - U^2/2, the short W times _fraction's 1/V and one
-        division by V, which takes its leading block of 1/V from that 1/V.  Once by V^2 loses
-        digits: at order 1024 and (pi/4, 0.25), W/V^2 was 2.6e-12 to 5.4e-10 off the 40-digit
-        series, (W/V)/V 1.3e-14 to 4.6e-14 (relative)."""
+        """Series of S_f = P' - P^2/2 at order N - 2: (W (1/V))/V with W = U'V - UV' - U^2/2,
+        the short W times _fraction's 1/V and one division by V, which takes its leading
+        block of 1/V from that 1/V.  Once by V^2 loses digits: at order 1024 and
+        (pi/4, 0.25), W/V^2 was 2.6e-12 to 5.4e-10 off the 40-digit series, (W/V)/V
+        1.3e-14 to 4.6e-14 (relative)."""
         if self._s_series is None:
-            if self.fraction is None:
-                p = self.p_series()
-                self._s_series = p.deriv() - p * p * 0.5
-            else:
-                u, v, inv = self._fraction
-                zw = np.convolve(np.arange(u.size) * u, v) - np.convolve(u, np.arange(v.size) * v)
-                zw[1:] -= np.convolve(u, u) / 2  # z W = (z U') V - U (z V') - z U^2/2
-                n = self.order - 2
-                w = TruncatedSeries(np.convolve(zw[1:], inv.coeffs[: n + 1])[: n + 1])
-                self._s_series = w._divide(TruncatedSeries(v[: n + 1]).pad(n), inv.coeffs)
+            u, v, inv = self._fraction
+            zw = np.convolve(np.arange(u.size) * u, v) - np.convolve(u, np.arange(v.size) * v)
+            zw[1:] -= np.convolve(u, u) / 2  # z W = (z U') V - U (z V') - z U^2/2
+            n = self.order - 2
+            w = TruncatedSeries(np.convolve(zw[1:], inv.coeffs[: n + 1])[: n + 1])
+            self._s_series = w._divide(TruncatedSeries(v[: n + 1]).pad(n), inv.coeffs)
         return self._s_series
 
     @property
@@ -515,19 +507,17 @@ class MemberSeries:
         return self.schwarz if self.closed_form is None else None
 
     def exact(self, q: str):
-        """The exact evaluator of q on an array, or None for a series."""
+        """The exact evaluator of q on an array; None for a generated member's f' (a series)."""
         if q not in QUANTITIES:
             raise ParamOutOfRange(f"unknown quantity {q!r}; known: {QUANTITIES}")
         if self.closed_form is not None:
             return getattr(self.closed_form, {"fprime": "fprime", "P": "p", "S": "s"}[q])
-        if self.exact_schwarz is not None and q != "fprime":
+        if q != "fprime":
             return functools.partial(schwarz_values, self.params, self.schwarz, q)
         return None
 
-    def _series(self, q: str) -> TruncatedSeries:
-        if q in ("f", "fprime"):
-            return self.f if q == "f" else self.f_prime
-        return self.p_series() if q == "P" else self.s_series()
+    def _series(self, q: str) -> TruncatedSeries:  # f or f', the quantities a series serves
+        return self.f if q == "f" else self.f_prime
 
     def values(self, q: str, z, r_trunc: float = 0.95):
         """q in QUANTITIES at a point or array; a series only inside r_trunc.
@@ -628,12 +618,12 @@ class MemberBatch:
     The one place that groups members.  Members with Schwarz data (MemberSeries.exact_schwarz)
     and equal params make one schwarz_values call per SpecStack (_stack): their polynomials,
     and each product order s, its rows most zeros first; P skips m (phi').  A member alone in its
-    group, or without Schwarz data, goes through MemberSeries.values(q, z, r_trunc).  Each row
-    is that member's values, bit for bit.
+    group, or with a closed form, goes through MemberSeries.values(q, z).  Each row is that
+    member's values, bit for bit.
     """
 
-    def __init__(self, members, r_trunc: float = 0.95):
-        self.members, self.r_trunc = list(members), r_trunc
+    def __init__(self, members):
+        self.members = list(members)
         groups: dict = {}  # every polynomial stacks, and products by s, most zeros first
         for i, m in enumerate(self.members):
             spec, rank = m.exact_schwarz, 0
@@ -659,7 +649,7 @@ class MemberBatch:
         for rows, stack in self._parts:
             points = zs if zs.ndim == 1 else zs[rows]
             m = self.members[rows[0]]
-            out[rows] = (m.values(q, points, self.r_trunc) if stack is None
+            out[rows] = (m.values(q, points) if stack is None
                          else schwarz_values(m.params, stack, q, np.atleast_2d(points)))
         return out
 
@@ -671,14 +661,13 @@ class MemberBatch:
         A closed form gives its member's f' in a block of its own; every other
         f' or f is a series, and the series of one length share
         series.circle_blocks calls.  First, the members that read a series
-        and have a fraction but no f' get it by one _f_prime_rows call per order.
+        and have no f' yet get it by one _f_prime_rows call per order.
         """
         if q not in ("fprime", "f"):
             raise ParamOutOfRange(f"batch circles evaluate 'fprime' or 'f', not {q!r}")
         todo: dict = {}  # order -> members whose f' is built here
         for m in self.members:
-            if (m.fraction is not None and "f_prime" not in vars(m)
-                    and (q == "f" or m.exact(q) is None)):
+            if "f_prime" not in vars(m) and (q == "f" or m.exact(q) is None):
                 todo.setdefault(m.order, []).append(m)
         for order, ms in todo.items():
             for m, row in zip(ms, _f_prime_rows([m.fraction for m in ms], order)):
@@ -797,19 +786,16 @@ def subordination_membership_check(
     never vanishes), so by the minimum principle its least value lies on
     |z| = r_max, scanned at grid.n_angles points; argmin is the witness
     (first_tied).  A nonnegative minimum (up to -1e-9) certifies the defining
-    inequality at the sampled points.  A member evaluated by its P series
-    needs that series' tail at r_max within TAIL_TOL (require_tails).
-    ParamOutOfRange for an r_max outside (0, 1) or no angles; NaNMargin for
-    a NaN margin.
+    inequality at the sampled points.  ParamOutOfRange for an r_max outside
+    (0, 1) or no angles; NaNMargin for a NaN margin.
     """
     if not 0 < grid.r_max < 1:
         raise ParamOutOfRange(f"r_max={grid.r_max} outside (0, 1)")
     if grid.n_angles < 1:
         raise ParamOutOfRange(f"n_angles={grid.n_angles} leaves the circle empty")
     pr = member.params
-    require_tails([member], ("P",), grid.r_max)
     zs = circle(grid.r_max, grid.n_angles)
-    pv = member.values("P", zs, grid.r_max)
+    pv = member.values("P", zs)
     margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)
     least, i = first_tied(margins)
     if math.isnan(least):
@@ -859,7 +845,7 @@ def classical_convexity_check(z, p, which: str):
 
 
 def member_to_json(member: MemberSeries) -> dict:
-    """JSON export: parameters, provenance, and both series."""
+    """JSON export: parameters, provenance, any closed form, and the f and f' series."""
     prov = member.provenance
     d = {
         "alpha": member.params.alpha,
@@ -877,13 +863,12 @@ def member_to_json(member: MemberSeries) -> dict:
 
 
 def member_from_json(d: dict) -> MemberSeries:
+    """The member a member_to_json dict names, rebuilt at its f_prime's order by extremal_member
+    or generate_member (validated); ParamOutOfRange for a provenance that names neither."""
     params, prov, cf = make_params(d["alpha"], d["beta"]), d["provenance"], d.get("closed_form")
+    order = len(d["f_prime"]) - 1
     if cf is not None:
-        cf = ClosedForm(cf["variant"], complex(*cf["lambda"]), params.k)
-    return MemberSeries(
-        f=TruncatedSeries.from_pairs(d["f"]),
-        f_prime=TruncatedSeries.from_pairs(d["f_prime"]),
-        params=params,
-        provenance=SchwarzSpec.from_json(prov) if isinstance(prov, dict) else prov,
-        closed_form=cf,
-    )
+        return extremal_member(params, cf["variant"], complex(*cf["lambda"]), order)
+    if not isinstance(prov, dict):
+        raise ParamOutOfRange(f"provenance {prov!r} is neither a Schwarz spec nor a closed form")
+    return generate_member(params, SchwarzSpec.from_json(prov), order)

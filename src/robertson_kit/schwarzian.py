@@ -5,8 +5,8 @@ the powers of the reciprocal unit-disk Poincare density.  Norms are
 estimated by a dense polar scan clustered toward the scan radius followed
 by a vectorized polar zoom around the scan's maximum; the result is a
 lower estimate of the supremum on the scanned region, attained at the
-point it reports.  Values come from MemberSeries and MemberBatch; only
-members that have nothing but series carry a tail.
+point it reports.  Every value is exact, from a member's Schwarz data or
+closed form (MemberSeries, MemberBatch), so no scan reads a series tail.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .series import TruncatedSeries, chebyshev_radii
 from .robertson import ClassParams, MemberBatch, MemberSeries, NaNMargin, ParamOutOfRange
-from .robertson import SchwarzSpec, TailToleranceUnmet, phi_series, polar_grid, require_tails
+from .robertson import SchwarzSpec, phi_series, polar_grid
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ class NormEstimate:
     """Result of a weighted sup-norm scan.
 
     value is a lower estimate of the true supremum, and it is exactly
-    weighted_value(member, argmax, weight_exponent, r_max).  weight_exponent
+    weighted_value(member, argmax, weight_exponent).  weight_exponent
     is 1 for the pre-Schwarzian norm and 2 for the Schwarzian norm.
-    tail_error is the series tail bound at r_max, 0.0 for members with an
-    exact evaluator.  refinement_steps is the number of points the
-    refinement evaluated.
+    tail_error, the tail of a series the value rests on, is 0.0: no value
+    does, as every member's P_f and S_f are exact.  refinement_steps is the
+    number of points the refinement evaluated.
     """
 
     value: float
@@ -101,10 +101,10 @@ def weighted(zs: np.ndarray, weight_exponent: int, vals) -> np.ndarray:
     return (1 - np.abs(zs) ** 2) ** weight_exponent * np.abs(vals)
 
 
-def weighted_value(member: MemberSeries, z, weight_exponent: int, r_trunc: float):
+def weighted_value(member: MemberSeries, z, weight_exponent: int):
     """(1-|z|^2)^w |P_f| or |S_f| at a point or array."""
     zs = np.asarray(z, dtype=np.complex128)
-    return weighted(zs, weight_exponent, member.values(QUANTITY[weight_exponent], zs, r_trunc))
+    return weighted(zs, weight_exponent, member.values(QUANTITY[weight_exponent], zs))
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -159,11 +159,11 @@ def _coarse_scan(members, weights, radii: np.ndarray, n_ang: int):
     return radii[js], 2 * math.pi * np.take_along_axis(angle, js[..., None], 2)[..., 0] / n_ang
 
 
-def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
+def _zoom(batch: MemberBatch, weight_exponent, r_max, r, theta, dr, dth, tol):
     """Polar zoom toward local maxima of the weighted modulus, one start per member.
 
     Each level evaluates every row's ZOOM_POINTS x ZOOM_POINTS patch of
-    nodes r +- dr (clipped to [0, batch.r_trunc]) by theta +- dth in one
+    nodes r +- dr (clipped to [0, r_max]) by theta +- dth in one
     batch.values call on a (G, ZOOM_POINTS**2) array, moves a row's centre
     to its first patch maximum when that strictly beats the row's best (a
     NaN raises NaNMargin), and shrinks both half-widths 4x until both are <= tol.
@@ -173,7 +173,7 @@ def _zoom(batch: MemberBatch, weight_exponent, r, theta, dr, dth, tol):
     g, centre = np.arange(r.size), ZOOM_POINTS**2 // 2
     best, evals = np.full(r.size, -math.inf), 0
     while True:
-        rs = np.minimum(np.maximum(r[:, None] + dr * offsets, 0.0), batch.r_trunc)
+        rs = np.minimum(np.maximum(r[:, None] + dr * offsets, 0.0), r_max)
         ths = theta[:, None] + dth * offsets
         zs = (rs[:, :, None] * np.exp(1j * ths)[:, None, :]).reshape(r.size, -1)
         vals = weighted(zs, weight_exponent, batch.values(QUANTITY[weight_exponent], zs))
@@ -205,8 +205,7 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
     r_max) per member serves every weight; from each coarse argmax a zoom
     refines over r +- r_max/(radial+1), theta +- 2 pi/angular.  The members
     that share an r_max zoom in lockstep as one MemberBatch, one zoom per
-    weight.  No value depends on the batch.  TailToleranceUnmet: a
-    series-only member's tail at r_max (require_tails).
+    weight.  No value depends on the batch.
     """
     if any(w not in QUANTITY for w in weights):
         raise ValueError("weight_exponent must be 1 or 2")
@@ -219,19 +218,18 @@ def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[N
     for r_max in r_maxes:
         if not 0 < r_max < 1:
             raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
-    qs = [QUANTITY[w] for w in weights]
-    tails = [require_tails([m], qs, r_max)[0] for m, r_max in zip(members, r_maxes)]
     out = [[None] * len(weights) for _ in members]
     for r_max in dict.fromkeys(r_maxes):
         rows = [i for i, r in enumerate(r_maxes) if r == r_max]
-        batch = MemberBatch([members[i] for i in rows], r_max)
+        batch = MemberBatch([members[i] for i in rows])
         radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
         r, theta = _coarse_scan(batch.members, weights, radii, opts.angular)
         for k, w in enumerate(weights):
-            best, best_z, steps = _zoom(batch, w, r[:, k], theta[:, k], r_max / (opts.radial + 1),
-                                        2 * math.pi / opts.angular, opts.refine_tol)
+            best, best_z, steps = _zoom(batch, w, r_max, r[:, k], theta[:, k],
+                                        r_max / (opts.radial + 1), 2 * math.pi / opts.angular,
+                                        opts.refine_tol)
             for g, i in enumerate(rows):
                 out[i][k] = NormEstimate(value=float(best[g]), argmax=complex(best_z[g]),
                                          weight_exponent=w, r_max=float(r_max),
-                                         tail_error=float(tails[i][k]), refinement_steps=steps)
+                                         tail_error=0.0, refinement_steps=steps)
     return out

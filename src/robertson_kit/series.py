@@ -9,7 +9,7 @@ common order; all values are immutable and every operation is pure.
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class TruncatedSeries:
 
     Supports ring arithmetic (+, -, *, /), calculus (deriv/integ),
     exp/log/pow (kernel oracles: no production code calls them), point
-    evaluation with a tail estimate, and JSON round-tripping.  Complex
+    evaluation with a tail estimate, and JSON export.  Complex
     scalars mix freely with series.
     """
 
@@ -316,10 +316,6 @@ class TruncatedSeries:
     def to_pairs(self) -> list[list[float]]:
         """JSON form: list of [re, im] pairs, index = power."""
         return [[float(c.real), float(c.imag)] for c in self._c]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "TruncatedSeries":
-        return cls([complex(p[0], p[1]) for p in pairs])
 
 
 def circle_blocks(rows, radii, n_angles: int):

@@ -1,5 +1,6 @@
 """Sharp-bound formulas, quadrature oracles, and envelope checks."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -23,12 +24,15 @@ from robertson_kit.bounds import (
     xi_of_member,
 )
 from robertson_kit.robertson import (
+    ClosedForm,
     MemberBatch,
+    MemberSeries,
     NaNMargin,
     ParamOutOfRange,
     member_from_json,
     member_to_json,
     SchwarzSpec,
+    TailToleranceUnmet,
     extremal_member,
     generate_member,
     make_params,
@@ -36,7 +40,7 @@ from robertson_kit.robertson import (
     plane_extremal_schwarz_spec,
 )
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
-from robertson_kit.schwarzian import TailToleranceUnmet, norm_estimate
+from robertson_kit.schwarzian import norm_estimate
 from robertson_kit.series import chebyshev_radii
 
 
@@ -89,17 +93,29 @@ def test_xi_of_plane_extremal_data():
     assert abs(xi_of_member(m) - 0.5) < 1e-12
 
 
+def test_xi_of_closed_form_is_f_second_derivative_at_zero():
+    # a closed form's xi reads U(0) of its fraction, the bits of f''(0) = a_1
+    # of its f' series, with no series built: 1/2 on the plane, 0 on the disk
+    for alpha, beta in ((0, 0), (math.pi / 4, 0.25), (-1.2, 0.6)):
+        p = make_params(alpha, beta)
+        for lam in (1, -1, cmath.exp(0.7j)):
+            for variant, want in (("plane", 0.5), ("disk_symmetric", 0.0)):
+                m = extremal_member(p, variant, lam, order=32)
+                xi = xi_of_member(m)
+                assert "f_prime" not in vars(m)
+                assert xi == min(abs(complex(m.f_prime.coeffs[1])) / (2 * p.k), 1.0)
+                assert xi == pytest.approx(want, abs=1e-15)
+
+
 def test_xi_out_of_range():
+    # a closed form forged with 3k has f''(0) = 3k, xi = 3/2; an unvalidated
+    # spec with phi(0) = 3 has xi = 3
     p = make_params(0, 0)
-    m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=16)
-    fake = type(m)(
-        f=m.f,
-        f_prime=m.f_prime * 3,
-        params=p,
-        provenance="forged",
-    )
-    with pytest.raises(XiOutOfRange):
+    fake = MemberSeries(p, "forged", 16, closed_form=ClosedForm("plane", 1 + 0j, 3 * p.k))
+    with pytest.raises(XiOutOfRange, match="xi = 1.5 exceeds 1"):
         xi_of_member(fake)
+    with pytest.raises(XiOutOfRange, match="xi = 3.0 exceeds 1"):
+        xi_of_member(generate_member(p, SchwarzSpec("polynomial", (0, 3)), 16, validate=False))
 
 
 def test_pointwise_bound_values():

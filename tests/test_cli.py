@@ -511,7 +511,8 @@ def test_grid_rows_match_one_member_scans(monkeypatch, row_bytes):
     # blocks of one row, the default, and the whole batch: each member's
     # margin, z and witness margin are those of its own values and residual
     # alone.  The plane extremal (closed form), a member read back from JSON
-    # (series) and omega = z (xi = 1: 2.5's rows are +inf) are among them
+    # (rebuilt from its spec) and omega = z (xi = 1: 2.5's rows are +inf) are
+    # among them
     monkeypatch.setattr(cli, "ROW_BYTES", row_bytes)
     cache = cli.RunCache()
     run, params, members = cache.members(cli.RunConfig(samples=6, order=64), "general")

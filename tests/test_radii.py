@@ -405,7 +405,7 @@ def _reference_soundness(members, setting, radius):
     the witness is the first member tied with the least, at its first tied point."""
     r_cap = radius - 1e-3 if radius > 2e-3 else radius / 2
     zs = circle(r_cap, 96)
-    rows = [t_values(m, setting, zs, r_cap).real.tolist() for m in members]
+    rows = [t_values(m, setting, zs).real.tolist() for m in members]
     lows = [min(row) for row in rows]
     if min(lows, default=math.inf) == math.inf:
         return math.inf, -1, 0j, len(members) * zs.size
@@ -542,7 +542,7 @@ def _reference_probe(params, setting, search, specs=None):
         nonlocal evals
         zs, rows = circle(r, PROBE_ANGLES), []
         for m in members:
-            rows.append(t_values(m, setting, zs, r).real.tolist())
+            rows.append(t_values(m, setting, zs).real.tolist())
             evals += 1
         lows = [min(row) for row in rows]
         if min(lows) <= 0:

@@ -1,8 +1,10 @@
 """Class parameters, Schwarz specs, member generation, pointwise checks."""
 
 import cmath
+import json
 import math
 from collections import deque
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -41,8 +43,10 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.radii import ConcavitySetting, concavity_soundness_scan, sharpness_probe
 from robertson_kit.sampling import sample_members, sample_schwarz_specs
-from robertson_kit.schwarzian import ScanOpts, norm_estimate, s_on_circle
+from robertson_kit.schwarzian import ScanOpts, norm_estimate, norm_estimates, s_on_circle
 from robertson_kit.series import TruncatedSeries, chebyshev_radii
+
+GOLDEN = Path(__file__).resolve().parent / "golden"  # scripts/golden_outputs.py's snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,26 @@ def test_validate_rejects_expanding_map():
     for degree, scale in ((20, 1.01), (1000, 1.5)):
         with pytest.raises(NotASchwarzFunction, match="on the unit circle exceeds 1"):
             validate_schwarz(SchwarzSpec(kind="polynomial", coeffs=(0,) * degree + (scale,)))
+
+
+def test_validate_refuses_a_peak_between_samples():
+    # a degree-4096 Dirichlet kernel s/4096 sum_j (z e^{-i h})^j peaks at
+    # |omega| = s at z = e^{i h}, halfway between two of the validator's
+    # samples, where they read 0.9984 s: s = 1.0015 reads 0.99989, and only
+    # Bernstein's margin, sqrt(1 - (pi n/M)^2/2) = 0.99031 at n = 4097, refuses
+    # it; s = 1 is a Schwarz function, which sum |c_i| = 1 shows on its own
+    def dirichlet(s):
+        h = math.pi / VALIDATION_ANGLES
+        return SchwarzSpec("polynomial", (0j, *(s / 4096 * np.exp(-1j * h * np.arange(4096)))))
+
+    with pytest.raises(NotASchwarzFunction, match=r"sampled max 0\.99989\d* > 0\.990310"):
+        validate_schwarz(dirichlet(1.0015))
+    assert validate_schwarz(dirichlet(1.0)).grid_max < 0.9984
+    emitted = [json.loads((GOLDEN / f"{name}.out").read_text())["provenance"]
+               for name in ("emit_member", "emit_member_polynomial")]
+    for spec in (SchwarzSpec("polynomial", (0, 1)), SchwarzSpec("polynomial", (0, 0, 1)),
+                 plane_extremal_schwarz_spec(4096), *map(SchwarzSpec.from_json, emitted)):
+        validate_schwarz(spec)
 
 
 # omega = 1e308 (z + z^2), unvalidated: P_f overflows to NaN on every circle
@@ -270,17 +294,6 @@ def test_membership_margin_plane_extremal():
     assert rep.min_margin > 0.5
 
 
-def test_membership_requires_certified_radius():
-    # a member read from JSON has only its P series, whose tail is checked;
-    # the generated member it came from is evaluated exactly and needs none
-    p = make_params(0, 0)
-    m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=32)
-    with pytest.raises(TailToleranceUnmet, match="order-31 series tail"):
-        subordination_membership_check(member_from_json(member_to_json(m)), GridSpec(r_max=0.9))
-    rep = subordination_membership_check(m, GridSpec(r_max=0.9))
-    assert rep.min_margin >= -1e-9
-
-
 def test_membership_rejects_radii_off_the_disk_and_empty_grids():
     # r_max = 1.5 put half the grid outside the disk, where this class member
     # read as outside the class (margin -9.48); no angles leave argmin an
@@ -297,7 +310,8 @@ def test_membership_rejects_radii_off_the_disk_and_empty_grids():
 
 
 def test_require_tails_reads_only_the_series_a_read_rests_on():
-    # f always; f', P and S only where exact() does not serve them
+    # f always; f' only where exact() does not serve it; P and S never, as
+    # every member reads them exactly, a member read from JSON included
     p = make_params(0.3, 0.2)
     m = generate_member(p, SchwarzSpec(kind="blaschke_product", zeros=(0j, 0.4 + 0.1j)), order=128)
     plane, read = extremal_member(p, "plane", order=128), member_from_json(member_to_json(m))
@@ -305,14 +319,11 @@ def test_require_tails_reads_only_the_series_a_read_rests_on():
     rows = robertson.require_tails([m, plane, read], qs, 0.5)
     assert rows[0] == [m.f.tail_bound(0.5), m.f_prime.tail_bound(0.5), 0.0, 0.0]
     assert rows[1] == [plane.f.tail_bound(0.5), 0.0, 0.0, 0.0]
-    assert rows[2] == [read.f.tail_bound(0.5), read.f_prime.tail_bound(0.5),
-                       read.p_series().tail_bound(0.5), read.s_series().tail_bound(0.5)]
+    assert rows[2] == rows[0]
     assert robertson.require_tails([], qs, 0.5) == []
-    with pytest.raises(TailToleranceUnmet, match="order-127 series tail .* at r=0.9900 > 1.0e-06"):
-        robertson.require_tails([m, read], ("P", "S"), 0.99)
-    from robertson_kit import schwarzian
-
-    assert schwarzian.TailToleranceUnmet is TailToleranceUnmet
+    assert robertson.require_tails([m, read], ("P", "S"), 0.99) == [[0.0, 0.0]] * 2
+    with pytest.raises(TailToleranceUnmet, match="order-128 series tail .* at r=0.9900 > 1.0e-06"):
+        robertson.require_tails([m, read], ("fprime",), 0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +675,8 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
     # products with 1-4 free zeros and 1 or 2 at the origin (a rotated
     # monomial, and a zero at 1e-15, stack with these), polynomials of
     # lengths 1-257 padded to one; then a closed form, a member read from
-    # JSON, a repeated member and members at a second (alpha, beta)
+    # JSON (rebuilt from its spec, it stacks with the products of s = 2), a
+    # repeated member and members at a second (alpha, beta)
     rng = np.random.default_rng(5)
     specs = [
         SchwarzSpec(kind="unit_constant_times_z", rotation=cmath.exp(2j * math.pi * j / 16))
@@ -711,9 +723,9 @@ def test_exact_values_scalar_matches_array_bit_for_bit(monkeypatch):
                 assert np.array_equal(row, m.values(q, points[i])), (i, q)
     # per call, one stack per group of two or more members, whatever their
     # free zeros: at the first point the 21 products with s = 1 (17 rotations
-    # and 4 with free zeros), the 7 with s = 2 and the 9 polynomials; at the
+    # and 4 with free zeros), the 8 with s = 2 and the 9 polynomials; at the
     # second the 4 polynomials and the 2 products with s = 2
-    assert sorted(stack_calls) == sorted([21, 7, 9, 4, 2] * 4)
+    assert sorted(stack_calls) == sorted([21, 8, 9, 4, 2] * 4)
     with pytest.raises(ParamOutOfRange):
         MemberBatch(batch).values("fprime", zs)
 
@@ -1011,8 +1023,9 @@ def test_batch_f_prime_matches_scalar_loop_bits(monkeypatch):
 
 
 def test_batch_circles_match_member_circles():
-    # one block per closed form; series of one length fold together, and a
-    # member read from JSON and members at a second order join their own length
+    # one block per closed form; series of one length fold together, a member
+    # read from JSON (rebuilt from its spec) among them, and members at a
+    # second order join their own length
     params = make_params(0.4, 0.1)
     batch = sample_members(params, 9, seed=2, sp0=True, order=64)
     batch += [extremal_member(params, "disk_symmetric", 1j, order=64),
@@ -1053,3 +1066,34 @@ def test_member_json_roundtrip():
     assert back2.closed_form is not None
     assert back2.closed_form.variant == "disk_symmetric"
     assert np.array_equal(back2.f.coeffs, ext.f.coeffs)
+
+
+def test_member_from_json_rebuilds_the_member_it_names():
+    # a member read back is the member written, rebuilt from its Schwarz spec
+    # or closed form at the order of its f_prime: the same bits of P and S on
+    # circle(0.95, 256) and the same norm rows
+    params = make_params(math.pi / 4, 0.25)
+    members = [generate_member(params, BLASCHKE_WITNESS, order=n) for n in (64, 256, 512)]
+    members += [extremal_member(params, v, lam, order=64)
+                for v in ("plane", "disk_symmetric") for lam in (1.0, 1j)]
+    zs = robertson.circle(0.95, 256)
+    for m in members:
+        back = member_from_json(member_to_json(m))
+        assert (back.order, back.provenance, back.closed_form) == (m.order, m.provenance,
+                                                                   m.closed_form)
+        for q in ("P", "S"):
+            assert np.array_equal(back.values(q, zs).view(np.uint64),
+                                  m.values(q, zs).view(np.uint64)), (m.provenance, q)
+        assert norm_estimates([back], (1, 2)) == norm_estimates([m], (1, 2))
+    # a provenance that names neither a spec nor a closed form, and a spec
+    # that is not a Schwarz function, are refused
+    d = member_to_json(members[-1])
+    del d["closed_form"]
+    with pytest.raises(ParamOutOfRange, match="neither a Schwarz spec nor a closed form"):
+        member_from_json(d)
+    d = member_to_json(members[0])
+    d["provenance"]["rotation"] = [1.5, 0.0]
+    with pytest.raises(NotASchwarzFunction, match="rotation"):
+        member_from_json(d)
+    with pytest.raises(ParamOutOfRange, match="needs Schwarz data or a closed form"):
+        MemberSeries(params, "bare", 64)

@@ -28,7 +28,6 @@ from robertson_kit.sampling import sample_schwarz_specs
 from robertson_kit.schwarzian import (
     NormEstimate,
     ScanOpts,
-    TailToleranceUnmet,
     golden_max,
     norm_estimate,
     norm_estimates,
@@ -49,15 +48,8 @@ def identity_member(params, order=16):
 
 def half_plane_member(order=256):
     """f = z/(1-z) with exact evaluators (P = 2/(1-z), Mobius so S = 0)."""
-    p = make_params(0, 0)
-    m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=order)
-    return MemberSeries(
-        f=m.f,
-        f_prime=m.f_prime,
-        params=p,
-        provenance="mobius_half_plane",
-        closed_form=ClosedForm(variant="plane", lam=1.0 + 0j, k=2.0),
-    )
+    return MemberSeries(make_params(0, 0), "mobius_half_plane", order,
+                        closed_form=ClosedForm(variant="plane", lam=1.0 + 0j, k=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +236,6 @@ def test_norm_scan_monotone_in_radius():
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
 
-def test_tail_tolerance_unmet_for_low_order():
-    # a member read from JSON has only its series, so its tail is checked
-    p = make_params(0, 0)
-    m = generate_member(p, SchwarzSpec(kind="unit_constant_times_z"), order=64)
-    with pytest.raises(TailToleranceUnmet):
-        norm_estimate(member_from_json(member_to_json(m)), 1, ScanOpts(r_max=0.95))
-
-
 def test_norm_estimate_does_not_depend_on_series_order():
     # generated members are scanned through their Schwarz data, not a series
     params = make_params(math.pi / 4, 0.25)
@@ -286,7 +270,7 @@ def test_norm_value_is_attained_at_argmax():
     for m in (series_member, extremal):
         for w in (1, 2):
             est = norm_estimate(m, w, ScanOpts(r_max=0.95))
-            assert weighted_value(m, est.argmax, w, est.r_max) == est.value
+            assert weighted_value(m, est.argmax, w) == est.value
             assert abs(est.argmax) <= est.r_max * (1 + 1e-12)
 
 
@@ -311,21 +295,13 @@ def test_norm_coarse_refine_tol_refines_once():
 
 def _one_member_estimate(member, w, opts):
     """norm_estimate one member and one weight at a time: the coarse loop
-    and the scalar zoom as they were before the batch.  A member that has
-    only series takes its coarse grid from one FFT per radius."""
+    and the scalar zoom as they were before the batch."""
     r_max = opts.r_max
-    series = None
-    if member.exact("P") is None:
-        series = member.p_series() if w == 1 else member.s_series()
     radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
     vals = np.empty((radii.size, opts.angular))
     for at in range(0, radii.size, 16):
         zs = polar_grid(radii[at : at + 16], opts.angular)
-        if series is None:
-            vals[at : at + 16] = weighted_value(member, zs, w, r_max)
-        else:
-            v = np.array([series.eval_on_circle(r, opts.angular) for r in radii[at : at + 16]])
-            vals[at : at + 16] = (1 - np.abs(zs) ** 2) ** w * np.abs(v)
+        vals[at : at + 16] = weighted_value(member, zs, w)
     j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
     r, theta = float(radii[j]), 2 * math.pi * i / opts.angular
     dr, dth = r_max / (opts.radial + 1), 2 * math.pi / opts.angular
@@ -335,7 +311,7 @@ def _one_member_estimate(member, w, opts):
         rs = np.clip(r + dr * offsets, 0.0, r_max)
         ths = theta + dth * offsets
         zs = rs[:, None] * np.exp(1j * ths)[None, :]
-        v = weighted_value(member, zs, w, r_max)
+        v = weighted_value(member, zs, w)
         evals += zs.size
         a, b = np.unravel_index(int(np.argmax(v)), v.shape)
         if v[a, b] > best:
@@ -343,9 +319,8 @@ def _one_member_estimate(member, w, opts):
         dr, dth = dr / 4, dth / 4
         if dr <= opts.refine_tol and dth <= opts.refine_tol:
             break
-    tail = 0.0 if series is None else float(series.tail_bound(r_max))
     return NormEstimate(value=best, argmax=best_z, weight_exponent=w, r_max=float(r_max),
-                        tail_error=tail, refinement_steps=evals)
+                        tail_error=0.0, refinement_steps=evals)
 
 
 def _mixed_family():
@@ -385,7 +360,7 @@ def test_closed_form_serves_before_schwarz_data():
     # form, as exact() evaluates it, even batched with generated members
     params = make_params(math.pi / 4, 0.25)
     ext = extremal_member(params, "disk_symmetric", 1.0, order=64)
-    both = MemberSeries(params, ext.provenance, f_prime=ext.f_prime, closed_form=ext.closed_form,
+    both = MemberSeries(params, ext.provenance, 64, closed_form=ext.closed_form,
                         schwarz=SchwarzSpec("polynomial", (0, 0, 0.5)))
     assert both.exact_schwarz is None
     specs = sample_schwarz_specs(20250810, 3, sp0=True)
@@ -396,25 +371,6 @@ def test_closed_form_serves_before_schwarz_data():
     for m in (both, ext):
         assert np.array_equal(m.on_circles(("S",), (0.5,), 8)[0][0],
                               ext.closed_form.s(circle(0.5, 8)))
-
-
-def test_series_member_coarse_scan_is_fft_only(monkeypatch):
-    # a member read from JSON scans its coarse grid by FFT circles; only
-    # its zoom evaluates points: 14 levels of 17 x 17
-    spec = sample_schwarz_specs(20250810, 3, sp0=True)[2]
-    m = member_from_json(member_to_json(
-        generate_member(make_params(math.pi / 4, 0.25), spec, order=512, validate=False)))
-    real = TruncatedSeries.eval_at
-    for w in (1, 2):
-        calls = []
-
-        def counting(self, z, r_trunc):
-            calls.append(np.size(z))
-            return real(self, z, r_trunc)
-
-        monkeypatch.setattr(TruncatedSeries, "eval_at", counting)
-        norm_estimate(m, w, ScanOpts(r_max=0.95))
-        assert (len(calls), sum(calls)) == (14, 4046)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])

@@ -97,7 +97,8 @@ def test_golden_outputs_writes_every_case(tmp_path, capsys):
         want, got = (snapshot / name).read_bytes(), (first / name).read_bytes()
         if want != got:
             want, got = want.splitlines(keepends=True), got.splitlines(keepends=True)
-            i = next(i for i, pair in enumerate(zip(want + [b""], got + [b""])) if len(set(pair)) > 1)
+            pairs = enumerate(zip(want + [b""], got + [b""]))
+            i = next(i for i, pair in pairs if len(set(pair)) > 1)
             line = [(s[i] if i < len(s) else b"<end of file>") for s in (want, got)]
             moved.append(f"{name} line {i + 1}: snapshot {line[0]!r}, run {line[1]!r}")
     assert not moved, "\n".join(moved)
