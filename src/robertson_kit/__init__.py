@@ -8,7 +8,6 @@ from .series import (
 )
 from .robertson import (
     ClassParams,
-    GridSpec,
     MemberSeries,
     NotASchwarzFunction,
     ParamOutOfRange,

@@ -65,7 +65,7 @@ class RunConfig:
     seed: int = 7
     mode: str = "both"  # paper | corrected | both
     theorem: str = "all"
-    r_max: Optional[float] = None
+    r_max: float = 0.95  # the norm checks' scan radius
     out: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -189,11 +189,12 @@ class RunCache:
 
 def replay_witness(w: dict) -> float:
     """Recompute a stored witness's margin through its check's residual, its
-    member generated from its Schwarz spec."""
+    member generated from its Schwarz spec; NotASchwarzFunction for a spec
+    that validate_schwarz refuses."""
     if w["check"] not in CHECKS:
         raise ValueError(f"unknown check id {w['check']!r}")
     m = generate_member(make_params(w["alpha"], w["beta"]), SchwarzSpec.from_json(w["spec"]),
-                        w["order"], validate=False)
+                        w["order"])
     check, zs = CHECKS[w["check"]], np.array([complex(*w["z"])])
     values = None if check.q is None else m.values(check.q, zs)
     return check.residual([m], zs, values, w).item(0)
@@ -319,8 +320,7 @@ def _norm_check(weight: int, bound, anchor: str, asserted) -> Check:
                 for est in cache.norms(members, weight, w["r_max"])]
 
     def extras(cfg: RunConfig, params: ClassParams, mode: Optional[str]) -> dict:
-        r_max = cfg.r_max if cfg.r_max is not None else 0.95
-        return {"bound": bound(params), "r_max": r_max}
+        return {"bound": bound(params), "r_max": cfg.r_max}
 
     return Check(
         anchor=lambda w: anchor,
@@ -608,9 +608,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
         member = generate_member(params, spec, order=args.order)
         return _write_json(robertson.member_to_json(member), args.out, "member")
     # norm, the one target left
-    opts = ScanOpts(radial=args.radial, angular=args.angular, r_max=args.rmax_scan,
-                    refine_tol=args.refine_tol)
-    est = norm_estimate(extremal_member(params, args.variant, 1.0), args.weight, opts)
+    est = norm_estimate(extremal_member(params, args.variant, 1.0), args.weight,
+                        ScanOpts(r_max=args.rmax_scan))
     return _write_json(est.to_json(), args.out, "estimate")
 
 
@@ -709,10 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(en, "--out")
     en.add_argument("--variant", choices=["disk_symmetric", "plane"], default="disk_symmetric")
     en.add_argument("--weight", type=int, choices=[1, 2], default=2)
-    en.add_argument("--radial", type=int, default=128)
-    en.add_argument("--angular", type=int, default=256)
-    en.add_argument("--rmax-scan", type=float, default=None, dest="rmax_scan")
-    en.add_argument("--refine-tol", type=float, default=1e-10, dest="refine_tol")
+    en.add_argument("--rmax-scan", type=float, default=ScanOpts.r_max, dest="rmax_scan")
 
     r = sub.add_parser("radii", help="radius-of-concavity and convexity queries")
     rsub = r.add_subparsers(dest="radii_cmd", required=True)

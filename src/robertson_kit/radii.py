@@ -346,10 +346,13 @@ def sharpness_probe(
     Re T_f <= 0.  The budget counts member-circle evaluations; exhaustion
     returns the best-so-far with a flag, and 0.0 when not even the first
     circle fits, since no radius was shown to pass.  A circle reads the
-    members' exact P_f in one MemberBatch call.
+    members' exact P_f in one MemberBatch call.  ParamOutOfRange for a
+    negative budget or an r_tol outside (0, inf).
     """
     if search.budget < 0:
         raise ParamOutOfRange(f"budget={search.budget} is negative")
+    if not 0 < search.r_tol < math.inf:
+        raise ParamOutOfRange(f"r_tol={search.r_tol} outside (0, inf)")
     if specs is None:
         lam, turn = extremal_rotation(params, setting), 2j * math.pi / PROBE_ROTATIONS
         specs = [SchwarzSpec(kind="unit_constant_times_z", rotation=lam * cmath.exp(turn * j))

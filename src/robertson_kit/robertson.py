@@ -750,14 +750,7 @@ def plane_extremal_schwarz_spec(order: int = DEFAULT_ORDER) -> SchwarzSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Membership circle: n_angles uniform angles on |z| = r_max."""
-
-    n_angles: int = 64
-    r_max: float = 0.9
-
-
+MEMBERSHIP_ANGLES = 64  # uniform angles on the membership circle |z| = r_max
 WITNESS_TIE = 1e-12  # margins this close to the least count as tied for the witness
 
 
@@ -777,24 +770,20 @@ class MarginReport:
     samples: int
 
 
-def subordination_membership_check(
-    member: MemberSeries, grid: GridSpec = GridSpec()
-) -> MarginReport:
+def subordination_membership_check(member: MemberSeries, r_max: float = 0.9) -> MarginReport:
     """Minimum of Re(e^{i*alpha}(1 + z P_f(z))) - beta cos(alpha) on |z| <= r_max.
 
     The margin is harmonic on the closed disk (P_f is analytic there, as f'
     never vanishes), so by the minimum principle its least value lies on
-    |z| = r_max, scanned at grid.n_angles points; argmin is the witness
+    |z| = r_max, scanned at MEMBERSHIP_ANGLES points; argmin is the witness
     (first_tied).  A nonnegative minimum (up to -1e-9) certifies the defining
     inequality at the sampled points.  ParamOutOfRange for an r_max outside
-    (0, 1) or no angles; NaNMargin for a NaN margin.
+    (0, 1); NaNMargin for a NaN margin.
     """
-    if not 0 < grid.r_max < 1:
-        raise ParamOutOfRange(f"r_max={grid.r_max} outside (0, 1)")
-    if grid.n_angles < 1:
-        raise ParamOutOfRange(f"n_angles={grid.n_angles} leaves the circle empty")
+    if not 0 < r_max < 1:
+        raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
     pr = member.params
-    zs = circle(grid.r_max, grid.n_angles)
+    zs = circle(r_max, MEMBERSHIP_ANGLES)
     pv = member.values("P", zs)
     margins = (cmath.exp(1j * pr.alpha) * (1 + zs * pv)).real - pr.beta * math.cos(pr.alpha)
     least, i = first_tied(margins)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,19 +24,12 @@ from .robertson import SchwarzSpec, phi_series, polar_grid
 
 @dataclass(frozen=True)
 class ScanOpts:
-    """Polar-scan configuration for norm estimation.
-
-    r_max defaults to 0.9995 for members with a closed form (the extremals)
-    and 0.95 for every other member, generated ones included.  refine_tol is
-    the half-width, in r and in theta, below which the refinement zoom stops;
-    it must be positive.  radial and angular, the scan's radii and angles,
-    must be at least 1.
+    """Polar-scan configuration for norm estimation: the scan radius r_max,
+    in (0, 1).  Its one default, 0.9995, serves every member, since each
+    member's P_f and S_f are exact, from its Schwarz data or closed form.
     """
 
-    radial: int = 128
-    angular: int = 256
-    r_max: Optional[float] = None
-    refine_tol: float = 1e-10
+    r_max: float = 0.9995
 
 
 @dataclass(frozen=True)
@@ -131,6 +124,9 @@ def golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
 
 
 ZOOM_POINTS = 17  # patch nodes per axis; odd, so the centre is a node
+SCAN_RADII = 128  # coarse-scan radii clustered toward r_max, which the scan adds
+SCAN_ANGLES = 256  # coarse-scan angles per radius
+ZOOM_TOL = 1e-10  # the zoom stops once both half-widths, in r and in theta, are at most this
 # radii per coarse-scan array call: one call for all 129 radii was slower
 # and used more memory than blocks of 16
 SCAN_BLOCK = 16
@@ -201,35 +197,27 @@ def norm_estimate(
 def norm_estimates(members, weights, opts: ScanOpts = ScanOpts()) -> list[list[NormEstimate]]:
     """The NormEstimate of members[i] at weights[k] in row i, column k.
 
-    One coarse scan of radial x angular polar nodes (radii clustered toward
-    r_max) per member serves every weight; from each coarse argmax a zoom
-    refines over r +- r_max/(radial+1), theta +- 2 pi/angular.  The members
-    that share an r_max zoom in lockstep as one MemberBatch, one zoom per
-    weight.  No value depends on the batch.
+    One coarse scan of SCAN_RADII + 1 radii (clustered toward r_max, and
+    r_max itself) by SCAN_ANGLES angles serves every weight; from each
+    member's coarse argmax a zoom refines over r +- r_max/(SCAN_RADII+1),
+    theta +- 2 pi/SCAN_ANGLES down to ZOOM_TOL, all members in lockstep as
+    one MemberBatch, one zoom per weight.  No value depends on the batch.
+    ParamOutOfRange for a weight outside {1, 2} or r_max outside (0, 1).
     """
     if any(w not in QUANTITY for w in weights):
-        raise ValueError("weight_exponent must be 1 or 2")
-    if not opts.refine_tol > 0:
-        raise ParamOutOfRange(f"refine_tol={opts.refine_tol} must be positive")
-    if opts.radial < 1 or opts.angular < 1:
-        raise ParamOutOfRange(f"radial={opts.radial}, angular={opts.angular}: each must be >= 1")
-    r_maxes = [opts.r_max if opts.r_max is not None else 0.9995 if m.closed_form else 0.95
-               for m in members]
-    for r_max in r_maxes:
-        if not 0 < r_max < 1:
-            raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
-    out = [[None] * len(weights) for _ in members]
-    for r_max in dict.fromkeys(r_maxes):
-        rows = [i for i, r in enumerate(r_maxes) if r == r_max]
-        batch = MemberBatch([members[i] for i in rows])
-        radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
-        r, theta = _coarse_scan(batch.members, weights, radii, opts.angular)
-        for k, w in enumerate(weights):
-            best, best_z, steps = _zoom(batch, w, r_max, r[:, k], theta[:, k],
-                                        r_max / (opts.radial + 1), 2 * math.pi / opts.angular,
-                                        opts.refine_tol)
-            for g, i in enumerate(rows):
-                out[i][k] = NormEstimate(value=float(best[g]), argmax=complex(best_z[g]),
-                                         weight_exponent=w, r_max=float(r_max),
-                                         tail_error=0.0, refinement_steps=steps)
+        raise ParamOutOfRange(f"weights={tuple(weights)}: each weight_exponent must be 1 or 2")
+    r_max = opts.r_max
+    if not 0 < r_max < 1:
+        raise ParamOutOfRange(f"r_max={r_max} outside (0, 1)")
+    batch = MemberBatch(members)
+    radii = np.append(chebyshev_radii(SCAN_RADII, r_max), r_max)
+    r, theta = _coarse_scan(batch.members, weights, radii, SCAN_ANGLES)
+    out = [[None] * len(weights) for _ in batch.members]
+    for k, w in enumerate(weights):
+        best, best_z, steps = _zoom(batch, w, r_max, r[:, k], theta[:, k],
+                                    r_max / (SCAN_RADII + 1), 2 * math.pi / SCAN_ANGLES, ZOOM_TOL)
+        for i, row in enumerate(out):
+            row[k] = NormEstimate(value=float(best[i]), argmax=complex(best_z[i]),
+                                  weight_exponent=w, r_max=float(r_max),
+                                  tail_error=0.0, refinement_steps=steps)
     return out

@@ -137,8 +137,7 @@ COMMAND_OPTIONS = {
                              "--order", "--out"},
     ("emit", "phi"): {"--alpha", "--beta", "--step", "--Aco", "--mode", "--out"},
     ("emit", "member"): {"--alpha", "--beta", "--spec", "--order", "--out"},
-    ("emit", "norm"): {"--alpha", "--beta", "--variant", "--weight", "--radial", "--angular",
-                       "--rmax-scan", "--refine-tol", "--out"},
+    ("emit", "norm"): {"--alpha", "--beta", "--variant", "--weight", "--rmax-scan", "--out"},
     ("radii", "concavity"): {"--alpha", "--beta", "--Aco", "--mode"},
     ("radii", "convexity"): {"--alpha", "--beta", "--mode"},
     ("radii", "probe"): {"--alpha", "--beta", "--seed", "--Aco", "--budget"},
@@ -163,6 +162,10 @@ def test_each_command_declares_the_options_it_reads(command, capsys):
         # probe and norm members are read by their exact P_f and S_f alone
         ("emit-norm-order-4097", ["emit", "norm", "--order", "4097"]),
         ("emit-norm-order-1", ["emit", "norm", "--order", "1"]),
+        # the norm scan's grid and zoom stop are constants; its one input is --rmax-scan
+        ("emit-norm-radial", ["emit", "norm", "--radial", "0"]),
+        ("emit-norm-angular", ["emit", "norm", "--angular", "0"]),
+        ("emit-norm-refine-tol", ["emit", "norm", "--refine-tol", "1e-6"]),
         ("radii-probe-order-4097", ["radii", "probe", "--order", "4097"]),
         # a prefix stands for no option: read as --rmax-scan, --rmax 0.99
         # would scan to 0.99, while emit norm reads no --rmax
@@ -335,6 +338,20 @@ def test_witness_replay_norm_check(tmp_path):
     w = rep["checks"][0]["worst"]
     assert w["margin"] < 0
     assert abs(replay_witness(w) - w["margin"]) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "unit_constant_times_z", "power": 1, "rotation": [1.5, 0]},
+    {"kind": "blaschke_product", "zeros": [[0, 0], [1.2, 0]], "rotation": [1, 0]},
+], ids=["rotation-1.5", "zero-at-1.2"])
+def test_witness_replay_refuses_a_non_member(spec):
+    # the golden 2.1ii witness with its spec edited off the class replayed to
+    # -0.2116 (a "violation" by a non-member) and +0.0049
+    report = json.loads((Path(__file__).parent / "golden" / "verify_defaults.out").read_text())
+    (w,) = [r["worst"] for r in report["checks"] if r["id"] == "2.1ii"]
+    assert replay_witness(w) == w["margin"]
+    with pytest.raises(robertson.NotASchwarzFunction):
+        replay_witness({**w, "spec": spec})
 
 
 def test_verify_builds_each_member_and_norm_once(tmp_path, monkeypatch):
@@ -927,8 +944,8 @@ def test_emit_member_missing_spec_exit_2(tmp_path):
         (None, ["emit", "phi", "--step", "0"]),
         (None, ["emit", "phi", "--step", "nan"]),
         (None, ["emit", "phi", "--step", "inf"]),
-        (None, ["emit", "norm", "--angular", "0"]),
-        (None, ["emit", "norm", "--radial", "0"]),
+        (None, ["emit", "norm", "--rmax-scan", "nan"]),
+        (None, ["emit", "norm", "--rmax-scan", "1"]),
         (None, ["emit", "growth", "--rmax", "nan"]),
         (None, ["emit", "distortion", "--rmax", "nan"]),
         (None, ["emit", "growth", "--rmax", "1"]),

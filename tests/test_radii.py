@@ -511,6 +511,14 @@ def test_probe_budget_exhaustion_flag():
     assert abs(res.empirical_radius - R_CORR_00_2) < 1e-3
 
 
+@pytest.mark.parametrize("r_tol", [0.0, -1.0, math.inf, math.nan])
+def test_probe_r_tol_must_be_positive_and_finite(r_tol):
+    # itp_steps raised ZeroDivisionError at 0, a math domain error at -1 and
+    # inf, and could not convert NaN to an integer
+    with pytest.raises(ParamOutOfRange, match="r_tol"):
+        sharpness_probe(make_params(0, 0), ConcavitySetting(2.0), SearchOpts(seed=1, r_tol=r_tol))
+
+
 def test_probe_default_family_makes_two_stacked_calls_per_circle(monkeypatch):
     # 16 rotations and the sampled products (all s = 1, 1-4 free zeros) make
     # one stack, the sampled polynomials the other

@@ -16,7 +16,6 @@ from robertson_kit import robertson, series
 from robertson_kit.robertson import (
     VALIDATION_ANGLES,
     ClosedForm,
-    GridSpec,
     MemberBatch,
     MemberSeries,
     NaNMargin,
@@ -267,13 +266,12 @@ def test_sp0_iff_vanishing_order_two():
 
 
 def test_membership_of_seeded_members_on_grid():
-    grid = GridSpec()  # 64 points on the circle |z| = 0.9
-    assert (grid.n_angles, grid.r_max) == (64, 0.9)
     for alpha, beta in ((0.0, 0.0), (math.pi / 4, 0.25)):
         p = make_params(alpha, beta)
         for m in sample_members(p, 12, seed=99, order=256):
-            rep = subordination_membership_check(m, grid)
+            rep = subordination_membership_check(m, 0.9)
             assert rep.min_margin > -1e-9
+            assert rep.samples == 64  # the circle |z| = 0.9 at MEMBERSHIP_ANGLES points
 
 
 def test_membership_margin_identity_member():
@@ -281,7 +279,7 @@ def test_membership_margin_identity_member():
     for alpha, beta in ((0.0, 0.0), (0.6, 0.4)):
         p = make_params(alpha, beta)
         m = generate_member(p, SchwarzSpec(kind="polynomial", coeffs=(0, 0)), order=16)
-        rep = subordination_membership_check(m, GridSpec(n_angles=8))
+        rep = subordination_membership_check(m)
         assert abs(rep.min_margin - p.k) < 1e-12
 
 
@@ -294,19 +292,16 @@ def test_membership_margin_plane_extremal():
     assert rep.min_margin > 0.5
 
 
-def test_membership_rejects_radii_off_the_disk_and_empty_grids():
+def test_membership_rejects_radii_off_the_disk():
     # r_max = 1.5 put half the grid outside the disk, where this class member
-    # read as outside the class (margin -9.48); no angles leave argmin an
-    # empty array
+    # read as outside the class (margin -9.48)
     p = make_params(math.pi / 4, 0.25)
     spec = SchwarzSpec(kind="blaschke_product", zeros=(0j, 0.7 + 0.1j), rotation=1j)
     m = generate_member(p, spec, order=64)
-    for grid in (GridSpec(r_max=1.5), GridSpec(r_max=1.0), GridSpec(r_max=0.0),
-                 GridSpec(r_max=-0.2), GridSpec(r_max=math.nan),
-                 GridSpec(n_angles=0)):
+    for r_max in (1.5, 1.0, 0.0, -0.2, math.nan):
         with pytest.raises(ParamOutOfRange):
-            subordination_membership_check(m, grid)
-    assert subordination_membership_check(m, GridSpec(r_max=0.999)).min_margin >= -1e-9
+            subordination_membership_check(m, r_max)
+    assert subordination_membership_check(m, 0.999).min_margin >= -1e-9
 
 
 def test_require_tails_reads_only_the_series_a_read_rests_on():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from robertson_kit import cli
 from robertson_kit.robertson import (
     ClosedForm,
+    MemberBatch,
     MemberSeries,
     ParamOutOfRange,
     SchwarzSpec,
@@ -26,6 +27,9 @@ from robertson_kit.robertson import (
 )
 from robertson_kit.sampling import sample_schwarz_specs
 from robertson_kit.schwarzian import (
+    SCAN_ANGLES,
+    SCAN_RADII,
+    ZOOM_TOL,
     NormEstimate,
     ScanOpts,
     golden_max,
@@ -34,6 +38,8 @@ from robertson_kit.schwarzian import (
     schwarzian,
     schwarzian_via_phi,
     weighted_value,
+    _coarse_scan,
+    _zoom,
 )
 from robertson_kit.series import TruncatedSeries, chebyshev_radii
 
@@ -285,26 +291,48 @@ def test_norm_zoom_follows_anisotropic_ridge():
 
 
 def test_norm_coarse_refine_tol_refines_once():
-    # a tolerance wider than the scan cell still evaluates one patch
+    # a zoom tolerance wider than the scan cell still evaluates one patch
     m = extremal_member(make_params(0, 0.5), "disk_symmetric", 1.0, order=64)
-    coarse = norm_estimate(m, 2, ScanOpts(refine_tol=1.0))
-    assert coarse.refinement_steps == 17 * 17
-    assert coarse.value > 0
-    assert coarse.value <= norm_estimate(m, 2).value
+    r_max = ScanOpts().r_max
+    radii = np.append(chebyshev_radii(SCAN_RADII, r_max), r_max)
+    r, theta = _coarse_scan([m], (2,), radii, SCAN_ANGLES)
+    best, _, steps = _zoom(MemberBatch([m]), 2, r_max, r[:, 0], theta[:, 0],
+                           r_max / (SCAN_RADII + 1), 2 * math.pi / SCAN_ANGLES, 1.0)
+    assert steps == 17 * 17
+    assert 0 < best[0] <= norm_estimate(m, 2).value
+
+
+def test_norm_estimate_default_radius_serves_every_member():
+    # every member's P_f and S_f are exact, so a generated member scans to
+    # the extremals' r_max, 0.9995, by default
+    params = make_params(math.pi / 4, 0.25)
+    g = generate_member(params, sample_schwarz_specs(20250810, 3, sp0=True)[2], order=64)
+    ext = extremal_member(params, "disk_symmetric", 1.0, order=64)
+    for w in (1, 2):
+        est = norm_estimate(g, w)
+        assert est.r_max == norm_estimate(ext, w).r_max == 0.9995
+        assert est == norm_estimate(g, w, ScanOpts(r_max=0.9995))
+
+
+@pytest.mark.parametrize("weights", [(0,), (1, 3), (2.5,)])
+def test_norm_weight_must_be_one_or_two(weights):
+    m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=32)
+    with pytest.raises(ParamOutOfRange, match="weight_exponent"):
+        norm_estimates([m], weights)
 
 
 def _one_member_estimate(member, w, opts):
     """norm_estimate one member and one weight at a time: the coarse loop
     and the scalar zoom as they were before the batch."""
     r_max = opts.r_max
-    radii = np.append(chebyshev_radii(opts.radial, r_max), r_max)
-    vals = np.empty((radii.size, opts.angular))
+    radii = np.append(chebyshev_radii(SCAN_RADII, r_max), r_max)
+    vals = np.empty((radii.size, SCAN_ANGLES))
     for at in range(0, radii.size, 16):
-        zs = polar_grid(radii[at : at + 16], opts.angular)
+        zs = polar_grid(radii[at : at + 16], SCAN_ANGLES)
         vals[at : at + 16] = weighted_value(member, zs, w)
     j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    r, theta = float(radii[j]), 2 * math.pi * i / opts.angular
-    dr, dth = r_max / (opts.radial + 1), 2 * math.pi / opts.angular
+    r, theta = float(radii[j]), 2 * math.pi * i / SCAN_ANGLES
+    dr, dth = r_max / (SCAN_RADII + 1), 2 * math.pi / SCAN_ANGLES
     offsets = np.linspace(-1.0, 1.0, 17)
     best, best_z, evals = -math.inf, None, 0
     while True:
@@ -317,7 +345,7 @@ def _one_member_estimate(member, w, opts):
         if v[a, b] > best:
             best, best_z, r, theta = float(v[a, b]), complex(zs[a, b]), rs[a], ths[b]
         dr, dth = dr / 4, dth / 4
-        if dr <= opts.refine_tol and dth <= opts.refine_tol:
+        if dr <= ZOOM_TOL and dth <= ZOOM_TOL:
             break
     return NormEstimate(value=best, argmax=best_z, weight_exponent=w, r_max=float(r_max),
                         tail_error=0.0, refinement_steps=evals)
@@ -371,13 +399,6 @@ def test_closed_form_serves_before_schwarz_data():
     for m in (both, ext):
         assert np.array_equal(m.on_circles(("S",), (0.5,), 8)[0][0],
                               ext.closed_form.s(circle(0.5, 8)))
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
-def test_norm_refine_tol_must_be_positive(tol):
-    m = extremal_member(make_params(0, 0), "disk_symmetric", 1.0, order=32)
-    with pytest.raises(ParamOutOfRange):
-        norm_estimate(m, 2, ScanOpts(refine_tol=tol))
 
 
 def test_norms_not_below_benchmark_reference():
